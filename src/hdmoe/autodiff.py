@@ -388,7 +388,7 @@ def mean_rows(a: Node) -> Node:
 
 
 def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
-    """Fused 2-layer SiLU feed-forward unit (kernels backend)."""
+    """Fused 2-layer SiLU feed-forward unit (kernels.py)."""
     if x.value.shape[1] != w1.value.shape[0]:
         raise ShapeError(f"expert_ffn: {x.value.shape} @ {w1.value.shape}")
     if w1.value.shape[1] != w2.value.shape[0]:

@@ -23,7 +23,8 @@ class EncoderParams:
     w_att: np.ndarray  # [d_att, 1]
 
 
-def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """U(-1/sqrt(rows), 1/sqrt(rows)) weights, the init of every weight matrix."""
     bound = 1.0 / np.sqrt(rows)
     return rng.uniform(-bound, bound, size=(rows, cols))
 
@@ -32,10 +33,10 @@ def init_encoder_params(
     d_in: int, d1: int, d_att: int, rng: np.random.Generator
 ) -> EncoderParams:
     return EncoderParams(
-        w_proj=_uniform_init(rng, d_in, d1),
-        v_att=_uniform_init(rng, d1, d_att),
-        u_att=_uniform_init(rng, d1, d_att),
-        w_att=_uniform_init(rng, d_att, 1),
+        w_proj=uniform_init(rng, d_in, d1),
+        v_att=uniform_init(rng, d1, d_att),
+        u_att=uniform_init(rng, d1, d_att),
+        w_att=uniform_init(rng, d_att, 1),
     )
 
 

@@ -1,31 +1,17 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in plain numpy.
 
 Two kernels dominate runtime at training/evaluation scale and are worth
 fusing: the 2-layer SiLU expert unit applied to a block of tokens (called
 for every routed/shared expert on every step), and the O(n^2) concordance
-pair scan. Everything else in the package stays plain numpy.
-
-Backend selection: set ``HDMOE_BACKEND=numpy`` to force the fallback path,
-``HDMOE_BACKEND=numba`` to require the jitted path (ImportError if numba is
-missing). Default: numba when importable, numpy otherwise. Both paths
-implement identical formulas; `benchmarks/bench_backends.py` compares them.
+pair scan.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_REQUESTED = os.environ.get("HDMOE_BACKEND", "").strip().lower()
-if _REQUESTED not in ("", "numpy", "numba"):
-    raise ValueError(f"HDMOE_BACKEND must be 'numpy' or 'numba', got {_REQUESTED!r}")
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-
-def ffn_forward_numpy(x, w1, b1, w2, b2):
+def ffn_forward(x, w1, b1, w2, b2):
     """Fused expert unit: out = silu(x @ w1 + b1) @ w2 + b2.
 
     Returns (out, pre, sig) where pre is the hidden pre-activation and
@@ -38,7 +24,7 @@ def ffn_forward_numpy(x, w1, b1, w2, b2):
     return out, pre, sig
 
 
-def ffn_backward_numpy(g, x, w1, w2, pre, sig):
+def ffn_backward(g, x, w1, w2, pre, sig):
     """Gradients of the fused expert unit w.r.t. (x, w1, b1, w2, b2)."""
     act = pre * sig
     g_act = g @ w2.T
@@ -52,7 +38,7 @@ def ffn_backward_numpy(g, x, w1, w2, pre, sig):
     return gx, gw1, gb1, gw2, gb2
 
 
-def concordance_counts_numpy(times, events, risks):
+def concordance_counts(times, events, risks):
     """Concordance statistics over all ordered pairs with t_i < t_j.
 
     A pair is comparable iff the earlier sample had an observed event;
@@ -69,72 +55,5 @@ def concordance_counts_numpy(times, events, risks):
     return conc, comp
 
 
-# ---------------------------------------------------------------------------
-# numba fast path
-
-ffn_forward_numba = None
-ffn_backward_numba = None
-concordance_counts_numba = None
-
-try:
-    import numba
-
-    @numba.njit(cache=True, nogil=True)
-    def ffn_forward_numba(x, w1, b1, w2, b2):  # noqa: F811
-        pre = x @ w1 + b1
-        sig = 1.0 / (1.0 + np.exp(-pre))
-        act = pre * sig
-        out = act @ w2 + b2
-        return out, pre, sig
-
-    @numba.njit(cache=True, nogil=True)
-    def ffn_backward_numba(g, x, w1, w2, pre, sig):  # noqa: F811
-        act = pre * sig
-        g_act = g @ w2.T
-        g_pre = g_act * (sig * (1.0 + pre * (1.0 - sig)))
-        gx = g_pre @ w1.T
-        gw1 = x.T @ g_pre
-        gb1 = np.sum(g_pre, axis=0).reshape(1, -1)
-        gw2 = act.T @ g
-        gb2 = np.sum(g, axis=0).reshape(1, -1)
-        return gx, gw1, gb1, gw2, gb2
-
-    @numba.njit(cache=True, nogil=True)
-    def concordance_counts_numba(times, events, risks):  # noqa: F811
-        conc = 0.0
-        comp = 0
-        n = times.shape[0]
-        for i in range(n):
-            if events[i] != 1:
-                continue
-            ti = times[i]
-            ri = risks[i]
-            for j in range(n):
-                if ti < times[j]:
-                    comp += 1
-                    if ri > risks[j]:
-                        conc += 1.0
-                    elif ri == risks[j]:
-                        conc += 0.5
-        return conc, comp
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-    if _REQUESTED == "numba":
-        raise
-
-_USE_NUMBA = _HAVE_NUMBA and _REQUESTED != "numpy"
-
-if _USE_NUMBA:
-    ffn_forward = ffn_forward_numba
-    ffn_backward = ffn_backward_numba
-    concordance_counts = concordance_counts_numba
-else:
-    ffn_forward = ffn_forward_numpy
-    ffn_backward = ffn_backward_numpy
-    concordance_counts = concordance_counts_numpy
-
-
 def active_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    return "numpy"

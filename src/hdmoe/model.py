@@ -10,18 +10,18 @@ output are each 1 x d2, the head sees 1 x 2*d2).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import SampleRecord
-from .encoder import EncoderParams, encode_bag, init_encoder_params
+from .encoder import EncoderParams, encode_bag, init_encoder_params, uniform_init
 from .errors import ConfigError
 from .moe import (
-    ExpertParams,
     MoEConfig,
     MoEOutput,
     MoEParams,
@@ -122,55 +122,61 @@ class ForwardResult:
     moe_inter: MoEOutput = field(repr=False, default=None)
 
 
-def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> HDMoEParams:
     return HDMoEParams(
         encoder_a=init_encoder_params(cfg.d_in, cfg.d1, cfg.d_att, rng),
         encoder_b=init_encoder_params(cfg.d_in, cfg.d1, cfg.d_att, rng),
         level1_moe_a=init_moe_params(cfg.level1_moe, rng),
         level1_moe_b=init_moe_params(cfg.level1_moe, rng),
-        bridge=_uniform_init(rng, 4 * cfg.d1, cfg.d2),
+        bridge=uniform_init(rng, 4 * cfg.d1, cfg.d2),
         level2_moe=init_moe_params(cfg.level2_moe, rng),
-        head_w=_uniform_init(rng, 2 * cfg.d2, cfg.num_bins),
+        head_w=uniform_init(rng, 2 * cfg.d2, cfg.num_bins),
         head_b=np.zeros((1, cfg.num_bins)),
     )
 
 
-def _named_encoder(prefix: str, p: EncoderParams):
-    yield f"{prefix}.W_proj", p.w_proj
-    yield f"{prefix}.V_att", p.v_att
-    yield f"{prefix}.U_att", p.u_att
-    yield f"{prefix}.w_att", p.w_att
+# Checkpoint key of each params-dataclass field whose key differs from its
+# name; element j of a list field is keyed by formatting its entry with j.
+# This is the only place that knows the checkpoint names.
+_KEYS = {
+    "w_proj": "W_proj",
+    "v_att": "V_att",
+    "u_att": "U_att",
+    "w1": "W1",
+    "w2": "W2",
+    "experts": "expert{}",
+    "head_w": "head.W",
+    "head_b": "head.b",
+}
 
 
-def _named_expert(prefix: str, p: ExpertParams):
-    yield f"{prefix}.W1", p.w1
-    yield f"{prefix}.b1", p.b1
-    yield f"{prefix}.W2", p.w2
-    yield f"{prefix}.b2", p.b2
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, str], ...]:
+    return tuple((f.name, _KEYS.get(f.name, f.name)) for f in fields(cls))
 
 
-def _named_moe(prefix: str, p: MoEParams):
-    yield f"{prefix}.router", p.router
-    for j, ex in enumerate(p.experts):
-        yield from _named_expert(f"{prefix}.expert{j}", ex)
-    yield from _named_expert(f"{prefix}.shared", p.shared)
+def _map(fn, tree, prefix: str = ""):
+    """The one walk of a params tree: a tree of the same shape whose leaves are
+    fn(path, leaf), called in checkpoint key order."""
+    kwargs = {}
+    for name, key in _fields(type(tree)):
+        value = getattr(tree, name)
+        if isinstance(value, list):
+            kwargs[name] = [
+                _map(fn, item, f"{prefix}{key.format(j)}.") for j, item in enumerate(value)
+            ]
+        elif hasattr(value, "__dataclass_fields__"):
+            kwargs[name] = _map(fn, value, f"{prefix}{key}.")
+        else:
+            kwargs[name] = fn(prefix + key, value)
+    return type(tree)(**kwargs)
 
 
-def named_params(params: HDMoEParams):
+def named_params(params: HDMoEParams) -> list[tuple[str, np.ndarray]]:
     """Deterministic (path, array) walk over every trainable matrix."""
-    yield from _named_encoder("encoder_a", params.encoder_a)
-    yield from _named_encoder("encoder_b", params.encoder_b)
-    yield from _named_moe("level1_moe_a", params.level1_moe_a)
-    yield from _named_moe("level1_moe_b", params.level1_moe_b)
-    yield "bridge", params.bridge
-    yield from _named_moe("level2_moe", params.level2_moe)
-    yield "head.W", params.head_w
-    yield "head.b", params.head_b
+    out: list[tuple[str, np.ndarray]] = []
+    _map(lambda path, arr: out.append((path, arr)), params)
+    return out
 
 
 def parameter_count(params: HDMoEParams) -> tuple[int, dict[str, int]]:
@@ -194,42 +200,7 @@ def lift_params(
         nodes[path] = node
         return node
 
-    def lift_encoder(prefix: str, p: EncoderParams) -> EncoderParams:
-        return EncoderParams(
-            w_proj=lift(f"{prefix}.W_proj", p.w_proj),
-            v_att=lift(f"{prefix}.V_att", p.v_att),
-            u_att=lift(f"{prefix}.U_att", p.u_att),
-            w_att=lift(f"{prefix}.w_att", p.w_att),
-        )
-
-    def lift_expert(prefix: str, p: ExpertParams) -> ExpertParams:
-        return ExpertParams(
-            w1=lift(f"{prefix}.W1", p.w1),
-            b1=lift(f"{prefix}.b1", p.b1),
-            w2=lift(f"{prefix}.W2", p.w2),
-            b2=lift(f"{prefix}.b2", p.b2),
-        )
-
-    def lift_moe(prefix: str, p: MoEParams) -> MoEParams:
-        return MoEParams(
-            router=lift(f"{prefix}.router", p.router),
-            experts=[
-                lift_expert(f"{prefix}.expert{j}", ex) for j, ex in enumerate(p.experts)
-            ],
-            shared=lift_expert(f"{prefix}.shared", p.shared),
-        )
-
-    lifted = HDMoEParams(
-        encoder_a=lift_encoder("encoder_a", params.encoder_a),
-        encoder_b=lift_encoder("encoder_b", params.encoder_b),
-        level1_moe_a=lift_moe("level1_moe_a", params.level1_moe_a),
-        level1_moe_b=lift_moe("level1_moe_b", params.level1_moe_b),
-        bridge=lift("bridge", params.bridge),
-        level2_moe=lift_moe("level2_moe", params.level2_moe),
-        head_w=lift("head.W", params.head_w),
-        head_b=lift("head.b", params.head_b),
-    )
-    return lifted, nodes
+    return _map(lift, params), nodes
 
 
 def risk_score(hazards: np.ndarray) -> float:
@@ -315,11 +286,6 @@ def forward(
 # checkpoints
 
 
-def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    rng = np.random.default_rng(0)
-    return {path: arr.shape for path, arr in named_params(init_params(cfg, rng))}
-
-
 def save_checkpoint(path: str | Path, params: HDMoEParams, meta: dict) -> None:
     blob = {
         "format_version": CHECKPOINT_VERSION,
@@ -340,7 +306,8 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {blob.get('format_version')}")
     stored = blob["params"]
-    expected = expected_shapes(cfg)
+    template = init_params(cfg, np.random.default_rng(0))
+    expected = {p: arr.shape for p, arr in named_params(template)}
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
@@ -351,38 +318,4 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
         if shape != expected[p]:
             raise ConfigError(f"{path}: {p} has shape {shape}, config expects {expected[p]}")
         arrays[p] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
-
-    def enc(prefix: str) -> EncoderParams:
-        return EncoderParams(
-            w_proj=arrays[f"{prefix}.W_proj"],
-            v_att=arrays[f"{prefix}.V_att"],
-            u_att=arrays[f"{prefix}.U_att"],
-            w_att=arrays[f"{prefix}.w_att"],
-        )
-
-    def expert(prefix: str) -> ExpertParams:
-        return ExpertParams(
-            w1=arrays[f"{prefix}.W1"],
-            b1=arrays[f"{prefix}.b1"],
-            w2=arrays[f"{prefix}.W2"],
-            b2=arrays[f"{prefix}.b2"],
-        )
-
-    def moe(prefix: str) -> MoEParams:
-        return MoEParams(
-            router=arrays[f"{prefix}.router"],
-            experts=[expert(f"{prefix}.expert{j}") for j in range(cfg.num_experts)],
-            shared=expert(f"{prefix}.shared"),
-        )
-
-    params = HDMoEParams(
-        encoder_a=enc("encoder_a"),
-        encoder_b=enc("encoder_b"),
-        level1_moe_a=moe("level1_moe_a"),
-        level1_moe_b=moe("level1_moe_b"),
-        bridge=arrays["bridge"],
-        level2_moe=moe("level2_moe"),
-        head_w=arrays["head.W"],
-        head_b=arrays["head.b"],
-    )
-    return params, blob.get("meta", {})
+    return _map(lambda p, _: arrays[p], template), blob.get("meta", {})

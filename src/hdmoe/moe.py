@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .encoder import uniform_init
 from .errors import ConfigError
 
 
@@ -81,24 +82,19 @@ class MoEOutput:
     shared_tokens: ad.Node  # [T, l] shared-expert outputs per token
 
 
-def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
 def init_expert_params(token_len: int, expansion: int, rng: np.random.Generator) -> ExpertParams:
     hidden = expansion * token_len
     return ExpertParams(
-        w1=_uniform_init(rng, token_len, hidden),
+        w1=uniform_init(rng, token_len, hidden),
         b1=np.zeros((1, hidden)),
-        w2=_uniform_init(rng, hidden, token_len),
+        w2=uniform_init(rng, hidden, token_len),
         b2=np.zeros((1, token_len)),
     )
 
 
 def init_moe_params(cfg: MoEConfig, rng: np.random.Generator) -> MoEParams:
     return MoEParams(
-        router=_uniform_init(rng, cfg.token_len, cfg.num_experts),
+        router=uniform_init(rng, cfg.token_len, cfg.num_experts),
         experts=[
             init_expert_params(cfg.token_len, cfg.expansion, rng)
             for _ in range(cfg.num_experts)

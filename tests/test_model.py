@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,29 @@ def test_checkpoint_round_trip(tmp_path):
     for (p1, a1), (p2, a2) in zip(hm.named_params(params), hm.named_params(loaded)):
         assert p1 == p2
         assert np.array_equal(a1, a2)
+
+
+# Checkpoint of init_params(GOLDEN, default_rng(0)) written by an earlier
+# release: pins format v1's key names, key order and number formatting.
+GOLDEN = hm.ModelConfig(
+    d_in=2, d1=2, d2=4, token_len_l1=2, token_len_l2=2, num_experts=2, top_k=1,
+    expansion=1, num_bins=2, segment_values=(1, 2),
+)
+GOLDEN_PATH = Path(__file__).parent / "data" / "checkpoint_v1.json"
+
+
+def test_golden_v1_checkpoint_loads_and_resaves_byte_identical(tmp_path):
+    loaded, meta = hm.load_checkpoint(GOLDEN_PATH, GOLDEN)
+    assert meta == {"fold": 0, "num_bins": 2}
+    fresh = hm.init_params(GOLDEN, np.random.default_rng(0))
+    pairs = list(zip(hm.named_params(fresh), hm.named_params(loaded)))
+    assert len(pairs) == len(json.loads(GOLDEN_PATH.read_text())["params"])
+    for (p1, a1), (p2, a2) in pairs:
+        assert p1 == p2
+        assert np.array_equal(a1, a2), p1
+    out = tmp_path / "ckpt.json"
+    hm.save_checkpoint(out, loaded, meta)
+    assert out.read_bytes() == GOLDEN_PATH.read_bytes()
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
