@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +32,8 @@ from .evaluation import (
     stability_report,
     welch_t_test,
 )
-from .model import forward, load_checkpoint, save_checkpoint
-from .trainer import (
-    FoldResult,
-    predict_fold,
-    predictions_to_csv,
-    split_fold,
-    train_fold,
-)
+from .model import forward, lift_params, load_checkpoint, save_checkpoint
+from .trainer import predict_fold, predictions_to_csv, split_fold, train_fold
 
 log = logging.getLogger("hdmoe.cli")
 
@@ -126,7 +119,7 @@ def _write_metrics(path: Path, per_fold: dict, extra: dict | None = None) -> Non
         fh.write("\n")
 
 
-def cmd_train(cfg: RunConfig, parallel_folds: int = 1, pin_segment: int | None = None) -> int:
+def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
     train_cfg = cfg.train_config()
@@ -142,25 +135,15 @@ def cmd_train(cfg: RunConfig, parallel_folds: int = 1, pin_segment: int | None =
         for r in records:
             fh.write(f"{r.sample_id},{r.fold}\n")
 
-    def run_one(fold_id: int) -> tuple[FoldResult, list]:
-        result = train_fold(records, fold_id, model_cfg, train_cfg)
-        pred_rng = np.random.default_rng([cfg.seed, fold_id, 0x9E4])
-        rows = predict_fold(
-            records, fold_id, result.params, result.edges, model_cfg, pred_rng,
-            pin_segment=pin_segment,
-        )
-        return result, rows
-
-    if parallel_folds > 1:
-        with ThreadPoolExecutor(max_workers=parallel_folds) as pool:
-            outcomes = dict(zip(fold_ids, pool.map(run_one, fold_ids)))
-    else:
-        outcomes = {fid: run_one(fid) for fid in fold_ids}
-
     per_fold = {}
     all_rows = []
     for fid in fold_ids:
-        result, rows = outcomes[fid]
+        result = train_fold(records, fid, model_cfg, train_cfg)
+        pred_rng = np.random.default_rng([cfg.seed, fid, 0x9E4])
+        rows = predict_fold(
+            records, fid, result.params, result.edges, model_cfg, pred_rng,
+            pin_segment=pin_segment,
+        )
         fold_dir = out_dir / f"fold{fid}"
         fold_dir.mkdir(exist_ok=True)
         save_checkpoint(
@@ -240,6 +223,7 @@ def cmd_eval(
     pooled_risks, pooled_times, pooled_events = [], [], []
     for path in paths:
         params, meta = load_checkpoint(path, model_cfg)
+        lifted = lift_params(params, requires_grad=False)
         fold = meta.get("fold", 0)
         folds_file = path.parent.parent / "folds.csv" if path.parent.name.startswith("fold") else None
         subset = _records_for_checkpoint(records, meta, folds_file)
@@ -247,7 +231,7 @@ def cmd_eval(
         pins = (pin_segment, pin_segment)
         risks = np.array(
             [
-                forward(r, params, model_cfg, rng, pin_segments=pins, requires_grad=False).prediction.risk
+                forward(r, params, model_cfg, rng, pin_segments=pins, param_nodes=lifted).prediction.risk
                 for r in subset
             ]
         )
@@ -293,11 +277,12 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
 
     path = _checkpoint_paths(checkpoint)[0]
     params, _ = load_checkpoint(path, model_cfg)
+    lifted = lift_params(params, requires_grad=False)
 
     rng = np.random.default_rng([cfg.seed, 0xA7A])
     pins = (pin_segment, pin_segment)
     trace_groups = [
-        forward(r, params, model_cfg, rng, pin_segments=pins, requires_grad=False).traces
+        forward(r, params, model_cfg, rng, pin_segments=pins, param_nodes=lifted).traces
         for r in records
     ]
     counts = expert_histogram(trace_groups)
@@ -331,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="override output directory")
         p.add_argument("--desk", action="store_true", help="desk-scale preset (dims / 8)")
         p.add_argument("--pin-segment", type=int, default=None, help="pin the fusion segment value")
-        if name == "train":
-            p.add_argument("--parallel-folds", type=int, default=1)
         if name in ("eval", "analyze"):
             p.add_argument("--checkpoint", type=str, required=True,
                            help="checkpoint file or training output directory")
@@ -350,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "train":
-            return cmd_train(cfg, parallel_folds=args.parallel_folds, pin_segment=args.pin_segment)
+            return cmd_train(cfg, pin_segment=args.pin_segment)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, repeats=args.repeats, pin_segment=args.pin_segment)
         if args.command == "analyze":

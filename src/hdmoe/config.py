@@ -1,16 +1,17 @@
 """Flat run configuration: one JSON document, CLI flags override file values.
 
-Defaults are the full-scale settings (d1=256, d2=512, N=8, top-k 1, token
-lengths 64/32, segment values 1..128, lr 5e-4, weight decay 1e-3, 30 epochs,
-batch size 1, alpha 1, beta 0.01, 4 bins, 5 folds). The desk preset scales
-the dims down 8x for fast runs.
+The keys are the fields of TrainConfig (trainer.py), ModelConfig (model.py)
+and SynthConfig (data.py), in that order, plus `manifest` and `out_dir`. Those
+three classes hold the defaults (the full-scale published settings) and the
+checks; a name in more than one takes its first owner's default, so `d_in` is
+ModelConfig's. The desk preset scales the dims down 8x for fast runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .data import SynthConfig
@@ -28,112 +29,52 @@ DESK_OVERRIDES = {
 }
 
 
-@dataclass
+def _with_sub_config_fields(cls):
+    """Make `cls` a dataclass with every TrainConfig, ModelConfig and
+    SynthConfig field ahead of its own; a repeated name keeps its first
+    owner's default. A tuple default becomes a list, the type a JSON round
+    trip gives back."""
+    derived = {}
+    for sub in (TrainConfig, ModelConfig, SynthConfig):
+        for f in fields(sub):
+            if f.name in derived:
+                continue
+            if isinstance(f.default, tuple):
+                derived[f.name] = list
+                setattr(cls, f.name, field(default_factory=partial(list, f.default)))
+            else:
+                derived[f.name] = f.type
+                setattr(cls, f.name, f.default)
+    cls.__annotations__ = {**derived, **cls.__annotations__}
+    return dataclass(cls)
+
+
+def _project(cfg, cls):
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
+
+@_with_sub_config_fields
 class RunConfig:
-    # training
-    lr: float = 5e-4
-    weight_decay: float = 1e-3
-    epochs: int = 30
-    batch_size: int = 1
-    alpha: float = 1.0
-    beta: float = 0.01
-    seed: int = 0
-    k_folds: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
-    # architecture
-    d1: int = 256
-    d2: int = 512
-    d_in: int = 64
-    token_len_l1: int = 64
-    token_len_l2: int = 32
-    num_experts: int = 8
-    top_k: int = 1
-    expansion: int = 4
-    segment_values: list[int] = dataclasses.field(
-        default_factory=lambda: [1, 2, 4, 8, 16, 32, 64, 128]
-    )
-    distance_metric: str = "cos"
-    num_bins: int = 4
-    # data paths
     manifest: str | None = None
     out_dir: str = "runs/default"
-    # synthetic cohort generator
-    cohort: int = 200
-    bag_a: int = 6
-    bag_b: int = 6
-    latent_shared: int = 4
-    latent_spec: int = 4
-    noise: float = 0.25
-    redundancy: float = 0.0
-    w_shared: float = 0.3
-    w_spec_a: float = 0.7
-    w_spec_b: float = 1.2
-    hazard_base: float = -2.5
-    hazard_slope: float = 1.0
-    censor_max: float = 36.0
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d_in=self.d_in,
-            d1=self.d1,
-            d2=self.d2,
-            token_len_l1=self.token_len_l1,
-            token_len_l2=self.token_len_l2,
-            num_experts=self.num_experts,
-            top_k=self.top_k,
-            expansion=self.expansion,
-            num_bins=self.num_bins,
-            segment_values=tuple(self.segment_values),
-        )
+        return _project(self, ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            alpha=self.alpha,
-            beta=self.beta,
-            seed=self.seed,
-            k_folds=self.k_folds,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps_opt=self.eps_opt,
-            distance_metric=self.distance_metric,
-        )
+        return _project(self, TrainConfig)
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            cohort=self.cohort,
-            d_in=self.d_in,
-            bag_a=self.bag_a,
-            bag_b=self.bag_b,
-            latent_shared=self.latent_shared,
-            latent_spec=self.latent_spec,
-            noise=self.noise,
-            redundancy=self.redundancy,
-            w_shared=self.w_shared,
-            w_spec_a=self.w_spec_a,
-            w_spec_b=self.w_spec_b,
-            hazard_base=self.hazard_base,
-            hazard_slope=self.hazard_slope,
-            censor_max=self.censor_max,
-        )
+        return _project(self, SynthConfig)
 
     def validate(self) -> "RunConfig":
-        # constructing the typed sub-configs runs every cross-field check
+        # building the typed sub-configs runs every check
         self.model_config()
         self.train_config()
-        if self.distance_metric.lower() not in ("cos", "l1", "kl", "mse"):
-            raise ConfigError(f"unknown distance_metric {self.distance_metric!r}")
-        if self.k_folds < 2:
-            raise ConfigError("k_folds must be >= 2")
         return self
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -153,9 +94,9 @@ def load_config(path: str | Path) -> RunConfig:
 def save_config(cfg: RunConfig, path: str | Path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def apply_desk_preset(cfg: RunConfig) -> RunConfig:
-    return dataclasses.replace(cfg, **DESK_OVERRIDES)
+    return replace(cfg, **DESK_OVERRIDES)

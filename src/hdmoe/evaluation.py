@@ -244,14 +244,10 @@ def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
         d1 = int(np.count_nonzero((ta == t) & (ea == 1)))
         d2 = int(np.count_nonzero((tb == t) & (eb == 1)))
         d = d1 + d2
-        if n < 2 or n1 == 0 or n2 == 0:
-            # only one group still at risk: no information in this stratum
-            observed_a += d1
-            expected_a += d * (n1 / n) if n else 0.0
-            continue
         observed_a += d1
         expected_a += d * n1 / n
-        variance += d * (n1 / n) * (n2 / n) * (n - d) / (n - 1)
+        if n1 and n2:  # with one group left at risk the stratum has no variance
+            variance += d * (n1 / n) * (n2 / n) * (n - d) / (n - 1)
     if variance <= 0.0:
         raise MetricError("log-rank degenerate: zero variance")
     chi2 = (observed_a - expected_a) ** 2 / variance
@@ -328,8 +324,9 @@ def redundancy_score(
     if len(records) < 2:
         raise MetricError("redundancy_score needs at least two samples")
     pre_mats, post_mats = [], []
+    lifted = model_mod.lift_params(params, requires_grad=False)
     for sample in records:
-        res = model_mod.forward(sample, params, model_cfg, rng, requires_grad=False)
+        res = model_mod.forward(sample, params, model_cfg, rng, param_nodes=lifted)
         if level == 1:
             out = {"a": res.moe_a, "b": res.moe_b}.get(modality)
             if out is None:
@@ -360,10 +357,11 @@ def stability_report(
     times = np.array([r.time_months for r in records])
     events = np.array([1 - r.censored for r in records])
     scores = []
+    lifted = model_mod.lift_params(params, requires_grad=False)
     for _ in range(repeats):
         risks = np.array(
             [
-                model_mod.forward(r, params, model_cfg, rng, requires_grad=False).prediction.risk
+                model_mod.forward(r, params, model_cfg, rng, param_nodes=lifted).prediction.risk
                 for r in records
             ]
         )

@@ -48,16 +48,17 @@ class ModelConfig:
     segment_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
     def __post_init__(self):
+        # a list (as a JSON config gives) becomes a tuple: the config stays hashable
+        object.__setattr__(self, "segment_values", tuple(self.segment_values))
         if min(self.d_in, self.d1, self.d2, self.num_bins) < 1:
             raise ConfigError("dimensions must be >= 1")
         if 2 * self.d1 != self.d2:
             raise ConfigError(f"2*d1 must equal d2 (decouple-loss consistency), got {self.d1}/{self.d2}")
+        self.level1_moe, self.level2_moe  # MoEConfig checks top_k, token_len and expansion
         if self.d1 % self.token_len_l1 != 0:
             raise ConfigError(f"token_len_l1 {self.token_len_l1} does not divide d1 {self.d1}")
         if self.d2 % self.token_len_l2 != 0:
             raise ConfigError(f"token_len_l2 {self.token_len_l2} does not divide d2 {self.d2}")
-        if not 1 <= self.top_k <= self.num_experts:
-            raise ConfigError(f"top_k must be in 1..{self.num_experts}")
         valid_segments(self.segment_values, self.d1)
         valid_segments(self.segment_values, self.d2)
         if self.d_att < 1:
@@ -221,7 +222,8 @@ def forward(
     """One sample through the whole pipeline; returns values plus tape handles.
 
     Pass `param_nodes` (a prior lift_params result) to reuse leaves across
-    calls within one step; otherwise the parameters are lifted fresh.
+    calls: within one training step, or over every sample of a no-grad pass;
+    otherwise the parameters are lifted fresh.
     """
     if param_nodes is None:
         lifted, _ = lift_params(params, requires_grad=requires_grad)

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import model as model_mod
 from .data import BinEdges, SampleRecord, assign_bin, compute_bin_edges
 from .errors import ConfigError, NumericsError
-from .losses import balance_loss, decouple_loss, survival_nll, total_loss
+from .losses import DISTANCE_METRICS, balance_loss, decouple_loss, survival_nll, total_loss
 from .model import HDMoEParams, ModelConfig, forward, lift_params, named_params
 
 log = logging.getLogger("hdmoe.trainer")
@@ -47,6 +47,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size != 1:
             raise ConfigError("batch size is fixed at 1")
+        if self.distance_metric.lower() not in DISTANCE_METRICS:
+            raise ConfigError(f"unknown distance_metric {self.distance_metric!r}")
+        if self.k_folds < 2:
+            raise ConfigError("k_folds must be >= 2")
 
 
 @dataclass
@@ -190,10 +194,9 @@ def predict_fold(
     _, test_records = split_fold(records, fold_id)
     rows = []
     pins = (pin_segment, pin_segment)
+    lifted = lift_params(params, requires_grad=False)
     for sample in test_records:
-        res = forward(
-            sample, params, model_cfg, rng, pin_segments=pins, requires_grad=False
-        )
+        res = forward(sample, params, model_cfg, rng, pin_segments=pins, param_nodes=lifted)
         rows.append(
             PredictionRow(
                 sample_id=sample.sample_id,

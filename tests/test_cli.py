@@ -7,7 +7,10 @@ import pytest
 
 from hdmoe import cli
 from hdmoe.config import RunConfig, apply_desk_preset, load_config, save_config
+from hdmoe.data import SynthConfig
 from hdmoe.errors import ConfigError
+from hdmoe.model import ModelConfig
+from hdmoe.trainer import TrainConfig
 
 TINY_KW = dict(
     d_in=4, d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=2,
@@ -41,6 +44,26 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "c.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+# save_config(RunConfig()) as written by an earlier release: pins the flat key
+# set, every default and the number formatting of a config file.
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "run_config_default.json"
+
+
+def test_default_config_matches_golden_file(tmp_path):
+    path = tmp_path / "c.json"
+    save_config(RunConfig(), path)
+    assert path.read_bytes() == GOLDEN_CONFIG.read_bytes()
+    assert load_config(GOLDEN_CONFIG) == RunConfig()
+
+
+def test_sub_configs_keep_their_own_defaults():
+    cfg = RunConfig()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.train_config() == TrainConfig()
+    # d_in is shared; ModelConfig owns its default
+    assert cfg.synth_config() == dataclasses.replace(SynthConfig(), d_in=64)
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -128,10 +151,20 @@ def test_train_outputs_and_metrics(tmp_path, capsys):
     assert (run_dir / "config.json").exists()
 
 
-def test_train_invalid_token_length_no_partial_outputs(tmp_path):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(token_len_l1=3),
+        dict(distance_metric="foo"),
+        dict(k_folds=1),
+        dict(top_k=3, num_experts=2),
+    ],
+    ids=["token_len_l1", "distance_metric", "k_folds", "top_k"],
+)
+def test_train_invalid_config_no_partial_outputs(tmp_path, overrides):
     resolved = _synth(tmp_path)
     cfg = load_config(resolved)
-    bad = dataclasses.replace(cfg, token_len_l1=3)
+    bad = dataclasses.replace(cfg, **overrides)
     bad_path = tmp_path / "bad.json"
     json_text = json.dumps(dataclasses.asdict(bad))
     bad_path.write_text(json_text)
@@ -152,16 +185,6 @@ def test_train_epochs_zero_gives_chance_level(tmp_path):
     assert 0.3 < metrics["overall"]["mean"] < 0.7
     for fold_dir in (d for d in run_dir.glob("fold*") if d.is_dir()):
         assert (fold_dir / "run_log.csv").read_text() == ""
-
-
-def test_train_parallel_folds_matches_sequential(tmp_path):
-    resolved = _synth(tmp_path)
-    seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
-    assert cli.main(["train", "--config", str(resolved), "--out", str(seq_dir)]) == 0
-    assert cli.main(["train", "--config", str(resolved), "--out", str(par_dir),
-                     "--parallel-folds", "2"]) == 0
-    for name in ("fold0/checkpoint.json", "fold1/checkpoint.json", "predictions.csv"):
-        assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
 
 
 def test_train_determinism_bitwise(tmp_path):

@@ -152,6 +152,14 @@ def test_log_rank_symmetric():
     assert r1 == pytest.approx(r2)
 
 
+def test_log_rank_hand_value_with_one_group_left_at_risk():
+    # t=1: O-E = 1 - 2/3, V = 2/9; t=2: O-E = 1 - 1/2, V = 1/4; t=3: only
+    # group b is at risk, so the stratum adds nothing: chi2 = (5/6)^2 / (17/36)
+    chi2, p = ev.log_rank_p([1, 2], [1, 1], [3], [1])
+    assert chi2 == pytest.approx(25 / 17)
+    assert p == pytest.approx(ev.chi2_sf(25 / 17))
+
+
 def test_log_rank_zero_variance_degenerate():
     with pytest.raises(MetricError):
         ev.log_rank_p([1.0], [1], [1.0], [1])

@@ -43,6 +43,14 @@ def test_config_validation():
         hm.ModelConfig(d1=8, d2=16, token_len_l1=4, token_len_l2=4, segment_values=(5,))
     with pytest.raises(ConfigError):
         hm.ModelConfig(d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=2, top_k=3)
+    with pytest.raises(ConfigError, match="token_len"):
+        hm.ModelConfig(d1=8, d2=16, token_len_l1=0, token_len_l2=4)  # not a ZeroDivisionError
+
+
+def test_config_segment_list_becomes_tuple():
+    cfg = hm.ModelConfig(segment_values=[1, 2, 4])
+    assert cfg.segment_values == (1, 2, 4)
+    assert hash(cfg) == hash(hm.ModelConfig(segment_values=(1, 2, 4)))
 
 
 def test_zero_weights_give_half_hazards_and_equal_risk():

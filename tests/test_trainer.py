@@ -29,6 +29,14 @@ def _tiny_dataset(n=20, seed=0):
     return make_folds(records, 2, seed=seed)
 
 
+def test_train_config_checks():
+    with pytest.raises(ConfigError, match="k_folds must be >= 2"):
+        ht.TrainConfig(k_folds=1)
+    with pytest.raises(ConfigError, match="unknown distance_metric 'foo'"):
+        ht.TrainConfig(distance_metric="foo")
+    assert ht.TrainConfig(distance_metric="KL").distance_metric == "KL"
+
+
 def test_zero_gradient_zero_wd_leaves_params():
     params = _scalar_params()
     before = {p: a.copy() for p, a in hm.named_params(params)}
