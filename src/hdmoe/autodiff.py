@@ -2,10 +2,12 @@
 
 Values are 2-D float64 C-order numpy arrays ("matrices"). Every operation
 returns a :class:`Node` holding the result plus a closure that scatters the
-incoming gradient to the parents; the graph is rebuilt on every forward pass
-(the fusion operator draws a fresh permutation each step, so a static graph
-would not help). ``backward`` walks the nodes reachable from a scalar root in
-reverse topological order exactly once.
+incoming gradient to the parents; a node no gradient can reach keeps neither,
+so the leaves' ``requires_grad`` alone decides whether a pass records a graph.
+The graph is rebuilt on every forward pass (the fusion operator draws a fresh
+permutation each step, so a static graph would not help). ``backward`` walks
+the nodes reachable from a scalar root in reverse topological order exactly
+once.
 
 All randomness in the package flows through explicitly passed
 ``numpy.random.Generator`` handles; nothing here touches global RNG state.
@@ -32,7 +34,12 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 class Node:
-    """One matrix on the tape: value, lazily materialized gradient, parents."""
+    """One matrix on the tape: value, lazily materialized gradient, parents.
+
+    A node that no gradient can reach (no input requires one) keeps no graph:
+    its parents are () and its backward rule is None, so a no-grad pass frees
+    each intermediate as soon as nothing holds its value.
+    """
 
     __slots__ = ("value", "grad", "parents", "backward_rule", "requires_grad")
 
@@ -45,28 +52,12 @@ class Node:
     ):
         self.value = value
         self.grad: np.ndarray | None = None
-        self.parents = parents
-        self.backward_rule = backward_rule
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
+        self.parents = parents if self.requires_grad else ()
+        self.backward_rule = backward_rule if self.requires_grad else None
 
     def __repr__(self) -> str:
         return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-    def __matmul__(self, other: "Node") -> "Node":
-        return matmul(self, other)
-
-    def __add__(self, other: "Node") -> "Node":
-        return add(self, other)
-
-    def __sub__(self, other: "Node") -> "Node":
-        return sub(self, other)
-
-    def __mul__(self, other: "Node") -> "Node":
-        return mul(self, other)
 
 
 def leaf(values, requires_grad: bool = False, name: str = "leaf") -> Node:
@@ -113,7 +104,8 @@ def backward(root: Node) -> None:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations: each returns Node(value, parents, rule); the rule is kept only
+# when a gradient can reach the result
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -121,26 +113,22 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.value.shape} @ {b.value.shape}"
         )
-    out = Node(a.value @ b.value, (a, b))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g @ b.value.T)
         _accumulate(b, a.value.T @ g)
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value @ b.value, (a, b), rule)
 
 
 def transpose(a: Node) -> Node:
-    out = Node(np.ascontiguousarray(a.value.T), (a,))
-    out.backward_rule = lambda g: _accumulate(a, g.T)
-    return out
+    return Node(np.ascontiguousarray(a.value.T), (a,), lambda g: _accumulate(a, g.T))
 
 
 def reshape(a: Node, shape: tuple[int, int]) -> Node:
-    out = Node(a.value.reshape(shape), (a,))
-    out.backward_rule = lambda g: _accumulate(a, g.reshape(a.value.shape))
-    return out
+    return Node(
+        a.value.reshape(shape), (a,), lambda g: _accumulate(a, g.reshape(a.value.shape))
+    )
 
 
 def _require_same_shape(a: Node, b: Node, op: str) -> None:
@@ -150,78 +138,64 @@ def _require_same_shape(a: Node, b: Node, op: str) -> None:
 
 def add(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "add")
-    out = Node(a.value + b.value, (a, b))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value + b.value, (a, b), rule)
 
 
 def sub(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "sub")
-    out = Node(a.value - b.value, (a, b))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value - b.value, (a, b), rule)
 
 
 def add_bias(x: Node, b: Node) -> Node:
     """x[m,n] + row vector b[1,n], broadcast over rows."""
     if b.value.shape != (1, x.value.shape[1]):
         raise ShapeError(f"bias shape {b.value.shape} does not match {x.value.shape}")
-    out = Node(x.value + b.value, (x, b))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(x, g)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    out.backward_rule = rule
-    return out
+    return Node(x.value + b.value, (x, b), rule)
 
 
 def mul(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "mul")
-    out = Node(a.value * b.value, (a, b))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g * b.value)
         _accumulate(b, g * a.value)
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value * b.value, (a, b), rule)
 
 
 def div(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "div")
-    out = Node(a.value / b.value, (a, b))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g / b.value)
         _accumulate(b, -g * a.value / (b.value * b.value))
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value / b.value, (a, b), rule)
 
 
 def affine(a: Node, scale: float, shift: float) -> Node:
     """Elementwise scale * a + shift with constant coefficients."""
-    out = Node(scale * a.value + shift, (a,))
-    out.backward_rule = lambda g: _accumulate(a, scale * g)
-    return out
+    return Node(scale * a.value + shift, (a,), lambda g: _accumulate(a, scale * g))
 
 
 def tanh(a: Node) -> Node:
     v = np.tanh(a.value)
-    out = Node(v, (a,))
-    out.backward_rule = lambda g: _accumulate(a, g * (1.0 - v * v))
-    return out
+    return Node(v, (a,), lambda g: _accumulate(a, g * (1.0 - v * v)))
 
 
 def sigmoid(a: Node) -> Node:
@@ -231,43 +205,31 @@ def sigmoid(a: Node) -> Node:
     v[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     v[~pos] = ex / (1.0 + ex)
-    out = Node(v, (a,))
-    out.backward_rule = lambda g: _accumulate(a, g * v * (1.0 - v))
-    return out
+    return Node(v, (a,), lambda g: _accumulate(a, g * v * (1.0 - v)))
 
 
 def log(a: Node) -> Node:
     if (a.value <= 0).any():
         raise NumericsError("log requires strictly positive entries")
-    out = Node(np.log(a.value), (a,))
-    out.backward_rule = lambda g: _accumulate(a, g / a.value)
-    return out
+    return Node(np.log(a.value), (a,), lambda g: _accumulate(a, g / a.value))
 
 
 def sqrt(a: Node) -> Node:
     if (a.value < 0).any():
         raise NumericsError("sqrt requires non-negative entries")
     v = np.sqrt(a.value)
-    out = Node(v, (a,))
-    out.backward_rule = lambda g: _accumulate(a, g / (2.0 * v))
-    return out
+    return Node(v, (a,), lambda g: _accumulate(a, g / (2.0 * v)))
 
 
 def absolute(a: Node) -> Node:
-    out = Node(np.abs(a.value), (a,))
-    out.backward_rule = lambda g: _accumulate(a, g * np.sign(a.value))
-    return out
+    return Node(np.abs(a.value), (a,), lambda g: _accumulate(a, g * np.sign(a.value)))
 
 
 def clip(a: Node, lo: float, hi: float) -> Node:
-    v = np.clip(a.value, lo, hi)
-    out = Node(v, (a,))
-
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g * ((a.value > lo) & (a.value < hi)))
 
-    out.backward_rule = rule
-    return out
+    return Node(np.clip(a.value, lo, hi), (a,), rule)
 
 
 def row_softmax(a: Node) -> Node:
@@ -276,14 +238,12 @@ def row_softmax(a: Node) -> Node:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Node(p, (a,))
 
     def rule(g: np.ndarray) -> None:
         inner = (g * p).sum(axis=1, keepdims=True)
         _accumulate(a, p * (g - inner))
 
-    out.backward_rule = rule
-    return out
+    return Node(p, (a,), rule)
 
 
 def permute_entries(a: Node, perm: Sequence[int]) -> Node:
@@ -294,25 +254,24 @@ def permute_entries(a: Node, perm: Sequence[int]) -> Node:
     idx = np.asarray(perm, dtype=np.intp)
     if idx.shape != (n,) or not np.array_equal(np.sort(idx), np.arange(n)):
         raise ValueError(f"perm is not a bijection on 0..{n - 1}")
-    inv = np.empty(n, dtype=np.intp)
-    inv[idx] = np.arange(n)
-    out = Node(a.value[:, idx], (a,))
-    out.backward_rule = lambda g: _accumulate(a, g[:, inv])
-    return out
+
+    def rule(g: np.ndarray) -> None:
+        full = np.empty_like(g)
+        full[:, idx] = g
+        _accumulate(a, full)
+
+    return Node(a.value[:, idx], (a,), rule)
 
 
 def gather_rows(a: Node, rows: Sequence[int]) -> Node:
     idx = np.asarray(rows, dtype=np.intp)
-    out = Node(a.value[idx], (a,))
 
     def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.value)
-            np.add.at(full, idx, g)
-            _accumulate(a, full)
+        full = np.zeros_like(a.value)
+        np.add.at(full, idx, g)
+        _accumulate(a, full)
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value[idx], (a,), rule)
 
 
 def scatter_rows(a: Node, rows: Sequence[int], num_rows: int) -> Node:
@@ -320,71 +279,65 @@ def scatter_rows(a: Node, rows: Sequence[int], num_rows: int) -> Node:
     idx = np.asarray(rows, dtype=np.intp)
     v = np.zeros((num_rows, a.value.shape[1]))
     np.add.at(v, idx, a.value)
-    out = Node(v, (a,))
-    out.backward_rule = lambda g: _accumulate(a, g[idx])
-    return out
+    return Node(v, (a,), lambda g: _accumulate(a, g[idx]))
 
 
 def gather_entries(a: Node, rows: Sequence[int], cols: Sequence[int]) -> Node:
     """Pick scalar entries (rows[i], cols[i]) into a kx1 column."""
     ri = np.asarray(rows, dtype=np.intp)
     ci = np.asarray(cols, dtype=np.intp)
-    out = Node(a.value[ri, ci].reshape(-1, 1), (a,))
 
     def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.value)
-            np.add.at(full, (ri, ci), g[:, 0])
-            _accumulate(a, full)
+        full = np.zeros_like(a.value)
+        np.add.at(full, (ri, ci), g[:, 0])
+        _accumulate(a, full)
 
-    out.backward_rule = rule
-    return out
+    return Node(a.value[ri, ci].reshape(-1, 1), (a,), rule)
 
 
 def scale_rows(x: Node, s: Node) -> Node:
     """Multiply row i of x by scalar s[i, 0]."""
     if s.value.shape != (x.value.shape[0], 1):
         raise ShapeError(f"scale_rows needs s of shape ({x.value.shape[0]}, 1)")
-    out = Node(x.value * s.value, (x, s))
 
     def rule(g: np.ndarray) -> None:
         _accumulate(x, g * s.value)
         _accumulate(s, (g * x.value).sum(axis=1, keepdims=True))
 
-    out.backward_rule = rule
-    return out
+    return Node(x.value * s.value, (x, s), rule)
 
 
 def concat_cols(parts: Iterable[Node]) -> Node:
-    nodes = list(parts)
+    nodes = tuple(parts)
     if not nodes:
         raise ShapeError("concat_cols needs at least one input")
     if any(p.value.shape[0] != 1 for p in nodes):
         raise ShapeError("concat_cols expects 1xd rows")
-    widths = [p.value.shape[1] for p in nodes]
-    out = Node(np.concatenate([p.value for p in nodes], axis=1), tuple(nodes))
-    offsets = np.cumsum([0] + widths)
 
     def rule(g: np.ndarray) -> None:
+        offsets = np.cumsum([0] + [p.value.shape[1] for p in nodes])
         for p, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             _accumulate(p, g[:, lo:hi])
 
-    out.backward_rule = rule
-    return out
+    return Node(np.concatenate([p.value for p in nodes], axis=1), nodes, rule)
 
 
 def sum_all(a: Node) -> Node:
-    out = Node(np.array([[a.value.sum()]]), (a,))
-    out.backward_rule = lambda g: _accumulate(a, np.full_like(a.value, g[0, 0]))
-    return out
+    return Node(
+        np.array([[a.value.sum()]]),
+        (a,),
+        lambda g: _accumulate(a, np.full_like(a.value, g[0, 0])),
+    )
 
 
 def mean_rows(a: Node) -> Node:
     """Column means: [m,n] -> [1,n]."""
     m = a.value.shape[0]
-    out = Node(a.value.mean(axis=0, keepdims=True), (a,))
-    out.backward_rule = lambda g: _accumulate(a, np.repeat(g / m, m, axis=0))
-    return out
+    return Node(
+        a.value.mean(axis=0, keepdims=True),
+        (a,),
+        lambda g: _accumulate(a, np.repeat(g / m, m, axis=0)),
+    )
 
 
 def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
@@ -394,20 +347,13 @@ def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     if w1.value.shape[1] != w2.value.shape[0]:
         raise ShapeError(f"expert_ffn: hidden {w1.value.shape} @ {w2.value.shape}")
     v, pre, sig = kernels.ffn_forward(x.value, w1.value, b1.value, w2.value, b2.value)
-    out = Node(v, (x, w1, b1, w2, b2))
 
     def rule(g: np.ndarray) -> None:
-        gx, gw1, gb1, gw2, gb2 = kernels.ffn_backward(
-            g, x.value, w1.value, w2.value, pre, sig
-        )
-        _accumulate(x, gx)
-        _accumulate(w1, gw1)
-        _accumulate(b1, gb1)
-        _accumulate(w2, gw2)
-        _accumulate(b2, gb2)
+        grads = kernels.ffn_backward(g, x.value, w1.value, w2.value, pre, sig)
+        for node, grad in zip((x, w1, b1, w2, b2), grads):
+            _accumulate(node, grad)
 
-    out.backward_rule = rule
-    return out
+    return Node(v, (x, w1, b1, w2, b2), rule)
 
 
 # ---------------------------------------------------------------------------

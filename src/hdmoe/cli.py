@@ -9,6 +9,7 @@ HDMOE_LOG controls log verbosity (debug/info/warning).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -33,6 +34,7 @@ from .evaluation import (
     welch_t_test,
 )
 from .model import forward, lift_params, load_checkpoint, save_checkpoint
+from .rfr import valid_segments
 from .trainer import predict_fold, predictions_to_csv, split_fold, train_fold
 
 log = logging.getLogger("hdmoe.cli")
@@ -54,7 +56,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg.validate()
+    cfg.validate()
+    if getattr(args, "pin_segment", None) is not None:
+        # d2 = 2*d1, so a pin that divides d1 divides both fusion widths
+        valid_segments([args.pin_segment], cfg.d1)
+    return cfg
 
 
 def _load_dataset(cfg: RunConfig):
@@ -130,10 +136,10 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.json")
-    with open(out_dir / "folds.csv", "w", encoding="utf-8") as fh:
-        fh.write("sample_id,fold\n")
-        for r in records:
-            fh.write(f"{r.sample_id},{r.fold}\n")
+    with open(out_dir / "folds.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "fold"])
+        writer.writerows((r.sample_id, r.fold) for r in records)
 
     per_fold = {}
     all_rows = []
@@ -190,13 +196,11 @@ def _records_for_checkpoint(records, meta, folds_file: Path | None):
     fold = meta.get("fold")
     if fold is None:
         return records
-    by_id = {}
     if folds_file is not None and folds_file.exists():
-        with open(folds_file, encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                sample_id, f = line.strip().split(",")
-                by_id[sample_id] = int(f)
+        with open(folds_file, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            next(rows)
+            by_id = {sample_id: int(f) for sample_id, f in rows}
         subset = [r for r in records if by_id.get(r.sample_id) == fold]
         return subset or records
     if any(r.fold >= 0 for r in records):
@@ -223,17 +227,14 @@ def cmd_eval(
     pooled_risks, pooled_times, pooled_events = [], [], []
     for path in paths:
         params, meta = load_checkpoint(path, model_cfg)
-        lifted = lift_params(params, requires_grad=False)
+        lifted, _ = lift_params(params, requires_grad=False)
         fold = meta.get("fold", 0)
         folds_file = path.parent.parent / "folds.csv" if path.parent.name.startswith("fold") else None
         subset = _records_for_checkpoint(records, meta, folds_file)
         rng = np.random.default_rng([cfg.seed, int(fold), 0xE7A1])
         pins = (pin_segment, pin_segment)
         risks = np.array(
-            [
-                forward(r, params, model_cfg, rng, pin_segments=pins, param_nodes=lifted).prediction.risk
-                for r in subset
-            ]
+            [forward(r, lifted, model_cfg, rng, pin_segments=pins).prediction.risk for r in subset]
         )
         times = np.array([r.time_months for r in subset])
         events = np.array([1 - r.censored for r in subset])
@@ -277,13 +278,12 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
 
     path = _checkpoint_paths(checkpoint)[0]
     params, _ = load_checkpoint(path, model_cfg)
-    lifted = lift_params(params, requires_grad=False)
+    lifted, _ = lift_params(params, requires_grad=False)
 
     rng = np.random.default_rng([cfg.seed, 0xA7A])
     pins = (pin_segment, pin_segment)
     trace_groups = [
-        forward(r, params, model_cfg, rng, pin_segments=pins, param_nodes=lifted).traces
-        for r in records
+        forward(r, lifted, model_cfg, rng, pin_segments=pins).traces for r in records
     ]
     counts = expert_histogram(trace_groups)
     router_names = ["level1_a", "level1_b", "level2"]
@@ -315,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", type=str, default=None, help="override output directory")
         p.add_argument("--desk", action="store_true", help="desk-scale preset (dims / 8)")
-        p.add_argument("--pin-segment", type=int, default=None, help="pin the fusion segment value")
+        if name != "synth":
+            p.add_argument("--pin-segment", type=int, default=None,
+                           help="pin the fusion segment value (a positive divisor of d1)")
         if name in ("eval", "analyze"):
             p.add_argument("--checkpoint", type=str, required=True,
                            help="checkpoint file or training output directory")

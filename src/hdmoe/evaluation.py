@@ -66,17 +66,6 @@ def _gamma_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def reg_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0 or x < 0:
-        raise ValueError("reg_gamma_p needs a > 0 and x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def reg_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0 or x < 0:
@@ -324,9 +313,9 @@ def redundancy_score(
     if len(records) < 2:
         raise MetricError("redundancy_score needs at least two samples")
     pre_mats, post_mats = [], []
-    lifted = model_mod.lift_params(params, requires_grad=False)
+    lifted, _ = model_mod.lift_params(params, requires_grad=False)
     for sample in records:
-        res = model_mod.forward(sample, params, model_cfg, rng, param_nodes=lifted)
+        res = model_mod.forward(sample, lifted, model_cfg, rng)
         if level == 1:
             out = {"a": res.moe_a, "b": res.moe_b}.get(modality)
             if out is None:
@@ -357,13 +346,10 @@ def stability_report(
     times = np.array([r.time_months for r in records])
     events = np.array([1 - r.censored for r in records])
     scores = []
-    lifted = model_mod.lift_params(params, requires_grad=False)
+    lifted, _ = model_mod.lift_params(params, requires_grad=False)
     for _ in range(repeats):
         risks = np.array(
-            [
-                model_mod.forward(r, params, model_cfg, rng, param_nodes=lifted).prediction.risk
-                for r in records
-            ]
+            [model_mod.forward(r, lifted, model_cfg, rng).prediction.risk for r in records]
         )
         scores.append(c_index(RiskTable(risks=risks, times=times, events=events)))
     # identical scores must report exactly zero spread (the mean of n copies

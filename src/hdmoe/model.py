@@ -212,24 +212,16 @@ def risk_score(hazards: np.ndarray) -> float:
 
 def forward(
     sample: SampleRecord,
-    params: HDMoEParams,
+    lifted: HDMoEParams,
     cfg: ModelConfig,
     rng: np.random.Generator,
     pin_segments: tuple[int | None, int | None] = (None, None),
-    requires_grad: bool = True,
-    param_nodes: tuple[HDMoEParams, dict[str, ad.Node]] | None = None,
 ) -> ForwardResult:
     """One sample through the whole pipeline; returns values plus tape handles.
 
-    Pass `param_nodes` (a prior lift_params result) to reuse leaves across
-    calls: within one training step, or over every sample of a no-grad pass;
-    otherwise the parameters are lifted fresh.
+    `lifted` is the node tree of lift_params; its leaves' requires_grad alone
+    decides whether the pass records a backward graph.
     """
-    if param_nodes is None:
-        lifted, _ = lift_params(params, requires_grad=requires_grad)
-    else:
-        lifted = param_nodes[0]
-
     v1 = encode_bag(sample.features_a, lifted.encoder_a)
     v2 = encode_bag(sample.features_b, lifted.encoder_b)
 

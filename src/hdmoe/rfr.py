@@ -77,9 +77,7 @@ def rfr_forward(
                 f"rfr_forward inputs must all be 1x{d}, got {v.value.shape}"
             )
     if pin_segment is not None:
-        if d % pin_segment != 0:
-            raise ConfigError(f"pinned segment {pin_segment} does not divide {d}")
-        segment = int(pin_segment)
+        segment = valid_segments([pin_segment], d)[0]
     else:
         segment = sample_segment(segment_values, d, rng)
     draw = RfrDraw(segment=segment, num_vectors=len(vectors), vector_len=d)

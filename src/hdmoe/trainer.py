@@ -10,6 +10,8 @@ seeded [seed, fold]; the shuffle order is reseeded per epoch from
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -146,10 +148,8 @@ def train_fold(
         for idx in order:
             sample = train_records[idx]
             step += 1
-            lifted = lift_params(params, requires_grad=True)
-            res = forward(
-                sample, params, model_cfg, fold_rng, param_nodes=lifted
-            )
+            lifted, nodes = lift_params(params, requires_grad=True)
+            res = forward(sample, lifted, model_cfg, fold_rng)
             surv = survival_nll(res.hazards_node, sample.bin_label, sample.censored)
             dm = decouple_loss(res.features, train_cfg.distance_metric)
             bl = balance_loss(res.traces)
@@ -160,7 +160,7 @@ def train_fold(
                     f"(sample {sample.sample_id}): {breakdown}"
                 )
             ad.backward(total)
-            grads = {path: node.grad for path, node in lifted[1].items()}
+            grads = {path: node.grad for path, node in nodes.items()}
             optimizer_step(params, grads, state, train_cfg)
             epoch_losses.append(breakdown.total)
             log_rows.append(
@@ -194,9 +194,9 @@ def predict_fold(
     _, test_records = split_fold(records, fold_id)
     rows = []
     pins = (pin_segment, pin_segment)
-    lifted = lift_params(params, requires_grad=False)
+    lifted, _ = lift_params(params, requires_grad=False)
     for sample in test_records:
-        res = forward(sample, params, model_cfg, rng, pin_segments=pins, param_nodes=lifted)
+        res = forward(sample, lifted, model_cfg, rng, pin_segments=pins)
         rows.append(
             PredictionRow(
                 sample_id=sample.sample_id,
@@ -212,17 +212,17 @@ def predict_fold(
 
 
 def predictions_to_csv(rows: list[PredictionRow], num_bins: int) -> str:
-    header = (
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
         ["sample_id", "fold"]
         + [f"h{j}" for j in range(1, num_bins + 1)]
         + ["risk", "bin", "censored", "time_months"]
     )
-    lines = [",".join(header)]
     for r in rows:
-        fields = (
-            [r.sample_id, str(r.fold)]
+        writer.writerow(
+            [r.sample_id, r.fold]
             + [repr(float(h)) for h in r.hazards]
-            + [repr(float(r.risk)), str(r.bin_label), str(r.censored), repr(float(r.time_months))]
+            + [repr(float(r.risk)), r.bin_label, r.censored, repr(float(r.time_months))]
         )
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return buf.getvalue()

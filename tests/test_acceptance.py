@@ -190,15 +190,15 @@ def test_criterion_1_gradient_suite():
         c = int(rng.integers(0, 2))
 
         def loss_of(p):
-            res = hm.forward(sample, p, cfg, np.random.default_rng(0), pin_segments=pins)
+            lifted = hm.lift_params(p, requires_grad=False)[0]
+            res = hm.forward(sample, lifted, cfg, np.random.default_rng(0), pin_segments=pins)
             surv = losses.survival_nll(res.hazards_node, n_bin, c)
             dm = losses.decouple_loss(res.features, "cos")
             bl = losses.balance_loss(res.traces)
             return losses.total_loss(surv, dm, bl, 1.0, 0.01)
 
-        lifted = hm.lift_params(params, requires_grad=True)
-        res = hm.forward(sample, params, cfg, np.random.default_rng(0),
-                         pin_segments=pins, param_nodes=lifted)
+        lifted, nodes = hm.lift_params(params, requires_grad=True)
+        res = hm.forward(sample, lifted, cfg, np.random.default_rng(0), pin_segments=pins)
         if min(_routing_margin(t.probs, 1) for t in res.traces) < 1e-3:
             continue
         surv = losses.survival_nll(res.hazards_node, n_bin, c)
@@ -209,7 +209,7 @@ def test_criterion_1_gradient_suite():
         ad.backward(total)
         coord_rng = np.random.default_rng([5, salt])
         for path, arr in hm.named_params(params):
-            node = lifted[1][path]
+            node = nodes[path]
             grad = node.grad if node.grad is not None else np.zeros_like(arr)
             flat = arr.reshape(-1)
             for idx in coord_rng.choice(flat.size, size=min(2, flat.size), replace=False):

@@ -131,6 +131,18 @@ def test_shared_subexpression_accumulates_once_per_path():
     assert np.allclose(x.grad, 4.0 * x.value)
 
 
+def test_nodes_no_gradient_reaches_keep_no_graph():
+    c = ad.leaf([[1.0, 2.0]])
+    x = ad.leaf([[3.0, 4.0]], requires_grad=True)
+    const = ad.mul(c, c)
+    assert not const.requires_grad
+    assert const.parents == () and const.backward_rule is None
+    mixed = ad.mul(c, x)  # a grad node keeps its constant input
+    assert mixed.requires_grad and mixed.parents == (c, x)
+    ad.backward(ad.sum_all(mixed))
+    assert np.array_equal(x.grad, c.value) and c.grad is None
+
+
 def test_backward_requires_scalar_root():
     x = ad.leaf(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from hdmoe import cli
 from hdmoe.config import RunConfig, apply_desk_preset, load_config, save_config
-from hdmoe.data import SynthConfig
+from hdmoe.data import SynthConfig, load_samples, write_dataset
 from hdmoe.errors import ConfigError
 from hdmoe.model import ModelConfig
 from hdmoe.trainer import TrainConfig
@@ -208,6 +209,40 @@ def test_config_round_trip_reproduces_run(tmp_path):
     assert cli.main(["train", "--config", str(rerun_cfg), "--out", str(d2)]) == 0
     assert (d1 / "predictions.csv").read_bytes() == (d2 / "predictions.csv").read_bytes()
     assert (d1 / "fold0/checkpoint.json").read_bytes() == (d2 / "fold0/checkpoint.json").read_bytes()
+
+
+@pytest.mark.parametrize("pin", ["0", "-1", "3"])
+def test_train_bad_pin_segment_exit_2_before_any_output(tmp_path, pin):
+    resolved = _synth(tmp_path)  # d1=8: a pin must be a positive divisor of 8
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir),
+                     "--pin-segment", pin]) == 2
+    assert not run_dir.exists()
+
+
+def test_synth_rejects_pin_segment(tmp_path):
+    cfg_path = _tiny_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "d"),
+                  "--pin-segment", "2"])
+    assert exc.value.code == 2
+
+
+def test_sample_id_with_comma_round_trips(tmp_path):
+    resolved = _synth(tmp_path)
+    manifest = load_config(resolved).manifest
+    records = load_samples(manifest)
+    records[0] = dataclasses.replace(records[0], sample_id="patient,0001")
+    write_dataset(Path(manifest).parent, records)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 0
+    with open(run_dir / "folds.csv", newline="", encoding="utf-8") as fh:
+        folds = dict(list(csv.reader(fh))[1:])
+    with open(run_dir / "predictions.csv", newline="", encoding="utf-8") as fh:
+        predicted = {row["sample_id"]: row["fold"] for row in csv.DictReader(fh)}
+    assert predicted["patient,0001"] == folds["patient,0001"]
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(run_dir)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ def _sample(rng, cfg=TINY, bag=3):
     )
 
 
+def _lift(params):
+    """The no-grad node tree of params."""
+    return hm.lift_params(params, requires_grad=False)[0]
+
+
 def _zeroed(params):
     for _, arr in hm.named_params(params):
         arr[:] = 0.0
@@ -59,7 +64,7 @@ def test_zero_weights_give_half_hazards_and_equal_risk():
     risks = []
     for seed in range(3):
         srng = np.random.default_rng(seed)
-        res = hm.forward(_sample(srng), params, TINY, np.random.default_rng(seed))
+        res = hm.forward(_sample(srng), _lift(params), TINY, np.random.default_rng(seed))
         assert np.allclose(res.prediction.hazards, 0.5, atol=1e-15)
         risks.append(res.prediction.risk)
     assert len(set(risks)) == 1
@@ -69,8 +74,8 @@ def test_forward_deterministic_for_fixed_seed():
     rng = np.random.default_rng(1)
     params = hm.init_params(TINY, rng)
     sample = _sample(np.random.default_rng(2))
-    a = hm.forward(sample, params, TINY, np.random.default_rng(7))
-    b = hm.forward(sample, params, TINY, np.random.default_rng(7))
+    a = hm.forward(sample, _lift(params), TINY, np.random.default_rng(7))
+    b = hm.forward(sample, _lift(params), TINY, np.random.default_rng(7))
     assert np.array_equal(a.prediction.hazards, b.prediction.hazards)
     assert a.prediction.risk == b.prediction.risk
     assert a.draws == b.draws
@@ -83,7 +88,7 @@ def test_default_scale_shapes():
     sample = SampleRecord(
         "big", rng.normal(size=(4, cfg.d_in)), rng.normal(size=(6, cfg.d_in)), 10.0, 0
     )
-    res = hm.forward(sample, params, cfg, np.random.default_rng(0), requires_grad=False)
+    res = hm.forward(sample, _lift(params), cfg, np.random.default_rng(0))
     assert res.features.v_f1.value.shape == (1, 1024)
     assert res.features.v_f1_proj.value.shape == (1, 512)
     assert res.features.v_inter.value.shape == (1, 512)
@@ -95,6 +100,38 @@ def test_default_scale_shapes():
     assert res.moe_inter.tokens.value.shape == (16, 32)
 
 
+def _reachable(roots):
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
+    params = hm.init_params(TINY, np.random.default_rng(11))
+    sample = _sample(np.random.default_rng(12))
+    passes = {
+        grad: hm.forward(
+            sample, hm.lift_params(params, requires_grad=grad)[0], TINY,
+            np.random.default_rng(13),
+        )
+        for grad in (True, False)
+    }
+    assert np.array_equal(passes[False].prediction.hazards, passes[True].prediction.hazards)
+    assert passes[False].prediction.risk == passes[True].prediction.risk
+
+    def roots(res):
+        return [res.hazards_node] + [t.probs_node for t in res.traces]
+
+    assert len(_reachable(roots(passes[True]))) > 50  # the grad pass records its graph
+    for node in _reachable(roots(passes[False])):
+        assert not node.requires_grad
+        assert node.parents == () and node.backward_rule is None
+
+
 def test_risk_score_examples():
     assert hm.risk_score(np.zeros(4)) == pytest.approx(-4.0)
     assert hm.risk_score(np.ones(4)) == pytest.approx(0.0)
@@ -104,7 +141,7 @@ def test_risk_score_examples():
 def test_hazard_prediction_survival_monotone():
     rng = np.random.default_rng(4)
     params = hm.init_params(TINY, rng)
-    res = hm.forward(_sample(rng), params, TINY, np.random.default_rng(0))
+    res = hm.forward(_sample(rng), _lift(params), TINY, np.random.default_rng(0))
     s = res.prediction.survival
     assert np.all(s[:-1] >= s[1:] - 1e-15)
     assert np.all((res.prediction.hazards >= 0) & (res.prediction.hazards <= 1))
@@ -139,14 +176,11 @@ def test_rfr_draw_changes_v_f2_only_by_permutation():
     rng = np.random.default_rng(5)
     params = hm.init_params(TINY, rng)
     sample = _sample(np.random.default_rng(6))
-    baseline = hm.forward(
-        sample, params, TINY, np.random.default_rng(0), pin_segments=(2, 1)
-    )
+    lifted = _lift(params)
+    baseline = hm.forward(sample, lifted, TINY, np.random.default_rng(0), pin_segments=(2, 1))
     base_entries = sorted(baseline.features.v_f2.value[0].tolist())
     for s2 in (1, 2, 4, 8, 16):
-        res = hm.forward(
-            sample, params, TINY, np.random.default_rng(0), pin_segments=(2, s2)
-        )
+        res = hm.forward(sample, lifted, TINY, np.random.default_rng(0), pin_segments=(2, s2))
         entries = sorted(res.features.v_f2.value[0].tolist())
         assert entries == base_entries
         concat = np.concatenate(
@@ -162,15 +196,14 @@ def test_end_to_end_gradients_match_fd_tiny_config():
     pins = (2, 4)
 
     def loss_value(p):
-        res = hm.forward(sample, p, TINY, np.random.default_rng(0), pin_segments=pins)
+        res = hm.forward(sample, _lift(p), TINY, np.random.default_rng(0), pin_segments=pins)
         surv = survival_nll(res.hazards_node, 2, 0)
         dm = decouple_loss(res.features, "cos")
         bl = balance_loss(res.traces)
         return total_loss(surv, dm, bl, 1.0, 0.01)
 
-    lifted = hm.lift_params(params, requires_grad=True)
-    res = hm.forward(sample, params, TINY, np.random.default_rng(0),
-                     pin_segments=pins, param_nodes=lifted)
+    lifted, nodes = hm.lift_params(params, requires_grad=True)
+    res = hm.forward(sample, lifted, TINY, np.random.default_rng(0), pin_segments=pins)
     surv = survival_nll(res.hazards_node, 2, 0)
     _, total = total_loss(surv, decouple_loss(res.features, "cos"),
                           balance_loss(res.traces), 1.0, 0.01)
@@ -180,7 +213,7 @@ def test_end_to_end_gradients_match_fd_tiny_config():
     arrays = dict(hm.named_params(params))
     check_rng = np.random.default_rng(9)
     for path, arr in arrays.items():
-        node = lifted[1][path]
+        node = nodes[path]
         grad = node.grad if node.grad is not None else np.zeros_like(arr)
         flat = arr.reshape(-1)
         for idx in check_rng.choice(flat.size, size=min(3, flat.size), replace=False):

@@ -84,8 +84,9 @@ def test_rfr_pin_segment():
     fused, draw = rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(0), pin_segment=1)
     assert draw.segment == 1
     assert np.array_equal(fused.value[0], np.arange(8.0))
-    with pytest.raises(ConfigError):
-        rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(0), pin_segment=3)
+    for bad in (3, 0, -1):
+        with pytest.raises(ConfigError):
+            rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(0), pin_segment=bad)
 
 
 @given(
