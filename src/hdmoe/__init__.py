@@ -3,6 +3,16 @@ feature-reorganization fusion, for multimodal discrete-time survival
 prediction. Includes training, evaluation (concordance, Kaplan-Meier,
 log-rank, Welch t), and diagnostic analyses."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # Every matrix here is small, so a second BLAS thread has little to split,
+    # and its spinning worker competes with the memory-bound optimizer. Pin one
+    # thread unless the caller set a count; numpy reads it only when it loads.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 from .config import RunConfig, apply_desk_preset, load_config, save_config
 from .data import (
     BinEdges,

@@ -60,6 +60,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "pin_segment", None) is not None:
         # d2 = 2*d1, so a pin that divides d1 divides both fusion widths
         valid_segments([args.pin_segment], cfg.d1)
+    if getattr(args, "repeats", None) is not None and args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     return cfg
 
 

@@ -168,6 +168,8 @@ def c_index(table: RiskTable) -> float:
     times = np.asarray(table.times, dtype=np.float64)
     events = np.asarray(table.events, dtype=np.int64)
     risks = np.asarray(table.risks, dtype=np.float64)
+    if not (np.isfinite(times).all() and np.isfinite(risks).all()):
+        raise MetricError("c-index needs finite times and risks")
     conc, comp = kernels.concordance_counts(times, events, risks)
     if comp == 0:
         raise MetricError("c-index undefined: no comparable pairs")
@@ -186,6 +188,15 @@ class KmCurve:
     events: np.ndarray
 
 
+def _risk_sets(times, events, event_times) -> tuple[np.ndarray, np.ndarray]:
+    """At-risk and death counts at each of event_times (every event's time)."""
+    if not np.isfinite(times).all():
+        raise MetricError("survival times must be finite")
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times)
+    died = np.searchsorted(event_times, times[events == 1])
+    return at_risk, np.bincount(died, minlength=event_times.size)
+
+
 def km_estimate(times, events) -> KmCurve:
     """Product-limit estimator over the distinct observed event times."""
     times = np.asarray(times, dtype=np.float64)
@@ -193,21 +204,8 @@ def km_estimate(times, events) -> KmCurve:
     if times.size == 0:
         raise MetricError("km_estimate needs at least one sample")
     event_times = np.unique(times[events == 1])
-    surv = 1.0
-    out_s, out_n, out_d = [], [], []
-    for t in event_times:
-        n_at_risk = int(np.count_nonzero(times >= t))
-        d = int(np.count_nonzero((times == t) & (events == 1)))
-        surv *= 1.0 - d / n_at_risk
-        out_s.append(surv)
-        out_n.append(n_at_risk)
-        out_d.append(d)
-    return KmCurve(
-        times=event_times,
-        survival=np.array(out_s),
-        at_risk=np.array(out_n, dtype=np.int64),
-        events=np.array(out_d, dtype=np.int64),
-    )
+    at_risk, deaths = _risk_sets(times, events, event_times)
+    return KmCurve(event_times, np.cumprod(1.0 - deaths / at_risk), at_risk, deaths)
 
 
 def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
@@ -218,28 +216,20 @@ def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     eb = np.asarray(events_b, dtype=np.int64)
     if ta.size == 0 or tb.size == 0:
         raise MetricError("log-rank needs two non-empty groups")
-    all_times = np.concatenate([ta, tb])
-    all_events = np.concatenate([ea, eb])
-    event_times = np.unique(all_times[all_events == 1])
+    event_times = np.unique(np.concatenate([ta[ea == 1], tb[eb == 1]]))
     if event_times.size == 0:
         raise MetricError("log-rank needs at least one event")
-    observed_a = 0.0
-    expected_a = 0.0
-    variance = 0.0
-    for t in event_times:
-        n1 = int(np.count_nonzero(ta >= t))
-        n2 = int(np.count_nonzero(tb >= t))
-        n = n1 + n2
-        d1 = int(np.count_nonzero((ta == t) & (ea == 1)))
-        d2 = int(np.count_nonzero((tb == t) & (eb == 1)))
-        d = d1 + d2
-        observed_a += d1
-        expected_a += d * n1 / n
-        if n1 and n2:  # with one group left at risk the stratum has no variance
-            variance += d * (n1 / n) * (n2 / n) * (n - d) / (n - 1)
+    n1, d1 = _risk_sets(ta, ea, event_times)
+    n2, d2 = _risk_sets(tb, eb, event_times)
+    n, d = n1 + n2, d1 + d2
+    # cumsum adds in order (np.sum is pairwise), as a running sum would
+    expected_a = float(np.cumsum(d * n1 / n)[-1])
+    # with one group left at risk, n1 or n2 is 0 and so is the stratum's
+    # variance term; the floor on n - 1 keeps n == 1 from giving 0/0
+    variance = float(np.cumsum(d * (n1 / n) * (n2 / n) * (n - d) / np.maximum(n - 1, 1))[-1])
     if variance <= 0.0:
         raise MetricError("log-rank degenerate: zero variance")
-    chi2 = (observed_a - expected_a) ** 2 / variance
+    chi2 = (float(d1.sum()) - expected_a) ** 2 / variance
     return float(chi2), float(chi2_sf(chi2, df=1))
 
 

@@ -1,8 +1,10 @@
-"""Shared test utilities: tape-vs-finite-difference gradient checks."""
+"""Shared test utilities: tape-vs-finite-difference gradient checks and the
+loop oracles of the survival metrics."""
 
 import numpy as np
 
 from hdmoe import autodiff as ad
+from hdmoe import evaluation as ev
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -38,3 +40,92 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
         assert err < rtol, f"input {i}: tape/fd mismatch {err:.3e} (rtol {rtol})"
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# metric oracles: the per-pair and per-time loops the vectorized metrics in
+# `hdmoe.kernels` and `hdmoe.evaluation` replaced, kept as references
+
+
+def scan_concordance_counts(times, events, risks):
+    """O(n^2) scan: for each event, count the later samples' risks below and
+    equal to its own. Returns (concordant_weight, comparable_count)."""
+    conc = 0.0
+    comp = 0
+    for i in np.flatnonzero(events == 1):
+        later = times > times[i]
+        comp += int(np.count_nonzero(later))
+        r = risks[later]
+        conc += float(np.count_nonzero(risks[i] > r))
+        conc += 0.5 * float(np.count_nonzero(risks[i] == r))
+    return conc, comp
+
+
+def oracle_cindex(times, events, risks):
+    """Independent exhaustive enumeration over unordered pairs."""
+    conc, comp = 0.0, 0
+    n = len(times)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if times[i] == times[j]:
+                continue  # non-comparable by convention
+            a, b = (i, j) if times[i] < times[j] else (j, i)
+            if events[a] != 1:
+                continue
+            comp += 1
+            if risks[a] > risks[b]:
+                conc += 1.0
+            elif risks[a] == risks[b]:
+                conc += 0.5
+    return conc, comp
+
+
+def km_loop(times, events):
+    """Product-limit estimate with one pass per distinct event time."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.int64)
+    event_times = np.unique(times[events == 1])
+    surv = 1.0
+    out_s, out_n, out_d = [], [], []
+    for t in event_times:
+        n_at_risk = int(np.count_nonzero(times >= t))
+        d = int(np.count_nonzero((times == t) & (events == 1)))
+        surv *= 1.0 - d / n_at_risk
+        out_s.append(surv)
+        out_n.append(n_at_risk)
+        out_d.append(d)
+    return ev.KmCurve(
+        times=event_times,
+        survival=np.array(out_s),
+        at_risk=np.array(out_n, dtype=np.int64),
+        events=np.array(out_d, dtype=np.int64),
+    )
+
+
+def log_rank_loop(times_a, events_a, times_b, events_b):
+    """Two-group log-rank (chi2, p) with one pass per distinct event time;
+    None where the test is undefined (no event or zero variance)."""
+    ta = np.asarray(times_a, dtype=np.float64)
+    ea = np.asarray(events_a, dtype=np.int64)
+    tb = np.asarray(times_b, dtype=np.float64)
+    eb = np.asarray(events_b, dtype=np.int64)
+    all_times = np.concatenate([ta, tb])
+    all_events = np.concatenate([ea, eb])
+    observed_a = 0.0
+    expected_a = 0.0
+    variance = 0.0
+    for t in np.unique(all_times[all_events == 1]):
+        n1 = int(np.count_nonzero(ta >= t))
+        n2 = int(np.count_nonzero(tb >= t))
+        n = n1 + n2
+        d1 = int(np.count_nonzero((ta == t) & (ea == 1)))
+        d2 = int(np.count_nonzero((tb == t) & (eb == 1)))
+        d = d1 + d2
+        observed_a += d1
+        expected_a += d * n1 / n
+        if n1 and n2:  # with one group left at risk the stratum has no variance
+            variance += d * (n1 / n) * (n2 / n) * (n - d) / (n - 1)
+    if variance <= 0.0:
+        return None
+    chi2 = (observed_a - expected_a) ** 2 / variance
+    return float(chi2), float(ev.chi2_sf(chi2, df=1))

@@ -21,7 +21,7 @@ from hdmoe import model as hm
 from hdmoe import moe
 from hdmoe import trainer as ht
 
-from helpers import max_rel_err
+from helpers import max_rel_err, oracle_cindex
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -351,8 +351,6 @@ def test_criterion_4_survival_and_metrics_oracles():
     )
 
     # c-index vs exhaustive pair enumeration: 200 random instances, exact
-    from test_evaluation import oracle_cindex
-
     rng = np.random.default_rng(4)
     checked = 0
     while checked < 200:

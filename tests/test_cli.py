@@ -1,11 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdmoe
 from hdmoe import cli
 from hdmoe.config import RunConfig, apply_desk_preset, load_config, save_config
 from hdmoe.data import SynthConfig, load_samples, write_dataset
@@ -282,6 +286,15 @@ def test_eval_repeats_writes_stability(tmp_path, capsys):
     assert "stability" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("repeats", ["-1", "0"])
+def test_eval_bad_repeats_exit_2_before_any_output(tmp_path, repeats):
+    resolved, run_dir = _trained_run(tmp_path)
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir), "--repeats", repeats]) == 2
+    assert not eval_dir.exists()
+
+
 def test_eval_pinned_segment_deterministic(tmp_path):
     resolved, run_dir = _trained_run(tmp_path)
     outs = []
@@ -339,3 +352,24 @@ def test_analyze_outputs(tmp_path):
     assert summary[0] == "modality,delta"
     deltas = [float(l.split(",")[1]) for l in summary[1:]]
     assert all(np.isfinite(d) for d in deltas)
+
+
+# ---------------------------------------------------------------------------
+# package import
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_env_after_import(tmp_path, **preset) -> list[str]:
+    # a clean child interpreter that finds the hdmoe this test imported
+    env = {"PATH": os.environ.get("PATH", ""),
+           "PYTHONPATH": str(Path(hdmoe.__file__).resolve().parents[1]), **preset}
+    code = f"import os, hdmoe; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_import_pins_blas_to_one_thread_unless_preset(tmp_path):
+    assert _blas_env_after_import(tmp_path) == ["1", "1", "1"]
+    assert _blas_env_after_import(tmp_path, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]

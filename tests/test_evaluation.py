@@ -1,30 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdmoe import evaluation as ev
+from hdmoe import kernels
 from hdmoe import model as hm
 from hdmoe.data import SampleRecord
 from hdmoe.errors import MetricError
 from hdmoe.moe import RouterTrace, route
 
-
-def oracle_cindex(times, events, risks):
-    """Independent exhaustive enumeration over unordered pairs."""
-    conc, comp = 0.0, 0
-    n = len(times)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if times[i] == times[j]:
-                continue  # non-comparable by convention
-            a, b = (i, j) if times[i] < times[j] else (j, i)
-            if events[a] != 1:
-                continue
-            comp += 1
-            if risks[a] > risks[b]:
-                conc += 1.0
-            elif risks[a] == risks[b]:
-                conc += 0.5
-    return conc, comp
+from helpers import km_loop, log_rank_loop, oracle_cindex, scan_concordance_counts
 
 
 def _table(risks, times, events):
@@ -87,6 +73,15 @@ def test_cindex_flip_and_monotone_invariance():
     assert ev.c_index(_table(np.exp(2.0 * risks), times, events)) == pytest.approx(c)
 
 
+@pytest.mark.parametrize("risks, times", [
+    ([np.nan, 1.0, np.nan, 0.5], [1.0, 2.0, 3.0, 4.0]),
+    ([0.1, 1.0, 0.3, 0.5], [1.0, np.inf, 3.0, 4.0]),
+])
+def test_cindex_rejects_non_finite(risks, times):
+    with pytest.raises(MetricError, match="finite"):
+        ev.c_index(_table(risks, times, [1, 1, 0, 1]))
+
+
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 
@@ -121,6 +116,11 @@ def test_km_no_censoring_equals_empirical_survival():
     curve = ev.km_estimate(times, np.ones(40, dtype=int))
     for t, s in zip(curve.times, curve.survival):
         assert s == pytest.approx(np.mean(times > t))
+
+
+def test_km_rejects_non_finite_time():
+    with pytest.raises(MetricError, match="finite"):
+        ev.km_estimate([1.0, np.nan, 3.0], [1, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +165,120 @@ def test_log_rank_zero_variance_degenerate():
         ev.log_rank_p([1.0], [1], [1.0], [1])
 
 
+@pytest.mark.parametrize("ta, tb", [([1.0, np.nan], [2.0, 3.0]), ([1.0, 2.0], [np.inf, 3.0])])
+def test_log_rank_rejects_non_finite_time(ta, tb):
+    with pytest.raises(MetricError, match="finite"):
+        ev.log_rank_p(ta, [1, 1], tb, [1, 0])
+
+
 def test_chi2_tail_textbook_value():
     assert ev.chi2_sf(3.841, df=1) == pytest.approx(0.05, abs=1e-3)
     assert ev.chi2_sf(6.635, df=1) == pytest.approx(0.01, abs=1e-3)
     assert ev.chi2_sf(0.0, df=1) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the metric pass against its loop oracles, on tables with heavy ties
+
+
+@st.composite
+def tied_tables(draw, min_n=1, max_n=300):
+    """Times and risks on coarse grids, so both are heavily tied. The columns
+    come from a drawn seed, so a failure shrinks over a few integers only."""
+    n = draw(st.integers(min_n, max_n))
+    t_grid = draw(st.integers(1, 41))
+    r_grid = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.integers(0, t_grid, n) * 0.5
+    risks = rng.integers(0, r_grid, n) * 0.25 - 1.0
+    return _table(risks, times, rng.integers(0, 2, n))
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _km_bits(curve):
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (curve.times, curve.survival, curve.at_risk, curve.events)]
+
+
+def _log_rank_bits(*groups):
+    try:
+        chi2, p = ev.log_rank_p(*groups)
+    except MetricError:
+        return None
+    return _bits(chi2), _bits(p)
+
+
+def _c_index_or_none(table):
+    try:
+        return _bits(ev.c_index(table))
+    except MetricError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables())
+def test_cindex_equals_scan_and_pairwise_oracle(table):
+    counts = kernels.concordance_counts(table.times, table.events, table.risks)
+    assert counts == scan_concordance_counts(table.times, table.events, table.risks)
+    assert (type(counts[0]), type(counts[1])) == (float, int)
+    conc, comp = oracle_cindex(table.times, table.events, table.risks)
+    assert counts == (conc, comp)
+    assert _c_index_or_none(table) == (_bits(conc / comp) if comp else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables(), st.randoms(use_true_random=False))
+def test_km_and_log_rank_equal_loops_bitwise(table, rnd):
+    t, e = table.times, table.events
+    assert _km_bits(ev.km_estimate(t, e)) == _km_bits(km_loop(t, e))
+    in_a = np.array([rnd.random() < 0.5 for _ in range(t.size)], dtype=bool)
+    if in_a.all() or not in_a.any():
+        return
+    groups = (t[in_a], e[in_a], t[~in_a], e[~in_a])
+    ref = log_rank_loop(*groups)
+    assert _log_rank_bits(*groups) == (None if ref is None else tuple(map(_bits, ref)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables(min_n=2), st.randoms(use_true_random=False))
+def test_metric_pass_is_permutation_invariant(table, rnd):
+    perm = list(range(table.times.size))
+    rnd.shuffle(perm)
+    shuffled = _table(table.risks[perm], table.times[perm], table.events[perm])
+    assert _c_index_or_none(shuffled) == _c_index_or_none(table)
+    assert _km_bits(ev.km_estimate(shuffled.times, shuffled.events)) == _km_bits(
+        ev.km_estimate(table.times, table.events))
+    half = table.times.size // 2  # groups: the first half and the rest, each shuffled
+    before = [table.times[:half], table.events[:half], table.times[half:], table.events[half:]]
+    after = []
+    for times, events in (before[:2], before[2:]):
+        order = list(range(times.size))
+        rnd.shuffle(order)
+        after += [times[order], events[order]]
+    assert _log_rank_bits(*after) == _log_rank_bits(*before)
+
+
+def test_metric_pass_edge_cases():
+    # no events: no comparable pair, a flat KM curve, no log-rank
+    with pytest.raises(MetricError, match="no comparable pairs"):
+        ev.c_index(_table([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0, 0, 0]))
+    assert ev.km_estimate([1.0, 2.0], [0, 0]).survival.size == 0
+    with pytest.raises(MetricError, match="at least one event"):
+        ev.log_rank_p([1.0], [0], [2.0], [0])
+    # all times tied: no pair is comparable
+    with pytest.raises(MetricError, match="no comparable pairs"):
+        ev.c_index(_table([3.0, 1.0, 2.0], [4.0, 4.0, 4.0], [1, 1, 0]))
+    # all risks equal: every comparable pair is a tie
+    assert ev.c_index(_table([0.7] * 5, [1.0, 2.0, 2.0, 3.0, 5.0], [1, 0, 1, 1, 0])) == 0.5
+    # one sample
+    with pytest.raises(MetricError, match="no comparable pairs"):
+        ev.c_index(_table([1.0], [2.0], [1]))
+    assert kernels.concordance_counts(np.array([2.0]), np.array([1]), np.array([1.0])) == (0.0, 0)
+    curve = ev.km_estimate([2.0], [1])
+    assert _km_bits(curve) == _km_bits(km_loop([2.0], [1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,183 @@
+"""Median times of the three units of work, written to BENCH_<label>.json.
+
+- One training step at the desk preset and at the published full scale,
+  split into its stages: parameter lift, forward, losses, backward and
+  optimizer.
+- One no-grad forward at both scales, with the parameters lifted once.
+- The survival metrics ``c_index``, ``km_estimate`` and ``log_rank_p`` on
+  risk tables of n = 30, 200 and 2000 samples with heavy ties.
+
+The package is imported from ``--src`` (default: this checkout's src) before
+numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
+package leaves is the one measured; the file records it. To compare two
+commits on the same machine:
+
+    git archive <parent> | tar -x -C /tmp/parent
+    python tools/step_profile.py --label 0 --src /tmp/parent/src
+    python tools/step_profile.py --label 1
+
+Each run writes BENCH_<label>.json at the root of this checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+STAGES = ("lift", "forward", "losses", "backward", "optimizer")
+STEPS = {"desk": (10, 100), "full": (5, 30)}  # (warm-up, timed) steps per scale
+FORWARDS = 60
+METRIC_SIZES = (30, 200, 2000)
+METRIC_REPEATS = 30
+COHORT = 8
+
+
+def _ms(seconds: list[float]) -> float:
+    return round(statistics.median(seconds) * 1e3, 4)
+
+
+def _records(model_cfg):
+    import numpy as np
+
+    import hdmoe as hd
+
+    rng = np.random.default_rng(0)
+    synth = dataclasses.replace(hd.SynthConfig(), cohort=COHORT, d_in=model_cfg.d_in)
+    records, _ = hd.generate_synthetic(synth, rng)
+    edges = hd.compute_bin_edges(records, model_cfg.num_bins)
+    return [dataclasses.replace(r, bin_label=hd.assign_bin(r.time_months, edges)) for r in records]
+
+
+def profile_scale(model_cfg, scale: str) -> tuple[dict, float]:
+    import numpy as np
+
+    from hdmoe import autodiff as ad
+    from hdmoe import losses, model, trainer
+
+    records = _records(model_cfg)
+    train_cfg = trainer.TrainConfig()
+    params = model.init_params(model_cfg, np.random.default_rng(1))
+    state = trainer.OptimizerState()
+    rng = np.random.default_rng(2)
+    warm, timed = STEPS[scale]
+    times = {stage: [] for stage in (*STAGES, "step")}
+    for i in range(warm + timed):
+        sample = records[i % len(records)]
+        t0 = time.perf_counter()
+        lifted, nodes = model.lift_params(params, requires_grad=True)
+        t1 = time.perf_counter()
+        res = model.forward(sample, lifted, model_cfg, rng)
+        t2 = time.perf_counter()
+        surv = losses.survival_nll(res.hazards_node, sample.bin_label, sample.censored)
+        dm = losses.decouple_loss(res.features, train_cfg.distance_metric)
+        bl = losses.balance_loss(res.traces)
+        _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
+        t3 = time.perf_counter()
+        ad.backward(total)
+        t4 = time.perf_counter()
+        grads = {path: node.grad for path, node in nodes.items()}
+        trainer.optimizer_step(params, grads, state, train_cfg)
+        t5 = time.perf_counter()
+        if i >= warm:
+            for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+                times[stage].append(dt)
+            times["step"].append(t5 - t0)
+
+    lifted, _ = model.lift_params(params, requires_grad=False)
+    nograd = []
+    for i in range(FORWARDS):
+        t0 = time.perf_counter()
+        model.forward(records[i % len(records)], lifted, model_cfg, rng)
+        nograd.append(time.perf_counter() - t0)
+    return {stage: _ms(v) for stage, v in times.items()}, _ms(nograd)
+
+
+def tied_table(rng, n: int):
+    """Times on a 0.1-month grid, about 40% censored, risks rounded to one
+    decimal; the tables of the benchmark's stats workload."""
+    import numpy as np
+
+    z = rng.normal(size=n)
+    event_time = rng.exponential(12.0 * np.exp(-0.8 * z))
+    censor_time = rng.uniform(0.0, 27.0, size=n)
+    times = np.round(np.minimum(event_time, censor_time), 1)
+    events = (event_time <= censor_time).astype(np.int64)
+    risks = np.round(z + rng.normal(scale=0.5, size=n), 1)
+    return risks, times, events
+
+
+def profile_metrics() -> dict:
+    import numpy as np
+
+    from hdmoe import evaluation as ev
+
+    out = {"c_index": {}, "km_estimate": {}, "log_rank_p": {}}
+    rng = np.random.default_rng(3)
+    for n in METRIC_SIZES:
+        risks, times, events = tied_table(rng, n)
+        table = ev.RiskTable(risks=risks, times=times, events=events)
+        high = risks > np.median(risks)
+        calls = {
+            "c_index": lambda: ev.c_index(table),
+            "km_estimate": lambda: ev.km_estimate(times, events),
+            "log_rank_p": lambda: ev.log_rank_p(
+                times[high], events[high], times[~high], events[~high]),
+        }
+        for name, call in calls.items():
+            call()  # warm-up
+            samples = []
+            for _ in range(METRIC_REPEATS):
+                t0 = time.perf_counter()
+                call()
+                samples.append(time.perf_counter() - t0)
+            out[name][str(n)] = _ms(samples)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the hdmoe package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    # hdmoe before numpy, as the hdmoe command imports them: numpy reads the
+    # BLAS thread variables when it loads; every function imports them lazily
+    import hdmoe as hd
+    import numpy as np
+
+    desk_cfg = hd.apply_desk_preset(hd.RunConfig()).model_config()
+    step_desk, nograd_desk = profile_scale(desk_cfg, "desk")
+    step_full, nograd_full = profile_scale(hd.ModelConfig(), "full")
+    report = {
+        "label": args.label,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_ENV},
+        },
+        "unit": "ms, median",
+        "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
+                    "metrics": METRIC_REPEATS},
+        "step_ms": {"desk": step_desk, "full": step_full},
+        "nograd_forward_ms": {"desk": nograd_desk, "full": nograd_full},
+        "metrics_ms": profile_metrics(),
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
