@@ -10,6 +10,7 @@ instance per row. Censoring follows c=1 == censored.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -105,6 +106,8 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
                 raise DataError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
             if censored not in (0, 1):
                 raise DataError(f"{path}:{lineno}: censored must be 0 or 1, got {censored}")
+            if not math.isfinite(time_months):
+                raise DataError(f"{path}:{lineno}: non-finite time_months {time_months}")
             if time_months < 0:
                 raise DataError(f"{path}:{lineno}: negative time_months")
             seen.add(sample_id)

@@ -298,22 +298,21 @@ def redundancy_score(
     """Average absolute token-correlation heatmaps before/after the shared
     expert; delta = sum of off-diagonal (pre) - sum of off-diagonal (post).
 
-    level 1 takes modality 'a' or 'b'; level 2 ignores modality.
+    level 1 takes modality 'a' or 'b' and runs only that modality's encoder
+    and level-1 MoE, drawing nothing from rng; level 2 ignores modality and
+    runs the full forward.
     """
     if len(records) < 2:
         raise MetricError("redundancy_score needs at least two samples")
+    if level not in (1, 2):
+        raise ValueError(f"level must be 1 or 2, got {level}")
     pre_mats, post_mats = [], []
     lifted, _ = model_mod.lift_params(params, requires_grad=False)
     for sample in records:
-        res = model_mod.forward(sample, lifted, model_cfg, rng)
         if level == 1:
-            out = {"a": res.moe_a, "b": res.moe_b}.get(modality)
-            if out is None:
-                raise ValueError(f"level 1 needs modality 'a' or 'b', got {modality!r}")
-        elif level == 2:
-            out = res.moe_inter
+            out = model_mod.encode_modality(sample, lifted, model_cfg, modality)
         else:
-            raise ValueError(f"level must be 1 or 2, got {level}")
+            out = model_mod.forward(sample, lifted, model_cfg, rng).moe_inter
         pre_mats.append(out.tokens.value.copy())
         post_mats.append(out.shared_tokens.value.copy())
     pre = average_abs_correlation(pre_mats)
@@ -330,16 +329,21 @@ def stability_report(
     repeats: int,
     rng: np.random.Generator,
 ) -> tuple[list[float], float, float]:
-    """Re-evaluate a frozen model with independent fusion draws per repeat."""
+    """Re-evaluate a frozen model with independent fusion draws per repeat.
+
+    Each record's draw-free prefix is encoded once; the repeats replay only
+    the fusion suffix, drawing from rng in the order full forwards would.
+    """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     times = np.array([r.time_months for r in records])
     events = np.array([1 - r.censored for r in records])
     scores = []
     lifted, _ = model_mod.lift_params(params, requires_grad=False)
+    level1 = [model_mod.encode(r, lifted, model_cfg) for r in records]
     for _ in range(repeats):
         risks = np.array(
-            [model_mod.forward(r, lifted, model_cfg, rng).prediction.risk for r in records]
+            [model_mod.fuse(enc, lifted, model_cfg, rng).prediction.risk for enc in level1]
         )
         scores.append(c_index(RiskTable(risks=risks, times=times, events=events)))
     # identical scores must report exactly zero spread (the mean of n copies

@@ -6,6 +6,13 @@ The first fusion stage emits a 1 x 4*d1 vector; a learned bridge maps it to
 d2 so the second-level tokens, outputs, and the final fused vector all live
 at the widths the architecture prescribes (V_inter and the level-2 shared
 output are each 1 x d2, the head sees 1 x 2*d2).
+
+A forward pass is a draw-free prefix and a draw-dependent suffix:
+`encode` runs the bag encoders and the level-1 MoEs and consumes no RNG;
+`fuse` runs fusion 1 -> bridge -> level-2 MoE -> fusion 2 -> head, and
+its two fusion stages each draw a segment size. `forward` is
+`fuse(encode(...))`; a caller that repeats draws over a fixed sample can
+encode it once and replay only `fuse`.
 """
 
 from __future__ import annotations
@@ -210,25 +217,36 @@ def risk_score(hazards: np.ndarray) -> float:
     return float(-survival.sum())
 
 
-def forward(
-    sample: SampleRecord,
+def encode_modality(
+    sample: SampleRecord, lifted: HDMoEParams, cfg: ModelConfig, modality: str
+) -> MoEOutput:
+    """One modality's bag encoder and level-1 MoE ('a' or 'b'); draws nothing."""
+    if modality == "a":
+        bag, encoder, moe = sample.features_a, lifted.encoder_a, lifted.level1_moe_a
+    elif modality == "b":
+        bag, encoder, moe = sample.features_b, lifted.encoder_b, lifted.level1_moe_b
+    else:
+        raise ValueError(f"modality must be 'a' or 'b', got {modality!r}")
+    return moe_forward(encode_bag(bag, encoder), cfg.level1_moe, moe)
+
+
+def encode(
+    sample: SampleRecord, lifted: HDMoEParams, cfg: ModelConfig
+) -> tuple[MoEOutput, MoEOutput]:
+    """The draw-free prefix: both modalities' level-1 outputs (out_a, out_b)."""
+    return encode_modality(sample, lifted, cfg, "a"), encode_modality(sample, lifted, cfg, "b")
+
+
+def fuse(
+    level1: tuple[MoEOutput, MoEOutput],
     lifted: HDMoEParams,
     cfg: ModelConfig,
     rng: np.random.Generator,
     pin_segments: tuple[int | None, int | None] = (None, None),
 ) -> ForwardResult:
-    """One sample through the whole pipeline; returns values plus tape handles.
-
-    `lifted` is the node tree of lift_params; its leaves' requires_grad alone
-    decides whether the pass records a backward graph.
-    """
-    v1 = encode_bag(sample.features_a, lifted.encoder_a)
-    v2 = encode_bag(sample.features_b, lifted.encoder_b)
-
-    l1_cfg = cfg.level1_moe
-    out_a = moe_forward(v1, l1_cfg, lifted.level1_moe_a)
-    out_b = moe_forward(v2, l1_cfg, lifted.level1_moe_b)
-
+    """The draw-dependent suffix: fusion 1 -> bridge -> level-2 MoE ->
+    fusion 2 -> head over the level-1 outputs of `encode`."""
+    out_a, out_b = level1
     v_f1, draw1 = rfr_forward(
         [out_a.routed, out_a.shared, out_b.routed, out_b.shared],
         cfg.segment_values,
@@ -274,6 +292,21 @@ def forward(
         moe_b=out_b,
         moe_inter=out_inter,
     )
+
+
+def forward(
+    sample: SampleRecord,
+    lifted: HDMoEParams,
+    cfg: ModelConfig,
+    rng: np.random.Generator,
+    pin_segments: tuple[int | None, int | None] = (None, None),
+) -> ForwardResult:
+    """One sample through the whole pipeline; returns values plus tape handles.
+
+    `lifted` is the node tree of lift_params; its leaves' requires_grad alone
+    decides whether the pass records a backward graph.
+    """
+    return fuse(encode(sample, lifted, cfg), lifted, cfg, rng, pin_segments)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ class MoEParams:
 class RouterTrace:
     """Per-token routing record plus aggregates for balancing/diagnostics."""
 
-    logits: np.ndarray  # [T, N]
     probs: np.ndarray  # [T, N]
     selected: np.ndarray  # [T, top_k] expert indices
     gates: np.ndarray  # [T, top_k] raw softmax probs of the selections
@@ -64,13 +63,10 @@ class RouterTrace:
 
     @property
     def num_tokens(self) -> int:
-        return self.logits.shape[0]
+        return self.probs.shape[0]
 
     def selection_counts(self) -> np.ndarray:
         return np.bincount(self.selected.ravel(), minlength=self.num_experts)
-
-    def mean_probs(self) -> np.ndarray:
-        return self.probs.mean(axis=0)
 
 
 @dataclass
@@ -170,7 +166,6 @@ def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
     shared_tokens = ad.expert_ffn(tokens, sh.w1, sh.b1, sh.w2, sh.b2)
 
     trace = RouterTrace(
-        logits=logits.value.copy(),
         probs=probs.value.copy(),
         selected=selected,
         gates=gates.value.reshape(num_tokens, cfg.top_k).copy(),

@@ -1,10 +1,12 @@
-"""Shared test utilities: tape-vs-finite-difference gradient checks and the
-loop oracles of the survival metrics."""
+"""Shared test utilities: tape-vs-finite-difference gradient checks, the
+loop oracles of the survival metrics, and the full-forward oracles of the
+no-grad repeaters."""
 
 import numpy as np
 
 from hdmoe import autodiff as ad
 from hdmoe import evaluation as ev
+from hdmoe import model as hm
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,3 +131,36 @@ def log_rank_loop(times_a, events_a, times_b, events_b):
         return None
     chi2 = (observed_a - expected_a) ** 2 / variance
     return float(chi2), float(ev.chi2_sf(chi2, df=1))
+
+
+# ---------------------------------------------------------------------------
+# repeater oracles: every pass through the full forward, as stability_report
+# and redundancy_score ran before they replayed only the parts they need
+
+
+def stability_report_loop(params, model_cfg, records, repeats, rng):
+    """(scores, mean, std) with every repeat a full forward of every record."""
+    times = np.array([r.time_months for r in records])
+    events = np.array([1 - r.censored for r in records])
+    lifted, _ = hm.lift_params(params, requires_grad=False)
+    scores = []
+    for _ in range(repeats):
+        risks = np.array([hm.forward(r, lifted, model_cfg, rng).prediction.risk for r in records])
+        scores.append(ev.c_index(ev.RiskTable(risks=risks, times=times, events=events)))
+    std = 0.0 if min(scores) == max(scores) else float(np.std(scores))
+    return scores, float(np.mean(scores)), std
+
+
+def redundancy_score_loop(params, model_cfg, records, level, modality, rng):
+    """(pre, post, delta) read off a full forward of every record."""
+    lifted, _ = hm.lift_params(params, requires_grad=False)
+    pre_mats, post_mats = [], []
+    for sample in records:
+        res = hm.forward(sample, lifted, model_cfg, rng)
+        out = res.moe_inter if level == 2 else {"a": res.moe_a, "b": res.moe_b}[modality]
+        pre_mats.append(out.tokens.value.copy())
+        post_mats.append(out.shared_tokens.value.copy())
+    pre = ev.average_abs_correlation(pre_mats)
+    post = ev.average_abs_correlation(post_mats)
+    off = ~np.eye(pre.shape[0], dtype=bool)
+    return pre, post, float(pre[off].sum() - post[off].sum())

@@ -322,7 +322,7 @@ def test_criterion_3_moe_oracle_suite():
         probs = np.full((n, n), 1.0 / n)
         selected = np.arange(n, dtype=np.intp).reshape(n, 1)
         trace = RouterTrace(
-            logits=np.zeros((n, n)), probs=probs, selected=selected,
+            probs=probs, selected=selected,
             gates=np.take_along_axis(probs, selected, axis=1),
             num_experts=n, probs_node=ad.leaf(probs),
         )

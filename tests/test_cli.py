@@ -249,6 +249,21 @@ def test_sample_id_with_comma_round_trips(tmp_path):
                      "--checkpoint", str(run_dir)]) == 0
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_train_non_finite_time_exit_2_before_any_output(tmp_path, capsys, time):
+    resolved = _synth(tmp_path)
+    manifest = Path(load_config(resolved).manifest)
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("time_months")] = time
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 2
+    assert "non-finite time_months" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -60,6 +60,13 @@ def test_load_manifest_malformed_row_has_line_number(tmp_path):
         hd.load_manifest(manifest)
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_load_manifest_rejects_non_finite_time(tmp_path, time):
+    manifest = _write_dataset(tmp_path, ["p1,1.0,0,a1.csv,b1.csv", f"p2,{time},0,a1.csv,b1.csv"])
+    with pytest.raises(DataError, match="manifest.csv:3: non-finite time_months"):
+        hd.load_manifest(manifest)
+
+
 def test_load_samples_reads_features(tmp_path):
     manifest = _write_dataset(tmp_path, ["p1,5.0,0,a1.csv,b1.csv"])
     records = hd.load_samples(manifest)

@@ -10,7 +10,14 @@ from hdmoe.data import SampleRecord
 from hdmoe.errors import MetricError
 from hdmoe.moe import RouterTrace, route
 
-from helpers import km_loop, log_rank_loop, oracle_cindex, scan_concordance_counts
+from helpers import (
+    km_loop,
+    log_rank_loop,
+    oracle_cindex,
+    redundancy_score_loop,
+    scan_concordance_counts,
+    stability_report_loop,
+)
 
 
 def _table(risks, times, events):
@@ -335,7 +342,7 @@ def _trace_with_selected(selected, n_experts):
     t = selected.shape[0]
     probs = np.full((t, n_experts), 1.0 / n_experts)
     return RouterTrace(
-        logits=np.zeros((t, n_experts)), probs=probs, selected=selected,
+        probs=probs, selected=selected,
         gates=np.take_along_axis(probs, selected, axis=1), num_experts=n_experts,
     )
 
@@ -417,6 +424,53 @@ def test_redundancy_score_shapes_and_finite_delta():
     assert pre.shape == (4, 4)
 
 
+def _redundancy_setup():
+    cfg = hm.ModelConfig(d_in=4, d1=16, d2=32, token_len_l1=4, token_len_l2=8,
+                         num_experts=3, top_k=1, expansion=2)
+    rng = np.random.default_rng(31)
+    params = hm.init_params(cfg, rng)
+    records = [
+        SampleRecord(f"r{i}", rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), 5.0, 0)
+        for i in range(6)
+    ]
+    return cfg, params, records
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("modality", ["a", "b"])
+def test_level1_redundancy_equals_full_forward_oracle_and_draws_nothing(modality):
+    cfg, params, records = _redundancy_setup()
+    expected = redundancy_score_loop(params, cfg, records, 1, modality, np.random.default_rng(0))
+    for seed in (0, 1, 12345):
+        rng = np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        pre, post, delta = ev.redundancy_score(params, cfg, records, 1, modality, rng)
+        assert rng.bit_generator.state == before
+        assert _bits(pre, post) == _bits(*expected[:2])
+        assert delta == expected[2]
+
+
+def test_level2_redundancy_equals_full_forward_oracle():
+    cfg, params, records = _redundancy_setup()
+    rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+    pre, post, delta = ev.redundancy_score(params, cfg, records, 2, None, rng)
+    o_pre, o_post, o_delta = redundancy_score_loop(params, cfg, records, 2, None, oracle_rng)
+    assert _bits(pre, post) == _bits(o_pre, o_post)
+    assert delta == o_delta
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_redundancy_rejects_bad_level_or_modality():
+    cfg, params, records = _redundancy_setup()
+    with pytest.raises(ValueError, match="modality"):
+        ev.redundancy_score(params, cfg, records, 1, None, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="level"):
+        ev.redundancy_score(params, cfg, records, 3, "a", np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # stability
 
@@ -448,9 +502,21 @@ def test_stability_single_repeat_zero_std():
     assert std == 0.0 and len(scores) == 1
 
 
+@pytest.mark.parametrize("segment_values,repeats", [((1, 2, 4, 8), 6), ((1,), 3), ((1, 2, 4, 8), 1)])
+def test_stability_report_equals_full_forward_oracle(segment_values, repeats):
+    cfg, params, records = _tiny_setup(segment_values)
+    rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+    scores, mean, std = ev.stability_report(params, cfg, records, repeats, rng)
+    o_scores, o_mean, o_std = stability_report_loop(params, cfg, records, repeats, oracle_rng)
+    assert scores == o_scores
+    assert (mean, std) == (o_mean, o_std)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_km_curves_csv_format():
     curve = ev.km_estimate([1.0, 2.0], [1, 1])
     text = ev.km_curves_csv({"high": curve})
     lines = text.strip().split("\n")
     assert lines[0] == "group,time,survival,at_risk,events"
     assert lines[1].startswith("high,1,0.5,2,1")
+

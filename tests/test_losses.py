@@ -24,7 +24,6 @@ def _trace(probs, selected):
     probs = np.asarray(probs, dtype=np.float64)
     selected = np.asarray(selected, dtype=np.intp)
     return RouterTrace(
-        logits=np.log(probs),
         probs=probs,
         selected=selected,
         gates=np.take_along_axis(probs, selected, axis=1),
@@ -317,7 +316,7 @@ def test_balance_gradient_flows_only_through_probs():
 def test_balance_empty_trace_rejected():
     probs = np.zeros((0, 3))
     trace = RouterTrace(
-        logits=probs, probs=probs, selected=np.zeros((0, 1), dtype=np.intp),
+        probs=probs, selected=np.zeros((0, 1), dtype=np.intp),
         gates=np.zeros((0, 1)), num_experts=3, probs_node=None,
     )
     with pytest.raises(ValueError):

@@ -132,6 +132,57 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
         assert node.parents == () and node.backward_rule is None
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_fuse_of_encode_equals_forward_bitwise(grad):
+    params = hm.init_params(TINY, np.random.default_rng(21))
+    lifted = hm.lift_params(params, requires_grad=grad)[0]
+    for seed in range(4):
+        sample = _sample(np.random.default_rng(100 + seed))
+        rng_full, rng_split = np.random.default_rng(seed), np.random.default_rng(seed)
+        full = hm.forward(sample, lifted, TINY, rng_full)
+        split = hm.fuse(hm.encode(sample, lifted, TINY), lifted, TINY, rng_split)
+        assert _same_bits(full.prediction.hazards, split.prediction.hazards)
+        assert _same_bits(full.prediction.survival, split.prediction.survival)
+        assert full.prediction.risk == split.prediction.risk
+        assert full.draws == split.draws
+        for ta, tb in zip(full.traces, split.traces, strict=True):
+            assert ta.num_experts == tb.num_experts
+            for name in ("probs", "selected", "gates"):
+                assert _same_bits(getattr(ta, name), getattr(tb, name)), name
+        for name in vars(full.features):
+            assert _same_bits(getattr(full.features, name).value,
+                              getattr(split.features, name).value), name
+        # the two passes drew the same numbers from the same stream
+        assert rng_full.bit_generator.state == rng_split.bit_generator.state
+
+
+def test_encode_draws_nothing():
+    params = hm.init_params(TINY, np.random.default_rng(22))
+    lifted = _lift(params)
+    sample = _sample(np.random.default_rng(23))
+    def global_state():
+        state = np.random.get_state(legacy=False)
+        return state["state"]["key"].tobytes(), state["state"]["pos"], state["gauss"]
+
+    before = global_state()
+    out_a, out_b = hm.encode(sample, lifted, TINY)
+    assert global_state() == before
+    # the prefix is a pure function of sample and parameters
+    again_a, again_b = hm.encode(sample, lifted, TINY)
+    assert _same_bits(out_a.routed.value, again_a.routed.value)
+    assert _same_bits(out_b.shared.value, again_b.shared.value)
+    # forward consumes exactly the draws of its fusion suffix
+    rng_full, rng_fuse = np.random.default_rng(5), np.random.default_rng(5)
+    hm.forward(sample, lifted, TINY, rng_full)
+    hm.fuse((out_a, out_b), lifted, TINY, rng_fuse)
+    assert rng_full.bit_generator.state == rng_fuse.bit_generator.state
+
+
 def test_risk_score_examples():
     assert hm.risk_score(np.zeros(4)) == pytest.approx(-4.0)
     assert hm.risk_score(np.ones(4)) == pytest.approx(0.0)

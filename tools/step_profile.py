@@ -4,6 +4,9 @@
   split into its stages: parameter lift, forward, losses, backward and
   optimizer.
 - One no-grad forward at both scales, with the parameters lifted once.
+- The no-grad repeaters at both scales: ``stability_report`` with R = 5
+  repeats over the profile's cohort, and level-1 ``redundancy_score``
+  (modality a) over the same records; each call lifts once.
 - The survival metrics ``c_index``, ``km_estimate`` and ``log_rank_p`` on
   risk tables of n = 30, 200 and 2000 samples with heavy ties.
 
@@ -36,6 +39,8 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 STAGES = ("lift", "forward", "losses", "backward", "optimizer")
 STEPS = {"desk": (10, 100), "full": (5, 30)}  # (warm-up, timed) steps per scale
 FORWARDS = 60
+REPEATS = 5  # stability repeats per stability_report call
+REPEATER_CALLS = 10
 METRIC_SIZES = (30, 200, 2000)
 METRIC_REPEATS = 30
 COHORT = 8
@@ -43,6 +48,17 @@ COHORT = 8
 
 def _ms(seconds: list[float]) -> float:
     return round(statistics.median(seconds) * 1e3, 4)
+
+
+def _median_ms(call, repeats: int) -> float:
+    """Median time of call() over repeats calls, after one warm-up call."""
+    call()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - t0)
+    return _ms(samples)
 
 
 def _records(model_cfg):
@@ -57,11 +73,11 @@ def _records(model_cfg):
     return [dataclasses.replace(r, bin_label=hd.assign_bin(r.time_months, edges)) for r in records]
 
 
-def profile_scale(model_cfg, scale: str) -> tuple[dict, float]:
+def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict]:
     import numpy as np
 
     from hdmoe import autodiff as ad
-    from hdmoe import losses, model, trainer
+    from hdmoe import evaluation, losses, model, trainer
 
     records = _records(model_cfg)
     train_cfg = trainer.TrainConfig()
@@ -98,7 +114,14 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, float]:
         t0 = time.perf_counter()
         model.forward(records[i % len(records)], lifted, model_cfg, rng)
         nograd.append(time.perf_counter() - t0)
-    return {stage: _ms(v) for stage, v in times.items()}, _ms(nograd)
+
+    repeaters = {
+        "stability": _median_ms(lambda: evaluation.stability_report(
+            params, model_cfg, records, REPEATS, rng), REPEATER_CALLS),
+        "redundancy": _median_ms(lambda: evaluation.redundancy_score(
+            params, model_cfg, records, 1, "a", rng), REPEATER_CALLS),
+    }
+    return {stage: _ms(v) for stage, v in times.items()}, _ms(nograd), repeaters
 
 
 def tied_table(rng, n: int):
@@ -133,13 +156,7 @@ def profile_metrics() -> dict:
                 times[high], events[high], times[~high], events[~high]),
         }
         for name, call in calls.items():
-            call()  # warm-up
-            samples = []
-            for _ in range(METRIC_REPEATS):
-                t0 = time.perf_counter()
-                call()
-                samples.append(time.perf_counter() - t0)
-            out[name][str(n)] = _ms(samples)
+            out[name][str(n)] = _median_ms(call, METRIC_REPEATS)
     return out
 
 
@@ -156,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     desk_cfg = hd.apply_desk_preset(hd.RunConfig()).model_config()
-    step_desk, nograd_desk = profile_scale(desk_cfg, "desk")
-    step_full, nograd_full = profile_scale(hd.ModelConfig(), "full")
+    step_desk, nograd_desk, rep_desk = profile_scale(desk_cfg, "desk")
+    step_full, nograd_full, rep_full = profile_scale(hd.ModelConfig(), "full")
     report = {
         "label": args.label,
         "environment": {
@@ -168,9 +185,13 @@ def main(argv: list[str] | None = None) -> int:
         },
         "unit": "ms, median",
         "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
-                    "metrics": METRIC_REPEATS},
+                    "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS},
+        "cohort": COHORT,
+        "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
         "nograd_forward_ms": {"desk": nograd_desk, "full": nograd_full},
+        "stability_ms": {"desk": rep_desk["stability"], "full": rep_full["stability"]},
+        "redundancy_ms": {"desk": rep_desk["redundancy"], "full": rep_full["redundancy"]},
         "metrics_ms": profile_metrics(),
     }
     path = ROOT / f"BENCH_{args.label}.json"
