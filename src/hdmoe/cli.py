@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_desk_preset, load_config, save_config
-from .data import generate_synthetic, load_samples, make_folds, write_dataset
+from .data import (csv_text, generate_synthetic, load_samples, make_folds, matrix_text,
+                   write_dataset, write_text)
 from .errors import ConfigError, DataError, MetricError, NumericsError
 from .evaluation import (
     RiskTable,
@@ -122,9 +123,7 @@ def _write_metrics(path: Path, per_fold: dict, extra: dict | None = None) -> Non
     }
     if extra:
         report.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
@@ -136,12 +135,9 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     fold_ids = sorted({r.fold for r in records})
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.json")
-    with open(out_dir / "folds.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "fold"])
-        writer.writerows((r.sample_id, r.fold) for r in records)
+    folds = [("sample_id", "fold"), *((r.sample_id, r.fold) for r in records)]
+    write_text(out_dir / "folds.csv", csv_text(folds, lineterminator="\n"))
 
     per_fold = {}
     all_rows = []
@@ -153,7 +149,6 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
             pin_segment=pin_segment,
         )
         fold_dir = out_dir / f"fold{fid}"
-        fold_dir.mkdir(exist_ok=True)
         save_checkpoint(
             fold_dir / "checkpoint.json",
             result.params,
@@ -164,17 +159,14 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
                 "seed": cfg.seed,
             },
         )
-        with open(fold_dir / "run_log.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.log_rows) + ("\n" if result.log_rows else ""))
-        with open(fold_dir / "predictions.csv", "w", encoding="utf-8") as fh:
-            fh.write(predictions_to_csv(rows, model_cfg.num_bins))
+        write_text(fold_dir / "run_log.csv", "".join(line + "\n" for line in result.log_rows))
+        write_text(fold_dir / "predictions.csv", predictions_to_csv(rows, model_cfg.num_bins))
         all_rows.extend(rows)
         table = RiskTable.from_predictions(rows)
         per_fold[str(fid)] = _fold_metrics(table)
         print(f"fold {fid}: c-index {per_fold[str(fid)]['cindex']:.4f}")
 
-    with open(out_dir / "predictions.csv", "w", encoding="utf-8") as fh:
-        fh.write(predictions_to_csv(all_rows, model_cfg.num_bins))
+    write_text(out_dir / "predictions.csv", predictions_to_csv(all_rows, model_cfg.num_bins))
     _write_metrics(out_dir / "metrics.json", per_fold)
     cindexes = [m["cindex"] for m in per_fold.values()]
     print(f"overall c-index {np.mean(cindexes):.4f} +/- {np.std(cindexes):.4f}")
@@ -219,10 +211,6 @@ def cmd_eval(
 ) -> int:
     records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out_dir / "config.json")
-
     paths = _checkpoint_paths(checkpoint)
     per_fold = {}
     stability = {}
@@ -259,8 +247,9 @@ def cmd_eval(
         "high_risk": km_estimate(times[high], events[high]),
         "low_risk": km_estimate(times[low], events[low]),
     }
-    with open(out_dir / "km_curves.csv", "w", encoding="utf-8") as fh:
-        fh.write(km_curves_csv(groups))
+    out_dir = Path(cfg.out_dir)
+    save_config(cfg, out_dir / "config.json")
+    write_text(out_dir / "km_curves.csv", km_curves_csv(groups))
     extra = {"stability": stability} if stability else None
     _write_metrics(out_dir / "metrics.json", per_fold, extra)
     overall = [m["cindex"] for m in per_fold.values()]
@@ -274,13 +263,11 @@ def cmd_eval(
 def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None) -> int:
     records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out_dir / "config.json")
-
     path = _checkpoint_paths(checkpoint)[0]
     params, _ = load_checkpoint(path, model_cfg)
     lifted, _ = lift_params(params, requires_grad=False)
+    out_dir = Path(cfg.out_dir)
+    save_config(cfg, out_dir / "config.json")
 
     rng = np.random.default_rng([cfg.seed, 0xA7A])
     pins = (pin_segment, pin_segment)
@@ -290,20 +277,17 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
     counts = expert_histogram(trace_groups)
     router_names = ["level1_a", "level1_b", "level2"]
     for name, row in zip(router_names, counts):
-        with open(out_dir / f"histogram_{name}.csv", "w", encoding="utf-8") as fh:
-            fh.write("expert,count\n")
-            for j, c in enumerate(row):
-                fh.write(f"{j},{int(c)}\n")
+        lines = "".join(f"{j},{int(c)}\n" for j, c in enumerate(row))
+        write_text(out_dir / f"histogram_{name}.csv", "expert,count\n" + lines)
 
     summary_lines = ["modality,delta"]
     for modality in ("a", "b"):
         rng_m = np.random.default_rng([cfg.seed, 0xD0D, ord(modality)])
         pre, post, delta = redundancy_score(params, model_cfg, records, 1, modality, rng_m)
-        np.savetxt(out_dir / f"redundancy_{modality}_pre.csv", pre, delimiter=",", fmt="%.17g")
-        np.savetxt(out_dir / f"redundancy_{modality}_post.csv", post, delimiter=",", fmt="%.17g")
+        write_text(out_dir / f"redundancy_{modality}_pre.csv", matrix_text(pre))
+        write_text(out_dir / f"redundancy_{modality}_post.csv", matrix_text(post))
         summary_lines.append(f"{modality},{delta:.17g}")
-    with open(out_dir / "redundancy_summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
+    write_text(out_dir / "redundancy_summary.csv", "\n".join(summary_lines) + "\n")
     print(f"analysis written to {out_dir}")
     return 0
 

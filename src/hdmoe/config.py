@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .data import SynthConfig
+from .data import SynthConfig, write_text
 from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -92,10 +92,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def apply_desk_preset(cfg: RunConfig) -> RunConfig:

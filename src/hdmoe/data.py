@@ -10,8 +10,10 @@ instance per row. Censoring follows c=1 == censored.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,8 +44,8 @@ class SampleRecord:
                 f"{self.sample_id}: modality column counts differ "
                 f"({self.features_a.shape[1]} vs {self.features_b.shape[1]})"
             )
-        if self.time_months < 0:
-            raise DataError(f"{self.sample_id}: negative time_months")
+        if not 0 <= self.time_months < math.inf:
+            raise DataError(f"{self.sample_id}: non-finite or negative time_months {self.time_months}")
         if self.censored not in (0, 1):
             raise DataError(f"{self.sample_id}: censored must be 0 or 1")
 
@@ -155,6 +157,39 @@ def load_samples(manifest_path: str | os.PathLike) -> list[SampleRecord]:
             )
         )
     return records
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """The package's one way to write a file: `text` (UTF-8, line ends as
+    given) goes to a temp file beside `path`, which then replaces `path`, so a
+    crash or kill mid-write leaves the old file or none, never a truncated
+    one. Creates missing parent directories. Not fsynced: no guard against
+    power loss."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        # mode "x" applies the umask as "w" does; mkstemp would give 0o600
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def csv_text(rows, lineterminator: str = "\r\n") -> str:
+    """`rows` as CSV with the usual quoting; csv's own line end by default."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=lineterminator).writerows(rows)
+    return buf.getvalue()
+
+
+def matrix_text(arr: np.ndarray) -> str:
+    """A header-less CSV matrix, every value at full float64 precision."""
+    buf = io.StringIO()
+    np.savetxt(buf, arr, delimiter=",", fmt="%.17g")
+    return buf.getvalue()
 
 
 def compute_bin_edges(records: list[SampleRecord], num_bins: int) -> BinEdges:
@@ -338,56 +373,36 @@ def write_dataset(
     records: list[SampleRecord],
     truths: list[SynthTruth] | None = None,
 ) -> Path:
-    """Write manifest + per-sample feature CSVs (+ ground-truth sidecar).
+    """Write per-sample feature CSVs (+ ground-truth sidecar), then the
+    manifest: it goes last, so an interrupted write leaves none to load.
 
     Returns the manifest path.
     """
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(MANIFEST_COLUMNS)
-        with_folds = any(r.fold >= 0 for r in records)
-        if with_folds:
-            header.append("fold")
-        writer.writerow(header)
-        for r in records:
-            fa = f"features/{r.sample_id}_a.csv"
-            fb = f"features/{r.sample_id}_b.csv"
-            np.savetxt(out_dir / fa, r.features_a, delimiter=",", fmt="%.17g")
-            np.savetxt(out_dir / fb, r.features_b, delimiter=",", fmt="%.17g")
-            row = [r.sample_id, repr(float(r.time_months)), str(r.censored), fa, fb]
-            if with_folds:
-                row.append(str(r.fold))
-            writer.writerow(row)
+    with_folds = any(r.fold >= 0 for r in records)
+    rows = [MANIFEST_COLUMNS + ["fold"] * with_folds]
+    for r in records:
+        fa = f"features/{r.sample_id}_a.csv"
+        fb = f"features/{r.sample_id}_b.csv"
+        write_text(out_dir / fa, matrix_text(r.features_a))
+        write_text(out_dir / fb, matrix_text(r.features_b))
+        row = [r.sample_id, repr(float(r.time_months)), str(r.censored), fa, fb]
+        rows.append(row + [str(r.fold)] * with_folds)
     if truths is not None:
-        _write_truth_sidecar(out_dir / "ground_truth.csv", truths)
+        write_text(out_dir / "ground_truth.csv", _truth_csv(truths))
+    manifest = out_dir / "manifest.csv"
+    write_text(manifest, csv_text(rows))
     return manifest
 
 
-def _write_truth_sidecar(path: Path, truths: list[SynthTruth]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if not truths:
-            writer.writerow(["sample_id", "true_score"])
-            return
-        t0 = truths[0]
-        header = (
-            ["sample_id"]
-            + [f"z_shared_{i}" for i in range(len(t0.z_shared))]
-            + [f"z_spec_a_{i}" for i in range(len(t0.z_spec_a))]
-            + [f"z_spec_b_{i}" for i in range(len(t0.z_spec_b))]
-            + ["true_score"]
-        )
-        writer.writerow(header)
-        for t in truths:
-            row = (
-                [t.sample_id]
-                + [repr(float(v)) for v in t.z_shared]
-                + [repr(float(v)) for v in t.z_spec_a]
-                + [repr(float(v)) for v in t.z_spec_b]
-                + [repr(float(t.true_score))]
-            )
-            writer.writerow(row)
+def _truth_csv(truths: list[SynthTruth]) -> str:
+    latents = ("z_shared", "z_spec_a", "z_spec_b")
+    widths = [len(getattr(truths[0], name)) if truths else 0 for name in latents]
+    header = ["sample_id", *(f"{name}_{i}" for name, n in zip(latents, widths) for i in range(n)),
+              "true_score"]
+    rows = [
+        [t.sample_id]
+        + [repr(float(v)) for v in (*t.z_shared, *t.z_spec_a, *t.z_spec_b, t.true_score)]
+        for t in truths
+    ]
+    return csv_text([header] + rows)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import SampleRecord
+from .data import SampleRecord, write_text
 from .encoder import EncoderParams, encode_bag, init_encoder_params, uniform_init
 from .errors import ConfigError
 from .moe import (
@@ -322,17 +322,20 @@ def save_checkpoint(path: str | Path, params: HDMoEParams, meta: dict) -> None:
             for p, arr in named_params(params)
         },
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
+    write_text(path, json.dumps(blob))
 
 
 def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, dict]:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {blob.get('format_version')}")
-    stored = blob["params"]
+    try:
+        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    version = blob.get("format_version") if isinstance(blob, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+    stored = blob.get("params")
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{path}: no 'params' object")
     template = init_params(cfg, np.random.default_rng(0))
     expected = {p: arr.shape for p, arr in named_params(template)}
     if set(stored) != set(expected):
@@ -341,8 +344,13 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
         raise ConfigError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
     arrays: dict[str, np.ndarray] = {}
     for p, entry in stored.items():
+        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+            raise ConfigError(f"{path}: {p} needs a 'shape' and a 'data' entry")
         shape = tuple(entry["shape"])
         if shape != expected[p]:
             raise ConfigError(f"{path}: {p} has shape {shape}, config expects {expected[p]}")
-        arrays[p] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        try:
+            arrays[p] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {p}: {exc}") from None
     return _map(lambda p, _: arrays[p], template), blob.get("meta", {})

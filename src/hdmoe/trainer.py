@@ -10,8 +10,6 @@ seeded [seed, fold]; the shuffle order is reseeded per epoch from
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import BinEdges, SampleRecord, assign_bin, compute_bin_edges
+from .data import BinEdges, SampleRecord, assign_bin, compute_bin_edges, csv_text
 from .errors import ConfigError, NumericsError
 from .losses import DISTANCE_METRICS, balance_loss, decouple_loss, survival_nll, total_loss
 from .model import HDMoEParams, ModelConfig, forward, lift_params, named_params
@@ -212,17 +210,11 @@ def predict_fold(
 
 
 def predictions_to_csv(rows: list[PredictionRow], num_bins: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["sample_id", "fold"]
-        + [f"h{j}" for j in range(1, num_bins + 1)]
-        + ["risk", "bin", "censored", "time_months"]
+    header = ["sample_id", "fold", *(f"h{j}" for j in range(1, num_bins + 1)),
+              "risk", "bin", "censored", "time_months"]
+    body = (
+        [r.sample_id, r.fold, *(repr(float(h)) for h in r.hazards),
+         repr(float(r.risk)), r.bin_label, r.censored, repr(float(r.time_months))]
+        for r in rows
     )
-    for r in rows:
-        writer.writerow(
-            [r.sample_id, r.fold]
-            + [repr(float(h)) for h in r.hazards]
-            + [repr(float(r.risk)), r.bin_label, r.censored, repr(float(r.time_months))]
-        )
-    return buf.getvalue()
+    return csv_text([header, *body], lineterminator="\n")

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import hdmoe
-from hdmoe import cli
+from hdmoe import cli, data
 from hdmoe.config import RunConfig, apply_desk_preset, load_config, save_config
 from hdmoe.data import SynthConfig, load_samples, write_dataset
 from hdmoe.errors import ConfigError
-from hdmoe.model import ModelConfig
+from hdmoe.model import ModelConfig, init_params, save_checkpoint
 from hdmoe.trainer import TrainConfig
 
 TINY_KW = dict(
@@ -346,6 +346,17 @@ def test_eval_checkpoint_config_mismatch_exit_code_2(tmp_path):
                      "--checkpoint", str(run_dir)]) == 2
 
 
+def test_eval_truncated_checkpoint_exit_2_naming_it(tmp_path, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    ckpt = run_dir / "fold1" / "checkpoint.json"
+    ckpt.write_bytes(ckpt.read_bytes()[:500])
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir)]) == 2
+    assert str(ckpt) in capsys.readouterr().err
+    assert not eval_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -367,6 +378,105 @@ def test_analyze_outputs(tmp_path):
     assert summary[0] == "modality,delta"
     deltas = [float(l.split(",")[1]) for l in summary[1:]]
     assert all(np.isfinite(d) for d in deltas)
+
+
+# ---------------------------------------------------------------------------
+# crash-safe writes: a writer that fails leaves the old file or none, and no
+# temp file. "serialize" fails before any byte is written; "write" fails
+# halfway through the temp file; "replace" fails at its rename.
+
+FAULTS = ["serialize", "write", "replace"]
+
+
+class _HalfWrite:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("injected write failure")
+
+
+def _inject(monkeypatch, fault, name):
+    """Make data.write_text fail for files called `name`; "serialize" is left
+    to the caller, which hands the writer a value it cannot encode."""
+    if fault == "write":
+        def fake_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return _HalfWrite(fh) if Path(file).name.startswith(f".{name}.") else fh
+        monkeypatch.setattr(data, "open", fake_open, raising=False)
+    elif fault == "replace":
+        real = os.replace
+
+        def fake_replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError("injected replace failure")
+            real(src, dst)
+        monkeypatch.setattr(os, "replace", fake_replace)
+
+
+def _assert_old_or_none(tmp_path, target, old):
+    assert (target.read_bytes() if target.exists() else None) == old
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def _save_checkpoint(path, note):
+    params = init_params(dataclasses.replace(RunConfig(), **TINY_KW).model_config(),
+                         np.random.default_rng(0))
+    save_checkpoint(path, params, {"fold": 0, "note": note})
+
+
+def _save_metrics(path, note):
+    cli._write_metrics(path, {"0": {"cindex": 0.5, "logrank_p": None, "ttest_p": None}},
+                       {"note": note})
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("name, save", [("fold0/checkpoint.json", _save_checkpoint),
+                                        ("metrics.json", _save_metrics)],
+                         ids=["checkpoint", "metrics"])
+def test_failed_save_leaves_old_file_or_none(tmp_path, monkeypatch, name, save, fault, existing):
+    target = tmp_path / "run" / name
+    old = None
+    if existing:
+        save(target, "old")
+        old = target.read_bytes()
+    _inject(monkeypatch, fault, target.name)
+    with pytest.raises(TypeError if fault == "serialize" else OSError):
+        save(target, object() if fault == "serialize" else "new")
+    _assert_old_or_none(tmp_path, target, old)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failed_predictions_write_leaves_old_file_or_none(tmp_path, monkeypatch, fault, existing):
+    resolved = _synth(tmp_path)
+    run_dir = tmp_path / "run"
+    argv = ["train", "--config", str(resolved), "--out", str(run_dir)]
+    target = run_dir / "fold0" / "predictions.csv"
+    old = None
+    if existing:
+        assert cli.main(argv) == 0
+        old = target.read_bytes()
+    _inject(monkeypatch, fault, target.name)
+    if fault == "serialize":
+        real = cli.predict_fold
+        monkeypatch.setattr(cli, "predict_fold", lambda *a, **k: [
+            dataclasses.replace(r, risk=object()) for r in real(*a, **k)])
+        with pytest.raises(TypeError):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 4  # an OSError is an io error
+    assert (run_dir / "fold0" / "checkpoint.json").exists()
+    _assert_old_or_none(tmp_path, target, old)
 
 
 # ---------------------------------------------------------------------------

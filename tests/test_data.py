@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,3 +253,62 @@ def test_record_invariant_violations():
         hd.SampleRecord("x", feat, feat, -1.0, 0)
     with pytest.raises(DataError):
         hd.SampleRecord("x", feat, feat, 1.0, 2)
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+def test_record_rejects_non_finite_time(time):
+    feat = np.ones((1, 2))
+    with pytest.raises(DataError, match="non-finite or negative time_months"):
+        hd.SampleRecord("x", feat, feat, time, 0)
+
+
+def test_write_dataset_interrupted_leaves_no_manifest(tmp_path, monkeypatch):
+    records, truths = hd.generate_synthetic(hd.SynthConfig(cohort=4, d_in=3),
+                                            np.random.default_rng(5))
+    real = hd.write_text
+
+    def failing(path, text):
+        if path.name == "synth0002_a.csv":
+            raise OSError("injected write failure")
+        real(path, text)
+
+    monkeypatch.setattr(hd, "write_text", failing)
+    with pytest.raises(OSError, match="injected"):
+        hd.write_dataset(tmp_path / "ds", records, truths)
+    assert (tmp_path / "ds" / "features" / "synth0001_b.csv").exists()
+    assert not (tmp_path / "ds" / "manifest.csv").exists()
+    assert not (tmp_path / "ds" / "ground_truth.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# write_text
+
+
+def test_write_text_keeps_bytes_and_creates_parents(tmp_path):
+    path = tmp_path / "a" / "b" / "out.csv"
+    hd.write_text(path, "x,\u00e9\r\ny\n")
+    assert path.read_bytes() == b"x,\xc3\xa9\r\ny\n"
+    hd.write_text(path, "z\n")
+    assert path.read_bytes() == b"z\n"
+    assert os.listdir(path.parent) == ["out.csv"]
+
+
+def test_write_text_new_file_mode_matches_plain_open(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        hd.write_text(tmp_path / "new.txt", "x")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old_umask)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("new.txt", "plain.txt")}
+    assert modes == {0o640}
+
+
+def test_write_text_failure_removes_temp_and_keeps_old_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    hd.write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):  # writing the temp file fails
+        hd.write_text(path, "new\n" * 1000 + "\ud800")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]

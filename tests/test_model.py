@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,38 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="shape|mismatch"):
         hm.load_checkpoint(path, other)
+
+
+def _drop_key(key):
+    def edit(blob):
+        del blob["params"]["bridge"][key]
+        return json.dumps(blob)
+    return edit
+
+
+def _short_data(blob):
+    blob["params"]["bridge"]["data"].pop()
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: json.dumps(blob)[:1000],
+        lambda blob: json.dumps([blob]),
+        lambda blob: json.dumps({k: v for k, v in blob.items() if k != "params"}),
+        _drop_key("shape"),
+        _drop_key("data"),
+        _short_data,
+    ],
+    ids=["truncated", "not_an_object", "no_params", "no_shape", "no_data", "short_data"],
+)
+def test_damaged_checkpoint_is_config_error_naming_the_file(tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    hm.save_checkpoint(path, hm.init_params(TINY, np.random.default_rng(0)), {"fold": 0})
+    path.write_text(edit(json.loads(path.read_text())))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        hm.load_checkpoint(path, TINY)
 
 
 def test_checkpoint_is_valid_json_with_paths(tmp_path):

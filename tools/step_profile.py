@@ -9,6 +9,8 @@
   (modality a) over the same records; each call lifts once.
 - The survival metrics ``c_index``, ``km_estimate`` and ``log_rank_p`` on
   risk tables of n = 30, 200 and 2000 samples with heavy ties.
+- ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
+  both scales, through a temporary directory.
 
 The package is imported from ``--src`` (default: this checkout's src) before
 numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
@@ -31,6 +33,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,6 +47,7 @@ REPEATER_CALLS = 10
 METRIC_SIZES = (30, 200, 2000)
 METRIC_REPEATS = 30
 COHORT = 8
+CHECKPOINT_CALLS = 5
 
 
 def _ms(seconds: list[float]) -> float:
@@ -73,7 +77,7 @@ def _records(model_cfg):
     return [dataclasses.replace(r, bin_label=hd.assign_bin(r.time_months, edges)) for r in records]
 
 
-def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict]:
+def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict, dict]:
     import numpy as np
 
     from hdmoe import autodiff as ad
@@ -121,7 +125,15 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict]:
         "redundancy": _median_ms(lambda: evaluation.redundancy_score(
             params, model_cfg, records, 1, "a", rng), REPEATER_CALLS),
     }
-    return {stage: _ms(v) for stage, v in times.items()}, _ms(nograd), repeaters
+    with tempfile.TemporaryDirectory(prefix="hdmoe-profile-") as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        checkpoint = {
+            "save": _median_ms(lambda: model.save_checkpoint(path, params, {"fold": 0}),
+                               CHECKPOINT_CALLS),
+            "load": _median_ms(lambda: model.load_checkpoint(path, model_cfg), CHECKPOINT_CALLS),
+            "mb": round(path.stat().st_size / 1e6, 3),
+        }
+    return {stage: _ms(v) for stage, v in times.items()}, _ms(nograd), repeaters, checkpoint
 
 
 def tied_table(rng, n: int):
@@ -173,8 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     desk_cfg = hd.apply_desk_preset(hd.RunConfig()).model_config()
-    step_desk, nograd_desk, rep_desk = profile_scale(desk_cfg, "desk")
-    step_full, nograd_full, rep_full = profile_scale(hd.ModelConfig(), "full")
+    step_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(desk_cfg, "desk")
+    step_full, nograd_full, rep_full, ckpt_full = profile_scale(hd.ModelConfig(), "full")
     report = {
         "label": args.label,
         "environment": {
@@ -185,13 +197,17 @@ def main(argv: list[str] | None = None) -> int:
         },
         "unit": "ms, median",
         "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
-                    "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS},
+                    "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS,
+                    "checkpoint": CHECKPOINT_CALLS},
         "cohort": COHORT,
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
         "nograd_forward_ms": {"desk": nograd_desk, "full": nograd_full},
         "stability_ms": {"desk": rep_desk["stability"], "full": rep_full["stability"]},
         "redundancy_ms": {"desk": rep_desk["redundancy"], "full": rep_full["redundancy"]},
+        "checkpoint_ms": {"desk": {k: ckpt_desk[k] for k in ("save", "load")},
+                          "full": {k: ckpt_full[k] for k in ("save", "load")}},
+        "checkpoint_mb": {"desk": ckpt_desk["mb"], "full": ckpt_full["mb"]},
         "metrics_ms": profile_metrics(),
     }
     path = ROOT / f"BENCH_{args.label}.json"
