@@ -173,12 +173,34 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     return 0
 
 
+def _read_folds(folds_file: Path) -> dict[str, int]:
+    """sample_id -> fold, as a training run's folds.csv assigns them."""
+    by_id = {}
+    with open(folds_file, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows, None)
+        for row in rows:
+            try:
+                sample_id, fold = row
+                by_id[sample_id] = int(fold)
+            except ValueError:
+                raise ConfigError(
+                    f"{folds_file}:{rows.line_num}: expected 'sample_id,fold', got {row}"
+                ) from None
+    return by_id
+
+
 def _checkpoint_paths(checkpoint: str) -> list[Path]:
     path = Path(checkpoint)
     if path.is_dir():
         found = sorted(path.glob("fold*/checkpoint.json"))
         if not found:
             raise FileNotFoundError(f"no fold checkpoints under {path}")
+        folds_file = path / "folds.csv"
+        named = set(_read_folds(folds_file).values()) if folds_file.exists() else set()
+        missing = sorted({f"fold{f}" for f in named} - {p.parent.name for p in found})
+        if missing:
+            raise ConfigError(f"{folds_file} names folds with no checkpoint: {', '.join(missing)}")
         return found
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -191,10 +213,7 @@ def _records_for_checkpoint(records, meta, folds_file: Path | None):
     if fold is None:
         return records
     if folds_file is not None and folds_file.exists():
-        with open(folds_file, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            next(rows)
-            by_id = {sample_id: int(f) for sample_id, f in rows}
+        by_id = _read_folds(folds_file)
         subset = [r for r in records if by_id.get(r.sample_id) == fold]
         return subset or records
     if any(r.fold >= 0 for r in records):
@@ -223,9 +242,8 @@ def cmd_eval(
         subset = _records_for_checkpoint(records, meta, folds_file)
         rng = np.random.default_rng([cfg.seed, int(fold), 0xE7A1])
         pins = (pin_segment, pin_segment)
-        risks = np.array(
-            [forward(r, lifted, model_cfg, rng, pin_segments=pins).prediction.risk for r in subset]
-        )
+        results = [forward(r, lifted, model_cfg, rng, pin_segments=pins) for r in subset]
+        risks = np.array([res.prediction.risk for res in results])
         times = np.array([r.time_months for r in subset])
         events = np.array([1 - r.censored for r in subset])
         table = RiskTable(risks=risks, times=times, events=events)
@@ -235,7 +253,8 @@ def cmd_eval(
         pooled_events.append(events)
         if repeats:
             srng = np.random.default_rng([cfg.seed, int(fold), 0x57AB])
-            scores, mean, std = stability_report(params, model_cfg, subset, repeats, srng)
+            level1 = [(res.moe_a, res.moe_b) for res in results]
+            scores, mean, std = stability_report(level1, lifted, model_cfg, subset, repeats, srng)
             stability[str(fold)] = {"scores": scores, "mean": mean, "std": std}
 
     risks = np.concatenate(pooled_risks)
@@ -271,10 +290,8 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
 
     rng = np.random.default_rng([cfg.seed, 0xA7A])
     pins = (pin_segment, pin_segment)
-    trace_groups = [
-        forward(r, lifted, model_cfg, rng, pin_segments=pins).traces for r in records
-    ]
-    counts = expert_histogram(trace_groups)
+    results = [forward(r, lifted, model_cfg, rng, pin_segments=pins) for r in records]
+    counts = expert_histogram([res.traces for res in results])
     router_names = ["level1_a", "level1_b", "level2"]
     for name, row in zip(router_names, counts):
         lines = "".join(f"{j},{int(c)}\n" for j, c in enumerate(row))
@@ -282,8 +299,7 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
 
     summary_lines = ["modality,delta"]
     for modality in ("a", "b"):
-        rng_m = np.random.default_rng([cfg.seed, 0xD0D, ord(modality)])
-        pre, post, delta = redundancy_score(params, model_cfg, records, 1, modality, rng_m)
+        pre, post, delta = redundancy_score([getattr(res, f"moe_{modality}") for res in results])
         write_text(out_dir / f"redundancy_{modality}_pre.csv", matrix_text(pre))
         write_text(out_dir / f"redundancy_{modality}_post.csv", matrix_text(post))
         summary_lines.append(f"{modality},{delta:.17g}")

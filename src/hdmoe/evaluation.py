@@ -20,7 +20,7 @@ from . import model as model_mod
 from .data import SampleRecord
 from .errors import MetricError
 from .model import HDMoEParams, ModelConfig
-from .moe import RouterTrace
+from .moe import MoEOutput, RouterTrace
 
 _MAX_ITER = 400
 _FP_EPS = 3e-15
@@ -287,60 +287,39 @@ def average_abs_correlation(token_mats: list[np.ndarray]) -> np.ndarray:
     return acc / len(token_mats)
 
 
-def redundancy_score(
-    params: HDMoEParams,
-    model_cfg: ModelConfig,
-    records: list[SampleRecord],
-    level: int,
-    modality: str | None,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def redundancy_score(outputs: list[MoEOutput]) -> tuple[np.ndarray, np.ndarray, float]:
     """Average absolute token-correlation heatmaps before/after the shared
-    expert; delta = sum of off-diagonal (pre) - sum of off-diagonal (post).
-
-    level 1 takes modality 'a' or 'b' and runs only that modality's encoder
-    and level-1 MoE, drawing nothing from rng; level 2 ignores modality and
-    runs the full forward.
+    expert, over one MoE output per sample (a forward's moe_a, moe_b or
+    moe_inter); delta = sum of off-diagonal (pre) - sum of off-diagonal (post).
     """
-    if len(records) < 2:
+    if len(outputs) < 2:
         raise MetricError("redundancy_score needs at least two samples")
-    if level not in (1, 2):
-        raise ValueError(f"level must be 1 or 2, got {level}")
-    pre_mats, post_mats = [], []
-    lifted, _ = model_mod.lift_params(params, requires_grad=False)
-    for sample in records:
-        if level == 1:
-            out = model_mod.encode_modality(sample, lifted, model_cfg, modality)
-        else:
-            out = model_mod.forward(sample, lifted, model_cfg, rng).moe_inter
-        pre_mats.append(out.tokens.value.copy())
-        post_mats.append(out.shared_tokens.value.copy())
-    pre = average_abs_correlation(pre_mats)
-    post = average_abs_correlation(post_mats)
+    pre = average_abs_correlation([out.tokens.value for out in outputs])
+    post = average_abs_correlation([out.shared_tokens.value for out in outputs])
     off = ~np.eye(pre.shape[0], dtype=bool)
     delta = float(pre[off].sum() - post[off].sum())
     return pre, post, delta
 
 
 def stability_report(
-    params: HDMoEParams,
+    level1: list[tuple[MoEOutput, MoEOutput]],
+    lifted: HDMoEParams,
     model_cfg: ModelConfig,
     records: list[SampleRecord],
     repeats: int,
     rng: np.random.Generator,
 ) -> tuple[list[float], float, float]:
-    """Re-evaluate a frozen model with independent fusion draws per repeat.
+    """Re-score a frozen model with independent fusion draws per repeat.
 
-    Each record's draw-free prefix is encoded once; the repeats replay only
-    the fusion suffix, drawing from rng in the order full forwards would.
+    level1 holds each record's level-1 outputs (out_a, out_b), from `encode`
+    or a forward's (moe_a, moe_b); each repeat replays only `fuse` over them,
+    drawing from rng in the order full forwards would.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     times = np.array([r.time_months for r in records])
     events = np.array([1 - r.censored for r in records])
     scores = []
-    lifted, _ = model_mod.lift_params(params, requires_grad=False)
-    level1 = [model_mod.encode(r, lifted, model_cfg) for r in records]
     for _ in range(repeats):
         risks = np.array(
             [model_mod.fuse(enc, lifted, model_cfg, rng).prediction.risk for enc in level1]

@@ -217,24 +217,16 @@ def risk_score(hazards: np.ndarray) -> float:
     return float(-survival.sum())
 
 
-def encode_modality(
-    sample: SampleRecord, lifted: HDMoEParams, cfg: ModelConfig, modality: str
-) -> MoEOutput:
-    """One modality's bag encoder and level-1 MoE ('a' or 'b'); draws nothing."""
-    if modality == "a":
-        bag, encoder, moe = sample.features_a, lifted.encoder_a, lifted.level1_moe_a
-    elif modality == "b":
-        bag, encoder, moe = sample.features_b, lifted.encoder_b, lifted.level1_moe_b
-    else:
-        raise ValueError(f"modality must be 'a' or 'b', got {modality!r}")
-    return moe_forward(encode_bag(bag, encoder), cfg.level1_moe, moe)
-
-
 def encode(
     sample: SampleRecord, lifted: HDMoEParams, cfg: ModelConfig
 ) -> tuple[MoEOutput, MoEOutput]:
     """The draw-free prefix: both modalities' level-1 outputs (out_a, out_b)."""
-    return encode_modality(sample, lifted, cfg, "a"), encode_modality(sample, lifted, cfg, "b")
+    return (
+        moe_forward(encode_bag(sample.features_a, lifted.encoder_a), cfg.level1_moe,
+                    lifted.level1_moe_a),
+        moe_forward(encode_bag(sample.features_b, lifted.encoder_b), cfg.level1_moe,
+                    lifted.level1_moe_b),
+    )
 
 
 def fuse(

@@ -115,26 +115,6 @@ def select_top_k(probs: np.ndarray, top_k: int) -> np.ndarray:
     return order[:, :top_k]
 
 
-@dataclass
-class RouteDecision:
-    logits: np.ndarray
-    probs: np.ndarray
-    selected: np.ndarray
-    gates: np.ndarray
-
-
-def route(token: np.ndarray, router: np.ndarray, top_k: int) -> RouteDecision:
-    """Reference single-token routing: softmax logits, top-k, raw-prob gates."""
-    token = np.asarray(token, dtype=np.float64).reshape(1, -1)
-    logits = token @ router
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    selected = select_top_k(probs, top_k)
-    gates = probs[np.zeros(top_k, dtype=np.intp), selected[0]].reshape(1, top_k)
-    return RouteDecision(logits=logits, probs=probs, selected=selected, gates=gates)
-
-
 def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
     """Run the expert block over all tokens of v (1 x d).
 

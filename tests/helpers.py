@@ -1,12 +1,15 @@
 """Shared test utilities: tape-vs-finite-difference gradient checks, the
-loop oracles of the survival metrics, and the full-forward oracles of the
-no-grad repeaters."""
+single-token routing oracle, the loop oracles of the survival metrics, and
+the full-forward oracles of the no-grad repeaters."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from hdmoe import autodiff as ad
 from hdmoe import evaluation as ev
 from hdmoe import model as hm
+from hdmoe.moe import select_top_k
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -42,6 +45,31 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
         assert err < rtol, f"input {i}: tape/fd mismatch {err:.3e} (rtol {rtol})"
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# routing oracle: one token at a time, against which the batched routing of
+# `moe.moe_forward` is checked
+
+
+@dataclass
+class RouteDecision:
+    logits: np.ndarray
+    probs: np.ndarray
+    selected: np.ndarray
+    gates: np.ndarray
+
+
+def route(token: np.ndarray, router: np.ndarray, top_k: int) -> RouteDecision:
+    """Reference single-token routing: softmax logits, top-k, raw-prob gates."""
+    token = np.asarray(token, dtype=np.float64).reshape(1, -1)
+    logits = token @ router
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    selected = select_top_k(probs, top_k)
+    gates = probs[np.zeros(top_k, dtype=np.intp), selected[0]].reshape(1, top_k)
+    return RouteDecision(logits=logits, probs=probs, selected=selected, gates=gates)
 
 
 # ---------------------------------------------------------------------------

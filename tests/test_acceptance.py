@@ -404,8 +404,10 @@ def test_criterion_5_end_to_end_learning(desk_run):
 
 def test_criterion_6_rfr_stability(desk_run):
     result, _ = desk_run["main_folds"][0]
+    lifted, _ = hm.lift_params(result.params, requires_grad=False)
+    level1 = [hm.encode(r, lifted, DESK_MODEL) for r in desk_run["records"]]
     scores, mean, std = ev.stability_report(
-        result.params, DESK_MODEL, desk_run["records"], 5,
+        level1, lifted, DESK_MODEL, desk_run["records"], 5,
         np.random.default_rng([7, 0, 0x57AB]),
     )
     ok = std < 0.01
@@ -417,12 +419,11 @@ def test_criterion_6_rfr_stability(desk_run):
 
 def test_criterion_7_deredundancy_direction(desk_run):
     result, _ = desk_run["main_folds"][0]
+    lifted, _ = hm.lift_params(result.params, requires_grad=False)
+    level1 = [hm.encode(r, lifted, DESK_MODEL) for r in desk_run["records"]]
     deltas = {}
-    for modality in ("a", "b"):
-        _, _, delta = ev.redundancy_score(
-            result.params, DESK_MODEL, desk_run["records"], 1, modality,
-            np.random.default_rng([7, 0xD0D, ord(modality)]),
-        )
+    for side, modality in enumerate(("a", "b")):
+        _, _, delta = ev.redundancy_score([outs[side] for outs in level1])
         deltas[modality] = delta
     ok = all(d > 0 for d in deltas.values())
     # Known-red criterion at this scale: raw tokens are blocks of a dense

@@ -357,6 +357,52 @@ def test_eval_truncated_checkpoint_exit_2_naming_it(tmp_path, capsys):
     assert not eval_dir.exists()
 
 
+def test_eval_run_missing_a_fold_checkpoint_exit_2(tmp_path, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    (run_dir / "fold1" / "checkpoint.json").unlink()
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "folds.csv") in err and "fold1" in err and "fold0" not in err
+    assert not eval_dir.exists()
+
+
+@pytest.mark.parametrize("row", ["synth0000,0,extra", "synth0000", "synth0000,one"])
+def test_eval_malformed_folds_csv_exit_2_naming_it(tmp_path, capsys, row):
+    resolved, run_dir = _trained_run(tmp_path)
+    folds = run_dir / "folds.csv"
+    folds.write_text(folds.read_text() + row + "\n")
+    eval_dir = tmp_path / "eval"
+    for checkpoint in (run_dir, run_dir / "fold0" / "checkpoint.json"):
+        assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                         "--checkpoint", str(checkpoint)]) == 2
+        assert f"{folds}:14" in capsys.readouterr().err
+        assert not eval_dir.exists()
+
+
+def _count_encodes(monkeypatch, argv) -> int:
+    calls = []
+    encode_bag = hdmoe.model.encode_bag
+    monkeypatch.setattr(hdmoe.model, "encode_bag",
+                        lambda *a, **kw: calls.append(1) or encode_bag(*a, **kw))
+    assert cli.main(argv) == 0
+    return len(calls)
+
+
+def test_eval_and_analyze_encode_each_sample_once(tmp_path, monkeypatch):
+    resolved, run_dir = _trained_run(tmp_path)
+    n = len(load_samples(load_config(resolved).manifest))  # each is held out once
+    assert _count_encodes(monkeypatch, [
+        "eval", "--config", str(resolved), "--out", str(tmp_path / "eval"),
+        "--checkpoint", str(run_dir), "--repeats", "3",
+    ]) == 2 * n
+    assert _count_encodes(monkeypatch, [
+        "analyze", "--config", str(resolved), "--out", str(tmp_path / "analysis"),
+        "--checkpoint", str(run_dir / "fold0" / "checkpoint.json"),
+    ]) == 2 * n
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -8,13 +8,14 @@ from hdmoe import kernels
 from hdmoe import model as hm
 from hdmoe.data import SampleRecord
 from hdmoe.errors import MetricError
-from hdmoe.moe import RouterTrace, route
+from hdmoe.moe import RouterTrace
 
 from helpers import (
     km_loop,
     log_rank_loop,
     oracle_cindex,
     redundancy_score_loop,
+    route,
     scan_concordance_counts,
     stability_report_loop,
 )
@@ -414,14 +415,16 @@ def test_redundancy_score_shapes_and_finite_delta():
         SampleRecord(f"r{i}", rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), 5.0, 0)
         for i in range(4)
     ]
-    for modality in ("a", "b"):
-        pre, post, delta = ev.redundancy_score(
-            params, cfg, records, 1, modality, np.random.default_rng(0)
-        )
+    lifted, _ = hm.lift_params(params, requires_grad=False)
+    results = [hm.forward(r, lifted, cfg, np.random.default_rng(0)) for r in records]
+    for outputs in ([res.moe_a for res in results], [res.moe_b for res in results]):
+        pre, post, delta = ev.redundancy_score(outputs)
         assert pre.shape == (2, 2) and post.shape == (2, 2)
         assert np.isfinite(delta)
-    pre, post, delta = ev.redundancy_score(params, cfg, records, 2, None, np.random.default_rng(0))
+    pre, post, delta = ev.redundancy_score([res.moe_inter for res in results])
     assert pre.shape == (4, 4)
+    with pytest.raises(MetricError, match="at least two samples"):
+        ev.redundancy_score([results[0].moe_a])
 
 
 def _redundancy_setup():
@@ -444,31 +447,31 @@ def _bits(*arrays):
 def test_level1_redundancy_equals_full_forward_oracle_and_draws_nothing(modality):
     cfg, params, records = _redundancy_setup()
     expected = redundancy_score_loop(params, cfg, records, 1, modality, np.random.default_rng(0))
-    for seed in (0, 1, 12345):
+    lifted, _ = hm.lift_params(params, requires_grad=False)
+    side = "ab".index(modality)
+    scored = [ev.redundancy_score([hm.encode(r, lifted, cfg)[side] for r in records])]
+    # the level-1 outputs of forwards with any draws score the same
+    for seed in (1, 12345):
         rng = np.random.default_rng(seed)
-        before = rng.bit_generator.state
-        pre, post, delta = ev.redundancy_score(params, cfg, records, 1, modality, rng)
-        assert rng.bit_generator.state == before
+        results = [hm.forward(r, lifted, cfg, rng) for r in records]
+        scored.append(ev.redundancy_score([getattr(res, f"moe_{modality}") for res in results]))
+    for pre, post, delta in scored:
         assert _bits(pre, post) == _bits(*expected[:2])
         assert delta == expected[2]
 
 
 def test_level2_redundancy_equals_full_forward_oracle():
     cfg, params, records = _redundancy_setup()
-    rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
-    pre, post, delta = ev.redundancy_score(params, cfg, records, 2, None, rng)
-    o_pre, o_post, o_delta = redundancy_score_loop(params, cfg, records, 2, None, oracle_rng)
+    lifted, _ = hm.lift_params(params, requires_grad=False)
+    rng = np.random.default_rng(7)
+    pre, post, delta = ev.redundancy_score(
+        [hm.forward(r, lifted, cfg, rng).moe_inter for r in records]
+    )
+    o_pre, o_post, o_delta = redundancy_score_loop(
+        params, cfg, records, 2, None, np.random.default_rng(7)
+    )
     assert _bits(pre, post) == _bits(o_pre, o_post)
     assert delta == o_delta
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_redundancy_rejects_bad_level_or_modality():
-    cfg, params, records = _redundancy_setup()
-    with pytest.raises(ValueError, match="modality"):
-        ev.redundancy_score(params, cfg, records, 1, None, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="level"):
-        ev.redundancy_score(params, cfg, records, 3, "a", np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -486,31 +489,41 @@ def _tiny_setup(segment_values=(1, 2, 4, 8)):
                      float(i + 1), int(i % 3 == 0))
         for i in range(10)
     ]
-    return cfg, params, records
+    lifted, _ = hm.lift_params(params, requires_grad=False)
+    level1 = [hm.encode(r, lifted, cfg) for r in records]
+    return cfg, params, records, lifted, level1
 
 
 def test_stability_degenerate_segment_set_is_exactly_zero_std():
-    cfg, params, records = _tiny_setup(segment_values=(1,))
-    scores, mean, std = ev.stability_report(params, cfg, records, 5, np.random.default_rng(0))
+    cfg, _, records, lifted, level1 = _tiny_setup(segment_values=(1,))
+    scores, mean, std = ev.stability_report(
+        level1, lifted, cfg, records, 5, np.random.default_rng(0)
+    )
     assert std == 0.0
     assert len(set(scores)) == 1
 
 
 def test_stability_single_repeat_zero_std():
-    cfg, params, records = _tiny_setup()
-    scores, mean, std = ev.stability_report(params, cfg, records, 1, np.random.default_rng(0))
+    cfg, _, records, lifted, level1 = _tiny_setup()
+    scores, mean, std = ev.stability_report(
+        level1, lifted, cfg, records, 1, np.random.default_rng(0)
+    )
     assert std == 0.0 and len(scores) == 1
 
 
 @pytest.mark.parametrize("segment_values,repeats", [((1, 2, 4, 8), 6), ((1,), 3), ((1, 2, 4, 8), 1)])
 def test_stability_report_equals_full_forward_oracle(segment_values, repeats):
-    cfg, params, records = _tiny_setup(segment_values)
-    rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
-    scores, mean, std = ev.stability_report(params, cfg, records, repeats, rng)
+    cfg, params, records, lifted, level1 = _tiny_setup(segment_values)
+    oracle_rng = np.random.default_rng(41)
     o_scores, o_mean, o_std = stability_report_loop(params, cfg, records, repeats, oracle_rng)
-    assert scores == o_scores
-    assert (mean, std) == (o_mean, o_std)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # replayed over `encode` outputs and over the level-1 outputs of forwards
+    forwards = [hm.forward(r, lifted, cfg, np.random.default_rng(3)) for r in records]
+    for pairs in (level1, [(res.moe_a, res.moe_b) for res in forwards]):
+        rng = np.random.default_rng(41)
+        scores, mean, std = ev.stability_report(pairs, lifted, cfg, records, repeats, rng)
+        assert scores == o_scores
+        assert (mean, std) == (o_mean, o_std)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_km_curves_csv_format():

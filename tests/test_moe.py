@@ -5,7 +5,7 @@ from hdmoe import autodiff as ad
 from hdmoe import moe
 from hdmoe.errors import ConfigError
 
-from helpers import check_grads
+from helpers import check_grads, route
 
 
 def _lift_moe(params: moe.MoEParams, requires_grad=True) -> moe.MoEParams:
@@ -57,7 +57,7 @@ def test_tokenize_non_divisor_rejected():
 
 def test_route_tie_break_selects_lowest_index():
     router = np.zeros((4, 3))
-    decision = moe.route(np.ones((1, 4)), router, top_k=1)
+    decision = route(np.ones((1, 4)), router, top_k=1)
     assert decision.selected[0, 0] == 0
     assert decision.gates[0, 0] == pytest.approx(1.0 / 3.0)
 
@@ -65,7 +65,7 @@ def test_route_tie_break_selects_lowest_index():
 def test_route_top1_values():
     token = np.array([[1.0]])
     router = np.array([[2.0, 1.0, 0.0]])
-    decision = moe.route(token, router, top_k=1)
+    decision = route(token, router, top_k=1)
     expected = np.exp([2.0, 1.0, 0.0])
     expected /= expected.sum()
     assert decision.selected[0, 0] == 0
@@ -76,7 +76,7 @@ def test_route_top1_values():
 def test_route_top2_values():
     token = np.array([[1.0]])
     router = np.array([[2.0, 1.0, 0.0]])
-    decision = moe.route(token, router, top_k=2)
+    decision = route(token, router, top_k=2)
     expected = np.exp([2.0, 1.0, 0.0])
     expected /= expected.sum()
     assert list(decision.selected[0]) == [0, 1]
@@ -157,7 +157,7 @@ def test_moe_forward_matches_per_token_reference_routing():
     v = rng.normal(size=(1, 12))
     out = moe.moe_forward(ad.leaf(v), cfg, _lift_moe(params))
     for t, token in enumerate(v.reshape(4, 3)):
-        ref = moe.route(token, params.router, cfg.top_k)
+        ref = route(token, params.router, cfg.top_k)
         assert np.allclose(out.trace.probs[t], ref.probs[0], atol=1e-12)
         assert list(out.trace.selected[t]) == list(ref.selected[0])
         assert np.allclose(out.trace.gates[t], ref.gates[0], atol=1e-12)

@@ -2,11 +2,14 @@
 
 - One training step at the desk preset and at the published full scale,
   split into its stages: parameter lift, forward, losses, backward and
-  optimizer.
+  optimizer; and the tape nodes a step records (the leaves and ops that
+  ``backward`` walks from the total loss), medians over the timed steps.
 - One no-grad forward at both scales, with the parameters lifted once.
-- The no-grad repeaters at both scales: ``stability_report`` with R = 5
-  repeats over the profile's cohort, and level-1 ``redundancy_score``
-  (modality a) over the same records; each call lifts once.
+- The no-grad diagnostics at both scales: one lift, the level-1 ``encode``
+  of the profile's cohort and ``stability_report`` with R = 5 repeats over
+  it (lift and encode included, so the figures compare with BENCH_2 to
+  BENCH_5); and level-1 ``redundancy_score`` (modality a) over that
+  cohort's encoded outputs, which is the correlation pass alone.
 - The survival metrics ``c_index``, ``km_estimate`` and ``log_rank_p`` on
   risk tables of n = 30, 200 and 2000 samples with heavy ties.
 - ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
@@ -77,7 +80,20 @@ def _records(model_cfg):
     return [dataclasses.replace(r, bin_label=hd.assign_bin(r.time_months, edges)) for r in records]
 
 
-def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict, dict]:
+def tape_nodes(root) -> tuple[int, int]:
+    """(leaves, ops) among the nodes that backward(root) walks."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    leaves = sum(1 for node in seen.values() if not node.parents)
+    return leaves, len(seen) - leaves
+
+
+def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]:
     import numpy as np
 
     from hdmoe import autodiff as ad
@@ -90,6 +106,7 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict, dict]:
     rng = np.random.default_rng(2)
     warm, timed = STEPS[scale]
     times = {stage: [] for stage in (*STAGES, "step")}
+    nodes_per_step = {"leaves": [], "ops": []}
     for i in range(warm + timed):
         sample = records[i % len(records)]
         t0 = time.perf_counter()
@@ -111,6 +128,8 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict, dict]:
             for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
                 times[stage].append(dt)
             times["step"].append(t5 - t0)
+            for kind, count in zip(("leaves", "ops"), tape_nodes(total)):
+                nodes_per_step[kind].append(count)
 
     lifted, _ = model.lift_params(params, requires_grad=False)
     nograd = []
@@ -119,11 +138,15 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict, dict]:
         model.forward(records[i % len(records)], lifted, model_cfg, rng)
         nograd.append(time.perf_counter() - t0)
 
+    def stability():
+        lifted, _ = model.lift_params(params, requires_grad=False)
+        level1 = [model.encode(r, lifted, model_cfg) for r in records]
+        evaluation.stability_report(level1, lifted, model_cfg, records, REPEATS, rng)
+
+    outputs_a = [model.encode(r, lifted, model_cfg)[0] for r in records]
     repeaters = {
-        "stability": _median_ms(lambda: evaluation.stability_report(
-            params, model_cfg, records, REPEATS, rng), REPEATER_CALLS),
-        "redundancy": _median_ms(lambda: evaluation.redundancy_score(
-            params, model_cfg, records, 1, "a", rng), REPEATER_CALLS),
+        "stability": _median_ms(stability, REPEATER_CALLS),
+        "redundancy": _median_ms(lambda: evaluation.redundancy_score(outputs_a), REPEATER_CALLS),
     }
     with tempfile.TemporaryDirectory(prefix="hdmoe-profile-") as tmp:
         path = Path(tmp) / "checkpoint.json"
@@ -133,7 +156,9 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, float, dict, dict]:
             "load": _median_ms(lambda: model.load_checkpoint(path, model_cfg), CHECKPOINT_CALLS),
             "mb": round(path.stat().st_size / 1e6, 3),
         }
-    return {stage: _ms(v) for stage, v in times.items()}, _ms(nograd), repeaters, checkpoint
+    nodes = {kind: statistics.median(v) for kind, v in nodes_per_step.items()}
+    return ({stage: _ms(v) for stage, v in times.items()}, nodes, _ms(nograd), repeaters,
+            checkpoint)
 
 
 def tied_table(rng, n: int):
@@ -185,8 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     desk_cfg = hd.apply_desk_preset(hd.RunConfig()).model_config()
-    step_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(desk_cfg, "desk")
-    step_full, nograd_full, rep_full, ckpt_full = profile_scale(hd.ModelConfig(), "full")
+    step_desk, nodes_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(desk_cfg, "desk")
+    step_full, nodes_full, nograd_full, rep_full, ckpt_full = profile_scale(
+        hd.ModelConfig(), "full")
     report = {
         "label": args.label,
         "environment": {
@@ -202,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         "cohort": COHORT,
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
+        "tape_nodes_per_step": {"desk": nodes_desk, "full": nodes_full},
         "nograd_forward_ms": {"desk": nograd_desk, "full": nograd_full},
         "stability_ms": {"desk": rep_desk["stability"], "full": rep_full["stability"]},
         "redundancy_ms": {"desk": rep_desk["redundancy"], "full": rep_full["redundancy"]},
