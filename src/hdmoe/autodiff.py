@@ -52,7 +52,11 @@ class Node:
     ):
         self.value = value
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        for p in parents:  # a plain loop: any() over a generator costs more per node
+            if requires_grad:
+                break
+            requires_grad = p.requires_grad
+        self.requires_grad = requires_grad
         self.parents = parents if self.requires_grad else ()
         self.backward_rule = backward_rule if self.requires_grad else None
 

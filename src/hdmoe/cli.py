@@ -208,18 +208,18 @@ def _checkpoint_paths(checkpoint: str) -> list[Path]:
 
 
 def _records_for_checkpoint(records, meta, folds_file: Path | None):
-    """Held-out split when fold assignments are recoverable, else all samples."""
+    """Held-out split when fold assignments are recoverable (never empty), else all samples."""
     fold = meta.get("fold")
-    if fold is None:
-        return records
-    if folds_file is not None and folds_file.exists():
+    if fold is not None and folds_file is not None and folds_file.exists():
         by_id = _read_folds(folds_file)
-        subset = [r for r in records if by_id.get(r.sample_id) == fold]
-        return subset or records
-    if any(r.fold >= 0 for r in records):
-        _, test = split_fold(records, fold)
-        return test or records
-    return records
+        held_out, source = [r for r in records if by_id.get(r.sample_id) == fold], folds_file
+    elif fold is not None and any(r.fold >= 0 for r in records):
+        held_out, source = split_fold(records, fold)[1], "the manifest"
+    else:
+        return records
+    if not held_out:
+        raise ConfigError(f"fold {fold}: {source} assigns no sample of the dataset to it")
+    return held_out
 
 
 def cmd_eval(

@@ -187,9 +187,9 @@ def csv_text(rows, lineterminator: str = "\r\n") -> str:
 
 def matrix_text(arr: np.ndarray) -> str:
     """A header-less CSV matrix, every value at full float64 precision."""
-    buf = io.StringIO()
-    np.savetxt(buf, arr, delimiter=",", fmt="%.17g")
-    return buf.getvalue()
+    rows = np.atleast_2d(np.asarray(arr).T).T  # a 1-D array is a column, as in np.savetxt
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(template % tuple(row) for row in rows.tolist())
 
 
 def compute_bin_edges(records: list[SampleRecord], num_bins: int) -> BinEdges:

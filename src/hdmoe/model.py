@@ -187,6 +187,18 @@ def named_params(params: HDMoEParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def param_views(template: HDMoEParams, flat: np.ndarray) -> HDMoEParams:
+    """A tree shaped like template of views into flat, in named_params order."""
+    pieces = iter(np.split(flat, np.cumsum([arr.size for _, arr in named_params(template)])))
+    return _map(lambda _, arr: next(pieces).reshape(arr.shape), template)
+
+
+def flatten_params(params: HDMoEParams) -> tuple[np.ndarray, HDMoEParams]:
+    """Every parameter copied into one float64 vector, and the tree of its views."""
+    flat = np.concatenate([arr.ravel() for _, arr in named_params(params)])
+    return flat, param_views(params, flat)
+
+
 def parameter_count(params: HDMoEParams) -> tuple[int, dict[str, int]]:
     """Exact trainable scalar count, itemized by top-level submodule."""
     per_module: dict[str, int] = {}

@@ -11,7 +11,7 @@ seeded [seed, fold]; the shuffle order is reseeded per epoch from
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .losses import DISTANCE_METRICS, balance_loss, decouple_loss, survival_nll,
 from .model import HDMoEParams, ModelConfig, forward, lift_params, named_params
 
 log = logging.getLogger("hdmoe.trainer")
+_BLOCK = 1 << 15  # elements per update pass: six such float64 blocks (1.5 MB) stay in L2 cache
 
 
 @dataclass(frozen=True)
@@ -55,38 +56,39 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    first: dict[str, np.ndarray] = field(default_factory=dict)
-    second: dict[str, np.ndarray] = field(default_factory=dict)
+    """Gradient and adaptive moments, laid out as the flat parameter vector."""
+
+    grad: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
 
 
 def optimizer_step(
-    params: HDMoEParams,
-    grads: dict[str, np.ndarray | None],
+    params: np.ndarray,
+    grads: dict[str, np.ndarray],
     state: OptimizerState,
     cfg: TrainConfig,
 ) -> None:
-    """In-place adaptive-moment update with bias correction; weight decay is
-    decoupled and applied before the adaptive part."""
+    """In-place adaptive-moment update of the flat parameters, block by block,
+    from `state.grad` (`grads` holds each path's view of it), bitwise equal to a
+    per-array update; weight decay is decoupled and applied first."""
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
-    for path, arr in named_params(params):
-        g = grads.get(path)
-        if g is None:
-            g = np.zeros_like(arr)
-        if g.shape != arr.shape:
-            raise ConfigError(f"gradient shape {g.shape} != param shape {arr.shape} at {path}")
+    bc1 = 1.0 - cfg.beta1**state.step
+    bc2 = 1.0 - cfg.beta2**state.step
+    for lo in range(0, params.size, _BLOCK):
+        p, g, m, v = (a[lo:lo + _BLOCK] for a in (params, state.grad, state.first, state.second))
+        num, den = np.empty((2, p.size))
         if cfg.weight_decay:
-            arr -= cfg.lr * cfg.weight_decay * arr
-        m = state.first.setdefault(path, np.zeros_like(arr))
-        v = state.second.setdefault(path, np.zeros_like(arr))
+            p -= np.multiply(p, cfg.lr * cfg.weight_decay, out=num)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(g, 1.0 - cfg.beta1, out=num)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        arr -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_opt)
+        v += np.multiply(np.multiply(g, g, out=num), 1.0 - cfg.beta2, out=num)
+        np.sqrt(np.divide(v, bc2, out=den), out=den)
+        den += cfg.eps_opt
+        np.multiply(np.divide(m, bc1, out=num), cfg.lr, out=num)
+        p -= np.divide(num, den, out=num)
 
 
 @dataclass
@@ -133,8 +135,12 @@ def train_fold(
     ]
 
     fold_rng = np.random.default_rng([train_cfg.seed, fold_id])
-    params = model_mod.init_params(model_cfg, fold_rng)
-    state = OptimizerState()
+    flat, params = model_mod.flatten_params(model_mod.init_params(model_cfg, fold_rng))
+    state = OptimizerState(*np.zeros((3, flat.size)))
+    lifted, nodes = lift_params(params, requires_grad=True)  # leaves for the whole fold
+    grads = dict(named_params(model_mod.param_views(params, state.grad)))
+    for path, node in nodes.items():
+        node.grad = grads[path]
     loss_curve: list[float] = []
     log_rows: list[str] = []
 
@@ -146,7 +152,7 @@ def train_fold(
         for idx in order:
             sample = train_records[idx]
             step += 1
-            lifted, nodes = lift_params(params, requires_grad=True)
+            state.grad.fill(0.0)
             res = forward(sample, lifted, model_cfg, fold_rng)
             surv = survival_nll(res.hazards_node, sample.bin_label, sample.censored)
             dm = decouple_loss(res.features, train_cfg.distance_metric)
@@ -158,8 +164,9 @@ def train_fold(
                     f"(sample {sample.sample_id}): {breakdown}"
                 )
             ad.backward(total)
-            grads = {path: node.grad for path, node in nodes.items()}
-            optimizer_step(params, grads, state, train_cfg)
+            optimizer_step(flat, grads, state, train_cfg)
+            if not np.isfinite(flat).all():
+                raise NumericsError(f"non-finite parameters after fold {fold_id} epoch {epoch} step {step}")
             epoch_losses.append(breakdown.total)
             log_rows.append(
                 f"{step},{breakdown.surv:.10g},{breakdown.dm:.10g},"
@@ -170,9 +177,6 @@ def train_fold(
         mean_loss = float(np.mean(epoch_losses))
         loss_curve.append(mean_loss)
         log.info("fold %d epoch %d mean total loss %.6f", fold_id, epoch, mean_loss)
-        for _, arr in named_params(params):
-            if not np.isfinite(arr).all():
-                raise NumericsError(f"non-finite parameters after fold {fold_id} epoch {epoch}")
 
     return FoldResult(
         fold=fold_id, params=params, edges=edges, loss_curve=loss_curve, log_rows=log_rows

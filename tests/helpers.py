@@ -1,15 +1,19 @@
 """Shared test utilities: tape-vs-finite-difference gradient checks, the
-single-token routing oracle, the loop oracles of the survival metrics, and
-the full-forward oracles of the no-grad repeaters."""
+single-token routing oracle, the per-array optimizer oracle, the loop oracles
+of the survival metrics, and the full-forward oracles of the no-grad
+repeaters."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from hdmoe import autodiff as ad
 from hdmoe import evaluation as ev
+from hdmoe import losses
 from hdmoe import model as hm
+from hdmoe.data import assign_bin, compute_bin_edges
 from hdmoe.moe import select_top_k
+from hdmoe.trainer import split_fold
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,6 +74,65 @@ def route(token: np.ndarray, router: np.ndarray, top_k: int) -> RouteDecision:
     selected = select_top_k(probs, top_k)
     gates = probs[np.zeros(top_k, dtype=np.intp), selected[0]].reshape(1, top_k)
     return RouteDecision(logits=logits, probs=probs, selected=selected, gates=gates)
+
+
+# ---------------------------------------------------------------------------
+# optimizer oracle: one array at a time, against which the flat in-place
+# update of `trainer.optimizer_step` is checked, and the training loop that
+# re-lifts every array per step, against which `trainer.train_fold` is checked
+
+
+@dataclass
+class LoopOptimizerState:
+    first: dict = field(default_factory=dict)
+    second: dict = field(default_factory=dict)
+    step: int = 0
+
+
+def optimizer_step_loop(params, grads, state, cfg):
+    """Per-array adaptive-moment update of a params tree in place; a None
+    gradient (a parameter no gradient reached) counts as zeros."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for path, arr in hm.named_params(params):
+        g = grads.get(path)
+        if g is None:
+            g = np.zeros_like(arr)
+        if cfg.weight_decay:
+            arr -= cfg.lr * cfg.weight_decay * arr
+        m = state.first.setdefault(path, np.zeros_like(arr))
+        v = state.second.setdefault(path, np.zeros_like(arr))
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        arr -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_opt)
+
+
+def train_fold_loop(records, fold_id, model_cfg, train_cfg):
+    """The parameters after train_fold's steps, taken with every array lifted
+    afresh per step, gradients read off the leaves and the per-array update."""
+    train, _ = split_fold(records, fold_id)
+    edges = compute_bin_edges(train, model_cfg.num_bins)
+    train = [replace(r, bin_label=assign_bin(r.time_months, edges)) for r in train]
+    fold_rng = np.random.default_rng([train_cfg.seed, fold_id])
+    params = hm.init_params(model_cfg, fold_rng)
+    state = LoopOptimizerState()
+    for epoch in range(train_cfg.epochs):
+        order = np.random.default_rng([train_cfg.seed, fold_id, epoch]).permutation(len(train))
+        for idx in order:
+            sample = train[idx]
+            lifted, nodes = hm.lift_params(params, requires_grad=True)
+            res = hm.forward(sample, lifted, model_cfg, fold_rng)
+            surv = losses.survival_nll(res.hazards_node, sample.bin_label, sample.censored)
+            dm = losses.decouple_loss(res.features, train_cfg.distance_metric)
+            bl = losses.balance_loss(res.traces)
+            _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
+            ad.backward(total)
+            optimizer_step_loop(params, {p: n.grad for p, n in nodes.items()}, state, train_cfg)
+    return params
 
 
 # ---------------------------------------------------------------------------

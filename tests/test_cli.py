@@ -268,6 +268,17 @@ def test_train_non_finite_time_exit_2_before_any_output(tmp_path, capsys, time):
 # eval
 
 
+def test_train_lifts_once_per_fold_for_training_and_once_for_prediction(tmp_path, monkeypatch):
+    resolved = _synth(tmp_path)
+    lifts = []
+    lift = hdmoe.trainer.lift_params
+    monkeypatch.setattr(hdmoe.trainer, "lift_params",
+                        lambda params, requires_grad=True:
+                        lifts.append(requires_grad) or lift(params, requires_grad))
+    assert cli.main(["train", "--config", str(resolved), "--out", str(tmp_path / "run")]) == 0
+    assert lifts == [True, False, True, False]  # two folds
+
+
 def _trained_run(tmp_path):
     resolved = _synth(tmp_path)
     run_dir = tmp_path / "run"
@@ -378,6 +389,19 @@ def test_eval_malformed_folds_csv_exit_2_naming_it(tmp_path, capsys, row):
         assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
                          "--checkpoint", str(checkpoint)]) == 2
         assert f"{folds}:14" in capsys.readouterr().err
+        assert not eval_dir.exists()
+
+
+def test_eval_folds_csv_without_the_fold_exit_2(tmp_path, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    folds = run_dir / "folds.csv"
+    header, *rows = folds.read_text().splitlines()
+    folds.write_text("\n".join([header, *("renamed-" + row for row in rows)]) + "\n")
+    eval_dir = tmp_path / "eval"
+    for checkpoint in (run_dir, run_dir / "fold0" / "checkpoint.json"):
+        assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                         "--checkpoint", str(checkpoint)]) == 2
+        assert f"fold 0: {folds} assigns no sample" in capsys.readouterr().err
         assert not eval_dir.exists()
 
 

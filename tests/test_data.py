@@ -1,3 +1,4 @@
+import io
 import os
 import stat
 
@@ -282,6 +283,19 @@ def test_write_dataset_interrupted_leaves_no_manifest(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # write_text
+
+
+@pytest.mark.parametrize("arr", [
+    np.random.default_rng(0).normal(size=(6, 8)),
+    np.random.default_rng(1).normal(size=5) * 1e-300,  # 1-D: one value per line
+    np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]]),
+    np.arange(12).reshape(3, 4),
+    np.zeros((0, 3)),
+])
+def test_matrix_text_matches_savetxt(arr):
+    buf = io.StringIO()
+    np.savetxt(buf, arr, delimiter=",", fmt="%.17g")  # the reference writer
+    assert hd.matrix_text(arr) == buf.getvalue()
 
 
 def test_write_text_keeps_bytes_and_creates_parents(tmp_path):

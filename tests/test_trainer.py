@@ -4,7 +4,9 @@ import pytest
 from hdmoe import model as hm
 from hdmoe import trainer as ht
 from hdmoe.data import SampleRecord, compute_bin_edges, generate_synthetic, make_folds, SynthConfig
-from hdmoe.errors import ConfigError
+from hdmoe.errors import ConfigError, NumericsError
+
+from helpers import LoopOptimizerState, optimizer_step_loop, train_fold_loop
 
 TINY = hm.ModelConfig(
     d_in=4, d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=2, top_k=1,
@@ -37,26 +39,32 @@ def test_train_config_checks():
     assert ht.TrainConfig(distance_metric="KL").distance_metric == "KL"
 
 
+def _flat_optimizer(params):
+    """(flat params, their view tree, zeroed state, {path: view of state.grad})."""
+    flat, views = hm.flatten_params(params)
+    state = ht.OptimizerState(*np.zeros((3, flat.size)))
+    grads = dict(hm.named_params(hm.param_views(views, state.grad)))
+    return flat, views, state, grads
+
+
 def test_zero_gradient_zero_wd_leaves_params():
-    params = _scalar_params()
+    flat, params, state, grads = _flat_optimizer(_scalar_params())
     before = {p: a.copy() for p, a in hm.named_params(params)}
     cfg = ht.TrainConfig(lr=0.1, weight_decay=0.0, epochs=1)
-    state = ht.OptimizerState()
-    grads = {p: np.zeros_like(a) for p, a in hm.named_params(params)}
-    ht.optimizer_step(params, grads, state, cfg)
+    state.grad[:] = 0.0
+    ht.optimizer_step(flat, grads, state, cfg)
     for p, a in hm.named_params(params):
         assert np.array_equal(a, before[p])
 
 
 def test_constant_gradient_update_magnitude_approaches_lr():
-    params = _scalar_params()
+    flat, params, state, grads = _flat_optimizer(_scalar_params())
     cfg = ht.TrainConfig(lr=0.05, weight_decay=0.0, epochs=1)
-    state = ht.OptimizerState()
     path, arr = next(iter(hm.named_params(params)))
-    grads = {p: np.ones_like(a) * 0.37 for p, a in hm.named_params(params)}
+    state.grad[:] = 0.37
     prev = arr.copy()
     for _ in range(300):
-        ht.optimizer_step(params, grads, state, cfg)
+        ht.optimizer_step(flat, grads, state, cfg)
         step = prev - arr
         prev = arr.copy()
     assert np.allclose(np.abs(step), cfg.lr, rtol=1e-3)
@@ -67,30 +75,87 @@ def test_two_steps_match_hand_oracle():
     # lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8
     for wd, expected in ((0.0, (0.900000002, 0.8000000040000006)),
                          (0.01, (0.899000002, 0.7981010039980005))):
-        params = _scalar_params()
+        flat, params, state, grads = _flat_optimizer(_scalar_params())
         for _, a in hm.named_params(params):
             a[:] = 1.0
         cfg = ht.TrainConfig(lr=0.1, weight_decay=wd, epochs=1)
-        state = ht.OptimizerState()
-        grads = {p: np.full_like(a, 0.5) for p, a in hm.named_params(params)}
-        ht.optimizer_step(params, grads, state, cfg)
+        state.grad[:] = 0.5
+        ht.optimizer_step(flat, grads, state, cfg)
         assert params.bridge[0, 0] == pytest.approx(expected[0], abs=1e-12)
-        ht.optimizer_step(params, grads, state, cfg)
+        ht.optimizer_step(flat, grads, state, cfg)
         assert params.bridge[0, 0] == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_weight_decay_shrinks_norms_under_zero_gradient():
-    params = _scalar_params()
+    flat, params, state, grads = _flat_optimizer(_scalar_params())
     cfg = ht.TrainConfig(lr=0.1, weight_decay=0.5, epochs=1)
-    state = ht.OptimizerState()
-    grads = {p: np.zeros_like(a) for p, a in hm.named_params(params)}
+    state.grad[:] = 0.0
     for _, a in hm.named_params(params):
         a += 1.0  # keep every entry nonzero so norms can strictly shrink
     norms = [sum(float(np.linalg.norm(a)) for _, a in hm.named_params(params))]
     for _ in range(3):
-        ht.optimizer_step(params, grads, state, cfg)
+        ht.optimizer_step(flat, grads, state, cfg)
         norms.append(sum(float(np.linalg.norm(a)) for _, a in hm.named_params(params)))
     assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()  # tells -0.0 from 0.0, unlike ==
+
+
+@pytest.mark.parametrize("block", [None, 7])  # 7: many blocks, the last one partial
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_flat_optimizer_matches_per_array_loop_bitwise(weight_decay, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(ht, "_BLOCK", block)
+    rng = np.random.default_rng(7)
+    flat, params, state, grads = _flat_optimizer(hm.init_params(TINY, rng))
+    oracle = hm.param_views(params, flat.copy())
+    oracle_state = LoopOptimizerState()
+    cfg = ht.TrainConfig(lr=1e-2, weight_decay=weight_decay)
+    for step in range(6):
+        state.grad.fill(0.0)
+        oracle_grads = {}
+        for path, view in grads.items():
+            if "expert1." in path and step % 2 == 0:
+                oracle_grads[path] = None  # an expert no token was routed to
+                continue
+            g = rng.normal(size=view.shape)
+            g[rng.random(view.shape) < 0.25] = -0.0
+            view[...] = oracle_grads[path] = g
+        ht.optimizer_step(flat, grads, state, cfg)
+        optimizer_step_loop(oracle, oracle_grads, oracle_state, cfg)
+        first = dict(hm.named_params(hm.param_views(params, state.first)))
+        second = dict(hm.named_params(hm.param_views(params, state.second)))
+        for (path, got), (_, want) in zip(hm.named_params(params), hm.named_params(oracle)):
+            assert _bits(got) == _bits(want), (step, path)
+            assert _bits(first[path]) == _bits(oracle_state.first[path]), (step, path)
+            assert _bits(second[path]) == _bits(oracle_state.second[path]), (step, path)
+
+
+def test_train_fold_matches_per_step_lift_oracle_bitwise():
+    records = _tiny_dataset()
+    result = ht.train_fold(records, 0, TINY, FAST)
+    oracle = train_fold_loop(records, 0, TINY, FAST)
+    for (path, got), (_, want) in zip(hm.named_params(result.params), hm.named_params(oracle)):
+        assert _bits(got) == _bits(want), path
+
+
+def test_nan_parameter_mid_fold_raises_before_the_next_step(monkeypatch):
+    records = _tiny_dataset()
+    step, forward = ht.optimizer_step, ht.forward
+    forwards = []
+
+    def poisoned(params, grads, state, cfg):
+        step(params, grads, state, cfg)
+        if state.step == 3:
+            params[5] = np.nan
+
+    monkeypatch.setattr(ht, "optimizer_step", poisoned)
+    monkeypatch.setattr(ht, "forward", lambda *a, **kw: forwards.append(1) or forward(*a, **kw))
+    with pytest.raises(NumericsError, match="non-finite parameters after fold 0 epoch 0 step 3"):
+        ht.train_fold(records, 0, TINY, FAST)
+    assert len(forwards) == 3
 
 
 def test_epochs_zero_returns_init_and_empty_curve():

@@ -4,6 +4,10 @@
   split into its stages: parameter lift, forward, losses, backward and
   optimizer; and the tape nodes a step records (the leaves and ops that
   ``backward`` walks from the total loss), medians over the timed steps.
+  As in ``train_fold``, the parameters are one flat vector lifted once
+  before the steps, so the "lift" stage of a step is zeroing the flat
+  gradient plus the finiteness check of the flat parameters (BENCH_0 to
+  BENCH_7 re-lifted every array per step there).
 - One no-grad forward at both scales, with the parameters lifted once.
 - The no-grad diagnostics at both scales: one lift, the level-1 ``encode``
   of the profile's cohort and ``stability_report`` with R = 5 repeats over
@@ -98,11 +102,18 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
 
     from hdmoe import autodiff as ad
     from hdmoe import evaluation, losses, model, trainer
+    from hdmoe.errors import NumericsError
 
     records = _records(model_cfg)
     train_cfg = trainer.TrainConfig()
-    params = model.init_params(model_cfg, np.random.default_rng(1))
-    state = trainer.OptimizerState()
+    # as train_fold does: one lift per fold, leaves viewing the flat parameter
+    # vector and accumulating into views of the flat gradient
+    flat, params = model.flatten_params(model.init_params(model_cfg, np.random.default_rng(1)))
+    state = trainer.OptimizerState(*np.zeros((3, flat.size)))
+    lifted, nodes = model.lift_params(params, requires_grad=True)
+    grads = dict(model.named_params(model.param_views(params, state.grad)))
+    for path, node in nodes.items():
+        node.grad = grads[path]
     rng = np.random.default_rng(2)
     warm, timed = STEPS[scale]
     times = {stage: [] for stage in (*STAGES, "step")}
@@ -110,7 +121,7 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
     for i in range(warm + timed):
         sample = records[i % len(records)]
         t0 = time.perf_counter()
-        lifted, nodes = model.lift_params(params, requires_grad=True)
+        state.grad.fill(0.0)
         t1 = time.perf_counter()
         res = model.forward(sample, lifted, model_cfg, rng)
         t2 = time.perf_counter()
@@ -121,13 +132,16 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
         t3 = time.perf_counter()
         ad.backward(total)
         t4 = time.perf_counter()
-        grads = {path: node.grad for path, node in nodes.items()}
-        trainer.optimizer_step(params, grads, state, train_cfg)
+        trainer.optimizer_step(flat, grads, state, train_cfg)
         t5 = time.perf_counter()
+        if not np.isfinite(flat).all():
+            raise NumericsError(f"non-finite parameters after step {i}")
+        t6 = time.perf_counter()
         if i >= warm:
-            for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+            lift = (t1 - t0) + (t6 - t5)  # zero the gradient, check finiteness
+            for stage, dt in zip(STAGES, (lift, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
                 times[stage].append(dt)
-            times["step"].append(t5 - t0)
+            times["step"].append(t6 - t0)
             for kind, count in zip(("leaves", "ops"), tape_nodes(total)):
                 nodes_per_step[kind].append(count)
 
