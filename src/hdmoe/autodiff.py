@@ -9,6 +9,9 @@ permutation each step, so a static graph would not help). ``backward`` walks
 the nodes reachable from a scalar root in reverse topological order exactly
 once.
 
+The routed experts of an MoE block and a cosine similarity are one node each
+with a closed-form rule, as are the survival and balance terms of ``losses``.
+
 All randomness in the package flows through explicitly passed
 ``numpy.random.Generator`` handles; nothing here touches global RNG state.
 """
@@ -68,11 +71,7 @@ def leaf(values, requires_grad: bool = False, name: str = "leaf") -> Node:
     return Node(as_matrix(values, name), requires_grad=requires_grad)
 
 
-def constant(values, name: str = "constant") -> Node:
-    return leaf(values, requires_grad=False, name=name)
-
-
-def _accumulate(node: Node, g: np.ndarray) -> None:
+def accumulate(node: Node, g: np.ndarray) -> None:
     if not node.requires_grad:
         return
     if node.grad is None:
@@ -119,19 +118,15 @@ def matmul(a: Node, b: Node) -> Node:
         )
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        accumulate(a, g @ b.value.T)
+        accumulate(b, a.value.T @ g)
 
     return Node(a.value @ b.value, (a, b), rule)
 
 
-def transpose(a: Node) -> Node:
-    return Node(np.ascontiguousarray(a.value.T), (a,), lambda g: _accumulate(a, g.T))
-
-
 def reshape(a: Node, shape: tuple[int, int]) -> Node:
     return Node(
-        a.value.reshape(shape), (a,), lambda g: _accumulate(a, g.reshape(a.value.shape))
+        a.value.reshape(shape), (a,), lambda g: accumulate(a, g.reshape(a.value.shape))
     )
 
 
@@ -144,8 +139,8 @@ def add(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "add")
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
+        accumulate(a, g)
+        accumulate(b, g)
 
     return Node(a.value + b.value, (a, b), rule)
 
@@ -154,8 +149,8 @@ def sub(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "sub")
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        accumulate(a, g)
+        accumulate(b, -g)
 
     return Node(a.value - b.value, (a, b), rule)
 
@@ -166,8 +161,8 @@ def add_bias(x: Node, b: Node) -> Node:
         raise ShapeError(f"bias shape {b.value.shape} does not match {x.value.shape}")
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=0, keepdims=True))
+        accumulate(x, g)
+        accumulate(b, g.sum(axis=0, keepdims=True))
 
     return Node(x.value + b.value, (x, b), rule)
 
@@ -176,30 +171,20 @@ def mul(a: Node, b: Node) -> Node:
     _require_same_shape(a, b, "mul")
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
+        accumulate(a, g * b.value)
+        accumulate(b, g * a.value)
 
     return Node(a.value * b.value, (a, b), rule)
 
 
-def div(a: Node, b: Node) -> Node:
-    _require_same_shape(a, b, "div")
-
-    def rule(g: np.ndarray) -> None:
-        _accumulate(a, g / b.value)
-        _accumulate(b, -g * a.value / (b.value * b.value))
-
-    return Node(a.value / b.value, (a, b), rule)
-
-
 def affine(a: Node, scale: float, shift: float) -> Node:
     """Elementwise scale * a + shift with constant coefficients."""
-    return Node(scale * a.value + shift, (a,), lambda g: _accumulate(a, scale * g))
+    return Node(scale * a.value + shift, (a,), lambda g: accumulate(a, scale * g))
 
 
 def tanh(a: Node) -> Node:
     v = np.tanh(a.value)
-    return Node(v, (a,), lambda g: _accumulate(a, g * (1.0 - v * v)))
+    return Node(v, (a,), lambda g: accumulate(a, g * (1.0 - v * v)))
 
 
 def sigmoid(a: Node) -> Node:
@@ -209,29 +194,22 @@ def sigmoid(a: Node) -> Node:
     v[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     v[~pos] = ex / (1.0 + ex)
-    return Node(v, (a,), lambda g: _accumulate(a, g * v * (1.0 - v)))
+    return Node(v, (a,), lambda g: accumulate(a, g * v * (1.0 - v)))
 
 
 def log(a: Node) -> Node:
     if (a.value <= 0).any():
         raise NumericsError("log requires strictly positive entries")
-    return Node(np.log(a.value), (a,), lambda g: _accumulate(a, g / a.value))
-
-
-def sqrt(a: Node) -> Node:
-    if (a.value < 0).any():
-        raise NumericsError("sqrt requires non-negative entries")
-    v = np.sqrt(a.value)
-    return Node(v, (a,), lambda g: _accumulate(a, g / (2.0 * v)))
+    return Node(np.log(a.value), (a,), lambda g: accumulate(a, g / a.value))
 
 
 def absolute(a: Node) -> Node:
-    return Node(np.abs(a.value), (a,), lambda g: _accumulate(a, g * np.sign(a.value)))
+    return Node(np.abs(a.value), (a,), lambda g: accumulate(a, g * np.sign(a.value)))
 
 
 def clip(a: Node, lo: float, hi: float) -> Node:
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, g * ((a.value > lo) & (a.value < hi)))
+        accumulate(a, g * ((a.value > lo) & (a.value < hi)))
 
     return Node(np.clip(a.value, lo, hi), (a,), rule)
 
@@ -245,7 +223,7 @@ def row_softmax(a: Node) -> Node:
 
     def rule(g: np.ndarray) -> None:
         inner = (g * p).sum(axis=1, keepdims=True)
-        _accumulate(a, p * (g - inner))
+        accumulate(a, p * (g - inner))
 
     return Node(p, (a,), rule)
 
@@ -262,53 +240,9 @@ def permute_entries(a: Node, perm: Sequence[int]) -> Node:
     def rule(g: np.ndarray) -> None:
         full = np.empty_like(g)
         full[:, idx] = g
-        _accumulate(a, full)
+        accumulate(a, full)
 
     return Node(a.value[:, idx], (a,), rule)
-
-
-def gather_rows(a: Node, rows: Sequence[int]) -> Node:
-    idx = np.asarray(rows, dtype=np.intp)
-
-    def rule(g: np.ndarray) -> None:
-        full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
-        _accumulate(a, full)
-
-    return Node(a.value[idx], (a,), rule)
-
-
-def scatter_rows(a: Node, rows: Sequence[int], num_rows: int) -> Node:
-    """Place (and sum) rows of a into a zero matrix with num_rows rows."""
-    idx = np.asarray(rows, dtype=np.intp)
-    v = np.zeros((num_rows, a.value.shape[1]))
-    np.add.at(v, idx, a.value)
-    return Node(v, (a,), lambda g: _accumulate(a, g[idx]))
-
-
-def gather_entries(a: Node, rows: Sequence[int], cols: Sequence[int]) -> Node:
-    """Pick scalar entries (rows[i], cols[i]) into a kx1 column."""
-    ri = np.asarray(rows, dtype=np.intp)
-    ci = np.asarray(cols, dtype=np.intp)
-
-    def rule(g: np.ndarray) -> None:
-        full = np.zeros_like(a.value)
-        np.add.at(full, (ri, ci), g[:, 0])
-        _accumulate(a, full)
-
-    return Node(a.value[ri, ci].reshape(-1, 1), (a,), rule)
-
-
-def scale_rows(x: Node, s: Node) -> Node:
-    """Multiply row i of x by scalar s[i, 0]."""
-    if s.value.shape != (x.value.shape[0], 1):
-        raise ShapeError(f"scale_rows needs s of shape ({x.value.shape[0]}, 1)")
-
-    def rule(g: np.ndarray) -> None:
-        _accumulate(x, g * s.value)
-        _accumulate(s, (g * x.value).sum(axis=1, keepdims=True))
-
-    return Node(x.value * s.value, (x, s), rule)
 
 
 def concat_cols(parts: Iterable[Node]) -> Node:
@@ -321,7 +255,7 @@ def concat_cols(parts: Iterable[Node]) -> Node:
     def rule(g: np.ndarray) -> None:
         offsets = np.cumsum([0] + [p.value.shape[1] for p in nodes])
         for p, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, lo:hi])
+            accumulate(p, g[:, lo:hi])
 
     return Node(np.concatenate([p.value for p in nodes], axis=1), nodes, rule)
 
@@ -330,17 +264,7 @@ def sum_all(a: Node) -> Node:
     return Node(
         np.array([[a.value.sum()]]),
         (a,),
-        lambda g: _accumulate(a, np.full_like(a.value, g[0, 0])),
-    )
-
-
-def mean_rows(a: Node) -> Node:
-    """Column means: [m,n] -> [1,n]."""
-    m = a.value.shape[0]
-    return Node(
-        a.value.mean(axis=0, keepdims=True),
-        (a,),
-        lambda g: _accumulate(a, np.repeat(g / m, m, axis=0)),
+        lambda g: accumulate(a, np.full_like(a.value, g[0, 0])),
     )
 
 
@@ -355,33 +279,61 @@ def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     def rule(g: np.ndarray) -> None:
         grads = kernels.ffn_backward(g, x.value, w1.value, w2.value, pre, sig)
         for node, grad in zip((x, w1, b1, w2, b2), grads):
-            _accumulate(node, grad)
+            accumulate(node, grad)
 
     return Node(v, (x, w1, b1, w2, b2), rule)
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
+# composites: one node each, with a closed-form rule
 
 
-def finite_diff_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference d f / d x, one entry at a time.
+def routed_experts(tokens: Node, probs: Node, selected: np.ndarray, experts) -> Node:
+    """Row t: the sum over e in selected[t] of probs[t, e] * ffn_e(tokens[t]).
 
-    f maps a matrix to a float and must be deterministic for fixed x.
+    Each expert some token reached runs the fused kernel once over its tokens
+    (backward: once per such expert), and the rule writes each gate's
+    gradient into probs at (row, expert). experts[e] holds Nodes w1, b1, w2, b2.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        ij = it.multi_index
-        orig = x[ij]
-        x[ij] = orig + eps
-        hi = f(x)
-        x[ij] = orig - eps
-        lo = f(x)
-        x[ij] = orig
-        grad[ij] = (hi - lo) / (2.0 * eps)
-        it.iternext()
-    return grad
+    x, p = tokens.value, probs.value
+    out, passes = np.zeros_like(x), []
+    for e in np.unique(selected):
+        ex = experts[e]
+        rows = np.flatnonzero((selected == e).any(axis=1))
+        y, pre, sig = kernels.ffn_forward(x[rows], ex.w1.value, ex.b1.value, ex.w2.value, ex.b2.value)
+        out[rows] += y * p[rows, e, None]
+        passes.append((e, rows, (ex.w1, ex.b1, ex.w2, ex.b2), y, pre, sig))
+
+    def rule(g: np.ndarray) -> None:
+        g_tokens, g_probs = np.zeros_like(x), np.zeros_like(p)
+        for e, rows, params, y, pre, sig in passes:
+            g_probs[rows, e] = (g[rows] * y).sum(axis=1)
+            gx, *g_params = kernels.ffn_backward(
+                g[rows] * p[rows, e, None], x[rows], params[0].value, params[2].value, pre, sig)
+            g_tokens[rows] += gx
+            for node, grad in zip(params, g_params):
+                accumulate(node, grad)
+        accumulate(tokens, g_tokens)
+        accumulate(probs, g_probs)
+
+    return Node(out, (tokens, probs, *(n for _, _, params, *_ in passes for n in params)), rule)
+
+
+def cosine(x: Node, y: Node, eps: float) -> Node:
+    """Cosine similarity x.y / (|x| |y| + eps) of two 1xd rows, as one node."""
+    if x.value.shape != y.value.shape or x.value.shape[0] != 1:
+        raise ShapeError(f"cosine needs matching 1xd rows, got {x.value.shape} vs {y.value.shape}")
+    xt, yt = np.ascontiguousarray(x.value.T), np.ascontiguousarray(y.value.T)
+    dot = x.value @ yt
+    nx, ny = np.sqrt(x.value @ xt), np.sqrt(y.value @ yt)
+    denom = nx * ny + eps
+
+    def rule(g: np.ndarray) -> None:
+        g_dot = g / denom
+        g_prod = -g * dot / (denom * denom)
+        g_xx = g_prod * ny / (2.0 * nx)  # through |x| = sqrt(x.x)
+        g_yy = g_prod * nx / (2.0 * ny)
+        accumulate(x, g_dot @ yt.T + g_xx @ xt.T + (x.value.T @ g_xx).T)
+        accumulate(y, (x.value.T @ g_dot).T + g_yy @ yt.T + (y.value.T @ g_yy).T)
+
+    return Node(dot / denom, (x, y), rule)

@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .model import forward, lift_params, load_checkpoint, save_checkpoint
 from .rfr import valid_segments
-from .trainer import predict_fold, predictions_to_csv, split_fold, train_fold
+from .trainer import fold_edges, predict_fold, predictions_to_csv, split_fold, train_fold
 
 log = logging.getLogger("hdmoe.cli")
 
@@ -133,6 +133,8 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     if any(r.fold < 0 for r in records):
         records = make_folds(records, cfg.k_folds, cfg.seed)
     fold_ids = sorted({r.fold for r in records})
+    for fid in fold_ids:  # every data check before the first write
+        fold_edges(records, fid, model_cfg.num_bins)
 
     out_dir = Path(cfg.out_dir)
     save_config(cfg, out_dir / "config.json")

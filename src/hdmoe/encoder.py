@@ -48,8 +48,8 @@ def encode_bag(bag: np.ndarray, params) -> ad.Node:
     """
     if bag.ndim != 2 or bag.shape[0] < 1:
         raise DataError(f"encode_bag needs a non-empty 2-D bag, got shape {bag.shape}")
-    h = ad.matmul(ad.constant(bag), params.w_proj)  # [n, d1]
+    h = ad.matmul(ad.leaf(bag, name="bag"), params.w_proj)  # [n, d1]
     gate = ad.mul(ad.tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
     scores = ad.matmul(gate, params.w_att)  # [n, 1]
-    weights = ad.row_softmax(ad.transpose(scores))  # [1, n]
+    weights = ad.row_softmax(ad.reshape(scores, (1, scores.value.shape[0])))  # [1, n]
     return ad.matmul(weights, h)  # [1, d1]

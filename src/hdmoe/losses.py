@@ -46,33 +46,24 @@ def survival_nll(hazards: ad.Node, bin_label: int, censored: int) -> ad.Node:
     if censored not in (0, 1):
         raise ValueError(f"censored must be 0 or 1, got {censored}")
 
-    h = ad.clip(hazards, HAZARD_EPS, 1.0 - HAZARD_EPS)
-    log_h = ad.log(h)
-    log_1mh = ad.log(ad.affine(h, -1.0, 1.0))
-
-    def mask_through(col_mask: np.ndarray, source: ad.Node) -> ad.Node:
-        return ad.matmul(source, ad.constant(col_mask.reshape(-1, 1)))
-
-    surv_n = np.zeros(num_bins)
-    surv_n[:bin_label] = 1.0
-    surv_prev = np.zeros(num_bins)
-    surv_prev[: bin_label - 1] = 1.0
-    event_n = np.zeros(num_bins)
-    event_n[bin_label - 1] = 1.0
+    hv = hazards.value
+    h = np.clip(hv, HAZARD_EPS, 1.0 - HAZARD_EPS)
+    one_minus_h = 1.0 - h
+    log_h, log_1mh = np.log(h), np.log(one_minus_h)
+    bins = np.arange(1, num_bins + 1).reshape(-1, 1)  # masks as [K, 1] columns
+    surv_n, surv_prev, event_n = (m.astype(np.float64) for m in (
+        bins <= bin_label, bins < bin_label, bins == bin_label))
 
     c = float(censored)
-    loss = ad.affine(mask_through(surv_n, log_1mh), -c, 0.0)
-    loss = ad.add(loss, ad.affine(mask_through(event_n, log_h), -(1.0 - c), 0.0))
-    loss = ad.add(loss, ad.affine(mask_through(surv_prev, log_1mh), -(1.0 - c), 0.0))
-    return loss
+    loss = (-c * (log_1mh @ surv_n) - (1.0 - c) * (log_h @ event_n)
+            - (1.0 - c) * (log_1mh @ surv_prev))
 
+    def rule(g: np.ndarray) -> None:
+        g_c, g_u = -c * g, -(1.0 - c) * g
+        g_h = g_u * event_n.T / h - (g_c * surv_n.T + g_u * surv_prev.T) / one_minus_h
+        ad.accumulate(hazards, g_h * ((hv > HAZARD_EPS) & (hv < 1.0 - HAZARD_EPS)))
 
-def _dot(x: ad.Node, y: ad.Node) -> ad.Node:
-    return ad.matmul(x, ad.transpose(y))
-
-
-def _norm(x: ad.Node) -> ad.Node:
-    return ad.sqrt(_dot(x, x))
+    return ad.Node(loss, (hazards,), rule)
 
 
 def distance(kind: str, x: ad.Node, y: ad.Node) -> tuple[ad.Node, ad.Node]:
@@ -90,8 +81,7 @@ def distance(kind: str, x: ad.Node, y: ad.Node) -> tuple[ad.Node, ad.Node]:
     d = x.value.shape[1]
 
     if kind == "cos":
-        denom = ad.affine(ad.mul(_norm(x), _norm(y)), 1.0, COSINE_NORM_EPS)
-        cos = ad.div(_dot(x, y), denom)
+        cos = ad.cosine(x, y, COSINE_NORM_EPS)
         return ad.affine(cos, -1.0, 1.0), cos
     if kind == "l1":
         dm = ad.affine(ad.sum_all(ad.absolute(ad.sub(x, y))), 1.0 / d, 0.0)
@@ -144,18 +134,18 @@ def balance_loss(traces) -> ad.Node:
     constant; the indicator is non-differentiable) and P_i the mean softmax
     probability of expert i over tokens, which carries the gradient.
     """
-    total: ad.Node | None = None
-    for trace in traces:
-        if trace.num_tokens == 0:
-            raise ValueError("balance loss needs a non-empty trace")
-        counts = trace.selection_counts()
-        frac = counts / counts.sum()
-        mean_probs = ad.mean_rows(trace.probs_node)  # [1, N]
-        term = ad.matmul(mean_probs, ad.constant(frac.reshape(-1, 1)))
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ValueError("balance loss needs at least one trace")
-    return total
+    traces = list(traces)
+    if not traces or min(t.num_tokens for t in traces) == 0:
+        raise ValueError("balance loss needs at least one trace, each with tokens")
+    fracs = [(t.selection_counts() / t.selected.size).reshape(-1, 1) for t in traces]
+    terms = [t.probs_node.value.mean(axis=0, keepdims=True) @ f for t, f in zip(traces, fracs)]
+
+    def rule(g: np.ndarray) -> None:
+        for t, frac in zip(traces, fracs):
+            m = t.num_tokens
+            ad.accumulate(t.probs_node, np.repeat((g @ frac.T) / m, m, axis=0))
+
+    return ad.Node(sum(terms[1:], terms[0]), tuple(t.probs_node for t in traces), rule)
 
 
 def total_loss(

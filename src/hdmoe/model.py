@@ -68,8 +68,6 @@ class ModelConfig:
             raise ConfigError(f"token_len_l2 {self.token_len_l2} does not divide d2 {self.d2}")
         valid_segments(self.segment_values, self.d1)
         valid_segments(self.segment_values, self.d2)
-        if self.d_att < 1:
-            raise ConfigError("d1 too small for the attention head")
 
     @property
     def d_att(self) -> int:
@@ -350,11 +348,17 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
     for p, entry in stored.items():
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise ConfigError(f"{path}: {p} needs a 'shape' and a 'data' entry")
-        shape = tuple(entry["shape"])
-        if shape != expected[p]:
-            raise ConfigError(f"{path}: {p} has shape {shape}, config expects {expected[p]}")
-        try:
-            arrays[p] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        if not isinstance(entry["shape"], list) or tuple(entry["shape"]) != expected[p]:
+            raise ConfigError(f"{path}: {p} has shape {entry['shape']!r}, config expects "
+                              f"{list(expected[p])}")
+        try:  # no dtype: strings, bools or nesting must not be coerced to numbers
+            data = np.array(entry["data"])
+            if data.ndim != 1 or data.dtype.kind not in "if" or not np.isfinite(data).all():
+                raise ValueError("data must be a flat list of finite numbers")
+            arrays[p] = data.astype(np.float64).reshape(expected[p])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {p}: {exc}") from None
-    return _map(lambda p, _: arrays[p], template), blob.get("meta", {})
+    meta = blob.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: 'meta' must be an object, got {type(meta).__name__}")
+    return _map(lambda p, _: arrays[p], template), meta

@@ -118,29 +118,17 @@ def select_top_k(probs: np.ndarray, top_k: int) -> np.ndarray:
 def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
     """Run the expert block over all tokens of v (1 x d).
 
-    `params` holds Nodes (lifted MoEParams). Tokens selecting the same
-    expert are batched through one fused feed-forward call.
+    `params` holds Nodes (lifted MoEParams). The routed experts are one tape
+    node, which batches the tokens selecting an expert through one fused
+    feed-forward call.
     """
     tokens = tokenize(v, cfg.token_len)
-    num_tokens, d = tokens.value.shape[0], v.value.shape[1]
+    d = v.value.shape[1]
 
     logits = ad.matmul(tokens, params.router)  # [T, N]
     probs = ad.row_softmax(logits)
     selected = select_top_k(probs.value, cfg.top_k)  # [T, k]
-
-    flat_rows = np.repeat(np.arange(num_tokens, dtype=np.intp), cfg.top_k)
-    flat_cols = selected.ravel()
-    gates = ad.gather_entries(probs, flat_rows, flat_cols)  # [T*k, 1]
-
-    routed_sum: ad.Node | None = None
-    for expert_idx in np.unique(flat_cols):
-        pair_idx = np.flatnonzero(flat_cols == expert_idx)
-        token_rows = flat_rows[pair_idx]
-        ex = params.experts[expert_idx]
-        out = ad.expert_ffn(ad.gather_rows(tokens, token_rows), ex.w1, ex.b1, ex.w2, ex.b2)
-        scaled = ad.scale_rows(out, ad.gather_rows(gates, pair_idx))
-        part = ad.scatter_rows(scaled, token_rows, num_tokens)
-        routed_sum = part if routed_sum is None else ad.add(routed_sum, part)
+    routed_tokens = ad.routed_experts(tokens, probs, selected, params.experts)
 
     sh = params.shared
     shared_tokens = ad.expert_ffn(tokens, sh.w1, sh.b1, sh.w2, sh.b2)
@@ -148,12 +136,12 @@ def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
     trace = RouterTrace(
         probs=probs.value.copy(),
         selected=selected,
-        gates=gates.value.reshape(num_tokens, cfg.top_k).copy(),
+        gates=np.take_along_axis(probs.value, selected, axis=1),
         num_experts=cfg.num_experts,
         probs_node=probs,
     )
     return MoEOutput(
-        routed=ad.reshape(routed_sum, (1, d)),
+        routed=ad.reshape(routed_tokens, (1, d)),
         shared=ad.reshape(shared_tokens, (1, d)),
         trace=trace,
         tokens=tokens,

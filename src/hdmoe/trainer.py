@@ -117,21 +117,27 @@ def split_fold(records: list[SampleRecord], fold_id: int) -> tuple[list[SampleRe
     return train, test
 
 
+def fold_edges(records: list[SampleRecord], fold_id: int, num_bins: int) -> BinEdges:
+    """The fold's bin edges, from its training split alone. Raises for a fold
+    with no held-out or no training sample, or too few event times."""
+    train_records, test_records = split_fold(records, fold_id)
+    if not test_records:
+        raise ConfigError(f"fold {fold_id} does not exist in the dataset")
+    if not train_records:
+        raise ConfigError(f"fold {fold_id}: empty training split")
+    return compute_bin_edges(train_records, num_bins)
+
+
 def train_fold(
     records: list[SampleRecord],
     fold_id: int,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ) -> FoldResult:
-    train_records, test_records = split_fold(records, fold_id)
-    if not test_records:
-        raise ConfigError(f"fold {fold_id} does not exist in the dataset")
-    if not train_records:
-        raise ConfigError(f"fold {fold_id}: empty training split")
-
-    edges = compute_bin_edges(train_records, model_cfg.num_bins)
+    edges = fold_edges(records, fold_id, model_cfg.num_bins)
     train_records = [
-        replace(r, bin_label=assign_bin(r.time_months, edges)) for r in train_records
+        replace(r, bin_label=assign_bin(r.time_months, edges))
+        for r in split_fold(records, fold_id)[0]
     ]
 
     fold_rng = np.random.default_rng([train_cfg.seed, fold_id])

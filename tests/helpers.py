@@ -1,4 +1,5 @@
-"""Shared test utilities: tape-vs-finite-difference gradient checks, the
+"""Shared test utilities: the finite-difference oracle and tape-vs-FD gradient
+checks, the fine-op composites the one-node tape ops replaced, the
 single-token routing oracle, the per-array optimizer oracle, the loop oracles
 of the survival metrics, and the full-forward oracles of the no-grad
 repeaters."""
@@ -14,6 +15,29 @@ from hdmoe import model as hm
 from hdmoe.data import assign_bin, compute_bin_edges
 from hdmoe.moe import select_top_k
 from hdmoe.trainer import split_fold
+
+
+def finite_diff_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference d f / d x, one entry at a time.
+
+    f maps a matrix to a float and must be deterministic for fixed x.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    x = np.array(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        ij = it.multi_index
+        orig = x[ij]
+        x[ij] = orig + eps
+        hi = f(x)
+        x[ij] = orig - eps
+        lo = f(x)
+        x[ij] = orig
+        grad[ij] = (hi - lo) / (2.0 * eps)
+        it.iternext()
+    return grad
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -41,7 +65,7 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
             probe[i] = ad.leaf(x)
             return float(f_tape(*probe).value[0, 0])
 
-        fd = ad.finite_diff_gradient(value_at, arr, eps)
+        fd = finite_diff_gradient(value_at, arr, eps)
         g = leaves[i].grad
         if g is None:
             g = np.zeros_like(arr)
@@ -49,6 +73,140 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
         assert err < rtol, f"input {i}: tape/fd mismatch {err:.3e} (rtol {rtol})"
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# fine ops and the composites built from them: the tape as it was before
+# routed experts, cosine, survival NLL and balance loss became one node each.
+# Each composite records many nodes and must give the one node's values.
+
+
+def transpose(a):
+    return ad.Node(np.ascontiguousarray(a.value.T), (a,), lambda g: ad.accumulate(a, g.T))
+
+
+def div(a, b):
+    def rule(g):
+        ad.accumulate(a, g / b.value)
+        ad.accumulate(b, -g * a.value / (b.value * b.value))
+
+    return ad.Node(a.value / b.value, (a, b), rule)
+
+
+def sqrt(a):
+    v = np.sqrt(a.value)
+    return ad.Node(v, (a,), lambda g: ad.accumulate(a, g / (2.0 * v)))
+
+
+def gather_rows(a, rows):
+    idx = np.asarray(rows, dtype=np.intp)
+
+    def rule(g):
+        full = np.zeros_like(a.value)
+        np.add.at(full, idx, g)
+        ad.accumulate(a, full)
+
+    return ad.Node(a.value[idx], (a,), rule)
+
+
+def scatter_rows(a, rows, num_rows):
+    """Place (and sum) rows of a into a zero matrix with num_rows rows."""
+    idx = np.asarray(rows, dtype=np.intp)
+    v = np.zeros((num_rows, a.value.shape[1]))
+    np.add.at(v, idx, a.value)
+    return ad.Node(v, (a,), lambda g: ad.accumulate(a, g[idx]))
+
+
+def gather_entries(a, rows, cols):
+    """Pick scalar entries (rows[i], cols[i]) into a kx1 column."""
+    ri = np.asarray(rows, dtype=np.intp)
+    ci = np.asarray(cols, dtype=np.intp)
+
+    def rule(g):
+        full = np.zeros_like(a.value)
+        np.add.at(full, (ri, ci), g[:, 0])
+        ad.accumulate(a, full)
+
+    return ad.Node(a.value[ri, ci].reshape(-1, 1), (a,), rule)
+
+
+def scale_rows(x, s):
+    """Multiply row i of x by scalar s[i, 0]."""
+    def rule(g):
+        ad.accumulate(x, g * s.value)
+        ad.accumulate(s, (g * x.value).sum(axis=1, keepdims=True))
+
+    return ad.Node(x.value * s.value, (x, s), rule)
+
+
+def mean_rows(a):
+    """Column means: [m,n] -> [1,n]."""
+    m = a.value.shape[0]
+    return ad.Node(
+        a.value.mean(axis=0, keepdims=True),
+        (a,),
+        lambda g: ad.accumulate(a, np.repeat(g / m, m, axis=0)),
+    )
+
+
+def routed_experts_composite(tokens, probs, selected, experts):
+    """gather -> expert_ffn -> scale by gate -> scatter -> add, per expert."""
+    num_tokens = tokens.value.shape[0]
+    flat_rows = np.repeat(np.arange(num_tokens, dtype=np.intp), selected.shape[1])
+    flat_cols = selected.ravel()
+    gates = gather_entries(probs, flat_rows, flat_cols)  # [T*k, 1]
+    routed_sum = None
+    for expert_idx in np.unique(flat_cols):
+        pair_idx = np.flatnonzero(flat_cols == expert_idx)
+        token_rows = flat_rows[pair_idx]
+        ex = experts[expert_idx]
+        out = ad.expert_ffn(gather_rows(tokens, token_rows), ex.w1, ex.b1, ex.w2, ex.b2)
+        scaled = scale_rows(out, gather_rows(gates, pair_idx))
+        part = scatter_rows(scaled, token_rows, num_tokens)
+        routed_sum = part if routed_sum is None else ad.add(routed_sum, part)
+    return routed_sum
+
+
+def cosine_composite(x, y, eps):
+    """x.y / (sqrt(x.x) * sqrt(y.y) + eps) from matmul, transpose, sqrt, div."""
+    dot = lambda a, b: ad.matmul(a, transpose(b))
+    denom = ad.affine(ad.mul(sqrt(dot(x, x)), sqrt(dot(y, y))), 1.0, eps)
+    return div(dot(x, y), denom)
+
+
+def survival_nll_composite(hazards, bin_label, censored):
+    """Clip, logs and three masked matmuls of the censored discrete-time NLL."""
+    num_bins = hazards.value.shape[1]
+    h = ad.clip(hazards, losses.HAZARD_EPS, 1.0 - losses.HAZARD_EPS)
+    log_h = ad.log(h)
+    log_1mh = ad.log(ad.affine(h, -1.0, 1.0))
+
+    def mask_through(col_mask, source):
+        return ad.matmul(source, ad.leaf(col_mask.reshape(-1, 1)))
+
+    surv_n = np.zeros(num_bins)
+    surv_n[:bin_label] = 1.0
+    surv_prev = np.zeros(num_bins)
+    surv_prev[: bin_label - 1] = 1.0
+    event_n = np.zeros(num_bins)
+    event_n[bin_label - 1] = 1.0
+
+    c = float(censored)
+    loss = ad.affine(mask_through(surv_n, log_1mh), -c, 0.0)
+    loss = ad.add(loss, ad.affine(mask_through(event_n, log_h), -(1.0 - c), 0.0))
+    loss = ad.add(loss, ad.affine(mask_through(surv_prev, log_1mh), -(1.0 - c), 0.0))
+    return loss
+
+
+def balance_loss_composite(traces):
+    """Per router mean_rows(probs) @ frac, summed in router order."""
+    total = None
+    for trace in traces:
+        counts = trace.selection_counts()
+        frac = counts / counts.sum()
+        term = ad.matmul(mean_rows(trace.probs_node), ad.leaf(frac.reshape(-1, 1)))
+        total = term if total is None else ad.add(total, term)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +379,7 @@ def log_rank_loop(times_a, events_a, times_b, events_b):
     if variance <= 0.0:
         return None
     chi2 = (observed_a - expected_a) ** 2 / variance
-    return float(chi2), float(ev.chi2_sf(chi2, df=1))
+    return float(chi2), float(ev.chi2_sf(chi2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hdmoe import model as hm
 from hdmoe import moe
 from hdmoe import trainer as ht
 
-from helpers import max_rel_err, oracle_cindex
+from helpers import finite_diff_gradient, max_rel_err, oracle_cindex
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -88,7 +88,7 @@ def _fd_check(build, arrays, rtol, eps=1e-5):
             probe[i] = ad.leaf(x)
             return float(build(*probe).value[0, 0])
 
-        fd = ad.finite_diff_gradient(value, arr, eps)
+        fd = finite_diff_gradient(value, arr, eps)
         grad = leaves[i].grad
         if grad is None:
             grad = np.zeros_like(arr)
@@ -160,12 +160,15 @@ def test_criterion_1_gradient_suite():
         if _routing_margin(probs, 1) < 1e-3:
             continue  # selection would flip under the FD probe
         selected = moe.select_top_k(probs, 1)
-        counts = np.bincount(selected.ravel(), minlength=n_exp)
-        frac = counts / counts.sum()
 
         def build(w):
             p = ad.row_softmax(ad.matmul(ad.leaf(tokens), w))
-            return ad.matmul(ad.mean_rows(p), ad.leaf(frac.reshape(-1, 1)))
+            trace = moe.RouterTrace(
+                probs=p.value, selected=selected,
+                gates=np.take_along_axis(p.value, selected, axis=1),
+                num_experts=n_exp, probs_node=p,
+            )
+            return losses.balance_loss([trace])
 
         err = _fd_check(build, [router], rtol=1e-4)
         worst["bl"] = max(worst["bl"], err)
@@ -372,7 +375,7 @@ def test_criterion_4_survival_and_metrics_oracles():
     assert np.allclose(curve.survival, [0.75, 0.375], atol=1e-15)
 
     # chi-square(1) upper tail at the textbook quantile
-    p_chi = ev.chi2_sf(3.841, df=1)
+    p_chi = ev.chi2_sf(3.841)
     assert p_chi == pytest.approx(0.05, abs=1e-3)
 
     # Welch example

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hdmoe import autodiff as ad
 from hdmoe.errors import NumericsError, ShapeError
 
-from helpers import check_grads, max_rel_err
+from helpers import check_grads, finite_diff_gradient, max_rel_err
 
 
 def test_matmul_identity():
@@ -104,18 +104,18 @@ def test_permute_preserves_multiset_bitwise(values):
 
 
 def test_finite_diff_sum_of_squares():
-    grad = ad.finite_diff_gradient(lambda m: float((m * m).sum()), np.array([[1.0, 2.0]]))
+    grad = finite_diff_gradient(lambda m: float((m * m).sum()), np.array([[1.0, 2.0]]))
     assert np.abs(grad - [[2.0, 4.0]]).max() < 1e-8
 
 
 def test_finite_diff_constant():
-    grad = ad.finite_diff_gradient(lambda m: 3.5, np.ones((2, 3)))
+    grad = finite_diff_gradient(lambda m: 3.5, np.ones((2, 3)))
     assert np.array_equal(grad, np.zeros((2, 3)))
 
 
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
-        ad.finite_diff_gradient(lambda m: 0.0, np.ones((1, 1)), eps=0.0)
+        finite_diff_gradient(lambda m: 0.0, np.ones((1, 1)), eps=0.0)
 
 
 def test_leaf_rejects_non_finite():
@@ -161,45 +161,31 @@ def _op_cases(rng):
     """
     u = lambda shape, lo=-2.0, hi=2.0: rng.uniform(lo, hi, shape)
     perm = rng.permutation(6)
-    rows = rng.integers(0, 4, size=5)
-    cols = rng.integers(0, 3, size=5)
     w6 = ad.leaf(u((1, 6)))
-    w43a, w43b, w43c = ad.leaf(u((4, 3))), ad.leaf(u((4, 3))), ad.leaf(u((4, 3)))
+    w43 = ad.leaf(u((4, 3)))
     w26 = ad.leaf(u((2, 6)))
     w33 = ad.leaf(u((3, 3)))
     w25 = ad.leaf(u((2, 5)))
     w24a, w24b = ad.leaf(u((2, 4))), ad.leaf(u((2, 4)))
     w35 = ad.leaf(u((3, 5)))
-    w53 = ad.leaf(u((5, 3)))
-    w63 = ad.leaf(u((6, 3)))
-    w51 = ad.leaf(u((5, 1)))
     w17 = ad.leaf(u((1, 7)))
-    w14 = ad.leaf(u((1, 4)))
     cases = [
         ("matmul", lambda a, b: ad.sum_all(ad.matmul(a, b)), [u((3, 4)), u((4, 2))]),
-        ("transpose", lambda a: ad.sum_all(ad.mul(ad.transpose(a), w43a)), [u((3, 4))]),
         ("reshape", lambda a: ad.sum_all(ad.mul(ad.reshape(a, (2, 6)), w26)), [u((3, 4))]),
         ("add", lambda a, b: ad.sum_all(ad.mul(ad.add(a, b), w33)), [u((3, 3)), u((3, 3))]),
         ("sub", lambda a, b: ad.sum_all(ad.mul(ad.sub(a, b), w33)), [u((3, 3)), u((3, 3))]),
-        ("add_bias", lambda a, b: ad.sum_all(ad.mul(ad.add_bias(a, b), w43b)), [u((4, 3)), u((1, 3))]),
+        ("add_bias", lambda a, b: ad.sum_all(ad.mul(ad.add_bias(a, b), w43)), [u((4, 3)), u((1, 3))]),
         ("mul", lambda a, b: ad.sum_all(ad.mul(ad.mul(a, b), w25)), [u((2, 5)), u((2, 5))]),
-        ("div", lambda a, b: ad.sum_all(ad.div(a, b)), [u((2, 4)), u((2, 4), 0.5, 2.0)]),
         ("affine", lambda a: ad.sum_all(ad.affine(a, -1.7, 0.3)), [u((2, 4))]),
         ("tanh", lambda a: ad.sum_all(ad.mul(ad.tanh(a), w24a)), [u((2, 4))]),
         ("sigmoid", lambda a: ad.sum_all(ad.mul(ad.sigmoid(a), w24b)), [u((2, 4))]),
         ("log", lambda a: ad.sum_all(ad.log(a)), [u((2, 4), 0.2, 2.0)]),
-        ("sqrt", lambda a: ad.sum_all(ad.sqrt(a)), [u((2, 4), 0.2, 2.0)]),
         ("absolute", lambda a: ad.sum_all(ad.absolute(a)), [np.sign(u((2, 4))) * u((2, 4), 0.1, 2.0)]),
         ("clip", lambda a: ad.sum_all(ad.clip(a, -1.0, 1.0)), [u((2, 4), -0.9, 0.9)]),
         ("row_softmax", lambda a: ad.sum_all(ad.mul(ad.row_softmax(a), w35)), [u((3, 5))]),
         ("permute_entries", lambda a: ad.sum_all(ad.mul(ad.permute_entries(a, perm), w6)), [u((1, 6))]),
-        ("gather_rows", lambda a: ad.sum_all(ad.mul(ad.gather_rows(a, rows), w53)), [u((4, 3))]),
-        ("scatter_rows", lambda a: ad.sum_all(ad.mul(ad.scatter_rows(a, rows, 6), w63)), [u((5, 3))]),
-        ("gather_entries", lambda a: ad.sum_all(ad.mul(ad.gather_entries(a, rows, cols), w51)), [u((4, 3))]),
-        ("scale_rows", lambda a, s: ad.sum_all(ad.mul(ad.scale_rows(a, s), w43c)), [u((4, 3)), u((4, 1))]),
         ("concat_cols", lambda a, b: ad.sum_all(ad.mul(ad.concat_cols([a, b]), w17)), [u((1, 3)), u((1, 4))]),
         ("sum_all", lambda a: ad.sum_all(a), [u((3, 4))]),
-        ("mean_rows", lambda a: ad.sum_all(ad.mul(ad.mean_rows(a), w14)), [u((3, 4))]),
         ("expert_ffn", lambda x, w1, b1, w2, b2: ad.sum_all(ad.expert_ffn(x, w1, b1, w2, b2)),
          [u((3, 4)), u((4, 8)), u((1, 8)), u((8, 4)), u((1, 4))]),
     ]

@@ -264,6 +264,17 @@ def test_train_non_finite_time_exit_2_before_any_output(tmp_path, capsys, time):
     assert not run_dir.exists()
 
 
+def test_train_too_few_event_times_for_the_bins_exit_2_before_any_output(tmp_path, capsys):
+    resolved = _synth(tmp_path)
+    cfg = dataclasses.replace(load_config(resolved), num_bins=1000)
+    cfg_path = tmp_path / "bins.json"
+    save_config(cfg, cfg_path)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 2
+    assert "distinct uncensored event times" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -361,6 +372,28 @@ def test_eval_truncated_checkpoint_exit_2_naming_it(tmp_path, capsys):
     resolved, run_dir = _trained_run(tmp_path)
     ckpt = run_dir / "fold1" / "checkpoint.json"
     ckpt.write_bytes(ckpt.read_bytes()[:500])
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir)]) == 2
+    assert str(ckpt) in capsys.readouterr().err
+    assert not eval_dir.exists()
+
+
+def _edit_bridge(blob, key, value):
+    blob["params"]["bridge"][key] = value
+    return blob
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blob: _edit_bridge(blob, "shape", 5),
+    lambda blob: _edit_bridge(blob, "data", [[x] for x in blob["params"]["bridge"]["data"]]),
+    lambda blob: _edit_bridge(blob, "data", [float("nan")] * len(blob["params"]["bridge"]["data"])),
+    lambda blob: {**blob, "meta": [blob["meta"]]},
+], ids=["int_shape", "nested_data", "nan_data", "list_meta"])
+def test_eval_malformed_checkpoint_entry_exit_2_naming_it(tmp_path, capsys, edit):
+    resolved, run_dir = _trained_run(tmp_path)
+    ckpt = run_dir / "fold1" / "checkpoint.json"
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
     eval_dir = tmp_path / "eval"
     assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
                      "--checkpoint", str(run_dir)]) == 2

@@ -180,9 +180,19 @@ def test_log_rank_rejects_non_finite_time(ta, tb):
 
 
 def test_chi2_tail_textbook_value():
-    assert ev.chi2_sf(3.841, df=1) == pytest.approx(0.05, abs=1e-3)
-    assert ev.chi2_sf(6.635, df=1) == pytest.approx(0.01, abs=1e-3)
-    assert ev.chi2_sf(0.0, df=1) == 1.0
+    assert ev.chi2_sf(3.841) == pytest.approx(0.05, abs=1e-3)
+    assert ev.chi2_sf(6.635) == pytest.approx(0.01, abs=1e-3)
+    assert ev.chi2_sf(0.0) == 1.0
+
+
+@pytest.mark.parametrize("z, tail", [
+    (1.0, 0.31731050786291410283),
+    (2.0, 0.045500263896358414401),
+    (3.0, 0.0026997960632601890533),
+])
+def test_chi2_tail_is_two_sided_normal_tail(z, tail):
+    # chi-square(1) is Z^2, so its upper tail at z^2 is P(|Z| > z)
+    assert ev.chi2_sf(z * z) == pytest.approx(tail, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

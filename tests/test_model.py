@@ -133,6 +133,24 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
         assert node.parents == () and node.backward_rule is None
 
 
+def _ops_per_step(cfg, seed=0):
+    rng = np.random.default_rng(seed)
+    lifted = hm.lift_params(hm.init_params(cfg, rng), requires_grad=True)[0]
+    res = hm.forward(_sample(rng, cfg), lifted, cfg, rng)
+    _, total = total_loss(survival_nll(res.hazards_node, 2, 0), decouple_loss(res.features, "cos"),
+                          balance_loss(res.traces), 1.0, 0.01)
+    return sum(1 for node in _reachable([total]) if node.parents)
+
+
+def test_training_step_records_one_node_per_composite():
+    # routed experts, cosine distances, NLL and balance are one node each, so
+    # the tape of a step does not grow with the number of experts or top_k
+    ops = _ops_per_step(TINY)
+    wide = hm.ModelConfig(d_in=5, d1=8, d2=16, token_len_l1=2, token_len_l2=4,
+                          num_experts=6, top_k=3, expansion=2, num_bins=4)
+    assert _ops_per_step(wide) == ops <= 80
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -341,6 +359,25 @@ def _short_data(blob):
     return json.dumps(blob)
 
 
+def _set_entry(key, value):
+    def edit(blob):
+        entry = blob["params"]["bridge"]
+        entry[key] = value(entry) if callable(value) else value
+        return json.dumps(blob)
+
+    return edit
+
+
+def _nan_data(blob):
+    blob["params"]["bridge"]["data"][3] = float("nan")
+    return json.dumps(blob)  # Python's json writes and reads NaN
+
+
+def _list_meta(blob):
+    blob["meta"] = [blob["meta"]]
+    return json.dumps(blob)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -350,8 +387,18 @@ def _short_data(blob):
         _drop_key("shape"),
         _drop_key("data"),
         _short_data,
+        _set_entry("shape", 5),
+        _set_entry("shape", None),
+        _set_entry("shape", [32, True]),
+        _set_entry("data", lambda e: [[x] for x in e["data"]]),
+        _set_entry("data", lambda e: [str(x) for x in e["data"]]),
+        _set_entry("data", {}),
+        _nan_data,
+        _list_meta,
     ],
-    ids=["truncated", "not_an_object", "no_params", "no_shape", "no_data", "short_data"],
+    ids=["truncated", "not_an_object", "no_params", "no_shape", "no_data", "short_data",
+         "int_shape", "null_shape", "bool_in_shape", "nested_data", "string_data",
+         "object_data", "nan_data", "list_meta"],
 )
 def test_damaged_checkpoint_is_config_error_naming_the_file(tmp_path, edit):
     path = tmp_path / "ckpt.json"
