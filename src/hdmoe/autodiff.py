@@ -228,29 +228,30 @@ def row_softmax(a: Node) -> Node:
     return Node(p, (a,), rule)
 
 
-def permute_entries(a: Node, perm: Sequence[int]) -> Node:
-    """Reorder the entries of a 1xn row: out[i] = a[perm[i]]."""
+def permute_entries(a: Node, perm: Sequence[Sequence[int]]) -> Node:
+    """Reorder the entries of each row by its own index row:
+    out[b, i] = a[b, perm[b, i]]. A 1-D perm serves a 1xn row."""
+    idx = np.atleast_2d(np.asarray(perm, dtype=np.intp))
     n = a.value.shape[1]
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"permute_entries expects a 1xn row, got {a.value.shape}")
-    idx = np.asarray(perm, dtype=np.intp)
-    if idx.shape != (n,) or not np.array_equal(np.sort(idx), np.arange(n)):
-        raise ValueError(f"perm is not a bijection on 0..{n - 1}")
+    if idx.shape != a.value.shape or not (np.sort(idx, axis=1) == np.arange(n)).all():
+        raise ValueError(f"perm is not a bijection on 0..{n - 1} in every row")
+    rows = np.arange(idx.shape[0])[:, None]
 
     def rule(g: np.ndarray) -> None:
         full = np.empty_like(g)
-        full[:, idx] = g
+        full[rows, idx] = g
         accumulate(a, full)
 
-    return Node(a.value[:, idx], (a,), rule)
+    return Node(a.value[rows, idx], (a,), rule)
 
 
 def concat_cols(parts: Iterable[Node]) -> Node:
+    """Join matrices with equal row counts side by side."""
     nodes = tuple(parts)
     if not nodes:
         raise ShapeError("concat_cols needs at least one input")
-    if any(p.value.shape[0] != 1 for p in nodes):
-        raise ShapeError("concat_cols expects 1xd rows")
+    if any(p.value.shape[0] != nodes[0].value.shape[0] for p in nodes):
+        raise ShapeError("concat_cols expects inputs with equal row counts")
 
     def rule(g: np.ndarray) -> None:
         offsets = np.cumsum([0] + [p.value.shape[1] for p in nodes])

@@ -243,9 +243,8 @@ def cmd_eval(
         folds_file = path.parent.parent / "folds.csv" if path.parent.name.startswith("fold") else None
         subset = _records_for_checkpoint(records, meta, folds_file)
         rng = np.random.default_rng([cfg.seed, int(fold), 0xE7A1])
-        pins = (pin_segment, pin_segment)
-        results = [forward(r, lifted, model_cfg, rng, pin_segments=pins) for r in subset]
-        risks = np.array([res.prediction.risk for res in results])
+        res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
+        risks = res.prediction.risk
         times = np.array([r.time_months for r in subset])
         events = np.array([1 - r.censored for r in subset])
         table = RiskTable(risks=risks, times=times, events=events)
@@ -255,8 +254,8 @@ def cmd_eval(
         pooled_events.append(events)
         if repeats:
             srng = np.random.default_rng([cfg.seed, int(fold), 0x57AB])
-            level1 = [(res.moe_a, res.moe_b) for res in results]
-            scores, mean, std = stability_report(level1, lifted, model_cfg, subset, repeats, srng)
+            scores, mean, std = stability_report(
+                (res.moe_a, res.moe_b), lifted, model_cfg, subset, repeats, srng)
             stability[str(fold)] = {"scores": scores, "mean": mean, "std": std}
 
     risks = np.concatenate(pooled_risks)
@@ -291,9 +290,8 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
     save_config(cfg, out_dir / "config.json")
 
     rng = np.random.default_rng([cfg.seed, 0xA7A])
-    pins = (pin_segment, pin_segment)
-    results = [forward(r, lifted, model_cfg, rng, pin_segments=pins) for r in records]
-    counts = expert_histogram([res.traces for res in results])
+    res = forward(records, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
+    counts = expert_histogram(res.traces)
     router_names = ["level1_a", "level1_b", "level2"]
     for name, row in zip(router_names, counts):
         lines = "".join(f"{j},{int(c)}\n" for j, c in enumerate(row))
@@ -301,7 +299,7 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
 
     summary_lines = ["modality,delta"]
     for modality in ("a", "b"):
-        pre, post, delta = redundancy_score([getattr(res, f"moe_{modality}") for res in results])
+        pre, post, delta = redundancy_score(getattr(res, f"moe_{modality}"))
         write_text(out_dir / f"redundancy_{modality}_pre.csv", matrix_text(pre))
         write_text(out_dir / f"redundancy_{modality}_post.csv", matrix_text(post))
         summary_lines.append(f"{modality},{delta:.17g}")

@@ -210,54 +210,51 @@ def welch_t_test(risks_a, risks_b) -> tuple[float, float]:
 # diagnostics
 
 
-def expert_histogram(trace_groups: list[tuple[RouterTrace, ...]]) -> np.ndarray:
-    """Total top-k selections per expert for each router position.
-
-    trace_groups: one tuple of per-router traces per sample (all tuples the
-    same length). Returns [n_routers, num_experts].
-    """
-    if not trace_groups:
-        raise MetricError("expert_histogram needs at least one trace group")
-    n_routers = len(trace_groups[0])
-    counts = None
-    for group in trace_groups:
-        if len(group) != n_routers:
-            raise MetricError("inconsistent router count across samples")
-        row = np.stack([trace.selection_counts() for trace in group])
-        counts = row if counts is None else counts + row
-    return counts
+def expert_histogram(traces: tuple[RouterTrace, ...]) -> np.ndarray:
+    """Total top-k selections per expert for each router of a batched
+    forward, over all its tokens. Returns [n_routers, num_experts]."""
+    if not traces:
+        raise MetricError("expert_histogram needs at least one router trace")
+    return np.stack([trace.selection_counts() for trace in traces])
 
 
-def average_abs_correlation(token_mats: list[np.ndarray]) -> np.ndarray:
-    """Mean absolute Pearson correlation between token rows, across samples."""
-    if not token_mats:
-        raise MetricError("need at least one token matrix")
-    acc = None
-    for mat in token_mats:
-        stds = mat.std(axis=1)
-        if np.any(stds == 0.0):
-            raise MetricError("zero-variance token: correlation undefined")
-        corr = np.abs(np.corrcoef(mat))
-        acc = corr if acc is None else acc + corr
-    return acc / len(token_mats)
+def average_abs_correlation(token_stack: np.ndarray) -> np.ndarray:
+    """Mean absolute Pearson correlation between token rows, across samples:
+    token_stack is [B, T, l] (sample, token, feature) and the result [T, T].
+    Each token is centred and scaled to unit length, so one batched product
+    gives every sample's correlation matrix."""
+    x = np.asarray(token_stack, dtype=np.float64)
+    if x.ndim != 3 or x.shape[0] == 0:
+        raise MetricError(f"need a [B, T, l] token stack with B >= 1, got shape {x.shape}")
+    centred = x - x.mean(axis=2, keepdims=True)
+    norms = np.sqrt((centred * centred).sum(axis=2, keepdims=True))
+    if np.any(norms == 0.0):
+        raise MetricError("zero-variance token: correlation undefined")
+    unit = centred / norms
+    corr = np.abs(unit @ unit.transpose(0, 2, 1))
+    return np.minimum(corr, 1.0).mean(axis=0)  # |r| <= 1 up to rounding, as np.corrcoef clips
 
 
-def redundancy_score(outputs: list[MoEOutput]) -> tuple[np.ndarray, np.ndarray, float]:
+def redundancy_score(output: MoEOutput) -> tuple[np.ndarray, np.ndarray, float]:
     """Average absolute token-correlation heatmaps before/after the shared
-    expert, over one MoE output per sample (a forward's moe_a, moe_b or
-    moe_inter); delta = sum of off-diagonal (pre) - sum of off-diagonal (post).
+    expert, over the samples of one batched MoE output (a forward's moe_a,
+    moe_b or moe_inter); delta = sum of off-diagonal (pre) - sum of
+    off-diagonal (post).
     """
-    if len(outputs) < 2:
+    batch, width = output.routed.value.shape
+    if batch < 2:
         raise MetricError("redundancy_score needs at least two samples")
-    pre = average_abs_correlation([out.tokens.value for out in outputs])
-    post = average_abs_correlation([out.shared_tokens.value for out in outputs])
+    token_len = output.tokens.value.shape[1]
+    shape = (batch, width // token_len, token_len)
+    pre = average_abs_correlation(output.tokens.value.reshape(shape))
+    post = average_abs_correlation(output.shared_tokens.value.reshape(shape))
     off = ~np.eye(pre.shape[0], dtype=bool)
     delta = float(pre[off].sum() - post[off].sum())
     return pre, post, delta
 
 
 def stability_report(
-    level1: list[tuple[MoEOutput, MoEOutput]],
+    level1: tuple[MoEOutput, MoEOutput],
     lifted: HDMoEParams,
     model_cfg: ModelConfig,
     records: list[SampleRecord],
@@ -266,9 +263,9 @@ def stability_report(
 ) -> tuple[list[float], float, float]:
     """Re-score a frozen model with independent fusion draws per repeat.
 
-    level1 holds each record's level-1 outputs (out_a, out_b), from `encode`
-    or a forward's (moe_a, moe_b); each repeat replays only `fuse` over them,
-    drawing from rng in the order full forwards would.
+    level1 holds the records' level-1 outputs (out_a, out_b), from `encode`
+    or a forward's (moe_a, moe_b); each repeat is one `fuse` over them, which
+    draws from rng in the order one-sample forwards would.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -276,9 +273,7 @@ def stability_report(
     events = np.array([1 - r.censored for r in records])
     scores = []
     for _ in range(repeats):
-        risks = np.array(
-            [model_mod.fuse(enc, lifted, model_cfg, rng).prediction.risk for enc in level1]
-        )
+        risks = model_mod.fuse(level1, lifted, model_cfg, rng).prediction.risk
         scores.append(c_index(RiskTable(risks=risks, times=times, events=events)))
     # identical scores must report exactly zero spread (the mean of n copies
     # of x can differ from x by an ulp, making np.std spuriously nonzero)

@@ -2,17 +2,19 @@
 random-reorganization fusion stages, a bridge projection, and the per-bin
 hazard head.
 
-The first fusion stage emits a 1 x 4*d1 vector; a learned bridge maps it to
+Every pass takes a batch of B samples; row b of each matrix below belongs to
+sample b. The first fusion stage emits B x 4*d1; a learned bridge maps it to
 d2 so the second-level tokens, outputs, and the final fused vector all live
 at the widths the architecture prescribes (V_inter and the level-2 shared
-output are each 1 x d2, the head sees 1 x 2*d2).
+output are each B x d2, the head sees B x 2*d2). Training passes B = 1.
 
 A forward pass is a draw-free prefix and a draw-dependent suffix:
 `encode` runs the bag encoders and the level-1 MoEs and consumes no RNG;
 `fuse` runs fusion 1 -> bridge -> level-2 MoE -> fusion 2 -> head, and
-its two fusion stages each draw a segment size. `forward` is
-`fuse(encode(...))`; a caller that repeats draws over a fixed sample can
-encode it once and replay only `fuse`.
+draws a segment size for each sample's two fusion stages, sample by sample
+(sample b's level-1 segment, then its level-2 one) as B one-sample passes
+would. `forward` is `fuse(encode(...))`; a caller that repeats draws over
+fixed samples can encode them once and replay only `fuse`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .moe import (
     init_moe_params,
     moe_forward,
 )
-from .rfr import RfrDraw, rfr_forward, valid_segments
+from .rfr import RfrDraw, draw_segments, rfr_forward, valid_segments
 
 CHECKPOINT_VERSION = 1
 
@@ -96,32 +98,33 @@ class HDMoEParams:
 
 @dataclass
 class DecoupledFeatures:
-    """The named vectors flowing through both levels (tape nodes)."""
+    """The named vectors flowing through both levels (tape nodes), one row
+    per sample."""
 
-    v_intra_a: ad.Node  # 1 x d1
-    v_share_a: ad.Node  # 1 x d1
-    v_intra_b: ad.Node  # 1 x d1
-    v_share_b: ad.Node  # 1 x d1
-    v_inter: ad.Node  # 1 x d2
-    v_share_3: ad.Node  # 1 x d2
-    v_f1: ad.Node  # 1 x 4*d1
-    v_f1_proj: ad.Node  # 1 x d2
-    v_f2: ad.Node  # 1 x 2*d2
+    v_intra_a: ad.Node  # B x d1
+    v_share_a: ad.Node  # B x d1
+    v_intra_b: ad.Node  # B x d1
+    v_share_b: ad.Node  # B x d1
+    v_inter: ad.Node  # B x d2
+    v_share_3: ad.Node  # B x d2
+    v_f1: ad.Node  # B x 4*d1
+    v_f1_proj: ad.Node  # B x d2
+    v_f2: ad.Node  # B x 2*d2
 
 
 @dataclass(frozen=True)
 class HazardPrediction:
-    hazards: np.ndarray  # [K] in [0, 1]
-    survival: np.ndarray  # [K], S(j) = prod_{k<=j} (1 - h_k)
-    risk: float
+    hazards: np.ndarray  # [B, K] in [0, 1]
+    survival: np.ndarray  # [B, K], S(j) = prod_{k<=j} (1 - h_k)
+    risk: np.ndarray  # [B]
 
 
 @dataclass
 class ForwardResult:
     prediction: HazardPrediction
     features: DecoupledFeatures
-    traces: tuple[RouterTrace, RouterTrace, RouterTrace]
-    draws: tuple[RfrDraw, RfrDraw]
+    traces: tuple[RouterTrace, RouterTrace, RouterTrace]  # each over all B*T tokens
+    draws: list[tuple[RfrDraw, RfrDraw]]  # per sample: (fusion 1, fusion 2)
     hazards_node: ad.Node
     moe_a: MoEOutput = field(repr=False, default=None)
     moe_b: MoEOutput = field(repr=False, default=None)
@@ -221,21 +224,22 @@ def lift_params(
     return _map(lift, params), nodes
 
 
-def risk_score(hazards: np.ndarray) -> float:
-    """Negative expected number of bins survived; higher = earlier event."""
-    survival = np.cumprod(1.0 - hazards)
-    return float(-survival.sum())
+def risk_score(hazards: np.ndarray) -> np.ndarray:
+    """Negative expected number of bins survived, along the last axis; higher =
+    earlier event."""
+    return -np.cumprod(1.0 - hazards, axis=-1).sum(axis=-1)
 
 
 def encode(
-    sample: SampleRecord, lifted: HDMoEParams, cfg: ModelConfig
+    samples: list[SampleRecord], lifted: HDMoEParams, cfg: ModelConfig
 ) -> tuple[MoEOutput, MoEOutput]:
-    """The draw-free prefix: both modalities' level-1 outputs (out_a, out_b)."""
+    """The draw-free prefix: both modalities' level-1 outputs (out_a, out_b)
+    over the batch."""
     return (
-        moe_forward(encode_bag(sample.features_a, lifted.encoder_a), cfg.level1_moe,
-                    lifted.level1_moe_a),
-        moe_forward(encode_bag(sample.features_b, lifted.encoder_b), cfg.level1_moe,
-                    lifted.level1_moe_b),
+        moe_forward(encode_bag([s.features_a for s in samples], lifted.encoder_a),
+                    cfg.level1_moe, lifted.level1_moe_a),
+        moe_forward(encode_bag([s.features_b for s in samples], lifted.encoder_b),
+                    cfg.level1_moe, lifted.level1_moe_b),
     )
 
 
@@ -247,31 +251,26 @@ def fuse(
     pin_segments: tuple[int | None, int | None] = (None, None),
 ) -> ForwardResult:
     """The draw-dependent suffix: fusion 1 -> bridge -> level-2 MoE ->
-    fusion 2 -> head over the level-1 outputs of `encode`."""
+    fusion 2 -> head over the level-1 outputs of `encode`. All 2B segments
+    are drawn before fusion 1, in the order B one-sample passes draw them."""
     out_a, out_b = level1
-    v_f1, draw1 = rfr_forward(
-        [out_a.routed, out_a.shared, out_b.routed, out_b.shared],
-        cfg.segment_values,
-        rng,
-        pin_segment=pin_segments[0],
+    segments = draw_segments(cfg.segment_values, (cfg.d1, cfg.d2), pin_segments, rng,
+                             out_a.routed.value.shape[0])
+    v_f1, draws1 = rfr_forward(
+        [out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s for s, _ in segments]
     )
     v_f1_proj = ad.matmul(v_f1, lifted.bridge)
 
     out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe)
 
-    v_f2, draw2 = rfr_forward(
-        [out_inter.routed, out_inter.shared],
-        cfg.segment_values,
-        rng,
-        pin_segment=pin_segments[1],
-    )
+    v_f2, draws2 = rfr_forward([out_inter.routed, out_inter.shared], [s for _, s in segments])
 
     logits = ad.add_bias(ad.matmul(v_f2, lifted.head_w), lifted.head_b)
     hazards = ad.sigmoid(logits)
 
-    h = hazards.value[0].copy()
-    survival = np.cumprod(1.0 - h)
-    prediction = HazardPrediction(hazards=h, survival=survival, risk=risk_score(h))
+    h = hazards.value.copy()
+    prediction = HazardPrediction(
+        hazards=h, survival=np.cumprod(1.0 - h, axis=1), risk=risk_score(h))
 
     features = DecoupledFeatures(
         v_intra_a=out_a.routed,
@@ -288,7 +287,7 @@ def fuse(
         prediction=prediction,
         features=features,
         traces=(out_a.trace, out_b.trace, out_inter.trace),
-        draws=(draw1, draw2),
+        draws=list(zip(draws1, draws2)),
         hazards_node=hazards,
         moe_a=out_a,
         moe_b=out_b,
@@ -297,18 +296,19 @@ def fuse(
 
 
 def forward(
-    sample: SampleRecord,
+    samples: list[SampleRecord],
     lifted: HDMoEParams,
     cfg: ModelConfig,
     rng: np.random.Generator,
     pin_segments: tuple[int | None, int | None] = (None, None),
 ) -> ForwardResult:
-    """One sample through the whole pipeline; returns values plus tape handles.
+    """A batch of samples through the whole pipeline; returns values plus tape
+    handles, row b for samples[b].
 
     `lifted` is the node tree of lift_params; its leaves' requires_grad alone
     decides whether the pass records a backward graph.
     """
-    return fuse(encode(sample, lifted, cfg), lifted, cfg, rng, pin_segments)
+    return fuse(encode(samples, lifted, cfg), lifted, cfg, rng, pin_segments)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +351,15 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
         if not isinstance(entry["shape"], list) or tuple(entry["shape"]) != expected[p]:
             raise ConfigError(f"{path}: {p} has shape {entry['shape']!r}, config expects "
                               f"{list(expected[p])}")
-        try:  # no dtype: strings, bools or nesting must not be coerced to numbers
-            data = np.array(entry["data"])
-            if data.ndim != 1 or data.dtype.kind not in "if" or not np.isfinite(data).all():
+        data = entry["data"]
+        try:  # exact types: np.array would coerce a bool (an int), a string or a nested list
+            if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
                 raise ValueError("data must be a flat list of finite numbers")
-            arrays[p] = data.astype(np.float64).reshape(expected[p])
-        except (TypeError, ValueError) as exc:
+            data = np.fromiter(data, dtype=np.float64, count=len(data))
+            if not np.isfinite(data).all():
+                raise ValueError("data must be a flat list of finite numbers")
+            arrays[p] = data.reshape(expected[p])
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(f"{path}: {p}: {exc}") from None
     meta = blob.get("meta", {})
     if not isinstance(meta, dict):

@@ -1,10 +1,11 @@
-"""Reusable sparse MoE block: tokenize a row vector, route each token to the
-top-k of N experts, apply one shared expert to every token.
+"""Reusable sparse MoE block: tokenize each row of a B x d matrix, route every
+token of the batch to the top-k of N experts, apply one shared expert to
+every token.
 
 Gate values are the raw softmax probabilities of the selected experts, with
 no renormalization over the selected set; ties break toward the lower expert
-index. Concatenating the per-token outputs restores the input width, so both
-returned vectors match the input shape.
+index. Concatenating each row's per-token outputs restores the input width,
+so both returned matrices match the input shape.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class MoEParams:
 class RouterTrace:
     """Per-token routing record plus aggregates for balancing/diagnostics."""
 
-    probs: np.ndarray  # [T, N]
-    selected: np.ndarray  # [T, top_k] expert indices
-    gates: np.ndarray  # [T, top_k] raw softmax probs of the selections
+    probs: np.ndarray  # [B*T, N]
+    selected: np.ndarray  # [B*T, top_k] expert indices
+    gates: np.ndarray  # [B*T, top_k] raw softmax probs of the selections
     num_experts: int
     probs_node: ad.Node | None = field(default=None, repr=False)
 
@@ -71,11 +72,11 @@ class RouterTrace:
 
 @dataclass
 class MoEOutput:
-    routed: ad.Node  # [1, d]
-    shared: ad.Node  # [1, d]
+    routed: ad.Node  # [B, d]
+    shared: ad.Node  # [B, d]
     trace: RouterTrace
-    tokens: ad.Node  # [T, l] inputs to the experts
-    shared_tokens: ad.Node  # [T, l] shared-expert outputs per token
+    tokens: ad.Node  # [B*T, l] inputs to the experts, row b's at b*T .. b*T+T-1
+    shared_tokens: ad.Node  # [B*T, l] shared-expert outputs per token
 
 
 def init_expert_params(token_len: int, expansion: int, rng: np.random.Generator) -> ExpertParams:
@@ -100,13 +101,11 @@ def init_moe_params(cfg: MoEConfig, rng: np.random.Generator) -> MoEParams:
 
 
 def tokenize(v: ad.Node, token_len: int) -> ad.Node:
-    """Reshape 1 x d into T x token_len along the feature dimension."""
-    d = v.value.shape[1]
-    if v.value.shape[0] != 1:
-        raise ConfigError(f"tokenize expects a 1xd row, got {v.value.shape}")
+    """Reshape B x d into B*T x token_len: row b's tokens are rows b*T .. b*T+T-1."""
+    rows, d = v.value.shape
     if d % token_len != 0:
         raise ConfigError(f"token_len {token_len} does not divide feature dim {d}")
-    return ad.reshape(v, (d // token_len, token_len))
+    return ad.reshape(v, (rows * d // token_len, token_len))
 
 
 def select_top_k(probs: np.ndarray, top_k: int) -> np.ndarray:
@@ -116,14 +115,13 @@ def select_top_k(probs: np.ndarray, top_k: int) -> np.ndarray:
 
 
 def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
-    """Run the expert block over all tokens of v (1 x d).
+    """Run the expert block over all tokens of v (B x d).
 
     `params` holds Nodes (lifted MoEParams). The routed experts are one tape
     node, which batches the tokens selecting an expert through one fused
     feed-forward call.
     """
     tokens = tokenize(v, cfg.token_len)
-    d = v.value.shape[1]
 
     logits = ad.matmul(tokens, params.router)  # [T, N]
     probs = ad.row_softmax(logits)
@@ -141,8 +139,8 @@ def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
         probs_node=probs,
     )
     return MoEOutput(
-        routed=ad.reshape(routed_tokens, (1, d)),
-        shared=ad.reshape(shared_tokens, (1, d)),
+        routed=ad.reshape(routed_tokens, v.value.shape),
+        shared=ad.reshape(shared_tokens, v.value.shape),
         trace=trace,
         tokens=tokens,
         shared_tokens=shared_tokens,

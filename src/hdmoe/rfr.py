@@ -1,12 +1,13 @@
-"""Random feature reorganization: interleave m same-length rows by a randomly
-drawn segment size, realized as one precomputed index permutation.
+"""Random feature reorganization: interleave m same-length vectors by a
+randomly drawn segment size, realized as one precomputed index permutation.
 
-Stacking the rows, reshaping each into s segments, transposing the
-(row, segment) axes and flattening is equivalent to a fixed permutation of
+Stacking the vectors, reshaping each into s segments, transposing the
+(vector, segment) axes and flattening is equivalent to a fixed permutation of
 the plain concatenation, so the whole operator is a cached index list fed to
-``permute_entries``; with s=1 it degenerates to concatenation. The segment
-size is drawn uniformly from the configured values that divide the vector
-length, on every forward step (evaluation included).
+``permute_entries``; with s=1 it degenerates to concatenation. Over a batch,
+each sample's row has its own segment and index list. The segment size is
+drawn uniformly from the configured values that divide the vector length,
+for every sample on every forward step (evaluation included).
 """
 
 from __future__ import annotations
@@ -43,8 +44,25 @@ def valid_segments(segment_values: tuple[int, ...] | list[int], d: int) -> list[
 
 def sample_segment(segment_values, d: int, rng: np.random.Generator) -> int:
     """Uniform draw from the segment values dividing d."""
-    divisors = valid_segments(segment_values, d)
-    return int(divisors[rng.integers(0, len(divisors))])
+    return draw_segments(segment_values, (d,), (None,), rng, 1)[0][0]
+
+
+def draw_segments(
+    segment_values,
+    lengths: tuple[int, ...],
+    pins: tuple[int | None, ...],
+    rng: np.random.Generator,
+    count: int,
+) -> list[tuple[int, ...]]:
+    """One segment per vector length for each of count samples, drawn sample
+    by sample: sample i's draw for every length in turn, then sample i+1's.
+    A pinned length (checked to divide it) draws nothing."""
+    choices = [valid_segments(segment_values if pin is None else [pin], d)
+               for d, pin in zip(lengths, pins)]
+    return [
+        tuple(int(c[rng.integers(0, len(c))]) if pin is None else c[0] for c, pin in zip(choices, pins))
+        for _ in range(count)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -61,25 +79,17 @@ def build_permutation(m: int, d: int, s: int) -> np.ndarray:
     return perm
 
 
-def rfr_forward(
-    vectors: list[ad.Node],
-    segment_values,
-    rng: np.random.Generator,
-    pin_segment: int | None = None,
-) -> tuple[ad.Node, RfrDraw]:
-    """Concatenate m rows of equal length d and apply the drawn interleave."""
+def rfr_forward(vectors: list[ad.Node], segments: list[int]) -> tuple[ad.Node, list[RfrDraw]]:
+    """Concatenate m B x d blocks side by side and interleave row b by
+    segments[b]: one gather, with each row's own cached index list."""
     if not vectors:
         raise ShapeError("rfr_forward needs at least one vector")
-    d = vectors[0].value.shape[1]
+    shape = vectors[0].value.shape
     for v in vectors:
-        if v.value.shape != (1, d):
-            raise ShapeError(
-                f"rfr_forward inputs must all be 1x{d}, got {v.value.shape}"
-            )
-    if pin_segment is not None:
-        segment = valid_segments([pin_segment], d)[0]
-    else:
-        segment = sample_segment(segment_values, d, rng)
-    draw = RfrDraw(segment=segment, num_vectors=len(vectors), vector_len=d)
-    fused = ad.permute_entries(ad.concat_cols(vectors), draw.permutation)
-    return fused, draw
+        if v.value.shape != shape:
+            raise ShapeError(f"rfr_forward inputs must all be {shape[0]}x{shape[1]}, got {v.value.shape}")
+    if len(segments) != shape[0]:
+        raise ShapeError(f"rfr_forward needs one segment per row: {len(segments)} for {shape[0]} rows")
+    draws = [RfrDraw(segment=s, num_vectors=len(vectors), vector_len=shape[1]) for s in segments]
+    perms = np.stack([draw.permutation for draw in draws])
+    return ad.permute_entries(ad.concat_cols(vectors), perms), draws

@@ -159,7 +159,7 @@ def train_fold(
             sample = train_records[idx]
             step += 1
             state.grad.fill(0.0)
-            res = forward(sample, lifted, model_cfg, fold_rng)
+            res = forward([sample], lifted, model_cfg, fold_rng)
             surv = survival_nll(res.hazards_node, sample.bin_label, sample.censored)
             dm = decouple_loss(res.features, train_cfg.distance_metric)
             bl = balance_loss(res.traces)
@@ -178,8 +178,9 @@ def train_fold(
                 f"{step},{breakdown.surv:.10g},{breakdown.dm:.10g},"
                 f"{breakdown.bl:.10g},{breakdown.total:.10g}"
             )
-            log_rows.append(f"rfr,1,{step},{res.draws[0].segment}")
-            log_rows.append(f"rfr,2,{step},{res.draws[1].segment}")
+            draw1, draw2 = res.draws[0]
+            log_rows.append(f"rfr,1,{step},{draw1.segment}")
+            log_rows.append(f"rfr,2,{step},{draw2.segment}")
         mean_loss = float(np.mean(epoch_losses))
         loss_curve.append(mean_loss)
         log.info("fold %d epoch %d mean total loss %.6f", fold_id, epoch, mean_loss)
@@ -198,25 +199,26 @@ def predict_fold(
     rng: np.random.Generator,
     pin_segment: int | None = None,
 ) -> list[PredictionRow]:
-    """Held-out predictions; fusion draws are random unless pinned."""
+    """Held-out predictions from one forward over the fold; fusion draws are
+    random unless pinned."""
     _, test_records = split_fold(records, fold_id)
-    rows = []
-    pins = (pin_segment, pin_segment)
+    if not test_records:
+        return []
     lifted, _ = lift_params(params, requires_grad=False)
-    for sample in test_records:
-        res = forward(sample, lifted, model_cfg, rng, pin_segments=pins)
-        rows.append(
-            PredictionRow(
-                sample_id=sample.sample_id,
-                fold=fold_id,
-                hazards=res.prediction.hazards,
-                risk=res.prediction.risk,
-                bin_label=assign_bin(sample.time_months, edges),
-                censored=sample.censored,
-                time_months=sample.time_months,
-            )
+    pred = forward(test_records, lifted, model_cfg, rng,
+                   pin_segments=(pin_segment, pin_segment)).prediction
+    return [
+        PredictionRow(
+            sample_id=sample.sample_id,
+            fold=fold_id,
+            hazards=hazards,
+            risk=float(risk),
+            bin_label=assign_bin(sample.time_months, edges),
+            censored=sample.censored,
+            time_months=sample.time_months,
         )
-    return rows
+        for sample, hazards, risk in zip(test_records, pred.hazards, pred.risk)
+    ]
 
 
 def predictions_to_csv(rows: list[PredictionRow], num_bins: int) -> str:

@@ -1,8 +1,8 @@
 """Shared test utilities: the finite-difference oracle and tape-vs-FD gradient
 checks, the fine-op composites the one-node tape ops replaced, the
 single-token routing oracle, the per-array optimizer oracle, the loop oracles
-of the survival metrics, and the full-forward oracles of the no-grad
-repeaters."""
+of the survival metrics, the one-sample forward and its per-sample loop, and
+the full-forward oracles of the no-grad repeaters."""
 
 from dataclasses import dataclass, field, replace
 
@@ -13,7 +13,9 @@ from hdmoe import evaluation as ev
 from hdmoe import losses
 from hdmoe import model as hm
 from hdmoe.data import assign_bin, compute_bin_edges
-from hdmoe.moe import select_top_k
+from hdmoe.errors import MetricError
+from hdmoe.moe import moe_forward, select_top_k
+from hdmoe.rfr import rfr_forward, sample_segment, valid_segments
 from hdmoe.trainer import split_fold
 
 
@@ -283,7 +285,7 @@ def train_fold_loop(records, fold_id, model_cfg, train_cfg):
         for idx in order:
             sample = train[idx]
             lifted, nodes = hm.lift_params(params, requires_grad=True)
-            res = hm.forward(sample, lifted, model_cfg, fold_rng)
+            res = hm.forward([sample], lifted, model_cfg, fold_rng)
             surv = losses.survival_nll(res.hazards_node, sample.bin_label, sample.censored)
             dm = losses.decouple_loss(res.features, train_cfg.distance_metric)
             bl = losses.balance_loss(res.traces)
@@ -383,33 +385,92 @@ def log_rank_loop(times_a, events_a, times_b, events_b):
 
 
 # ---------------------------------------------------------------------------
-# repeater oracles: every pass through the full forward, as stability_report
-# and redundancy_score ran before they replayed only the parts they need
+# one-sample forward: the pass every caller ran once per sample before the
+# model took batches. Its encoder pools one bag with reshape -> row_softmax ->
+# matmul, and each fusion draws its own segment as it is reached. The
+# batched pass at B = 1 must equal it bitwise, gradients included.
+
+
+def encode_bag_single(bag, params):
+    """One bag [n, d_in] -> its 1 x d1 class token, pooled by fine ops."""
+    h = ad.matmul(ad.leaf(bag, name="bag"), params.w_proj)
+    gate = ad.mul(ad.tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
+    scores = ad.matmul(gate, params.w_att)
+    weights = ad.row_softmax(ad.reshape(scores, (1, scores.value.shape[0])))
+    return ad.matmul(weights, h)
+
+
+def forward_single(sample, lifted, cfg, rng, pin_segments=(None, None)):
+    """(hazards node [1, K], features, traces, (segment 1, segment 2)) of one sample."""
+    out_a = moe_forward(encode_bag_single(sample.features_a, lifted.encoder_a), cfg.level1_moe,
+                        lifted.level1_moe_a)
+    out_b = moe_forward(encode_bag_single(sample.features_b, lifted.encoder_b), cfg.level1_moe,
+                        lifted.level1_moe_b)
+
+    def segment(d, pin):
+        return sample_segment(cfg.segment_values, d, rng) if pin is None else valid_segments([pin], d)[0]
+
+    s1 = segment(cfg.d1, pin_segments[0])
+    v_f1, _ = rfr_forward([out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s1])
+    v_f1_proj = ad.matmul(v_f1, lifted.bridge)
+    out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe)
+    s2 = segment(cfg.d2, pin_segments[1])
+    v_f2, _ = rfr_forward([out_inter.routed, out_inter.shared], [s2])
+    hazards = ad.sigmoid(ad.add_bias(ad.matmul(v_f2, lifted.head_w), lifted.head_b))
+    features = hm.DecoupledFeatures(
+        v_intra_a=out_a.routed, v_share_a=out_a.shared, v_intra_b=out_b.routed,
+        v_share_b=out_b.shared, v_inter=out_inter.routed, v_share_3=out_inter.shared,
+        v_f1=v_f1, v_f1_proj=v_f1_proj, v_f2=v_f2,
+    )
+    return hazards, features, (out_a, out_b, out_inter), (s1, s2)
+
+
+def forward_loop(records, lifted, cfg, rng, pin_segments=(None, None)):
+    """One forward_single per record, in order, from one rng: (hazards [B, K],
+    risks [B], per-sample (segment 1, segment 2) pairs, per-sample outputs)."""
+    passes = [forward_single(r, lifted, cfg, rng, pin_segments) for r in records]
+    hazards = np.concatenate([hz.value for hz, *_ in passes])
+    risks = np.array([float(-np.cumprod(1.0 - h).sum()) for h in hazards])
+    return hazards, risks, [segs for *_, segs in passes], [outs for _, _, outs, _ in passes]
+
+
+# ---------------------------------------------------------------------------
+# repeater oracles: every pass a one-sample forward of every record, and the
+# correlation heatmap one np.corrcoef per token matrix, as stability_report
+# and redundancy_score ran before they replayed only the parts they need and
+# took whole batches
 
 
 def stability_report_loop(params, model_cfg, records, repeats, rng):
-    """(scores, mean, std) with every repeat a full forward of every record."""
+    """(scores, mean, std) with every repeat a one-sample forward of every record."""
     times = np.array([r.time_months for r in records])
     events = np.array([1 - r.censored for r in records])
     lifted, _ = hm.lift_params(params, requires_grad=False)
     scores = []
     for _ in range(repeats):
-        risks = np.array([hm.forward(r, lifted, model_cfg, rng).prediction.risk for r in records])
+        risks = forward_loop(records, lifted, model_cfg, rng)[1]
         scores.append(ev.c_index(ev.RiskTable(risks=risks, times=times, events=events)))
     std = 0.0 if min(scores) == max(scores) else float(np.std(scores))
     return scores, float(np.mean(scores)), std
 
 
+def average_abs_correlation_loop(token_mats):
+    """Mean |np.corrcoef| of each [T, l] token matrix, one matrix at a time."""
+    acc = None
+    for mat in token_mats:
+        if np.any(mat.std(axis=1) == 0.0):
+            raise MetricError("zero-variance token: correlation undefined")
+        corr = np.abs(np.corrcoef(mat))
+        acc = corr if acc is None else acc + corr
+    return acc / len(token_mats)
+
+
 def redundancy_score_loop(params, model_cfg, records, level, modality, rng):
-    """(pre, post, delta) read off a full forward of every record."""
+    """(pre, post, delta) read off a one-sample forward of every record."""
     lifted, _ = hm.lift_params(params, requires_grad=False)
-    pre_mats, post_mats = [], []
-    for sample in records:
-        res = hm.forward(sample, lifted, model_cfg, rng)
-        out = res.moe_inter if level == 2 else {"a": res.moe_a, "b": res.moe_b}[modality]
-        pre_mats.append(out.tokens.value.copy())
-        post_mats.append(out.shared_tokens.value.copy())
-    pre = ev.average_abs_correlation(pre_mats)
-    post = ev.average_abs_correlation(post_mats)
+    outs = forward_loop(records, lifted, model_cfg, rng)[3]
+    side = 2 if level == 2 else "ab".index(modality)
+    pre = average_abs_correlation_loop([o[side].tokens.value for o in outs])
+    post = average_abs_correlation_loop([o[side].shared_tokens.value for o in outs])
     off = ~np.eye(pre.shape[0], dtype=bool)
     return pre, post, float(pre[off].sum() - post[off].sum())

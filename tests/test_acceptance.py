@@ -194,14 +194,14 @@ def test_criterion_1_gradient_suite():
 
         def loss_of(p):
             lifted = hm.lift_params(p, requires_grad=False)[0]
-            res = hm.forward(sample, lifted, cfg, np.random.default_rng(0), pin_segments=pins)
+            res = hm.forward([sample], lifted, cfg, np.random.default_rng(0), pin_segments=pins)
             surv = losses.survival_nll(res.hazards_node, n_bin, c)
             dm = losses.decouple_loss(res.features, "cos")
             bl = losses.balance_loss(res.traces)
             return losses.total_loss(surv, dm, bl, 1.0, 0.01)
 
         lifted, nodes = hm.lift_params(params, requires_grad=True)
-        res = hm.forward(sample, lifted, cfg, np.random.default_rng(0), pin_segments=pins)
+        res = hm.forward([sample], lifted, cfg, np.random.default_rng(0), pin_segments=pins)
         if min(_routing_margin(t.probs, 1) for t in res.traces) < 1e-3:
             continue
         surv = losses.survival_nll(res.hazards_node, n_bin, c)
@@ -408,7 +408,7 @@ def test_criterion_5_end_to_end_learning(desk_run):
 def test_criterion_6_rfr_stability(desk_run):
     result, _ = desk_run["main_folds"][0]
     lifted, _ = hm.lift_params(result.params, requires_grad=False)
-    level1 = [hm.encode(r, lifted, DESK_MODEL) for r in desk_run["records"]]
+    level1 = hm.encode(desk_run["records"], lifted, DESK_MODEL)
     scores, mean, std = ev.stability_report(
         level1, lifted, DESK_MODEL, desk_run["records"], 5,
         np.random.default_rng([7, 0, 0x57AB]),
@@ -423,10 +423,10 @@ def test_criterion_6_rfr_stability(desk_run):
 def test_criterion_7_deredundancy_direction(desk_run):
     result, _ = desk_run["main_folds"][0]
     lifted, _ = hm.lift_params(result.params, requires_grad=False)
-    level1 = [hm.encode(r, lifted, DESK_MODEL) for r in desk_run["records"]]
+    level1 = hm.encode(desk_run["records"], lifted, DESK_MODEL)
     deltas = {}
     for side, modality in enumerate(("a", "b")):
-        _, _, delta = ev.redundancy_score([outs[side] for outs in level1])
+        _, _, delta = ev.redundancy_score(level1[side])
         deltas[modality] = delta
     ok = all(d > 0 for d in deltas.values())
     # Known-red criterion at this scale: raw tokens are blocks of a dense

@@ -389,7 +389,8 @@ def _edit_bridge(blob, key, value):
     lambda blob: _edit_bridge(blob, "data", [[x] for x in blob["params"]["bridge"]["data"]]),
     lambda blob: _edit_bridge(blob, "data", [float("nan")] * len(blob["params"]["bridge"]["data"])),
     lambda blob: {**blob, "meta": [blob["meta"]]},
-], ids=["int_shape", "nested_data", "nan_data", "list_meta"])
+    lambda blob: _edit_bridge(blob, "data", [False, *blob["params"]["bridge"]["data"][1:]]),
+], ids=["int_shape", "nested_data", "nan_data", "list_meta", "bool_in_data"])
 def test_eval_malformed_checkpoint_entry_exit_2_naming_it(tmp_path, capsys, edit):
     resolved, run_dir = _trained_run(tmp_path)
     ckpt = run_dir / "fold1" / "checkpoint.json"
@@ -438,26 +439,30 @@ def test_eval_folds_csv_without_the_fold_exit_2(tmp_path, capsys):
         assert not eval_dir.exists()
 
 
-def _count_encodes(monkeypatch, argv) -> int:
+def _count_encodes(monkeypatch, argv) -> list[int]:
+    """The number of bags of each encode_bag call."""
     calls = []
     encode_bag = hdmoe.model.encode_bag
     monkeypatch.setattr(hdmoe.model, "encode_bag",
-                        lambda *a, **kw: calls.append(1) or encode_bag(*a, **kw))
+                        lambda bags, *a: calls.append(len(bags)) or encode_bag(bags, *a))
     assert cli.main(argv) == 0
-    return len(calls)
+    return calls
 
 
 def test_eval_and_analyze_encode_each_sample_once(tmp_path, monkeypatch):
     resolved, run_dir = _trained_run(tmp_path)
     n = len(load_samples(load_config(resolved).manifest))  # each is held out once
-    assert _count_encodes(monkeypatch, [
+    # eval: one batch per checkpoint and modality; analyze: one per modality
+    calls = _count_encodes(monkeypatch, [
         "eval", "--config", str(resolved), "--out", str(tmp_path / "eval"),
         "--checkpoint", str(run_dir), "--repeats", "3",
-    ]) == 2 * n
+    ])
+    assert len(calls) == 2 * len(list(run_dir.glob("fold*/checkpoint.json")))
+    assert sum(calls) == 2 * n
     assert _count_encodes(monkeypatch, [
         "analyze", "--config", str(resolved), "--out", str(tmp_path / "analysis"),
         "--checkpoint", str(run_dir / "fold0" / "checkpoint.json"),
-    ]) == 2 * n
+    ]) == [n, n]
 
 
 # ---------------------------------------------------------------------------

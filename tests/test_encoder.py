@@ -22,7 +22,7 @@ def test_single_instance_equals_projection():
     rng = np.random.default_rng(0)
     lifted, raw = _lifted_params(rng)
     bag = rng.normal(size=(1, 5))
-    out = encode_bag(bag, lifted)
+    out = encode_bag([bag], lifted)
     assert np.allclose(out.value, bag @ raw.w_proj, atol=1e-14)
 
 
@@ -31,7 +31,7 @@ def test_duplicate_instances_match_single():
     lifted, _ = _lifted_params(rng)
     one = rng.normal(size=(1, 5))
     two = np.vstack([one, one])
-    assert np.allclose(encode_bag(two, lifted).value, encode_bag(one, lifted).value, atol=1e-12)
+    assert np.allclose(encode_bag([two], lifted).value, encode_bag([one], lifted).value, atol=1e-12)
 
 
 def test_permutation_invariance():
@@ -39,8 +39,8 @@ def test_permutation_invariance():
     lifted, _ = _lifted_params(rng)
     bag = rng.normal(size=(7, 5))
     shuffled = bag[rng.permutation(7)]
-    a = encode_bag(bag, lifted).value
-    b = encode_bag(shuffled, lifted).value
+    a = encode_bag([bag], lifted).value
+    b = encode_bag([shuffled], lifted).value
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -53,7 +53,7 @@ def test_attention_weights_sum_to_one():
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
     # reproduce the pooled output from first principles
-    assert np.allclose(encode_bag(bag, lifted).value, weights.T @ h, atol=1e-12)
+    assert np.allclose(encode_bag([bag], lifted).value, weights.T @ h, atol=1e-12)
     assert weights.sum() == pytest.approx(1.0)
 
 
@@ -61,7 +61,7 @@ def test_empty_bag_rejected():
     rng = np.random.default_rng(4)
     lifted, _ = _lifted_params(rng)
     with pytest.raises(DataError):
-        encode_bag(np.zeros((0, 5)), lifted)
+        encode_bag([np.zeros((0, 5))], lifted)
 
 
 def test_encoder_gradients_match_fd():
@@ -71,7 +71,7 @@ def test_encoder_gradients_match_fd():
     def build(w_proj, v_att, u_att, w_att):
         params = EncoderParams(w_proj=w_proj, v_att=v_att, u_att=u_att, w_att=w_att)
         weight = ad.leaf(np.linspace(-1, 1, 6).reshape(1, 6))
-        return ad.sum_all(ad.mul(encode_bag(bag, params), weight))
+        return ad.sum_all(ad.mul(encode_bag([bag], params), weight))
 
     arrays = [
         rng.uniform(-1, 1, (5, 6)),

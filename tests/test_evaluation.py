@@ -11,8 +11,10 @@ from hdmoe.errors import MetricError
 from hdmoe.moe import RouterTrace
 
 from helpers import (
+    average_abs_correlation_loop,
     km_loop,
     log_rank_loop,
+    max_rel_err,
     oracle_cindex,
     redundancy_score_loop,
     route,
@@ -359,11 +361,8 @@ def _trace_with_selected(selected, n_experts):
 
 
 def test_histogram_alternating_routing_equal_counts():
-    groups = [
-        (_trace_with_selected([[0], [1], [0], [1]], 2),)
-        for _ in range(5)
-    ]
-    counts = ev.expert_histogram(groups)
+    # 5 samples of 4 tokens each, one router
+    counts = ev.expert_histogram((_trace_with_selected([[0], [1], [0], [1]] * 5, 2),))
     assert counts.shape == (1, 2)
     assert counts[0, 0] == counts[0, 1] == 10
 
@@ -371,12 +370,12 @@ def test_histogram_alternating_routing_equal_counts():
 def test_histogram_conservation():
     rng = np.random.default_rng(6)
     m, t, k, n = 7, 5, 2, 4
-    groups = [
-        (_trace_with_selected(rng.integers(0, n, size=(t, k)), n),)
-        for _ in range(m)
-    ]
-    counts = ev.expert_histogram(groups)
-    assert counts.sum() == t * k * m
+    traces = tuple(_trace_with_selected(rng.integers(0, n, size=(m * t, k)), n) for _ in range(3))
+    counts = ev.expert_histogram(traces)
+    assert counts.shape == (3, n)
+    assert (counts.sum(axis=1) == t * k * m).all()
+    with pytest.raises(MetricError):
+        ev.expert_histogram(())
 
 
 def test_histogram_random_router_covers_all_experts():
@@ -386,7 +385,7 @@ def test_histogram_random_router_covers_all_experts():
     for _ in range(1000):
         token = rng.normal(size=6)
         selected.append(route(token, router, 1).selected[0])
-    counts = ev.expert_histogram([(_trace_with_selected(np.array(selected), 4),)])
+    counts = ev.expert_histogram((_trace_with_selected(np.array(selected), 4),))
     assert (counts > 0).all()
 
 
@@ -426,15 +425,15 @@ def test_redundancy_score_shapes_and_finite_delta():
         for i in range(4)
     ]
     lifted, _ = hm.lift_params(params, requires_grad=False)
-    results = [hm.forward(r, lifted, cfg, np.random.default_rng(0)) for r in records]
-    for outputs in ([res.moe_a for res in results], [res.moe_b for res in results]):
-        pre, post, delta = ev.redundancy_score(outputs)
+    res = hm.forward(records, lifted, cfg, np.random.default_rng(0))
+    for output in (res.moe_a, res.moe_b):
+        pre, post, delta = ev.redundancy_score(output)
         assert pre.shape == (2, 2) and post.shape == (2, 2)
         assert np.isfinite(delta)
-    pre, post, delta = ev.redundancy_score([res.moe_inter for res in results])
+    pre, post, delta = ev.redundancy_score(res.moe_inter)
     assert pre.shape == (4, 4)
     with pytest.raises(MetricError, match="at least two samples"):
-        ev.redundancy_score([results[0].moe_a])
+        ev.redundancy_score(hm.forward(records[:1], lifted, cfg, np.random.default_rng(0)).moe_a)
 
 
 def _redundancy_setup():
@@ -453,35 +452,46 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
+def _assert_heatmaps_close(got, want):
+    """(pre, post, delta) within 1e-13 relative of the np.corrcoef loop."""
+    for g, w in zip(got[:2], want[:2]):
+        assert max_rel_err(g, w) < 1e-13
+    assert abs(got[2] - want[2]) <= 1e-13 * max(abs(want[2]), 1.0)
+
+
 @pytest.mark.parametrize("modality", ["a", "b"])
 def test_level1_redundancy_equals_full_forward_oracle_and_draws_nothing(modality):
     cfg, params, records = _redundancy_setup()
     expected = redundancy_score_loop(params, cfg, records, 1, modality, np.random.default_rng(0))
     lifted, _ = hm.lift_params(params, requires_grad=False)
     side = "ab".index(modality)
-    scored = [ev.redundancy_score([hm.encode(r, lifted, cfg)[side] for r in records])]
-    # the level-1 outputs of forwards with any draws score the same
+    scored = [ev.redundancy_score(hm.encode(records, lifted, cfg)[side])]
+    # the level-1 outputs of forwards with any draws score the same bits
     for seed in (1, 12345):
-        rng = np.random.default_rng(seed)
-        results = [hm.forward(r, lifted, cfg, rng) for r in records]
-        scored.append(ev.redundancy_score([getattr(res, f"moe_{modality}") for res in results]))
+        res = hm.forward(records, lifted, cfg, np.random.default_rng(seed))
+        scored.append(ev.redundancy_score(getattr(res, f"moe_{modality}")))
     for pre, post, delta in scored:
-        assert _bits(pre, post) == _bits(*expected[:2])
-        assert delta == expected[2]
+        assert _bits(pre, post, delta) == _bits(*scored[0])
+        _assert_heatmaps_close((pre, post, delta), expected)
 
 
 def test_level2_redundancy_equals_full_forward_oracle():
     cfg, params, records = _redundancy_setup()
     lifted, _ = hm.lift_params(params, requires_grad=False)
-    rng = np.random.default_rng(7)
-    pre, post, delta = ev.redundancy_score(
-        [hm.forward(r, lifted, cfg, rng).moe_inter for r in records]
-    )
-    o_pre, o_post, o_delta = redundancy_score_loop(
-        params, cfg, records, 2, None, np.random.default_rng(7)
-    )
-    assert _bits(pre, post) == _bits(o_pre, o_post)
-    assert delta == o_delta
+    got = ev.redundancy_score(hm.forward(records, lifted, cfg, np.random.default_rng(7)).moe_inter)
+    expected = redundancy_score_loop(params, cfg, records, 2, None, np.random.default_rng(7))
+    _assert_heatmaps_close(got, expected)
+
+
+@given(batch=st.integers(1, 12), tokens=st.integers(2, 6), width=st.integers(2, 9),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_batched_correlation_matches_corrcoef_loop(batch, tokens, width, seed):
+    stack = np.random.default_rng(seed).normal(size=(batch, tokens, width))
+    got = ev.average_abs_correlation(stack)
+    assert got.shape == (tokens, tokens)
+    assert max_rel_err(got, average_abs_correlation_loop(list(stack))) < 1e-13
+    assert (got <= 1.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +510,7 @@ def _tiny_setup(segment_values=(1, 2, 4, 8)):
         for i in range(10)
     ]
     lifted, _ = hm.lift_params(params, requires_grad=False)
-    level1 = [hm.encode(r, lifted, cfg) for r in records]
+    level1 = hm.encode(records, lifted, cfg)
     return cfg, params, records, lifted, level1
 
 
@@ -527,8 +537,8 @@ def test_stability_report_equals_full_forward_oracle(segment_values, repeats):
     oracle_rng = np.random.default_rng(41)
     o_scores, o_mean, o_std = stability_report_loop(params, cfg, records, repeats, oracle_rng)
     # replayed over `encode` outputs and over the level-1 outputs of forwards
-    forwards = [hm.forward(r, lifted, cfg, np.random.default_rng(3)) for r in records]
-    for pairs in (level1, [(res.moe_a, res.moe_b) for res in forwards]):
+    res = hm.forward(records, lifted, cfg, np.random.default_rng(3))
+    for pairs in (level1, (res.moe_a, res.moe_b)):
         rng = np.random.default_rng(41)
         scores, mean, std = ev.stability_report(pairs, lifted, cfg, records, repeats, rng)
         assert scores == o_scores

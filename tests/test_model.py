@@ -65,9 +65,9 @@ def test_zero_weights_give_half_hazards_and_equal_risk():
     risks = []
     for seed in range(3):
         srng = np.random.default_rng(seed)
-        res = hm.forward(_sample(srng), _lift(params), TINY, np.random.default_rng(seed))
+        res = hm.forward([_sample(srng)], _lift(params), TINY, np.random.default_rng(seed))
         assert np.allclose(res.prediction.hazards, 0.5, atol=1e-15)
-        risks.append(res.prediction.risk)
+        risks.append(float(res.prediction.risk[0]))
     assert len(set(risks)) == 1
 
 
@@ -75,10 +75,10 @@ def test_forward_deterministic_for_fixed_seed():
     rng = np.random.default_rng(1)
     params = hm.init_params(TINY, rng)
     sample = _sample(np.random.default_rng(2))
-    a = hm.forward(sample, _lift(params), TINY, np.random.default_rng(7))
-    b = hm.forward(sample, _lift(params), TINY, np.random.default_rng(7))
+    a = hm.forward([sample], _lift(params), TINY, np.random.default_rng(7))
+    b = hm.forward([sample], _lift(params), TINY, np.random.default_rng(7))
     assert np.array_equal(a.prediction.hazards, b.prediction.hazards)
-    assert a.prediction.risk == b.prediction.risk
+    assert np.array_equal(a.prediction.risk, b.prediction.risk)
     assert a.draws == b.draws
 
 
@@ -89,13 +89,14 @@ def test_default_scale_shapes():
     sample = SampleRecord(
         "big", rng.normal(size=(4, cfg.d_in)), rng.normal(size=(6, cfg.d_in)), 10.0, 0
     )
-    res = hm.forward(sample, _lift(params), cfg, np.random.default_rng(0))
+    res = hm.forward([sample], _lift(params), cfg, np.random.default_rng(0))
     assert res.features.v_f1.value.shape == (1, 1024)
     assert res.features.v_f1_proj.value.shape == (1, 512)
     assert res.features.v_inter.value.shape == (1, 512)
     assert res.features.v_share_3.value.shape == (1, 512)
     assert res.features.v_f2.value.shape == (1, 1024)
-    assert res.prediction.hazards.shape == (4,)
+    assert res.prediction.hazards.shape == (1, 4)
+    assert res.prediction.risk.shape == (1,)
     # level-1/2 token counts at the published defaults
     assert res.moe_a.tokens.value.shape == (4, 64)
     assert res.moe_inter.tokens.value.shape == (16, 32)
@@ -116,13 +117,13 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
     sample = _sample(np.random.default_rng(12))
     passes = {
         grad: hm.forward(
-            sample, hm.lift_params(params, requires_grad=grad)[0], TINY,
+            [sample], hm.lift_params(params, requires_grad=grad)[0], TINY,
             np.random.default_rng(13),
         )
         for grad in (True, False)
     }
     assert np.array_equal(passes[False].prediction.hazards, passes[True].prediction.hazards)
-    assert passes[False].prediction.risk == passes[True].prediction.risk
+    assert _same_bits(passes[False].prediction.risk, passes[True].prediction.risk)
 
     def roots(res):
         return [res.hazards_node] + [t.probs_node for t in res.traces]
@@ -136,7 +137,7 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
 def _ops_per_step(cfg, seed=0):
     rng = np.random.default_rng(seed)
     lifted = hm.lift_params(hm.init_params(cfg, rng), requires_grad=True)[0]
-    res = hm.forward(_sample(rng, cfg), lifted, cfg, rng)
+    res = hm.forward([_sample(rng, cfg)], lifted, cfg, rng)
     _, total = total_loss(survival_nll(res.hazards_node, 2, 0), decouple_loss(res.features, "cos"),
                           balance_loss(res.traces), 1.0, 0.01)
     return sum(1 for node in _reachable([total]) if node.parents)
@@ -163,11 +164,11 @@ def test_fuse_of_encode_equals_forward_bitwise(grad):
     for seed in range(4):
         sample = _sample(np.random.default_rng(100 + seed))
         rng_full, rng_split = np.random.default_rng(seed), np.random.default_rng(seed)
-        full = hm.forward(sample, lifted, TINY, rng_full)
-        split = hm.fuse(hm.encode(sample, lifted, TINY), lifted, TINY, rng_split)
+        full = hm.forward([sample], lifted, TINY, rng_full)
+        split = hm.fuse(hm.encode([sample], lifted, TINY), lifted, TINY, rng_split)
         assert _same_bits(full.prediction.hazards, split.prediction.hazards)
         assert _same_bits(full.prediction.survival, split.prediction.survival)
-        assert full.prediction.risk == split.prediction.risk
+        assert _same_bits(full.prediction.risk, split.prediction.risk)
         assert full.draws == split.draws
         for ta, tb in zip(full.traces, split.traces, strict=True):
             assert ta.num_experts == tb.num_experts
@@ -189,15 +190,15 @@ def test_encode_draws_nothing():
         return state["state"]["key"].tobytes(), state["state"]["pos"], state["gauss"]
 
     before = global_state()
-    out_a, out_b = hm.encode(sample, lifted, TINY)
+    out_a, out_b = hm.encode([sample], lifted, TINY)
     assert global_state() == before
     # the prefix is a pure function of sample and parameters
-    again_a, again_b = hm.encode(sample, lifted, TINY)
+    again_a, again_b = hm.encode([sample], lifted, TINY)
     assert _same_bits(out_a.routed.value, again_a.routed.value)
     assert _same_bits(out_b.shared.value, again_b.shared.value)
     # forward consumes exactly the draws of its fusion suffix
     rng_full, rng_fuse = np.random.default_rng(5), np.random.default_rng(5)
-    hm.forward(sample, lifted, TINY, rng_full)
+    hm.forward([sample], lifted, TINY, rng_full)
     hm.fuse((out_a, out_b), lifted, TINY, rng_fuse)
     assert rng_full.bit_generator.state == rng_fuse.bit_generator.state
 
@@ -211,8 +212,8 @@ def test_risk_score_examples():
 def test_hazard_prediction_survival_monotone():
     rng = np.random.default_rng(4)
     params = hm.init_params(TINY, rng)
-    res = hm.forward(_sample(rng), _lift(params), TINY, np.random.default_rng(0))
-    s = res.prediction.survival
+    res = hm.forward([_sample(rng)], _lift(params), TINY, np.random.default_rng(0))
+    s = res.prediction.survival[0]
     assert np.all(s[:-1] >= s[1:] - 1e-15)
     assert np.all((res.prediction.hazards >= 0) & (res.prediction.hazards <= 1))
 
@@ -247,10 +248,10 @@ def test_rfr_draw_changes_v_f2_only_by_permutation():
     params = hm.init_params(TINY, rng)
     sample = _sample(np.random.default_rng(6))
     lifted = _lift(params)
-    baseline = hm.forward(sample, lifted, TINY, np.random.default_rng(0), pin_segments=(2, 1))
+    baseline = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=(2, 1))
     base_entries = sorted(baseline.features.v_f2.value[0].tolist())
     for s2 in (1, 2, 4, 8, 16):
-        res = hm.forward(sample, lifted, TINY, np.random.default_rng(0), pin_segments=(2, s2))
+        res = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=(2, s2))
         entries = sorted(res.features.v_f2.value[0].tolist())
         assert entries == base_entries
         concat = np.concatenate(
@@ -266,14 +267,14 @@ def test_end_to_end_gradients_match_fd_tiny_config():
     pins = (2, 4)
 
     def loss_value(p):
-        res = hm.forward(sample, _lift(p), TINY, np.random.default_rng(0), pin_segments=pins)
+        res = hm.forward([sample], _lift(p), TINY, np.random.default_rng(0), pin_segments=pins)
         surv = survival_nll(res.hazards_node, 2, 0)
         dm = decouple_loss(res.features, "cos")
         bl = balance_loss(res.traces)
         return total_loss(surv, dm, bl, 1.0, 0.01)
 
     lifted, nodes = hm.lift_params(params, requires_grad=True)
-    res = hm.forward(sample, lifted, TINY, np.random.default_rng(0), pin_segments=pins)
+    res = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=pins)
     surv = survival_nll(res.hazards_node, 2, 0)
     _, total = total_loss(surv, decouple_loss(res.features, "cos"),
                           balance_loss(res.traces), 1.0, 0.01)
@@ -395,10 +396,14 @@ def _list_meta(blob):
         _set_entry("data", {}),
         _nan_data,
         _list_meta,
+        _set_entry("data", lambda e: [True, *e["data"][1:]]),
+        _set_entry("data", lambda e: [*e["data"][:-1], [0.5]]),
+        _set_entry("data", lambda e: [*e["data"][:-1], 10**400]),
     ],
     ids=["truncated", "not_an_object", "no_params", "no_shape", "no_data", "short_data",
          "int_shape", "null_shape", "bool_in_shape", "nested_data", "string_data",
-         "object_data", "nan_data", "list_meta"],
+         "object_data", "nan_data", "list_meta", "bool_in_data", "one_nested_entry",
+         "int_too_large"],
 )
 def test_damaged_checkpoint_is_config_error_naming_the_file(tmp_path, edit):
     path = tmp_path / "ckpt.json"

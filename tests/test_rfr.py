@@ -56,7 +56,7 @@ def test_build_permutation_full_interleave():
 def test_rfr_forward_four_vectors():
     rng = np.random.default_rng(3)
     vectors = [ad.leaf(rng.normal(size=(1, 8))) for _ in range(4)]
-    fused, draw = rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(0))
+    fused, (draw,) = rfr.rfr_forward(vectors, [rfr.sample_segment(FULL_SET, 8, rng)])
     assert fused.value.shape == (1, 32)
     assert draw.num_vectors == 4 and draw.vector_len == 8
     concat = np.concatenate([v.value[0] for v in vectors])
@@ -66,27 +66,27 @@ def test_rfr_forward_four_vectors():
 def test_rfr_forward_two_vectors_shape():
     rng = np.random.default_rng(4)
     vectors = [ad.leaf(rng.normal(size=(1, 16))) for _ in range(2)]
-    fused, _ = rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(1))
+    fused, _ = rfr.rfr_forward(vectors, [rfr.sample_segment(FULL_SET, 16, rng)])
     assert fused.value.shape == (1, 32)
 
 
 def test_rfr_forward_length_mismatch():
     with pytest.raises(ShapeError):
-        rfr.rfr_forward(
-            [ad.leaf(np.zeros((1, 4))), ad.leaf(np.zeros((1, 8)))],
-            FULL_SET,
-            np.random.default_rng(0),
-        )
+        rfr.rfr_forward([ad.leaf(np.zeros((1, 4))), ad.leaf(np.zeros((1, 8)))], [1])
 
 
 def test_rfr_pin_segment():
     vectors = [ad.leaf(np.arange(4.0).reshape(1, 4)), ad.leaf(np.arange(4.0, 8.0).reshape(1, 4))]
-    fused, draw = rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(0), pin_segment=1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert rfr.draw_segments(FULL_SET, (4, 8), (1, 8), rng, 3) == [(1, 8)] * 3
+    assert rng.bit_generator.state == state  # a pinned segment draws nothing
+    fused, (draw,) = rfr.rfr_forward(vectors, [1])
     assert draw.segment == 1
     assert np.array_equal(fused.value[0], np.arange(8.0))
     for bad in (3, 0, -1):
         with pytest.raises(ConfigError):
-            rfr.rfr_forward(vectors, FULL_SET, np.random.default_rng(0), pin_segment=bad)
+            rfr.draw_segments(FULL_SET, (4,), (bad,), rng, 1)
 
 
 @given(
@@ -121,14 +121,14 @@ def test_rfr_gradient_routes_through_inverse_permutation():
     pin = 4
 
     def build(*nodes):
-        fused, _ = rfr.rfr_forward(list(nodes), FULL_SET, np.random.default_rng(0), pin_segment=pin)
+        fused, _ = rfr.rfr_forward(list(nodes), [pin])
         return ad.sum_all(ad.mul(fused, w))
 
     check_grads(build, vecs, rtol=1e-6)
     # direct check: gradient equals the weight row routed back through the
     # inverse permutation
     nodes = [ad.leaf(v, requires_grad=True) for v in vecs]
-    fused, draw = rfr.rfr_forward(nodes, FULL_SET, np.random.default_rng(0), pin_segment=pin)
+    fused, (draw,) = rfr.rfr_forward(nodes, [pin])
     ad.backward(ad.sum_all(ad.mul(fused, w)))
     inv = np.argsort(draw.permutation)
     routed_back = w.value[0, inv]

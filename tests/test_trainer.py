@@ -3,8 +3,10 @@ import pytest
 
 from hdmoe import model as hm
 from hdmoe import trainer as ht
+from hdmoe.config import RunConfig, apply_desk_preset
 from hdmoe.data import SampleRecord, compute_bin_edges, generate_synthetic, make_folds, SynthConfig
 from hdmoe.errors import ConfigError, NumericsError
+from hdmoe.losses import balance_loss, decouple_loss, survival_nll, total_loss
 
 from helpers import LoopOptimizerState, optimizer_step_loop, train_fold_loop
 
@@ -234,3 +236,29 @@ def test_predictions_csv_format():
     assert lines[0] == "sample_id,fold,h1,h2,risk,bin,censored,time_months"
     assert lines[1].startswith("p1,0,0.1,0.2,-1.5,1,0,12")
     assert len(lines) == 3
+
+
+def _tape_ops(root) -> int:
+    """Ops (nodes with parents) among the nodes backward(root) walks."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return sum(1 for node in seen.values() if node.parents)
+
+
+def test_desk_training_step_tape_stays_at_64_ops():
+    # a desk step's tape: 68 ops before the attention pooling of each encoder
+    # became one node, 187 before the composites did; a change that adds ops
+    # to the one-sample training step must move this bound on purpose
+    run = apply_desk_preset(RunConfig())
+    cfg = run.model_config()
+    sample = generate_synthetic(run.synth_config(), np.random.default_rng(0))[0][0]
+    lifted, _ = hm.lift_params(hm.init_params(cfg, np.random.default_rng(1)), requires_grad=True)
+    res = ht.forward([sample], lifted, cfg, np.random.default_rng(2))
+    _, total = total_loss(survival_nll(res.hazards_node, 2, sample.censored),
+                          decouple_loss(res.features, "cos"), balance_loss(res.traces), 1.0, 0.01)
+    assert _tape_ops(total) <= 64

@@ -8,12 +8,15 @@
   before the steps, so the "lift" stage of a step is zeroing the flat
   gradient plus the finiteness check of the flat parameters (BENCH_0 to
   BENCH_7 re-lifted every array per step there).
-- One no-grad forward at both scales, with the parameters lifted once.
+- The no-grad forward at both scales, with the parameters lifted once, as
+  ms per sample: a one-sample batch (the figure BENCH_0 to BENCH_11 report
+  per forward) and a batch of 60 samples in one call.
 - The no-grad diagnostics at both scales: one lift, the level-1 ``encode``
   of the profile's cohort and ``stability_report`` with R = 5 repeats over
-  it (lift and encode included, so the figures compare with BENCH_2 to
-  BENCH_5); and level-1 ``redundancy_score`` (modality a) over that
-  cohort's encoded outputs, which is the correlation pass alone.
+  it, each repeat one batched ``fuse`` (lift and encode included, so the
+  figures compare with BENCH_2 to BENCH_5); and level-1
+  ``redundancy_score`` (modality a) over that cohort's encoded outputs,
+  which is the correlation pass alone.
 - The survival metrics ``c_index``, ``km_estimate`` and ``log_rank_p`` on
   risk tables of n = 30, 200 and 2000 samples with heavy ties.
 - ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
@@ -48,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 STAGES = ("lift", "forward", "losses", "backward", "optimizer")
 STEPS = {"desk": (10, 100), "full": (5, 30)}  # (warm-up, timed) steps per scale
-FORWARDS = 60
+FORWARDS = 60  # one-sample forwards timed, and the samples of the batched forward
 REPEATS = 5  # stability repeats per stability_report call
 REPEATER_CALLS = 10
 METRIC_SIZES = (30, 200, 2000)
@@ -123,7 +126,7 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
         t0 = time.perf_counter()
         state.grad.fill(0.0)
         t1 = time.perf_counter()
-        res = model.forward(sample, lifted, model_cfg, rng)
+        res = model.forward([sample], lifted, model_cfg, rng)
         t2 = time.perf_counter()
         surv = losses.survival_nll(res.hazards_node, sample.bin_label, sample.censored)
         dm = losses.decouple_loss(res.features, train_cfg.distance_metric)
@@ -146,18 +149,21 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
                 nodes_per_step[kind].append(count)
 
     lifted, _ = model.lift_params(params, requires_grad=False)
-    nograd = []
-    for i in range(FORWARDS):
+    batch = [records[i % len(records)] for i in range(FORWARDS)]
+    single = []
+    for sample in batch:
         t0 = time.perf_counter()
-        model.forward(records[i % len(records)], lifted, model_cfg, rng)
-        nograd.append(time.perf_counter() - t0)
+        model.forward([sample], lifted, model_cfg, rng)
+        single.append(time.perf_counter() - t0)
+    batched = _median_ms(lambda: model.forward(batch, lifted, model_cfg, rng), REPEATER_CALLS)
+    nograd = {"1": _ms(single), str(FORWARDS): round(batched / FORWARDS, 4)}
 
     def stability():
         lifted, _ = model.lift_params(params, requires_grad=False)
-        level1 = [model.encode(r, lifted, model_cfg) for r in records]
+        level1 = model.encode(records, lifted, model_cfg)
         evaluation.stability_report(level1, lifted, model_cfg, records, REPEATS, rng)
 
-    outputs_a = [model.encode(r, lifted, model_cfg)[0] for r in records]
+    outputs_a = model.encode(records, lifted, model_cfg)[0]
     repeaters = {
         "stability": _median_ms(stability, REPEATER_CALLS),
         "redundancy": _median_ms(lambda: evaluation.redundancy_score(outputs_a), REPEATER_CALLS),
@@ -171,8 +177,7 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
             "mb": round(path.stat().st_size / 1e6, 3),
         }
     nodes = {kind: statistics.median(v) for kind, v in nodes_per_step.items()}
-    return ({stage: _ms(v) for stage, v in times.items()}, nodes, _ms(nograd), repeaters,
-            checkpoint)
+    return ({stage: _ms(v) for stage, v in times.items()}, nodes, nograd, repeaters, checkpoint)
 
 
 def tied_table(rng, n: int):
@@ -243,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
         "tape_nodes_per_step": {"desk": nodes_desk, "full": nodes_full},
-        "nograd_forward_ms": {"desk": nograd_desk, "full": nograd_full},
+        "nograd_forward_ms_per_sample": {"desk": nograd_desk, "full": nograd_full},
         "stability_ms": {"desk": rep_desk["stability"], "full": rep_full["stability"]},
         "redundancy_ms": {"desk": rep_desk["redundancy"], "full": rep_full["redundancy"]},
         "checkpoint_ms": {"desk": {k: ckpt_desk[k] for k in ("save", "load")},
