@@ -332,8 +332,9 @@ def cosine(x: Node, y: Node, eps: float) -> Node:
     def rule(g: np.ndarray) -> None:
         g_dot = g / denom
         g_prod = -g * dot / (denom * denom)
-        g_xx = g_prod * ny / (2.0 * nx)  # through |x| = sqrt(x.x)
-        g_yy = g_prod * nx / (2.0 * ny)
+        # through |x| = sqrt(x.x); x/|x| is taken as 0 at x = 0, where the dot term vanishes
+        g_xx = g_prod * ny / (2.0 * nx) if nx.item() else np.zeros_like(g_prod)
+        g_yy = g_prod * nx / (2.0 * ny) if ny.item() else np.zeros_like(g_prod)
         accumulate(x, g_dot @ yt.T + g_xx @ xt.T + (x.value.T @ g_xx).T)
         accumulate(y, (x.value.T @ g_dot).T + g_yy @ yt.T + (y.value.T @ g_yy).T)
 

@@ -70,10 +70,10 @@ def _load_dataset(cfg: RunConfig):
     if not cfg.manifest:
         raise ConfigError("config.manifest is required for this command")
     records = load_samples(cfg.manifest)
-    if records and records[0].features_a.shape[1] != cfg.d_in:
-        raise ConfigError(
-            f"dataset feature width {records[0].features_a.shape[1]} != config d_in {cfg.d_in}"
-        )
+    for r in records:  # a record's two bags already agree in width
+        if r.features_a.shape[1] != cfg.d_in:
+            raise ConfigError(
+                f"sample {r.sample_id}: feature width {r.features_a.shape[1]} != config d_in {cfg.d_in}")
     return records
 
 

@@ -127,9 +127,10 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
 
 
 def _load_feature_file(path: Path, sample_id: str) -> np.ndarray:
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:
+    try:  # from a handle: given a path, loadtxt resolves it as a possible URL on every call
+        with open(path, encoding="utf-8") as fh:
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:  # a UnicodeDecodeError too
         raise DataError(f"{path}: bad feature file for {sample_id}: {exc}") from None
     if arr.size == 0:
         raise DataError(f"{path}: empty feature file for {sample_id}")

@@ -320,7 +320,7 @@ def save_checkpoint(path: str | Path, params: HDMoEParams, meta: dict) -> None:
         "format_version": CHECKPOINT_VERSION,
         "meta": meta,
         "params": {
-            p: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+            p: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for p, arr in named_params(params)
         },
     }

@@ -56,13 +56,13 @@ def draw_segments(
 ) -> list[tuple[int, ...]]:
     """One segment per vector length for each of count samples, drawn sample
     by sample: sample i's draw for every length in turn, then sample i+1's.
-    A pinned length (checked to divide it) draws nothing."""
+    One integers call makes every draw, in that order. A length with one
+    choice draws nothing, a pinned one (checked to divide it) included."""
     choices = [valid_segments(segment_values if pin is None else [pin], d)
                for d, pin in zip(lengths, pins)]
-    return [
-        tuple(int(c[rng.integers(0, len(c))]) if pin is None else c[0] for c, pin in zip(choices, pins))
-        for _ in range(count)
-    ]
+    picks = rng.integers(0, [len(c) for c in choices], size=(count, len(choices)))
+    columns = [[c[k] for k in col] for c, col in zip(choices, picks.T.tolist())]
+    return list(zip(*columns))
 
 
 @lru_cache(maxsize=None)

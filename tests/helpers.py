@@ -15,7 +15,7 @@ from hdmoe import model as hm
 from hdmoe.data import assign_bin, compute_bin_edges
 from hdmoe.errors import MetricError
 from hdmoe.moe import moe_forward, select_top_k
-from hdmoe.rfr import rfr_forward, sample_segment, valid_segments
+from hdmoe.rfr import rfr_forward, valid_segments
 from hdmoe.trainer import split_fold
 
 
@@ -387,8 +387,20 @@ def log_rank_loop(times_a, events_a, times_b, events_b):
 # ---------------------------------------------------------------------------
 # one-sample forward: the pass every caller ran once per sample before the
 # model took batches. Its encoder pools one bag with reshape -> row_softmax ->
-# matmul, and each fusion draws its own segment as it is reached. The
-# batched pass at B = 1 must equal it bitwise, gradients included.
+# matmul, and each fusion draws its own segment as it is reached, one
+# rng.integers call per draw. The batched pass at B = 1 must equal it
+# bitwise, gradients included.
+
+
+def draw_segments_loop(segment_values, lengths, pins, rng, count):
+    """rfr.draw_segments as one rng.integers call per sample and unpinned
+    length, sample by sample; a pinned length draws nothing."""
+    choices = [valid_segments(segment_values if pin is None else [pin], d)
+               for d, pin in zip(lengths, pins)]
+    return [
+        tuple(int(c[rng.integers(0, len(c))]) if pin is None else c[0] for c, pin in zip(choices, pins))
+        for _ in range(count)
+    ]
 
 
 def encode_bag_single(bag, params):
@@ -408,7 +420,7 @@ def forward_single(sample, lifted, cfg, rng, pin_segments=(None, None)):
                         lifted.level1_moe_b)
 
     def segment(d, pin):
-        return sample_segment(cfg.segment_values, d, rng) if pin is None else valid_segments([pin], d)[0]
+        return draw_segments_loop(cfg.segment_values, (d,), (pin,), rng, 1)[0][0]
 
     s1 = segment(cfg.d1, pin_segments[0])
     v_f1, _ = rfr_forward([out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s1])

@@ -275,6 +275,66 @@ def test_train_too_few_event_times_for_the_bins_exit_2_before_any_output(tmp_pat
     assert not run_dir.exists()
 
 
+def _feature_file(resolved: Path, name: str) -> Path:
+    return Path(load_config(resolved).manifest).parent / "features" / name
+
+
+@pytest.mark.parametrize("content", [
+    b"0.1,0.2,0.3,0.4\n0.5,abc,0.7,0.8\n",
+    b"0.1,0.2,0.3,0.4\n0.5,0.6,0.7\n",
+    b"0.1,0.2,0.3,0.4\n0.5,nan,0.7,0.8\n",
+    b"0.1,0.2,0.3,0.4\n0.5,0.6,inf,0.8\n",
+    b"",
+    b"0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.\xff8\n",
+], ids=["non_numeric", "ragged", "nan", "inf", "empty", "non_utf8"])
+def test_train_malformed_feature_file_exit_2_naming_it(tmp_path, capsys, content):
+    resolved = _synth(tmp_path)
+    bad = _feature_file(resolved, "synth0003_b.csv")
+    bad.write_bytes(content)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_train_missing_feature_file_exit_4_naming_it(tmp_path, capsys):
+    resolved = _synth(tmp_path)
+    missing = _feature_file(resolved, "synth0003_a.csv")
+    missing.unlink()
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 4
+    assert str(missing) in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_train_feature_file_comments_and_blank_lines_skipped(tmp_path):
+    resolved = _synth(tmp_path)
+    path = _feature_file(resolved, "synth0003_a.csv")
+    rows = path.read_text().splitlines()
+    path.write_text("# instance features\n" + rows[0] + "\n\n" + "\n".join(rows[1:]) + "\n")
+    assert load_samples(load_config(resolved).manifest)[3].features_a.shape == (2, 4)
+    assert cli.main(["train", "--config", str(resolved), "--out", str(tmp_path / "run")]) == 0
+
+
+def _narrow_sample(resolved: Path, sample_id: str, width: int) -> None:
+    for side in ("a", "b"):
+        path = _feature_file(resolved, f"{sample_id}_{side}.csv")
+        rows = path.read_text().splitlines()
+        path.write_text("".join(",".join(row.split(",")[:width]) + "\n" for row in rows))
+
+
+def test_feature_width_checked_for_every_sample_exit_2(tmp_path, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    _narrow_sample(resolved, "synth0005", 2)  # d_in = 4
+    for argv in (["train"], ["eval", "--checkpoint", str(run_dir)],
+                 ["analyze", "--checkpoint", str(run_dir / "fold0" / "checkpoint.json")]):
+        out_dir = tmp_path / f"out_{argv[0]}"
+        assert cli.main([*argv, "--config", str(resolved), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "synth0005" in err and "width 2" in err and "d_in 4" in err
+        assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

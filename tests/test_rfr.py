@@ -7,7 +7,7 @@ from hdmoe import autodiff as ad
 from hdmoe import rfr
 from hdmoe.errors import ConfigError, ShapeError
 
-from helpers import check_grads
+from helpers import check_grads, draw_segments_loop
 
 FULL_SET = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -87,6 +87,20 @@ def test_rfr_pin_segment():
     for bad in (3, 0, -1):
         with pytest.raises(ConfigError):
             rfr.draw_segments(FULL_SET, (4,), (bad,), rng, 1)
+
+
+@pytest.mark.parametrize("pins", [(None, None), (1, None), (None, 2), (1, 2)],
+                         ids=["none", "level1", "level2", "both"])
+@pytest.mark.parametrize("lengths", [(32, 64), (32, 32), (1, 64), (4, 16)],
+                         ids=["bounds6_7", "bounds6_6", "bounds1_7", "bounds3_5"])
+def test_draw_segments_equals_per_draw_loop(lengths, pins):
+    for seed in range(40):
+        for count in (1, 2, 7, 30, 60):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            picks = rfr.draw_segments(FULL_SET, lengths, pins, rng, count)
+            assert picks == draw_segments_loop(FULL_SET, lengths, pins, ref_rng, count)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert np.array_equal(rng.integers(0, 7, size=3), ref_rng.integers(0, 7, size=3))
 
 
 @given(

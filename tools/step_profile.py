@@ -21,6 +21,8 @@
   risk tables of n = 30, 200 and 2000 samples with heavy ties.
 - ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
   both scales, through a temporary directory.
+- ``load_samples`` of a desk cohort of 60 samples (120 feature files of
+  6 x 32 values), written once to a temporary directory.
 
 The package is imported from ``--src`` (default: this checkout's src) before
 numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
@@ -58,6 +60,7 @@ METRIC_SIZES = (30, 200, 2000)
 METRIC_REPEATS = 30
 COHORT = 8
 CHECKPOINT_CALLS = 5
+READER_CALLS = 20
 
 
 def _ms(seconds: list[float]) -> float:
@@ -180,6 +183,19 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
     return ({stage: _ms(v) for stage, v in times.items()}, nodes, nograd, repeaters, checkpoint)
 
 
+def profile_reader() -> float:
+    import numpy as np
+
+    import hdmoe as hd
+
+    synth = dataclasses.replace(hd.apply_desk_preset(hd.RunConfig()).synth_config(),
+                                cohort=FORWARDS)
+    records, _ = hd.generate_synthetic(synth, np.random.default_rng(4))
+    with tempfile.TemporaryDirectory(prefix="hdmoe-profile-") as tmp:
+        manifest = hd.write_dataset(tmp, records)
+        return _median_ms(lambda: hd.load_samples(manifest), READER_CALLS)
+
+
 def tied_table(rng, n: int):
     """Times on a 0.1-month grid, about 40% censored, risks rounded to one
     decimal; the tables of the benchmark's stats workload."""
@@ -243,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         "unit": "ms, median",
         "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
                     "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS,
-                    "checkpoint": CHECKPOINT_CALLS},
+                    "checkpoint": CHECKPOINT_CALLS, "load_samples": READER_CALLS},
         "cohort": COHORT,
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
@@ -254,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         "checkpoint_ms": {"desk": {k: ckpt_desk[k] for k in ("save", "load")},
                           "full": {k: ckpt_full[k] for k in ("save", "load")}},
         "checkpoint_mb": {"desk": ckpt_desk["mb"], "full": ckpt_full["mb"]},
+        "load_samples_ms": {"desk": profile_reader()},
         "metrics_ms": profile_metrics(),
     }
     path = ROOT / f"BENCH_{args.label}.json"
