@@ -27,9 +27,7 @@ from .data import (
     write_dataset,
 )
 from .model import (
-    DecoupledFeatures,
     ForwardResult,
-    HazardPrediction,
     HDMoEParams,
     ModelConfig,
     forward,
@@ -45,10 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinEdges",
-    "DecoupledFeatures",
     "ForwardResult",
     "HDMoEParams",
-    "HazardPrediction",
     "ModelConfig",
     "OptimizerState",
     "RunConfig",

@@ -240,11 +240,13 @@ def cmd_eval(
         params, meta = load_checkpoint(path, model_cfg)
         lifted, _ = lift_params(params, requires_grad=False)
         fold = meta.get("fold", 0)
+        if type(fold) is not int or fold < 0:  # a bool is an int; JSON has no other int type
+            raise ConfigError(f"{path}: meta.fold must be a non-negative integer, got {fold!r}")
         folds_file = path.parent.parent / "folds.csv" if path.parent.name.startswith("fold") else None
         subset = _records_for_checkpoint(records, meta, folds_file)
-        rng = np.random.default_rng([cfg.seed, int(fold), 0xE7A1])
+        rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
         res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
-        risks = res.prediction.risk
+        risks = res.risk
         times = np.array([r.time_months for r in subset])
         events = np.array([1 - r.censored for r in subset])
         table = RiskTable(risks=risks, times=times, events=events)
@@ -253,7 +255,7 @@ def cmd_eval(
         pooled_times.append(times)
         pooled_events.append(events)
         if repeats:
-            srng = np.random.default_rng([cfg.seed, int(fold), 0x57AB])
+            srng = np.random.default_rng([cfg.seed, fold, 0x57AB])
             scores, mean, std = stability_report(
                 (res.moe_a, res.moe_b), lifted, model_cfg, subset, repeats, srng)
             stability[str(fold)] = {"scores": scores, "mean": mean, "std": std}

@@ -14,6 +14,7 @@ import io
 import math
 import os
 import uuid
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -128,7 +129,9 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
 
 def _load_feature_file(path: Path, sample_id: str) -> np.ndarray:
     try:  # from a handle: given a path, loadtxt resolves it as a possible URL on every call
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # a file with no data is reported below, as the DataError alone
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             arr = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:  # a UnicodeDecodeError too
         raise DataError(f"{path}: bad feature file for {sample_id}: {exc}") from None

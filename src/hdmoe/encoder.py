@@ -52,13 +52,9 @@ def _attention_pool(scores: ad.Node, h: ad.Node, sizes: list[int]) -> ad.Node:
         by_size.setdefault(n, []).append(b)
     out = np.empty((len(sizes), hv.shape[1]))
     groups = []  # (bags, their instance rows, [bags, 1, n] softmax weights)
-    if len(by_size) > 1:
-        starts = np.cumsum(sizes) - sizes
+    starts = np.cumsum(sizes) - sizes
     for n, bags in by_size.items():
-        if len(by_size) == 1:  # every bag and row, in order: no gathers
-            bags = rows = slice(None)
-        else:
-            rows = (starts[bags, None] + np.arange(n)).ravel()
+        rows = (starts[bags, None] + np.arange(n)).ravel()
         sc = s[rows].reshape(-1, n)
         e = np.exp(sc - sc.max(axis=1, keepdims=True))
         p = (e / e.sum(axis=1, keepdims=True))[:, None, :]

@@ -273,7 +273,7 @@ def stability_report(
     events = np.array([1 - r.censored for r in records])
     scores = []
     for _ in range(repeats):
-        risks = model_mod.fuse(level1, lifted, model_cfg, rng).prediction.risk
+        risks = model_mod.fuse(level1, lifted, model_cfg, rng).risk
         scores.append(c_index(RiskTable(risks=risks, times=times, events=events)))
     # identical scores must report exactly zero spread (the mean of n copies
     # of x can differ from x by an ulp, making np.std spuriously nonzero)

@@ -98,29 +98,22 @@ def distance(kind: str, x: ad.Node, y: ad.Node) -> tuple[ad.Node, ad.Node]:
     return dm, ad.affine(dm, -1.0, 0.0)
 
 
-def decouple_loss(features, kind: str) -> ad.Node:
+def decouple_loss(res, kind: str) -> ad.Node:
     """Within-level pairs pushed apart, cross-level aggregates pulled together.
 
-    Expects a DecoupledFeatures-like object exposing Nodes v_intra_a,
-    v_share_a, v_intra_b, v_share_b (1 x d1) and v_inter, v_share_3 (1 x d2)
-    with 2*d1 == d2 so the concatenated comparisons are well-formed.
+    Reads a ForwardResult-like object whose moe_a, moe_b and moe_inter expose
+    routed (V_intra, V_inter) and shared (V_share, V_share_3) nodes, 1 x d1 at
+    level 1 and 1 x d2 at level 2, with 2*d1 == d2 so the concatenated
+    comparisons are well-formed.
     """
-    d1 = features.v_intra_a.value.shape[1]
-    d2 = features.v_inter.value.shape[1]
+    a, b, inter = res.moe_a, res.moe_b, res.moe_inter
+    d1 = a.routed.value.shape[1]
+    d2 = inter.routed.value.shape[1]
     if 2 * d1 != d2:
         raise ConfigError(f"decouple loss needs 2*d1 == d2, got d1={d1}, d2={d2}")
-    terms = []
-    for intra, share in (
-        (features.v_intra_a, features.v_share_a),
-        (features.v_intra_b, features.v_share_b),
-        (features.v_inter, features.v_share_3),
-    ):
-        _, dm_prime = distance(kind, intra, share)
-        terms.append(dm_prime)
-    intra_cat = ad.concat_cols([features.v_intra_a, features.v_intra_b])
-    share_cat = ad.concat_cols([features.v_share_a, features.v_share_b])
-    terms.append(distance(kind, intra_cat, features.v_inter)[0])
-    terms.append(distance(kind, share_cat, features.v_share_3)[0])
+    terms = [distance(kind, out.routed, out.shared)[1] for out in (a, b, inter)]
+    terms.append(distance(kind, ad.concat_cols([a.routed, b.routed]), inter.routed)[0])
+    terms.append(distance(kind, ad.concat_cols([a.shared, b.shared]), inter.shared)[0])
     total = terms[0]
     for t in terms[1:]:
         total = ad.add(total, t)
@@ -138,14 +131,14 @@ def balance_loss(traces) -> ad.Node:
     if not traces or min(t.num_tokens for t in traces) == 0:
         raise ValueError("balance loss needs at least one trace, each with tokens")
     fracs = [(t.selection_counts() / t.selected.size).reshape(-1, 1) for t in traces]
-    terms = [t.probs_node.value.mean(axis=0, keepdims=True) @ f for t, f in zip(traces, fracs)]
+    terms = [t.probs.value.mean(axis=0, keepdims=True) @ f for t, f in zip(traces, fracs)]
 
     def rule(g: np.ndarray) -> None:
         for t, frac in zip(traces, fracs):
             m = t.num_tokens
-            ad.accumulate(t.probs_node, np.repeat((g @ frac.T) / m, m, axis=0))
+            ad.accumulate(t.probs, np.repeat((g @ frac.T) / m, m, axis=0))
 
-    return ad.Node(sum(terms[1:], terms[0]), tuple(t.probs_node for t in traces), rule)
+    return ad.Node(sum(terms[1:], terms[0]), tuple(t.probs for t in traces), rule)
 
 
 def total_loss(

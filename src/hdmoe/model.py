@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .moe import (
     init_moe_params,
     moe_forward,
 )
-from .rfr import RfrDraw, draw_segments, rfr_forward, valid_segments
+from .rfr import draw_segments, rfr_forward, valid_segments
 
 CHECKPOINT_VERSION = 1
 
@@ -97,38 +97,29 @@ class HDMoEParams:
 
 
 @dataclass
-class DecoupledFeatures:
-    """The named vectors flowing through both levels (tape nodes), one row
-    per sample."""
+class ForwardResult:
+    """One pass over a batch, each value held once: tape nodes with row b for
+    sample b. V_intra and V_share of modality a are moe_a.routed and
+    moe_a.shared (B x d1), likewise for b; V_inter and V_share_3 are
+    moe_inter.routed and moe_inter.shared (B x d2)."""
 
-    v_intra_a: ad.Node  # B x d1
-    v_share_a: ad.Node  # B x d1
-    v_intra_b: ad.Node  # B x d1
-    v_share_b: ad.Node  # B x d1
-    v_inter: ad.Node  # B x d2
-    v_share_3: ad.Node  # B x d2
+    moe_a: MoEOutput
+    moe_b: MoEOutput
+    moe_inter: MoEOutput
     v_f1: ad.Node  # B x 4*d1
     v_f1_proj: ad.Node  # B x d2
     v_f2: ad.Node  # B x 2*d2
+    hazards: ad.Node  # B x K, in [0, 1]
+    segments: list[tuple[int, int]]  # per sample: (fusion 1, fusion 2)
 
+    @property
+    def traces(self) -> tuple[RouterTrace, RouterTrace, RouterTrace]:
+        """The three routers' records, each over all B*T tokens."""
+        return self.moe_a.trace, self.moe_b.trace, self.moe_inter.trace
 
-@dataclass(frozen=True)
-class HazardPrediction:
-    hazards: np.ndarray  # [B, K] in [0, 1]
-    survival: np.ndarray  # [B, K], S(j) = prod_{k<=j} (1 - h_k)
-    risk: np.ndarray  # [B]
-
-
-@dataclass
-class ForwardResult:
-    prediction: HazardPrediction
-    features: DecoupledFeatures
-    traces: tuple[RouterTrace, RouterTrace, RouterTrace]  # each over all B*T tokens
-    draws: list[tuple[RfrDraw, RfrDraw]]  # per sample: (fusion 1, fusion 2)
-    hazards_node: ad.Node
-    moe_a: MoEOutput = field(repr=False, default=None)
-    moe_b: MoEOutput = field(repr=False, default=None)
-    moe_inter: MoEOutput = field(repr=False, default=None)
+    @property
+    def risk(self) -> np.ndarray:
+        return risk_score(self.hazards.value)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> HDMoEParams:
@@ -256,43 +247,17 @@ def fuse(
     out_a, out_b = level1
     segments = draw_segments(cfg.segment_values, (cfg.d1, cfg.d2), pin_segments, rng,
                              out_a.routed.value.shape[0])
-    v_f1, draws1 = rfr_forward(
+    v_f1 = rfr_forward(
         [out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s for s, _ in segments]
     )
     v_f1_proj = ad.matmul(v_f1, lifted.bridge)
 
     out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe)
 
-    v_f2, draws2 = rfr_forward([out_inter.routed, out_inter.shared], [s for _, s in segments])
+    v_f2 = rfr_forward([out_inter.routed, out_inter.shared], [s for _, s in segments])
 
-    logits = ad.add_bias(ad.matmul(v_f2, lifted.head_w), lifted.head_b)
-    hazards = ad.sigmoid(logits)
-
-    h = hazards.value.copy()
-    prediction = HazardPrediction(
-        hazards=h, survival=np.cumprod(1.0 - h, axis=1), risk=risk_score(h))
-
-    features = DecoupledFeatures(
-        v_intra_a=out_a.routed,
-        v_share_a=out_a.shared,
-        v_intra_b=out_b.routed,
-        v_share_b=out_b.shared,
-        v_inter=out_inter.routed,
-        v_share_3=out_inter.shared,
-        v_f1=v_f1,
-        v_f1_proj=v_f1_proj,
-        v_f2=v_f2,
-    )
-    return ForwardResult(
-        prediction=prediction,
-        features=features,
-        traces=(out_a.trace, out_b.trace, out_inter.trace),
-        draws=list(zip(draws1, draws2)),
-        hazards_node=hazards,
-        moe_a=out_a,
-        moe_b=out_b,
-        moe_inter=out_inter,
-    )
+    hazards = ad.sigmoid(ad.add_bias(ad.matmul(v_f2, lifted.head_w), lifted.head_b))
+    return ForwardResult(out_a, out_b, out_inter, v_f1, v_f1_proj, v_f2, hazards, segments)
 
 
 def forward(
@@ -302,8 +267,8 @@ def forward(
     rng: np.random.Generator,
     pin_segments: tuple[int | None, int | None] = (None, None),
 ) -> ForwardResult:
-    """A batch of samples through the whole pipeline; returns values plus tape
-    handles, row b for samples[b].
+    """A batch of samples through the whole pipeline; returns its tape nodes,
+    row b for samples[b].
 
     `lifted` is the node tree of lift_params; its leaves' requires_grad alone
     decides whether the pass records a backward graph.

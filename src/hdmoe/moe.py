@@ -10,7 +10,7 @@ so both returned matrices match the input shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,18 +56,15 @@ class MoEParams:
 class RouterTrace:
     """Per-token routing record plus aggregates for balancing/diagnostics."""
 
-    probs: np.ndarray  # [B*T, N]
+    probs: ad.Node  # [B*T, N] router softmax
     selected: np.ndarray  # [B*T, top_k] expert indices
-    gates: np.ndarray  # [B*T, top_k] raw softmax probs of the selections
-    num_experts: int
-    probs_node: ad.Node | None = field(default=None, repr=False)
 
     @property
     def num_tokens(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.value.shape[0]
 
     def selection_counts(self) -> np.ndarray:
-        return np.bincount(self.selected.ravel(), minlength=self.num_experts)
+        return np.bincount(self.selected.ravel(), minlength=self.probs.value.shape[1])
 
 
 @dataclass
@@ -131,17 +128,10 @@ def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
     sh = params.shared
     shared_tokens = ad.expert_ffn(tokens, sh.w1, sh.b1, sh.w2, sh.b2)
 
-    trace = RouterTrace(
-        probs=probs.value.copy(),
-        selected=selected,
-        gates=np.take_along_axis(probs.value, selected, axis=1),
-        num_experts=cfg.num_experts,
-        probs_node=probs,
-    )
     return MoEOutput(
         routed=ad.reshape(routed_tokens, v.value.shape),
         shared=ad.reshape(shared_tokens, v.value.shape),
-        trace=trace,
+        trace=RouterTrace(probs, selected),
         tokens=tokens,
         shared_tokens=shared_tokens,
     )

@@ -12,24 +12,12 @@ for every sample on every forward step (evaluation included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-
-
-@dataclass(frozen=True)
-class RfrDraw:
-    segment: int
-    num_vectors: int
-    vector_len: int
-
-    @property
-    def permutation(self) -> np.ndarray:
-        return build_permutation(self.num_vectors, self.vector_len, self.segment)
 
 
 def valid_segments(segment_values: tuple[int, ...] | list[int], d: int) -> list[int]:
@@ -79,7 +67,7 @@ def build_permutation(m: int, d: int, s: int) -> np.ndarray:
     return perm
 
 
-def rfr_forward(vectors: list[ad.Node], segments: list[int]) -> tuple[ad.Node, list[RfrDraw]]:
+def rfr_forward(vectors: list[ad.Node], segments: list[int]) -> ad.Node:
     """Concatenate m B x d blocks side by side and interleave row b by
     segments[b]: one gather, with each row's own cached index list."""
     if not vectors:
@@ -90,6 +78,5 @@ def rfr_forward(vectors: list[ad.Node], segments: list[int]) -> tuple[ad.Node, l
             raise ShapeError(f"rfr_forward inputs must all be {shape[0]}x{shape[1]}, got {v.value.shape}")
     if len(segments) != shape[0]:
         raise ShapeError(f"rfr_forward needs one segment per row: {len(segments)} for {shape[0]} rows")
-    draws = [RfrDraw(segment=s, num_vectors=len(vectors), vector_len=shape[1]) for s in segments]
-    perms = np.stack([draw.permutation for draw in draws])
-    return ad.permute_entries(ad.concat_cols(vectors), perms), draws
+    perms = np.stack([build_permutation(len(vectors), shape[1], s) for s in segments])
+    return ad.permute_entries(ad.concat_cols(vectors), perms)

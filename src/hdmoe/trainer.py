@@ -160,8 +160,8 @@ def train_fold(
             step += 1
             state.grad.fill(0.0)
             res = forward([sample], lifted, model_cfg, fold_rng)
-            surv = survival_nll(res.hazards_node, sample.bin_label, sample.censored)
-            dm = decouple_loss(res.features, train_cfg.distance_metric)
+            surv = survival_nll(res.hazards, sample.bin_label, sample.censored)
+            dm = decouple_loss(res, train_cfg.distance_metric)
             bl = balance_loss(res.traces)
             breakdown, total = total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
             if not np.isfinite(breakdown.total):
@@ -178,9 +178,9 @@ def train_fold(
                 f"{step},{breakdown.surv:.10g},{breakdown.dm:.10g},"
                 f"{breakdown.bl:.10g},{breakdown.total:.10g}"
             )
-            draw1, draw2 = res.draws[0]
-            log_rows.append(f"rfr,1,{step},{draw1.segment}")
-            log_rows.append(f"rfr,2,{step},{draw2.segment}")
+            [(segment1, segment2)] = res.segments
+            log_rows.append(f"rfr,1,{step},{segment1}")
+            log_rows.append(f"rfr,2,{step},{segment2}")
         mean_loss = float(np.mean(epoch_losses))
         loss_curve.append(mean_loss)
         log.info("fold %d epoch %d mean total loss %.6f", fold_id, epoch, mean_loss)
@@ -205,8 +205,7 @@ def predict_fold(
     if not test_records:
         return []
     lifted, _ = lift_params(params, requires_grad=False)
-    pred = forward(test_records, lifted, model_cfg, rng,
-                   pin_segments=(pin_segment, pin_segment)).prediction
+    res = forward(test_records, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
     return [
         PredictionRow(
             sample_id=sample.sample_id,
@@ -217,7 +216,7 @@ def predict_fold(
             censored=sample.censored,
             time_months=sample.time_months,
         )
-        for sample, hazards, risk in zip(test_records, pred.hazards, pred.risk)
+        for sample, hazards, risk in zip(test_records, res.hazards.value, res.risk)
     ]
 
 

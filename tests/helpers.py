@@ -5,6 +5,7 @@ of the survival metrics, the one-sample forward and its per-sample loop, and
 the full-forward oracles of the no-grad repeaters."""
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from hdmoe import losses
 from hdmoe import model as hm
 from hdmoe.data import assign_bin, compute_bin_edges
 from hdmoe.errors import MetricError
-from hdmoe.moe import moe_forward, select_top_k
+from hdmoe.moe import MoEOutput, moe_forward, select_top_k
 from hdmoe.rfr import rfr_forward, valid_segments
 from hdmoe.trainer import split_fold
 
@@ -206,7 +207,7 @@ def balance_loss_composite(traces):
     for trace in traces:
         counts = trace.selection_counts()
         frac = counts / counts.sum()
-        term = ad.matmul(mean_rows(trace.probs_node), ad.leaf(frac.reshape(-1, 1)))
+        term = ad.matmul(mean_rows(trace.probs), ad.leaf(frac.reshape(-1, 1)))
         total = term if total is None else ad.add(total, term)
     return total
 
@@ -286,8 +287,8 @@ def train_fold_loop(records, fold_id, model_cfg, train_cfg):
             sample = train[idx]
             lifted, nodes = hm.lift_params(params, requires_grad=True)
             res = hm.forward([sample], lifted, model_cfg, fold_rng)
-            surv = losses.survival_nll(res.hazards_node, sample.bin_label, sample.censored)
-            dm = losses.decouple_loss(res.features, train_cfg.distance_metric)
+            surv = losses.survival_nll(res.hazards, sample.bin_label, sample.censored)
+            dm = losses.decouple_loss(res, train_cfg.distance_metric)
             bl = losses.balance_loss(res.traces)
             _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
             ad.backward(total)
@@ -413,7 +414,8 @@ def encode_bag_single(bag, params):
 
 
 def forward_single(sample, lifted, cfg, rng, pin_segments=(None, None)):
-    """(hazards node [1, K], features, traces, (segment 1, segment 2)) of one sample."""
+    """The ForwardResult of one sample, each fusion drawing its segment as it
+    is reached."""
     out_a = moe_forward(encode_bag_single(sample.features_a, lifted.encoder_a), cfg.level1_moe,
                         lifted.level1_moe_a)
     out_b = moe_forward(encode_bag_single(sample.features_b, lifted.encoder_b), cfg.level1_moe,
@@ -423,27 +425,46 @@ def forward_single(sample, lifted, cfg, rng, pin_segments=(None, None)):
         return draw_segments_loop(cfg.segment_values, (d,), (pin,), rng, 1)[0][0]
 
     s1 = segment(cfg.d1, pin_segments[0])
-    v_f1, _ = rfr_forward([out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s1])
+    v_f1 = rfr_forward([out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s1])
     v_f1_proj = ad.matmul(v_f1, lifted.bridge)
     out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe)
     s2 = segment(cfg.d2, pin_segments[1])
-    v_f2, _ = rfr_forward([out_inter.routed, out_inter.shared], [s2])
+    v_f2 = rfr_forward([out_inter.routed, out_inter.shared], [s2])
     hazards = ad.sigmoid(ad.add_bias(ad.matmul(v_f2, lifted.head_w), lifted.head_b))
-    features = hm.DecoupledFeatures(
-        v_intra_a=out_a.routed, v_share_a=out_a.shared, v_intra_b=out_b.routed,
-        v_share_b=out_b.shared, v_inter=out_inter.routed, v_share_3=out_inter.shared,
-        v_f1=v_f1, v_f1_proj=v_f1_proj, v_f2=v_f2,
-    )
-    return hazards, features, (out_a, out_b, out_inter), (s1, s2)
+    return hm.ForwardResult(out_a, out_b, out_inter, v_f1, v_f1_proj, v_f2, hazards, [(s1, s2)])
+
+
+def decoupled_stub(intra_a, share_a, intra_b, share_b, inter, share_3):
+    """A stand-in ForwardResult holding only what decouple_loss reads: the
+    routed (V_intra, V_inter) and shared (V_share, V_share_3) nodes of the
+    three MoE outputs."""
+    return SimpleNamespace(moe_a=SimpleNamespace(routed=intra_a, shared=share_a),
+                           moe_b=SimpleNamespace(routed=intra_b, shared=share_b),
+                           moe_inter=SimpleNamespace(routed=inter, shared=share_3))
+
+
+def result_arrays(res):
+    """The value of every node a ForwardResult holds, by name, each MoE
+    output's tokens and routing included."""
+    out = {}
+    for name, value in vars(res).items():
+        if isinstance(value, MoEOutput):
+            for part in ("routed", "shared", "tokens", "shared_tokens"):
+                out[f"{name}.{part}"] = getattr(value, part).value
+            out[f"{name}.probs"] = value.trace.probs.value
+            out[f"{name}.selected"] = value.trace.selected
+        elif isinstance(value, ad.Node):
+            out[name] = value.value
+    return out
 
 
 def forward_loop(records, lifted, cfg, rng, pin_segments=(None, None)):
     """One forward_single per record, in order, from one rng: (hazards [B, K],
-    risks [B], per-sample (segment 1, segment 2) pairs, per-sample outputs)."""
+    risks [B], per-sample (segment 1, segment 2) pairs, per-sample results)."""
     passes = [forward_single(r, lifted, cfg, rng, pin_segments) for r in records]
-    hazards = np.concatenate([hz.value for hz, *_ in passes])
+    hazards = np.concatenate([res.hazards.value for res in passes])
     risks = np.array([float(-np.cumprod(1.0 - h).sum()) for h in hazards])
-    return hazards, risks, [segs for *_, segs in passes], [outs for _, _, outs, _ in passes]
+    return hazards, risks, [res.segments[0] for res in passes], passes
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +502,8 @@ def redundancy_score_loop(params, model_cfg, records, level, modality, rng):
     """(pre, post, delta) read off a one-sample forward of every record."""
     lifted, _ = hm.lift_params(params, requires_grad=False)
     outs = forward_loop(records, lifted, model_cfg, rng)[3]
-    side = 2 if level == 2 else "ab".index(modality)
-    pre = average_abs_correlation_loop([o[side].tokens.value for o in outs])
-    post = average_abs_correlation_loop([o[side].shared_tokens.value for o in outs])
+    side = "moe_inter" if level == 2 else f"moe_{modality}"
+    pre = average_abs_correlation_loop([getattr(o, side).tokens.value for o in outs])
+    post = average_abs_correlation_loop([getattr(o, side).shared_tokens.value for o in outs])
     off = ~np.eye(pre.shape[0], dtype=bool)
     return pre, post, float(pre[off].sum() - post[off].sum())

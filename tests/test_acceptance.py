@@ -21,7 +21,7 @@ from hdmoe import model as hm
 from hdmoe import moe
 from hdmoe import trainer as ht
 
-from helpers import finite_diff_gradient, max_rel_err, oracle_cindex
+from helpers import decoupled_stub, finite_diff_gradient, max_rel_err, oracle_cindex
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -115,9 +115,6 @@ def test_criterion_1_gradient_suite():
         worst["surv"] = max(worst["surv"], err)
 
     # decoupling loss, all four metrics, 50 trials each
-    class Feats:
-        pass
-
     for metric_idx, kind in enumerate(losses.DISTANCE_METRICS):
         done = 0
         salt = 0
@@ -135,10 +132,7 @@ def test_criterion_1_gradient_suite():
                 continue  # keep FD probes away from |x-y| kinks
 
             def build(*nodes):
-                f = Feats()
-                (f.v_intra_a, f.v_share_a, f.v_intra_b, f.v_share_b,
-                 f.v_inter, f.v_share_3) = nodes
-                return losses.decouple_loss(f, kind)
+                return losses.decouple_loss(decoupled_stub(*nodes), kind)
 
             err = _fd_check(build, arrays, rtol=1e-4)
             worst["dm"] = max(worst["dm"], err)
@@ -163,12 +157,7 @@ def test_criterion_1_gradient_suite():
 
         def build(w):
             p = ad.row_softmax(ad.matmul(ad.leaf(tokens), w))
-            trace = moe.RouterTrace(
-                probs=p.value, selected=selected,
-                gates=np.take_along_axis(p.value, selected, axis=1),
-                num_experts=n_exp, probs_node=p,
-            )
-            return losses.balance_loss([trace])
+            return losses.balance_loss([moe.RouterTrace(probs=p, selected=selected)])
 
         err = _fd_check(build, [router], rtol=1e-4)
         worst["bl"] = max(worst["bl"], err)
@@ -195,18 +184,18 @@ def test_criterion_1_gradient_suite():
         def loss_of(p):
             lifted = hm.lift_params(p, requires_grad=False)[0]
             res = hm.forward([sample], lifted, cfg, np.random.default_rng(0), pin_segments=pins)
-            surv = losses.survival_nll(res.hazards_node, n_bin, c)
-            dm = losses.decouple_loss(res.features, "cos")
+            surv = losses.survival_nll(res.hazards, n_bin, c)
+            dm = losses.decouple_loss(res, "cos")
             bl = losses.balance_loss(res.traces)
             return losses.total_loss(surv, dm, bl, 1.0, 0.01)
 
         lifted, nodes = hm.lift_params(params, requires_grad=True)
         res = hm.forward([sample], lifted, cfg, np.random.default_rng(0), pin_segments=pins)
-        if min(_routing_margin(t.probs, 1) for t in res.traces) < 1e-3:
+        if min(_routing_margin(t.probs.value, 1) for t in res.traces) < 1e-3:
             continue
-        surv = losses.survival_nll(res.hazards_node, n_bin, c)
+        surv = losses.survival_nll(res.hazards, n_bin, c)
         _, total = losses.total_loss(
-            surv, losses.decouple_loss(res.features, "cos"),
+            surv, losses.decouple_loss(res, "cos"),
             losses.balance_loss(res.traces), 1.0, 0.01,
         )
         ad.backward(total)
@@ -324,11 +313,7 @@ def test_criterion_3_moe_oracle_suite():
     for n in (2, 4, 8):
         probs = np.full((n, n), 1.0 / n)
         selected = np.arange(n, dtype=np.intp).reshape(n, 1)
-        trace = RouterTrace(
-            probs=probs, selected=selected,
-            gates=np.take_along_axis(probs, selected, axis=1),
-            num_experts=n, probs_node=ad.leaf(probs),
-        )
+        trace = RouterTrace(probs=ad.leaf(probs), selected=selected)
         val = losses.balance_loss([trace]).value[0, 0]
         assert val == pytest.approx(1.0 / n, abs=0.0)
     _report("criterion-3 moe-oracle-suite", True, f"dense-mixture max dev {worst:.1e}")

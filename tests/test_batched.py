@@ -14,7 +14,7 @@ from hdmoe.data import SampleRecord
 from hdmoe.encoder import EncoderParams, encode_bag, init_encoder_params
 from hdmoe.losses import balance_loss, decouple_loss, survival_nll, total_loss
 
-from helpers import check_grads, encode_bag_single, forward_loop, forward_single
+from helpers import check_grads, encode_bag_single, forward_loop, forward_single, result_arrays
 
 SMALL = hm.ModelConfig(
     d_in=5, d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=3, top_k=1,
@@ -54,13 +54,11 @@ def test_batched_forward_matches_per_sample_loop(cfg, sizes, pins, seed):
     rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
     res = hm.forward(records, lifted, cfg, rng_batch, pin_segments=pins)
     hazards, risks, segments, _ = forward_loop(records, lifted, cfg, rng_loop, pins)
-    assert [(d1.segment, d2.segment) for d1, d2 in res.draws] == segments
+    assert res.segments == segments
     assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
-    assert res.prediction.hazards.shape == (len(records), cfg.num_bins)
-    assert np.abs(res.prediction.hazards - hazards).max() <= 1e-12
-    assert np.abs(res.prediction.risk - risks).max() <= 1e-12
-    survival = np.cumprod(1.0 - res.prediction.hazards, axis=1)
-    assert _bits(res.prediction.survival) == _bits(survival)
+    assert res.hazards.value.shape == (len(records), cfg.num_bins)
+    assert np.abs(res.hazards.value - hazards).max() <= 1e-12
+    assert np.abs(res.risk - risks).max() <= 1e-12
     for trace in res.traces:
         assert trace.num_tokens % len(records) == 0
 
@@ -84,16 +82,16 @@ def test_fold_scored_whole_agrees_with_chunks(cfg, cuts, seed):
     rng_chunks = np.random.default_rng(seed)
     parts = [hm.forward(records[lo:hi], lifted, cfg, rng_chunks)
              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    assert [d for part in parts for d in part.draws] == whole.draws
-    hazards = np.concatenate([part.prediction.hazards for part in parts])
-    risks = np.concatenate([part.prediction.risk for part in parts])
-    assert np.abs(whole.prediction.hazards - hazards).max() <= 1e-12
-    assert np.abs(whole.prediction.risk - risks).max() <= 1e-12
+    assert [s for part in parts for s in part.segments] == whole.segments
+    hazards = np.concatenate([part.hazards.value for part in parts])
+    risks = np.concatenate([part.risk for part in parts])
+    assert np.abs(whole.hazards.value - hazards).max() <= 1e-12
+    assert np.abs(whole.risk - risks).max() <= 1e-12
 
 
-def _total(hazards, features, traces):
-    return total_loss(survival_nll(hazards, 2, 0), decouple_loss(features, "cos"),
-                      balance_loss(traces), 1.0, 0.01)[1]
+def _total(res):
+    return total_loss(survival_nll(res.hazards, 2, 0), decouple_loss(res, "cos"),
+                      balance_loss(res.traces), 1.0, 0.01)[1]
 
 
 @pytest.mark.parametrize("cfg", [SMALL, WIDE, DESK], ids=["small", "wide", "desk"])
@@ -108,13 +106,14 @@ def test_one_sample_batch_equals_one_sample_forward_bitwise(cfg, pins):
         rng_batch, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
         res = hm.forward([sample], lifted, cfg, rng_batch, pin_segments=pins)
         oracle = forward_single(sample, o_lifted, cfg, rng_single, pins)
-        assert _bits(res.hazards_node.value) == _bits(oracle[0].value)
-        assert (res.draws[0][0].segment, res.draws[0][1].segment) == oracle[3]
+        assert res.segments == oracle.segments
         assert rng_batch.bit_generator.state == rng_single.bit_generator.state
-        for name in vars(res.features):
-            assert _bits(getattr(res.features, name).value) == _bits(getattr(oracle[1], name).value)
-        total = _total(res.hazards_node, res.features, res.traces)
-        o_total = _total(oracle[0], oracle[1], tuple(out.trace for out in oracle[2]))
+        arrays, o_arrays = result_arrays(res), result_arrays(oracle)
+        assert arrays.keys() == o_arrays.keys()
+        for name, value in arrays.items():
+            assert _bits(value) == _bits(o_arrays[name]), name
+        total = _total(res)
+        o_total = _total(oracle)
         assert _bits(total.value) == _bits(o_total.value)
         ad.backward(total)
         ad.backward(o_total)

@@ -285,15 +285,18 @@ def _feature_file(resolved: Path, name: str) -> Path:
     b"0.1,0.2,0.3,0.4\n0.5,nan,0.7,0.8\n",
     b"0.1,0.2,0.3,0.4\n0.5,0.6,inf,0.8\n",
     b"",
+    b"# no instances\n\n",
     b"0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.\xff8\n",
-], ids=["non_numeric", "ragged", "nan", "inf", "empty", "non_utf8"])
+], ids=["non_numeric", "ragged", "nan", "inf", "empty", "comment_only", "non_utf8"])
+@pytest.mark.filterwarnings("error")  # the error line is all the user sees: no numpy warning
 def test_train_malformed_feature_file_exit_2_naming_it(tmp_path, capsys, content):
     resolved = _synth(tmp_path)
     bad = _feature_file(resolved, "synth0003_b.csv")
     bad.write_bytes(content)
     run_dir = tmp_path / "run"
     assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
     assert not run_dir.exists()
 
 
@@ -458,6 +461,22 @@ def test_eval_malformed_checkpoint_entry_exit_2_naming_it(tmp_path, capsys, edit
     eval_dir = tmp_path / "eval"
     assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
                      "--checkpoint", str(run_dir)]) == 2
+    assert str(ckpt) in capsys.readouterr().err
+    assert not eval_dir.exists()
+
+
+@pytest.mark.parametrize("fold", [None, [0], "0", 0.5, True, -1],
+                         ids=["null", "list", "string", "float", "bool", "negative"])
+def test_eval_checkpoint_fold_not_an_int_exit_2(tmp_path, capsys, fold):
+    # a lone checkpoint over a manifest without folds scores every sample,
+    # so no later check stands in for this one
+    resolved, run_dir = _trained_run(tmp_path)
+    blob = json.loads((run_dir / "fold0" / "checkpoint.json").read_text())
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps({**blob, "meta": {**blob["meta"], "fold": fold}}))
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(ckpt)]) == 2
     assert str(ckpt) in capsys.readouterr().err
     assert not eval_dir.exists()
 

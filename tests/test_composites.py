@@ -194,9 +194,7 @@ def test_survival_nll_gradients_match_fd():
 
 def _traces(nodes, selections):
     return [
-        RouterTrace(probs=n.value, selected=s, gates=np.take_along_axis(n.value, s, axis=1),
-                    num_experts=n.value.shape[1], probs_node=n)
-        for n, s in zip(nodes, selections)
+        RouterTrace(probs=n, selected=s) for n, s in zip(nodes, selections)
     ]
 
 

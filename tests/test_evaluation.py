@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdmoe import autodiff as ad
 from hdmoe import evaluation as ev
 from hdmoe import kernels
 from hdmoe import model as hm
@@ -354,10 +355,7 @@ def _trace_with_selected(selected, n_experts):
     selected = np.asarray(selected, dtype=np.intp)
     t = selected.shape[0]
     probs = np.full((t, n_experts), 1.0 / n_experts)
-    return RouterTrace(
-        probs=probs, selected=selected,
-        gates=np.take_along_axis(probs, selected, axis=1), num_experts=n_experts,
-    )
+    return RouterTrace(probs=ad.leaf(probs), selected=selected)
 
 
 def test_histogram_alternating_routing_equal_counts():

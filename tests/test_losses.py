@@ -6,30 +6,18 @@ from hdmoe import losses
 from hdmoe.errors import ConfigError
 from hdmoe.moe import RouterTrace
 
-from helpers import check_grads, finite_diff_gradient, max_rel_err
+from helpers import check_grads, decoupled_stub, finite_diff_gradient, max_rel_err
 
 
 def _features(vecs):
-    class F:
-        pass
-
-    f = F()
-    (f.v_intra_a, f.v_share_a, f.v_intra_b, f.v_share_b, f.v_inter, f.v_share_3) = [
-        v if isinstance(v, ad.Node) else ad.leaf(np.atleast_2d(v)) for v in vecs
-    ]
-    return f
+    return decoupled_stub(*[v if isinstance(v, ad.Node) else ad.leaf(np.atleast_2d(v))
+                            for v in vecs])
 
 
 def _trace(probs, selected):
     probs = np.asarray(probs, dtype=np.float64)
     selected = np.asarray(selected, dtype=np.intp)
-    return RouterTrace(
-        probs=probs,
-        selected=selected,
-        gates=np.take_along_axis(probs, selected, axis=1),
-        num_experts=probs.shape[1],
-        probs_node=ad.leaf(probs),
-    )
+    return RouterTrace(probs=ad.leaf(probs), selected=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +293,7 @@ def test_balance_gradient_flows_only_through_probs():
     probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
     selected = np.array([[0], [1]], dtype=np.intp)
     node = ad.leaf(probs, requires_grad=True)
-    trace = _trace(probs, selected)
-    trace.probs_node = node
+    trace = RouterTrace(probs=node, selected=selected)
     ad.backward(losses.balance_loss([trace]))
     # d/dP of sum_i f_i * mean_t P[t, i]: each entry gets f_col / T
     expected = np.tile(np.array([0.5, 0.5, 0.0]) / 2, (2, 1))
@@ -314,11 +301,7 @@ def test_balance_gradient_flows_only_through_probs():
 
 
 def test_balance_empty_trace_rejected():
-    probs = np.zeros((0, 3))
-    trace = RouterTrace(
-        probs=probs, selected=np.zeros((0, 1), dtype=np.intp),
-        gates=np.zeros((0, 1)), num_experts=3, probs_node=None,
-    )
+    trace = RouterTrace(probs=ad.leaf(np.zeros((0, 3))), selected=np.zeros((0, 1), dtype=np.intp))
     with pytest.raises(ValueError):
         losses.balance_loss([trace])
 

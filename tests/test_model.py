@@ -11,7 +11,7 @@ from hdmoe.data import SampleRecord
 from hdmoe.errors import ConfigError
 from hdmoe.losses import balance_loss, decouple_loss, survival_nll, total_loss
 
-from helpers import max_rel_err
+from helpers import max_rel_err, result_arrays
 
 TINY = hm.ModelConfig(
     d_in=5, d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=2, top_k=1,
@@ -66,8 +66,8 @@ def test_zero_weights_give_half_hazards_and_equal_risk():
     for seed in range(3):
         srng = np.random.default_rng(seed)
         res = hm.forward([_sample(srng)], _lift(params), TINY, np.random.default_rng(seed))
-        assert np.allclose(res.prediction.hazards, 0.5, atol=1e-15)
-        risks.append(float(res.prediction.risk[0]))
+        assert np.allclose(res.hazards.value, 0.5, atol=1e-15)
+        risks.append(float(res.risk[0]))
     assert len(set(risks)) == 1
 
 
@@ -77,9 +77,9 @@ def test_forward_deterministic_for_fixed_seed():
     sample = _sample(np.random.default_rng(2))
     a = hm.forward([sample], _lift(params), TINY, np.random.default_rng(7))
     b = hm.forward([sample], _lift(params), TINY, np.random.default_rng(7))
-    assert np.array_equal(a.prediction.hazards, b.prediction.hazards)
-    assert np.array_equal(a.prediction.risk, b.prediction.risk)
-    assert a.draws == b.draws
+    assert np.array_equal(a.hazards.value, b.hazards.value)
+    assert np.array_equal(a.risk, b.risk)
+    assert a.segments == b.segments
 
 
 def test_default_scale_shapes():
@@ -90,13 +90,13 @@ def test_default_scale_shapes():
         "big", rng.normal(size=(4, cfg.d_in)), rng.normal(size=(6, cfg.d_in)), 10.0, 0
     )
     res = hm.forward([sample], _lift(params), cfg, np.random.default_rng(0))
-    assert res.features.v_f1.value.shape == (1, 1024)
-    assert res.features.v_f1_proj.value.shape == (1, 512)
-    assert res.features.v_inter.value.shape == (1, 512)
-    assert res.features.v_share_3.value.shape == (1, 512)
-    assert res.features.v_f2.value.shape == (1, 1024)
-    assert res.prediction.hazards.shape == (1, 4)
-    assert res.prediction.risk.shape == (1,)
+    assert res.v_f1.value.shape == (1, 1024)
+    assert res.v_f1_proj.value.shape == (1, 512)
+    assert res.moe_inter.routed.value.shape == (1, 512)
+    assert res.moe_inter.shared.value.shape == (1, 512)
+    assert res.v_f2.value.shape == (1, 1024)
+    assert res.hazards.value.shape == (1, 4)
+    assert res.risk.shape == (1,)
     # level-1/2 token counts at the published defaults
     assert res.moe_a.tokens.value.shape == (4, 64)
     assert res.moe_inter.tokens.value.shape == (16, 32)
@@ -122,11 +122,11 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
         )
         for grad in (True, False)
     }
-    assert np.array_equal(passes[False].prediction.hazards, passes[True].prediction.hazards)
-    assert _same_bits(passes[False].prediction.risk, passes[True].prediction.risk)
+    assert np.array_equal(passes[False].hazards.value, passes[True].hazards.value)
+    assert _same_bits(passes[False].risk, passes[True].risk)
 
     def roots(res):
-        return [res.hazards_node] + [t.probs_node for t in res.traces]
+        return [res.hazards] + [t.probs for t in res.traces]
 
     assert len(_reachable(roots(passes[True]))) > 50  # the grad pass records its graph
     for node in _reachable(roots(passes[False])):
@@ -138,7 +138,7 @@ def _ops_per_step(cfg, seed=0):
     rng = np.random.default_rng(seed)
     lifted = hm.lift_params(hm.init_params(cfg, rng), requires_grad=True)[0]
     res = hm.forward([_sample(rng, cfg)], lifted, cfg, rng)
-    _, total = total_loss(survival_nll(res.hazards_node, 2, 0), decouple_loss(res.features, "cos"),
+    _, total = total_loss(survival_nll(res.hazards, 2, 0), decouple_loss(res, "cos"),
                           balance_loss(res.traces), 1.0, 0.01)
     return sum(1 for node in _reachable([total]) if node.parents)
 
@@ -166,17 +166,12 @@ def test_fuse_of_encode_equals_forward_bitwise(grad):
         rng_full, rng_split = np.random.default_rng(seed), np.random.default_rng(seed)
         full = hm.forward([sample], lifted, TINY, rng_full)
         split = hm.fuse(hm.encode([sample], lifted, TINY), lifted, TINY, rng_split)
-        assert _same_bits(full.prediction.hazards, split.prediction.hazards)
-        assert _same_bits(full.prediction.survival, split.prediction.survival)
-        assert _same_bits(full.prediction.risk, split.prediction.risk)
-        assert full.draws == split.draws
-        for ta, tb in zip(full.traces, split.traces, strict=True):
-            assert ta.num_experts == tb.num_experts
-            for name in ("probs", "selected", "gates"):
-                assert _same_bits(getattr(ta, name), getattr(tb, name)), name
-        for name in vars(full.features):
-            assert _same_bits(getattr(full.features, name).value,
-                              getattr(split.features, name).value), name
+        assert _same_bits(full.risk, split.risk)
+        assert full.segments == split.segments
+        arrays, split_arrays = result_arrays(full), result_arrays(split)
+        assert arrays.keys() == split_arrays.keys()
+        for name, value in arrays.items():
+            assert _same_bits(value, split_arrays[name]), name
         # the two passes drew the same numbers from the same stream
         assert rng_full.bit_generator.state == rng_split.bit_generator.state
 
@@ -213,9 +208,8 @@ def test_hazard_prediction_survival_monotone():
     rng = np.random.default_rng(4)
     params = hm.init_params(TINY, rng)
     res = hm.forward([_sample(rng)], _lift(params), TINY, np.random.default_rng(0))
-    s = res.prediction.survival[0]
-    assert np.all(s[:-1] >= s[1:] - 1e-15)
-    assert np.all((res.prediction.hazards >= 0) & (res.prediction.hazards <= 1))
+    hazards = res.hazards.value
+    assert np.all((hazards >= 0) & (hazards <= 1))
 
 
 def test_parameter_count_examples():
@@ -249,13 +243,13 @@ def test_rfr_draw_changes_v_f2_only_by_permutation():
     sample = _sample(np.random.default_rng(6))
     lifted = _lift(params)
     baseline = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=(2, 1))
-    base_entries = sorted(baseline.features.v_f2.value[0].tolist())
+    base_entries = sorted(baseline.v_f2.value[0].tolist())
     for s2 in (1, 2, 4, 8, 16):
         res = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=(2, s2))
-        entries = sorted(res.features.v_f2.value[0].tolist())
+        entries = sorted(res.v_f2.value[0].tolist())
         assert entries == base_entries
         concat = np.concatenate(
-            [res.features.v_inter.value[0], res.features.v_share_3.value[0]]
+            [res.moe_inter.routed.value[0], res.moe_inter.shared.value[0]]
         )
         assert sorted(concat.tolist()) == entries
 
@@ -268,15 +262,15 @@ def test_end_to_end_gradients_match_fd_tiny_config():
 
     def loss_value(p):
         res = hm.forward([sample], _lift(p), TINY, np.random.default_rng(0), pin_segments=pins)
-        surv = survival_nll(res.hazards_node, 2, 0)
-        dm = decouple_loss(res.features, "cos")
+        surv = survival_nll(res.hazards, 2, 0)
+        dm = decouple_loss(res, "cos")
         bl = balance_loss(res.traces)
         return total_loss(surv, dm, bl, 1.0, 0.01)
 
     lifted, nodes = hm.lift_params(params, requires_grad=True)
     res = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=pins)
-    surv = survival_nll(res.hazards_node, 2, 0)
-    _, total = total_loss(surv, decouple_loss(res.features, "cos"),
+    surv = survival_nll(res.hazards, 2, 0)
+    _, total = total_loss(surv, decouple_loss(res, "cos"),
                           balance_loss(res.traces), 1.0, 0.01)
     ad.backward(total)
 

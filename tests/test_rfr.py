@@ -56,17 +56,18 @@ def test_build_permutation_full_interleave():
 def test_rfr_forward_four_vectors():
     rng = np.random.default_rng(3)
     vectors = [ad.leaf(rng.normal(size=(1, 8))) for _ in range(4)]
-    fused, (draw,) = rfr.rfr_forward(vectors, [rfr.sample_segment(FULL_SET, 8, rng)])
+    segment = rfr.sample_segment(FULL_SET, 8, rng)
+    fused = rfr.rfr_forward(vectors, [segment])
     assert fused.value.shape == (1, 32)
-    assert draw.num_vectors == 4 and draw.vector_len == 8
     concat = np.concatenate([v.value[0] for v in vectors])
     assert sorted(fused.value[0]) == sorted(concat)
+    assert np.array_equal(fused.value[0], concat[rfr.build_permutation(4, 8, segment)])
 
 
 def test_rfr_forward_two_vectors_shape():
     rng = np.random.default_rng(4)
     vectors = [ad.leaf(rng.normal(size=(1, 16))) for _ in range(2)]
-    fused, _ = rfr.rfr_forward(vectors, [rfr.sample_segment(FULL_SET, 16, rng)])
+    fused = rfr.rfr_forward(vectors, [rfr.sample_segment(FULL_SET, 16, rng)])
     assert fused.value.shape == (1, 32)
 
 
@@ -81,8 +82,7 @@ def test_rfr_pin_segment():
     state = rng.bit_generator.state
     assert rfr.draw_segments(FULL_SET, (4, 8), (1, 8), rng, 3) == [(1, 8)] * 3
     assert rng.bit_generator.state == state  # a pinned segment draws nothing
-    fused, (draw,) = rfr.rfr_forward(vectors, [1])
-    assert draw.segment == 1
+    fused = rfr.rfr_forward(vectors, [1])
     assert np.array_equal(fused.value[0], np.arange(8.0))
     for bad in (3, 0, -1):
         with pytest.raises(ConfigError):
@@ -135,16 +135,16 @@ def test_rfr_gradient_routes_through_inverse_permutation():
     pin = 4
 
     def build(*nodes):
-        fused, _ = rfr.rfr_forward(list(nodes), [pin])
+        fused = rfr.rfr_forward(list(nodes), [pin])
         return ad.sum_all(ad.mul(fused, w))
 
     check_grads(build, vecs, rtol=1e-6)
     # direct check: gradient equals the weight row routed back through the
     # inverse permutation
     nodes = [ad.leaf(v, requires_grad=True) for v in vecs]
-    fused, (draw,) = rfr.rfr_forward(nodes, [pin])
+    fused = rfr.rfr_forward(nodes, [pin])
     ad.backward(ad.sum_all(ad.mul(fused, w)))
-    inv = np.argsort(draw.permutation)
+    inv = np.argsort(rfr.build_permutation(m, d, pin))
     routed_back = w.value[0, inv]
     for i, node in enumerate(nodes):
         assert np.array_equal(node.grad[0], routed_back[i * d : (i + 1) * d])

@@ -259,6 +259,6 @@ def test_desk_training_step_tape_stays_at_64_ops():
     sample = generate_synthetic(run.synth_config(), np.random.default_rng(0))[0][0]
     lifted, _ = hm.lift_params(hm.init_params(cfg, np.random.default_rng(1)), requires_grad=True)
     res = ht.forward([sample], lifted, cfg, np.random.default_rng(2))
-    _, total = total_loss(survival_nll(res.hazards_node, 2, sample.censored),
-                          decouple_loss(res.features, "cos"), balance_loss(res.traces), 1.0, 0.01)
+    _, total = total_loss(survival_nll(res.hazards, 2, sample.censored),
+                          decouple_loss(res, "cos"), balance_loss(res.traces), 1.0, 0.01)
     assert _tape_ops(total) <= 64

@@ -131,8 +131,8 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
         t1 = time.perf_counter()
         res = model.forward([sample], lifted, model_cfg, rng)
         t2 = time.perf_counter()
-        surv = losses.survival_nll(res.hazards_node, sample.bin_label, sample.censored)
-        dm = losses.decouple_loss(res.features, train_cfg.distance_metric)
+        surv = losses.survival_nll(res.hazards, sample.bin_label, sample.censored)
+        dm = losses.decouple_loss(res, train_cfg.distance_metric)
         bl = losses.balance_loss(res.traces)
         _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
         t3 = time.perf_counter()
