@@ -82,7 +82,10 @@ def accumulate(node: Node, g: np.ndarray) -> None:
 
 
 def backward(root: Node) -> None:
-    """Reverse-mode sweep from a 1x1 root; fills .grad on reachable nodes."""
+    """Reverse-mode sweep from a 1x1 root; fills .grad on reachable nodes.
+
+    Only nodes with a rule are walked: a leaf gets its gradient from the rules
+    of the nodes that consume it."""
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward root must be 1x1, got {root.value.shape}")
     order: list[Node] = []
@@ -98,7 +101,7 @@ def backward(root: Node) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen and p.requires_grad:
+            if p.backward_rule is not None and id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones((1, 1))
     for node in reversed(order):
@@ -187,13 +190,15 @@ def tanh(a: Node) -> Node:
     return Node(v, (a,), lambda g: accumulate(a, g * (1.0 - v * v)))
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: with e = exp(-|x|), 1 / (1 + e)
+    where x >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Node) -> Node:
-    x = a.value
-    v = np.empty_like(x)
-    pos = x >= 0
-    v[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    v[~pos] = ex / (1.0 + ex)
+    v = logistic(a.value)
     return Node(v, (a,), lambda g: accumulate(a, g * v * (1.0 - v)))
 
 
@@ -292,32 +297,39 @@ def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
 def routed_experts(tokens: Node, probs: Node, selected: np.ndarray, experts) -> Node:
     """Row t: the sum over e in selected[t] of probs[t, e] * ffn_e(tokens[t]).
 
-    Each expert some token reached runs the fused kernel once over its tokens
-    (backward: once per such expert), and the rule writes each gate's
-    gradient into probs at (row, expert). experts[e] holds Nodes w1, b1, w2, b2.
+    One stable sort groups the (token, expert) pairs by expert, tokens in row
+    order within each; each expert some token reached runs the fused kernel
+    once over its contiguous run of pairs (backward: once per such expert),
+    and the rule scatters the gates' gradients into probs at (row, expert).
+    experts[e] holds Nodes w1, b1, w2, b2.
     """
     x, p = tokens.value, probs.value
-    out, passes = np.zeros_like(x), []
-    for e in np.unique(selected):
-        ex = experts[e]
-        rows = np.flatnonzero((selected == e).any(axis=1))
-        y, pre, sig = kernels.ffn_forward(x[rows], ex.w1.value, ex.b1.value, ex.w2.value, ex.b2.value)
-        out[rows] += y * p[rows, e, None]
-        passes.append((e, rows, (ex.w1, ex.b1, ex.w2, ex.b2), y, pre, sig))
+    order = np.argsort(selected.ravel(), kind="stable")
+    rows, cols = order // selected.shape[1], selected.ravel()[order]
+    xs, gates = x[rows], p[rows, cols][:, None]
+    edges = np.searchsorted(cols, np.arange(len(experts) + 1))
+    runs = [(experts[e], lo, hi) for e, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if lo < hi]
+    ys, saved = np.empty_like(xs), []
+    for ex, lo, hi in runs:
+        ys[lo:hi], *cache = kernels.ffn_forward(xs[lo:hi], ex.w1.value, ex.b1.value, ex.w2.value, ex.b2.value)
+        saved.append(cache)
+    out = np.zeros_like(x)
+    np.add.at(out, rows, ys * gates)
 
     def rule(g: np.ndarray) -> None:
-        g_tokens, g_probs = np.zeros_like(x), np.zeros_like(p)
-        for e, rows, params, y, pre, sig in passes:
-            g_probs[rows, e] = (g[rows] * y).sum(axis=1)
-            gx, *g_params = kernels.ffn_backward(
-                g[rows] * p[rows, e, None], x[rows], params[0].value, params[2].value, pre, sig)
-            g_tokens[rows] += gx
-            for node, grad in zip(params, g_params):
+        gs, g_tokens, g_probs = g[rows], np.zeros_like(x), np.zeros_like(p)
+        g_probs[rows, cols] = (gs * ys).sum(axis=1)
+        g_xs, g_ys = np.empty_like(xs), gs * gates
+        for (ex, lo, hi), (pre, sig) in zip(runs, saved):
+            g_xs[lo:hi], *g_params = kernels.ffn_backward(
+                g_ys[lo:hi], xs[lo:hi], ex.w1.value, ex.w2.value, pre, sig)
+            for node, grad in zip((ex.w1, ex.b1, ex.w2, ex.b2), g_params):
                 accumulate(node, grad)
+        np.add.at(g_tokens, rows, g_xs)
         accumulate(tokens, g_tokens)
         accumulate(probs, g_probs)
 
-    return Node(out, (tokens, probs, *(n for _, _, params, *_ in passes for n in params)), rule)
+    return Node(out, (tokens, probs, *(n for ex, *_ in runs for n in (ex.w1, ex.b1, ex.w2, ex.b2))), rule)
 
 
 def cosine(x: Node, y: Node, eps: float) -> Node:
@@ -335,7 +347,7 @@ def cosine(x: Node, y: Node, eps: float) -> Node:
         # through |x| = sqrt(x.x); x/|x| is taken as 0 at x = 0, where the dot term vanishes
         g_xx = g_prod * ny / (2.0 * nx) if nx.item() else np.zeros_like(g_prod)
         g_yy = g_prod * nx / (2.0 * ny) if ny.item() else np.zeros_like(g_prod)
-        accumulate(x, g_dot @ yt.T + g_xx @ xt.T + (x.value.T @ g_xx).T)
-        accumulate(y, (x.value.T @ g_dot).T + g_yy @ yt.T + (y.value.T @ g_yy).T)
+        accumulate(x, g_dot * y.value + g_xx * x.value + x.value * g_xx)
+        accumulate(y, x.value * g_dot + g_yy * y.value + y.value * g_yy)
 
     return Node(dot / denom, (x, y), rule)

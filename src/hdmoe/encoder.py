@@ -42,50 +42,55 @@ def init_encoder_params(
     )
 
 
-def _attention_pool(scores: ad.Node, h: ad.Node, sizes: list[int]) -> ad.Node:
-    """Row b: softmax of bag b's scores (its rows of the [n, 1] column) times
-    its rows of h. One node; bags of one size are pooled together, and per
-    bag the arithmetic is that of reshape -> row_softmax -> matmul."""
-    s, hv = scores.value, h.value
-    by_size: dict[int, list[int]] = {}
-    for b, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(b)
-    out = np.empty((len(sizes), hv.shape[1]))
-    groups = []  # (bags, their instance rows, [bags, 1, n] softmax weights)
-    starts = np.cumsum(sizes) - sizes
-    for n, bags in by_size.items():
-        rows = (starts[bags, None] + np.arange(n)).ravel()
-        sc = s[rows].reshape(-1, n)
-        e = np.exp(sc - sc.max(axis=1, keepdims=True))
-        p = (e / e.sum(axis=1, keepdims=True))[:, None, :]
-        out[bags] = np.matmul(p, hv[rows].reshape(p.shape[0], n, -1))[:, 0]
-        groups.append((bags, rows, p))
-
-    def rule(g: np.ndarray) -> None:
-        g_h, g_s = np.empty_like(hv), np.empty_like(s)
-        for bags, rows, p in groups:
-            gb = g[bags][:, None, :]
-            g_p = np.matmul(gb, hv[rows].reshape(p.shape[0], p.shape[2], -1).transpose(0, 2, 1))
-            g_h[rows] = np.matmul(p.transpose(0, 2, 1), gb).reshape(-1, hv.shape[1])
-            g_s[rows] = (p * (g_p - (g_p * p).sum(axis=2, keepdims=True))).reshape(-1, 1)
-        ad.accumulate(h, g_h)
-        ad.accumulate(scores, g_s)
-
-    return ad.Node(out, (scores, h), rule)
-
-
 def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
-    """Aggregate B bags [n_b, d_in] into a B x d1 matrix of class tokens.
+    """Aggregate B bags [n_b, d_in] into a B x d1 matrix of class tokens, as
+    one tape node.
 
     `params` holds Nodes (lifted EncoderParams); gradients flow into all four
-    matrices and stop at the bags, which are treated as input data.
+    matrices and stop at the bags, which are treated as input data. Row b is
+    the softmax of bag b's scores times its projections; bags of one size are
+    pooled together, with the arithmetic of reshape -> row_softmax -> matmul.
     """
     if not bags:
         raise DataError("encode_bag needs at least one bag")
     for bag in bags:
         if bag.ndim != 2 or bag.shape[0] < 1:
             raise DataError(f"encode_bag needs non-empty 2-D bags, got shape {bag.shape}")
-    h = ad.matmul(ad.leaf(np.concatenate(bags), name="bags"), params.w_proj)  # [n, d1]
-    gate = ad.mul(ad.tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
-    scores = ad.matmul(gate, params.w_att)  # [n, 1]
-    return _attention_pool(scores, h, [bag.shape[0] for bag in bags])  # [B, d1]
+    x = ad.as_matrix(np.concatenate(bags), "bags")
+    w_proj, v_att, u_att, w_att = params.w_proj, params.v_att, params.u_att, params.w_att
+    h = x @ w_proj.value  # [n, d1]
+    t, s = np.tanh(h @ v_att.value), ad.logistic(h @ u_att.value)
+    gate = t * s
+    scores = gate @ w_att.value  # [n, 1]
+    sizes = [bag.shape[0] for bag in bags]
+    by_size: dict[int, list[int]] = {}
+    for b, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(b)
+    out = np.empty((len(sizes), h.shape[1]))
+    groups = []  # (bags, their instance rows, [bags, 1, n] softmax weights)
+    starts = np.cumsum(sizes) - sizes
+    for n, ids in by_size.items():
+        rows = (starts[ids, None] + np.arange(n)).ravel()
+        sc = scores[rows].reshape(-1, n)
+        e = np.exp(sc - sc.max(axis=1, keepdims=True))
+        p = (e / e.sum(axis=1, keepdims=True))[:, None, :]
+        out[ids] = np.matmul(p, h[rows].reshape(p.shape[0], n, -1))[:, 0]
+        groups.append((ids, rows, p))
+
+    def rule(g: np.ndarray) -> None:
+        g_h, g_s = np.empty_like(h), np.empty_like(scores)
+        for ids, rows, p in groups:
+            gb = g[ids][:, None, :]
+            g_p = np.matmul(gb, h[rows].reshape(p.shape[0], p.shape[2], -1).transpose(0, 2, 1))
+            g_h[rows] = np.matmul(p.transpose(0, 2, 1), gb).reshape(-1, h.shape[1])
+            g_s[rows] = (p * (g_p - (g_p * p).sum(axis=2, keepdims=True))).reshape(-1, 1)
+        g_gate = g_s @ w_att.value.T
+        g_a = g_gate * s * (1.0 - t * t)  # through tanh(h @ V_att)
+        g_b = g_gate * t * s * (1.0 - s)  # through sigmoid(h @ U_att)
+        g_h = g_h + g_a @ v_att.value.T + g_b @ u_att.value.T
+        ad.accumulate(w_att, gate.T @ g_s)
+        ad.accumulate(v_att, h.T @ g_a)
+        ad.accumulate(u_att, h.T @ g_b)
+        ad.accumulate(w_proj, x.T @ g_h)
+
+    return ad.Node(out, (w_proj, v_att, u_att, w_att), rule)
