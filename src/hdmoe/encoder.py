@@ -3,8 +3,8 @@
 Each instance is projected, scored by a gated tanh/sigmoid attention head,
 and a bag's token is the attention-weighted sum of its projections. B bags
 give B x d1 whatever their sizes, and each token is permutation invariant.
-The instances of all bags share the projection and gate matmuls; the
-softmax and the weighted sum run per bag.
+Bags of one size run through every stage as one stacked product per
+stage, so a bag's token has the bits of the bag encoded alone.
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
 
     `params` holds Nodes (lifted EncoderParams); gradients flow into all four
     matrices and stop at the bags, which are treated as input data. Row b is
-    the softmax of bag b's scores times its projections; bags of one size are
-    pooled together, with the arithmetic of reshape -> row_softmax -> matmul.
+    the softmax of bag b's scores times its projections, with the arithmetic
+    of the fine ops reshape -> row_softmax -> matmul; the projections'
+    gradient sums the pooling term, then the tanh branch, then the sigmoid
+    branch, and each bag's parameter gradients are accumulated in bag order.
     """
     if not bags:
         raise DataError("encode_bag needs at least one bag")
@@ -57,40 +59,41 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
         if bag.ndim != 2 or bag.shape[0] < 1:
             raise DataError(f"encode_bag needs non-empty 2-D bags, got shape {bag.shape}")
     x = ad.as_matrix(np.concatenate(bags), "bags")
-    w_proj, v_att, u_att, w_att = params.w_proj, params.v_att, params.u_att, params.w_att
-    h = x @ w_proj.value  # [n, d1]
-    t, s = np.tanh(h @ v_att.value), ad.logistic(h @ u_att.value)
-    gate = t * s
-    scores = gate @ w_att.value  # [n, 1]
+    nodes = (params.w_proj, params.v_att, params.u_att, params.w_att)
+    w_proj, v_att, u_att, w_att = (node.value for node in nodes)
     sizes = [bag.shape[0] for bag in bags]
     by_size: dict[int, list[int]] = {}
     for b, n in enumerate(sizes):
         by_size.setdefault(n, []).append(b)
-    out = np.empty((len(sizes), h.shape[1]))
-    groups = []  # (bags, their instance rows, [bags, 1, n] softmax weights)
     starts = np.cumsum(sizes) - sizes
+    out, groups = np.empty((len(bags), w_proj.shape[1])), []
     for n, ids in by_size.items():
-        rows = (starts[ids, None] + np.arange(n)).ravel()
-        sc = scores[rows].reshape(-1, n)
+        xb = x[(starts[ids, None] + np.arange(n)).ravel()].reshape(len(ids), n, -1)
+        h = xb @ w_proj  # [bags, n, d1]
+        t, s = np.tanh(h @ v_att), ad.logistic(h @ u_att)
+        gate = t * s
+        sc = (gate @ w_att)[:, :, 0]  # [bags, n]
         e = np.exp(sc - sc.max(axis=1, keepdims=True))
-        p = (e / e.sum(axis=1, keepdims=True))[:, None, :]
-        out[ids] = np.matmul(p, h[rows].reshape(p.shape[0], n, -1))[:, 0]
-        groups.append((ids, rows, p))
+        p = (e / e.sum(axis=1, keepdims=True))[:, None, :]  # [bags, 1, n]
+        out[ids] = np.matmul(p, h)[:, 0]
+        groups.append((ids, xb, h, t, s, gate, p))
 
     def rule(g: np.ndarray) -> None:
-        g_h, g_s = np.empty_like(h), np.empty_like(scores)
-        for ids, rows, p in groups:
+        per_bag = [np.empty((len(bags), *w.shape)) for w in (w_proj, v_att, u_att, w_att)]
+        for ids, xb, h, t, s, gate, p in groups:
             gb = g[ids][:, None, :]
-            g_p = np.matmul(gb, h[rows].reshape(p.shape[0], p.shape[2], -1).transpose(0, 2, 1))
-            g_h[rows] = np.matmul(p.transpose(0, 2, 1), gb).reshape(-1, h.shape[1])
-            g_s[rows] = (p * (g_p - (g_p * p).sum(axis=2, keepdims=True))).reshape(-1, 1)
-        g_gate = g_s @ w_att.value.T
-        g_a = g_gate * s * (1.0 - t * t)  # through tanh(h @ V_att)
-        g_b = g_gate * t * s * (1.0 - s)  # through sigmoid(h @ U_att)
-        g_h = g_h + g_a @ v_att.value.T + g_b @ u_att.value.T
-        ad.accumulate(w_att, gate.T @ g_s)
-        ad.accumulate(v_att, h.T @ g_a)
-        ad.accumulate(u_att, h.T @ g_b)
-        ad.accumulate(w_proj, x.T @ g_h)
+            g_p = np.matmul(gb, h.transpose(0, 2, 1))
+            g_sc = (p * (g_p - (g_p * p).sum(axis=2, keepdims=True))).reshape(len(ids), -1, 1)
+            g_gate = g_sc @ w_att.T
+            g_a = g_gate * s * (1.0 - t * t)  # through tanh(h @ V_att)
+            g_b = g_gate * t * s * (1.0 - s)  # through sigmoid(h @ U_att)
+            g_h = np.matmul(p.transpose(0, 2, 1), gb) + g_a @ v_att.T + g_b @ u_att.T
+            hT = h.transpose(0, 2, 1)
+            for grads, value in zip(per_bag, (xb.transpose(0, 2, 1) @ g_h, hT @ g_a, hT @ g_b,
+                                              gate.transpose(0, 2, 1) @ g_sc)):
+                grads[ids] = value
+        for node, grads in zip(nodes, per_bag):
+            for grad in grads:
+                ad.accumulate(node, grad)
 
-    return ad.Node(out, (w_proj, v_att, u_att, w_att), rule)
+    return ad.Node(out, nodes, rule)
