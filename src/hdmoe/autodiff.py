@@ -185,11 +185,6 @@ def affine(a: Node, scale: float, shift: float) -> Node:
     return Node(scale * a.value + shift, (a,), lambda g: accumulate(a, scale * g))
 
 
-def tanh(a: Node) -> Node:
-    v = np.tanh(a.value)
-    return Node(v, (a,), lambda g: accumulate(a, g * (1.0 - v * v)))
-
-
 def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) without overflow: with e = exp(-|x|), 1 / (1 + e)
     where x >= 0 and e / (1 + e) below."""
@@ -308,10 +303,11 @@ def routed_experts(tokens: Node, probs: Node, selected: np.ndarray, experts) -> 
     rows, cols = order // selected.shape[1], selected.ravel()[order]
     xs, gates = x[rows], p[rows, cols][:, None]
     edges = np.searchsorted(cols, np.arange(len(experts) + 1))
-    runs = [(experts[e], lo, hi) for e, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if lo < hi]
+    runs = [((ex.w1, ex.b1, ex.w2, ex.b2), lo, hi)
+            for ex, lo, hi in zip(experts, edges[:-1], edges[1:]) if lo < hi]
     ys, saved = np.empty_like(xs), []
-    for ex, lo, hi in runs:
-        ys[lo:hi], *cache = kernels.ffn_forward(xs[lo:hi], ex.w1.value, ex.b1.value, ex.w2.value, ex.b2.value)
+    for (w1, b1, w2, b2), lo, hi in runs:
+        ys[lo:hi], *cache = kernels.ffn_forward(xs[lo:hi], w1.value, b1.value, w2.value, b2.value)
         saved.append(cache)
     out = np.zeros_like(x)
     np.add.at(out, rows, ys * gates)
@@ -320,16 +316,16 @@ def routed_experts(tokens: Node, probs: Node, selected: np.ndarray, experts) -> 
         gs, g_tokens, g_probs = g[rows], np.zeros_like(x), np.zeros_like(p)
         g_probs[rows, cols] = (gs * ys).sum(axis=1)
         g_xs, g_ys = np.empty_like(xs), gs * gates
-        for (ex, lo, hi), (pre, sig) in zip(runs, saved):
+        for (params, lo, hi), (pre, sig) in zip(runs, saved):
             g_xs[lo:hi], *g_params = kernels.ffn_backward(
-                g_ys[lo:hi], xs[lo:hi], ex.w1.value, ex.w2.value, pre, sig)
-            for node, grad in zip((ex.w1, ex.b1, ex.w2, ex.b2), g_params):
+                g_ys[lo:hi], xs[lo:hi], params[0].value, params[2].value, pre, sig)
+            for node, grad in zip(params, g_params):
                 accumulate(node, grad)
         np.add.at(g_tokens, rows, g_xs)
         accumulate(tokens, g_tokens)
         accumulate(probs, g_probs)
 
-    return Node(out, (tokens, probs, *(n for ex, *_ in runs for n in (ex.w1, ex.b1, ex.w2, ex.b2))), rule)
+    return Node(out, (tokens, probs, *(n for params, *_ in runs for n in params)), rule)
 
 
 def cosine(x: Node, y: Node, eps: float) -> Node:

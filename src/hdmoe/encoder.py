@@ -55,20 +55,16 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
     """
     if not bags:
         raise DataError("encode_bag needs at least one bag")
-    for bag in bags:
+    by_size: dict[int, list[int]] = {}
+    for b, bag in enumerate(bags):
         if bag.ndim != 2 or bag.shape[0] < 1:
             raise DataError(f"encode_bag needs non-empty 2-D bags, got shape {bag.shape}")
-    x = ad.as_matrix(np.concatenate(bags), "bags")
+        by_size.setdefault(bag.shape[0], []).append(b)
     nodes = (params.w_proj, params.v_att, params.u_att, params.w_att)
     w_proj, v_att, u_att, w_att = (node.value for node in nodes)
-    sizes = [bag.shape[0] for bag in bags]
-    by_size: dict[int, list[int]] = {}
-    for b, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(b)
-    starts = np.cumsum(sizes) - sizes
     out, groups = np.empty((len(bags), w_proj.shape[1])), []
     for n, ids in by_size.items():
-        xb = x[(starts[ids, None] + np.arange(n)).ravel()].reshape(len(ids), n, -1)
+        xb = ad.as_matrix(np.concatenate([bags[b] for b in ids]), "bags").reshape(len(ids), n, -1)
         h = xb @ w_proj  # [bags, n, d1]
         t, s = np.tanh(h @ v_att), ad.logistic(h @ u_att)
         gate = t * s
@@ -79,21 +75,24 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
         groups.append((ids, xb, h, t, s, gate, p))
 
     def rule(g: np.ndarray) -> None:
-        per_bag = [np.empty((len(bags), *w.shape)) for w in (w_proj, v_att, u_att, w_att)]
+        factors = []  # per group: its bags, and the two factors of each parameter's gradient
         for ids, xb, h, t, s, gate, p in groups:
-            gb = g[ids][:, None, :]
-            g_p = np.matmul(gb, h.transpose(0, 2, 1))
+            gb, hT = g[ids][:, None, :], h.transpose(0, 2, 1)
+            g_p = np.matmul(gb, hT)
             g_sc = (p * (g_p - (g_p * p).sum(axis=2, keepdims=True))).reshape(len(ids), -1, 1)
             g_gate = g_sc @ w_att.T
             g_a = g_gate * s * (1.0 - t * t)  # through tanh(h @ V_att)
             g_b = g_gate * t * s * (1.0 - s)  # through sigmoid(h @ U_att)
             g_h = np.matmul(p.transpose(0, 2, 1), gb) + g_a @ v_att.T + g_b @ u_att.T
-            hT = h.transpose(0, 2, 1)
-            for grads, value in zip(per_bag, (xb.transpose(0, 2, 1) @ g_h, hT @ g_a, hT @ g_b,
-                                              gate.transpose(0, 2, 1) @ g_sc)):
-                grads[ids] = value
-        for node, grads in zip(nodes, per_bag):
-            for grad in grads:
-                ad.accumulate(node, grad)
+            factors.append((ids, ((xb.transpose(0, 2, 1), g_h), (hT, g_a), (hT, g_b),
+                                  (gate.transpose(0, 2, 1), g_sc))))
+        # one parameter's per-bag gradients alive at a time: a lower peak of
+        # memory, and each product reuses the buffer the last one freed
+        for i, node in enumerate(nodes):
+            per_bag = {}
+            for ids, pairs in factors:
+                per_bag.update(zip(ids, np.matmul(*pairs[i])))
+            for b in range(len(bags)):
+                ad.accumulate(node, per_bag[b])
 
     return ad.Node(out, nodes, rule)

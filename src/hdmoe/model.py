@@ -292,6 +292,12 @@ def save_checkpoint(path: str | Path, params: HDMoEParams, meta: dict) -> None:
     write_text(path, json.dumps(blob))
 
 
+class _NoDraws:
+    """The generator of init_params when only the shapes are wanted: each
+    draw is a read-only zero view, and nothing is drawn."""
+    uniform = staticmethod(lambda low, high, size: np.broadcast_to(0.0, size))
+
+
 def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, dict]:
     try:
         blob = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -303,7 +309,7 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
     stored = blob.get("params")
     if not isinstance(stored, dict):
         raise ConfigError(f"{path}: no 'params' object")
-    template = init_params(cfg, np.random.default_rng(0))
+    template = init_params(cfg, _NoDraws())
     expected = {p: arr.shape for p, arr in named_params(template)}
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))

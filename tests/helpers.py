@@ -80,8 +80,26 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
 
 # ---------------------------------------------------------------------------
 # fine ops and the composites built from them: the tape as it was before
-# routed experts, cosine, survival NLL and balance loss became one node each.
-# Each composite records many nodes and must give the one node's values.
+# the bag encoder, routed experts, cosine, survival NLL and balance loss
+# became one node each (the encoder's composite is encode_bag_single below). Each composite
+# records many nodes and must give the one node's values.
+
+
+def sigmoid_masked(x):
+    """The logistic function by boolean-mask gathers and scatters, as
+    ad.sigmoid computed it before ad.logistic: 1 / (1 + exp(-x)) where
+    x >= 0 and exp(x) / (1 + exp(x)) below."""
+    v = np.empty_like(x)
+    pos = x >= 0
+    v[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    v[~pos] = ex / (1.0 + ex)
+    return v
+
+
+def tanh(a):
+    v = np.tanh(a.value)
+    return ad.Node(v, (a,), lambda g: ad.accumulate(a, g * (1.0 - v * v)))
 
 
 def transpose(a):
@@ -405,9 +423,10 @@ def draw_segments_loop(segment_values, lengths, pins, rng, count):
 
 
 def encode_bag_single(bag, params):
-    """One bag [n, d_in] -> its 1 x d1 class token, pooled by fine ops."""
+    """One bag [n, d_in] -> its 1 x d1 class token by fine ops: projection,
+    tanh/sigmoid gate, scores, reshape -> row_softmax -> matmul pooling."""
     h = ad.matmul(ad.leaf(bag, name="bag"), params.w_proj)
-    gate = ad.mul(ad.tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
+    gate = ad.mul(tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
     scores = ad.matmul(gate, params.w_att)
     weights = ad.row_softmax(ad.reshape(scores, (1, scores.value.shape[0])))
     return ad.matmul(weights, h)

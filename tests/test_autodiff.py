@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hdmoe import autodiff as ad
 from hdmoe.errors import NumericsError, ShapeError
 
-from helpers import check_grads, finite_diff_gradient, max_rel_err
+from helpers import check_grads, finite_diff_gradient, max_rel_err, sigmoid_masked
 
 
 def test_matmul_identity():
@@ -143,6 +143,33 @@ def test_nodes_no_gradient_reaches_keep_no_graph():
     assert np.array_equal(x.grad, c.value) and c.grad is None
 
 
+def test_leaf_shared_by_several_rule_nodes_gets_every_path():
+    x = ad.leaf([[1.0, -2.0]], requires_grad=True)
+    w = ad.leaf([[3.0], [0.5]])
+    # d/dx of x.w + sum(x*x) + sum(x) + 4 sum(x): w^T + 2x + 1 + 4
+    total = ad.add(ad.add(ad.matmul(x, w), ad.sum_all(ad.mul(x, x))),
+                   ad.add(ad.sum_all(x), ad.affine(ad.sum_all(x), 4.0, 0.0)))
+    ad.backward(total)
+    assert np.array_equal(x.grad, [[10.0, 1.5]])
+    assert w.grad is None
+
+
+def test_backward_from_a_leaf_root():
+    root = ad.leaf([[2.5]], requires_grad=True)
+    ad.backward(root)
+    assert np.array_equal(root.grad, [[1.0]])
+
+
+@given(st.lists(st.floats(-800, 800), min_size=1, max_size=24))
+@settings(max_examples=100, deadline=None)
+def test_logistic_bitwise_equal_to_masked_sigmoid(values):
+    specials = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0]
+    x = np.array([values + specials])
+    v = ad.logistic(x)
+    assert v.tobytes() == sigmoid_masked(x).tobytes()
+    assert v.tobytes() == ad.sigmoid(ad.leaf(x)).value.tobytes()
+
+
 def test_backward_requires_scalar_root():
     x = ad.leaf(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -166,7 +193,7 @@ def _op_cases(rng):
     w26 = ad.leaf(u((2, 6)))
     w33 = ad.leaf(u((3, 3)))
     w25 = ad.leaf(u((2, 5)))
-    w24a, w24b = ad.leaf(u((2, 4))), ad.leaf(u((2, 4)))
+    w24 = ad.leaf(u((2, 4)))
     w35 = ad.leaf(u((3, 5)))
     w17 = ad.leaf(u((1, 7)))
     cases = [
@@ -177,8 +204,7 @@ def _op_cases(rng):
         ("add_bias", lambda a, b: ad.sum_all(ad.mul(ad.add_bias(a, b), w43)), [u((4, 3)), u((1, 3))]),
         ("mul", lambda a, b: ad.sum_all(ad.mul(ad.mul(a, b), w25)), [u((2, 5)), u((2, 5))]),
         ("affine", lambda a: ad.sum_all(ad.affine(a, -1.7, 0.3)), [u((2, 4))]),
-        ("tanh", lambda a: ad.sum_all(ad.mul(ad.tanh(a), w24a)), [u((2, 4))]),
-        ("sigmoid", lambda a: ad.sum_all(ad.mul(ad.sigmoid(a), w24b)), [u((2, 4))]),
+        ("sigmoid", lambda a: ad.sum_all(ad.mul(ad.sigmoid(a), w24)), [u((2, 4))]),
         ("log", lambda a: ad.sum_all(ad.log(a)), [u((2, 4), 0.2, 2.0)]),
         ("absolute", lambda a: ad.sum_all(ad.absolute(a)), [np.sign(u((2, 4))) * u((2, 4), 0.1, 2.0)]),
         ("clip", lambda a: ad.sum_all(ad.clip(a, -1.0, 1.0)), [u((2, 4), -0.9, 0.9)]),

@@ -1,8 +1,8 @@
-"""The one-node tape composites (routed experts, cosine, survival NLL, balance
-loss) against the fine-op composites they replaced, kept in `helpers`: values
-and gradients bitwise (cosine: gradients to 1e-12), and against finite
-differences. The fine ops those oracles are built from get their own FD sweep
-here."""
+"""The one-node tape composites (bag encoder, routed experts, cosine, survival
+NLL, balance loss) against the fine-op composites they replaced, kept in
+`helpers`: values and gradients bitwise (cosine: gradients to 1e-12), and
+against finite differences. The fine ops those oracles are built from get
+their own FD sweep here."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import helpers as hp
 from hdmoe import autodiff as ad
 from hdmoe import losses
+from hdmoe.encoder import EncoderParams, encode_bag
 from hdmoe.moe import ExpertParams, RouterTrace
 from helpers import check_grads
 
@@ -46,6 +47,48 @@ def _routed(fn, selected, num_experts):
         return fn(tokens, probs, selected, experts)
 
     return build
+
+
+# ---------------------------------------------------------------------------
+# bag encoder
+
+
+def _encoder_arrays(rng, d_in=5, d1=6, d_att=3):
+    return [rng.uniform(-1, 1, s) for s in ((d_in, d1), (d1, d_att), (d1, d_att), (d_att, 1))]
+
+
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_encode_bag_bitwise_equal_to_composite(sizes, seed):
+    rng = np.random.default_rng(seed)
+    bags = [rng.normal(size=(n, 5)) for n in sizes]
+    arrays = _encoder_arrays(rng)
+    weight = rng.normal(size=(len(bags), 6))
+
+    leaves = [ad.leaf(a, requires_grad=True) for a in arrays]
+    out = encode_bag(bags, EncoderParams(*leaves))
+    ad.backward(ad.sum_all(ad.mul(out, ad.leaf(weight))))
+    # the composite, one bag at a time: the summed terms reach the parameters
+    # bag 0 first, the order in which the node accumulates them
+    ref_leaves = [ad.leaf(a, requires_grad=True) for a in arrays]
+    rows = [hp.encode_bag_single(bag, EncoderParams(*ref_leaves)) for bag in bags]
+    terms = [ad.sum_all(ad.mul(row, ad.leaf(weight[b:b + 1]))) for b, row in enumerate(rows)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    ad.backward(total)
+
+    assert _same_bits(out.value, np.concatenate([row.value for row in rows]))
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert _same_bits(leaf.grad, ref.grad)
+
+
+def test_encode_bag_gradients_match_fd():
+    rng = np.random.default_rng(6)
+    bags = [rng.uniform(-2, 2, (n, 5)) for n in (3, 1, 8, 3, 5)]
+    weight = ad.leaf(rng.normal(size=(5, 6)))
+    check_grads(lambda *p: ad.sum_all(ad.mul(encode_bag(bags, EncoderParams(*p)), weight)),
+                _encoder_arrays(rng), rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +279,9 @@ def _fine_op_cases(rng):
     rows = rng.integers(0, 4, size=5)
     cols = rng.integers(0, 3, size=5)
     w43a, w43b = ad.leaf(u((4, 3))), ad.leaf(u((4, 3)))
-    w53, w63, w51, w14 = (ad.leaf(u(s)) for s in ((5, 3), (6, 3), (5, 1), (1, 4)))
+    w53, w63, w51, w14, w24 = (ad.leaf(u(s)) for s in ((5, 3), (6, 3), (5, 1), (1, 4), (2, 4)))
     return [
+        ("tanh", lambda a: ad.sum_all(ad.mul(hp.tanh(a), w24)), [u((2, 4))]),
         ("transpose", lambda a: ad.sum_all(ad.mul(hp.transpose(a), w43a)), [u((3, 4))]),
         ("div", lambda a, b: ad.sum_all(hp.div(a, b)), [u((2, 4)), u((2, 4), 0.5, 2.0)]),
         ("sqrt", lambda a: ad.sum_all(hp.sqrt(a)), [u((2, 4), 0.2, 2.0)]),

@@ -144,12 +144,13 @@ def _ops_per_step(cfg, seed=0):
 
 
 def test_training_step_records_one_node_per_composite():
-    # routed experts, cosine distances, NLL and balance are one node each, so
-    # the tape of a step does not grow with the number of experts or top_k
+    # the bag encoders, routed experts, cosine distances, NLL and balance are
+    # one node each, so the tape of a step does not grow with the number of
+    # experts, top_k or the instances of a bag
     ops = _ops_per_step(TINY)
     wide = hm.ModelConfig(d_in=5, d1=8, d2=16, token_len_l1=2, token_len_l2=4,
                           num_experts=6, top_k=3, expansion=2, num_bins=4)
-    assert _ops_per_step(wide) == ops <= 80
+    assert _ops_per_step(wide) == ops <= 50
 
 
 def _same_bits(a, b) -> bool:
@@ -328,6 +329,21 @@ def test_golden_v1_checkpoint_loads_and_resaves_byte_identical(tmp_path):
     out = tmp_path / "ckpt.json"
     hm.save_checkpoint(out, loaded, meta)
     assert out.read_bytes() == GOLDEN_PATH.read_bytes()
+
+
+def test_load_checkpoint_touches_no_generator(tmp_path, monkeypatch):
+    params = hm.init_params(TINY, np.random.default_rng(0))
+    path = tmp_path / "ckpt.json"
+    hm.save_checkpoint(path, params, {})
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    loaded, _ = hm.load_checkpoint(path, TINY)
+    for (p1, a1), (p2, a2) in zip(hm.named_params(params), hm.named_params(loaded)):
+        assert p1 == p2 and np.array_equal(a1, a2) and a2.flags.writeable
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):

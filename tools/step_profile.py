@@ -1,8 +1,10 @@
 """Median times of the three units of work, written to BENCH_<label>.json.
 
 - One training step at the desk preset and at the published full scale,
-  split into its stages: parameter lift, forward, losses, backward and
-  optimizer; and the tape nodes a step records (the leaves and ops that
+  split into its stages: parameter lift; the forward as ``encode`` (bag
+  encoders and level-1 MoEs) and ``fuse`` (fusion, bridge, level-2 MoE,
+  head); the survival, decouple and balance loss terms and the total that
+  sums them; backward and optimizer; and the tape nodes a step records (the leaves and ops that
   ``backward`` walks from the total loss), medians over the timed steps.
   As in ``train_fold``, the parameters are one flat vector lifted once
   before the steps, so the "lift" stage of a step is zeroing the flat
@@ -51,7 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-STAGES = ("lift", "forward", "losses", "backward", "optimizer")
+STAGES = ("lift", "encode", "fuse", "survival", "decouple", "balance", "total", "backward",
+          "optimizer")
 STEPS = {"desk": (10, 100), "full": (5, 30)}  # (warm-up, timed) steps per scale
 FORWARDS = 60  # one-sample forwards timed, and the samples of the batched forward
 REPEATS = 5  # stability repeats per stability_report call
@@ -126,28 +129,34 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
     nodes_per_step = {"leaves": [], "ops": []}
     for i in range(warm + timed):
         sample = records[i % len(records)]
-        t0 = time.perf_counter()
+        t = [time.perf_counter()]
         state.grad.fill(0.0)
-        t1 = time.perf_counter()
-        res = model.forward([sample], lifted, model_cfg, rng)
-        t2 = time.perf_counter()
+        t.append(time.perf_counter())
+        level1 = model.encode([sample], lifted, model_cfg)
+        t.append(time.perf_counter())
+        res = model.fuse(level1, lifted, model_cfg, rng)
+        t.append(time.perf_counter())
         surv = losses.survival_nll(res.hazards, sample.bin_label, sample.censored)
+        t.append(time.perf_counter())
         dm = losses.decouple_loss(res, train_cfg.distance_metric)
+        t.append(time.perf_counter())
         bl = losses.balance_loss(res.traces)
+        t.append(time.perf_counter())
         _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
-        t3 = time.perf_counter()
+        t.append(time.perf_counter())
         ad.backward(total)
-        t4 = time.perf_counter()
+        t.append(time.perf_counter())
         trainer.optimizer_step(flat, grads, state, train_cfg)
-        t5 = time.perf_counter()
+        t.append(time.perf_counter())
         if not np.isfinite(flat).all():
             raise NumericsError(f"non-finite parameters after step {i}")
-        t6 = time.perf_counter()
+        t.append(time.perf_counter())
         if i >= warm:
-            lift = (t1 - t0) + (t6 - t5)  # zero the gradient, check finiteness
-            for stage, dt in zip(STAGES, (lift, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+            spans = [b - a for a, b in zip(t[:-1], t[1:])]
+            spans[0] += spans.pop()  # the lift: zero the gradient, check finiteness
+            for stage, dt in zip(STAGES, spans):
                 times[stage].append(dt)
-            times["step"].append(t6 - t0)
+            times["step"].append(t[-1] - t[0])
             for kind, count in zip(("leaves", "ops"), tape_nodes(total)):
                 nodes_per_step[kind].append(count)
 
