@@ -2,9 +2,8 @@
 
 Flags override config-file values; every run writes its resolved config next
 to its outputs so results can be reproduced from that file alone. Exit codes:
-0 success, 2 config/validation error, 3 runtime numerical error, 4 IO error.
-HDMOE_LOG controls log verbosity (debug/info/warning).
-"""
+0 success, 2 config/validation error, 3 runtime numerical error, 4 IO error
+or a lost fold lane. HDMOE_LOG controls log verbosity (debug/info/warning)."""
 
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ from .evaluation import (
 )
 from .model import forward, lift_params, load_checkpoint, save_checkpoint
 from .rfr import valid_segments
-from .trainer import fold_edges, predict_fold, predictions_to_csv, split_fold, train_fold
+from .trainer import fold_edges, map_folds, predict_fold, predictions_to_csv, split_fold, train_fold
 
 log = logging.getLogger("hdmoe.cli")
 
@@ -141,9 +140,7 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     folds = [("sample_id", "fold"), *((r.sample_id, r.fold) for r in records)]
     write_text(out_dir / "folds.csv", csv_text(folds, lineterminator="\n"))
 
-    per_fold = {}
-    all_rows = []
-    for fid in fold_ids:
+    def run_fold(fid: int) -> list:
         result = train_fold(records, fid, model_cfg, train_cfg)
         pred_rng = np.random.default_rng([cfg.seed, fid, 0x9E4])
         rows = predict_fold(
@@ -163,9 +160,13 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
         )
         write_text(fold_dir / "run_log.csv", "".join(line + "\n" for line in result.log_rows))
         write_text(fold_dir / "predictions.csv", predictions_to_csv(rows, model_cfg.num_bins))
+        return rows
+
+    per_fold = {}
+    all_rows = []
+    for fid, rows in zip(fold_ids, map_folds(run_fold, fold_ids)):
         all_rows.extend(rows)
-        table = RiskTable.from_predictions(rows)
-        per_fold[str(fid)] = _fold_metrics(table)
+        per_fold[str(fid)] = _fold_metrics(RiskTable.from_predictions(rows))
         print(f"fold {fid}: c-index {per_fold[str(fid)]['cindex']:.4f}")
 
     write_text(out_dir / "predictions.csv", predictions_to_csv(all_rows, model_cfg.num_bins))

@@ -10,6 +10,7 @@ ModelConfig's. The desk preset scales the dims down 8x for fast runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -75,6 +76,13 @@ class RunConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_VALUE_CHECKS = {  # a field's derived annotation -> (check of its JSON value, what it takes)
+    "int": (lambda v: type(v) is int, "an integer"),  # a bool is an int
+    "float": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
+    list: (lambda v: type(v) is list and all(type(x) is int for x in v), "a list of integers"),
+}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -88,6 +96,10 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = sorted(set(raw) - _FIELD_NAMES)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
+    for key, value in raw.items():
+        check, kind = _VALUE_CHECKS[RunConfig.__annotations__[key]]
+        if not check(value):
+            raise ConfigError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
     return RunConfig(**raw)
 
 

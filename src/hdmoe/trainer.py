@@ -11,6 +11,9 @@ seeded [seed, fold]; the shuffle order is reseeded per epoch from
 from __future__ import annotations
 
 import logging
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,6 +221,60 @@ def predict_fold(
         )
         for sample, hazards, risk in zip(test_records, res.hazards.value, res.risk)
     ]
+
+
+def map_folds(fn, folds: list[int]) -> list:
+    """[fn(f) for f in folds] in fold order, the folds dealt round-robin over one
+    lane per usable core: this process, then one forked child per other lane; the
+    plain loop without fork or a second core. A lane's error is raised here, after
+    every child is reaped (SIGTERM, a KeyboardInterrupt there, stops a running one)."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else {0}
+    lanes = min(len(folds), len(usable))
+    if lanes <= 1:
+        return [fn(f) for f in folds]
+    workers = []  # (lane, pid, read end of its pipe)
+    try:
+        for lane in range(1, lanes):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # send (ok, results or exception), leave without exit handlers or flushes
+                try:
+                    signal.signal(signal.SIGTERM, signal.default_int_handler)
+                    try:
+                        payload = pickle.dumps((True, [fn(f) for f in folds[lane::lanes]]))
+                    except BaseException as exc:
+                        payload = pickle.dumps((False, exc))
+                    with open(write, "wb") as fh:
+                        fh.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((lane, pid, read))
+        results = [None] * len(folds)
+        results[0::lanes] = [fn(f) for f in folds[0::lanes]]
+        for lane, pid, read in list(workers):
+            with open(read, "rb", closefd=False) as fh:
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(0)[2])
+            if not payload:
+                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+                raise OSError(f"the lane of folds {folds[lane::lanes]} ended without a result ({how})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[lane::lanes] = value
+        return results
+    finally:
+        for _, pid, read in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
 
 
 def predictions_to_csv(rows: list[PredictionRow], num_bins: int) -> str:

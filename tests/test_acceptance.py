@@ -49,13 +49,17 @@ def desk_run():
     ablated = [replace(r, features_b=r.features_a) for r in records]
 
     def run(recs):
-        fold_results, rows = {}, []
-        for fold in range(5):
+        def fold_run(fold):
             result = ht.train_fold(recs, fold, DESK_MODEL, DESK_TRAIN)
-            preds = ht.predict_fold(
+            return result, ht.predict_fold(
                 recs, fold, result.params, result.edges, DESK_MODEL,
                 np.random.default_rng([7, fold, 0x9E4]),
             )
+
+        fold_results, rows = {}, []
+        # one lane per usable core, as `hdmoe train` runs its folds; a fold's
+        # FoldResult comes back from a forked lane bitwise
+        for fold, (result, preds) in enumerate(ht.map_folds(fold_run, list(range(5)))):
             rows.extend(preds)
             fold_results[fold] = (result, ev.c_index(ev.RiskTable.from_predictions(preds)))
         return fold_results, rows

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import hdmoe
 from hdmoe import cli, data
 from hdmoe.config import RunConfig, apply_desk_preset, load_config, save_config
 from hdmoe.data import SynthConfig, load_samples, write_dataset
-from hdmoe.errors import ConfigError
+from hdmoe.errors import ConfigError, NumericsError
 from hdmoe.model import ModelConfig, init_params, save_checkpoint
 from hdmoe.trainer import TrainConfig
 
@@ -76,6 +77,37 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text('{"learning_rate": 0.1}')
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(path)
+
+
+# Each value is of the wrong JSON type for its key; before the typed check,
+# epochs 1.5 and lr "x" died with tracebacks (epochs 1.5 after writing
+# config.json and folds.csv), alpha NaN exited 3 after those two files, and
+# epochs true and d1 "32" (overwritten by --desk) trained.
+@pytest.mark.parametrize("key, value, kind", [
+    ("epochs", 1.5, "an integer"),
+    ("lr", "x", "a finite number"),
+    ("alpha", float("nan"), "a finite number"),
+    ("epochs", True, "an integer"),
+    ("d1", "32", "an integer"),
+    ("segment_values", [1, 2.0], "a list of integers"),
+    ("manifest", 3, "a string or null"),
+])
+def test_config_value_of_the_wrong_type_exit_2_before_any_output(tmp_path, capsys, key, value,
+                                                                   kind):
+    raw = json.loads(_synth(tmp_path).read_text())
+    raw[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))  # NaN is written as the bare token json.load accepts
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--desk", "--config", str(bad), "--out", str(run_dir)]) == 2
+    assert f"config key {key!r} must be {kind}, got {value!r}" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_config_accepts_an_int_for_a_float_key(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"lr": 1, "noise": 0, "manifest": "m.csv"}')
+    assert load_config(path) == RunConfig(lr=1, noise=0, manifest="m.csv")
 
 
 def test_desk_preset_scales_dims_down_8x():
@@ -344,6 +376,7 @@ def test_feature_width_checked_for_every_sample_exit_2(tmp_path, capsys):
 
 def test_train_lifts_once_per_fold_for_training_and_once_for_prediction(tmp_path, monkeypatch):
     resolved = _synth(tmp_path)
+    _cores(monkeypatch, 1)  # the count is in-process; a forked lane's lifts are not seen
     lifts = []
     lift = hdmoe.trainer.lift_params
     monkeypatch.setattr(hdmoe.trainer, "lift_params",
@@ -664,6 +697,88 @@ def test_failed_predictions_write_leaves_old_file_or_none(tmp_path, monkeypatch,
         assert cli.main(argv) == 4  # an OSError is an io error
     assert (run_dir / "fold0" / "checkpoint.json").exists()
     _assert_old_or_none(tmp_path, target, old)
+
+
+# ---------------------------------------------------------------------------
+# fold lanes: train's folds run in forked processes, one per usable core
+
+
+def _cores(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _files(run_dir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+            if p.is_file()}
+
+
+def test_train_two_lanes_write_the_bytes_of_one(tmp_path, monkeypatch, capsys):
+    resolved = _synth(tmp_path)
+    runs = {}
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        run_dir = tmp_path / f"run{cores}"
+        assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 0
+        files = _files(run_dir)
+        del files["config.json"]  # names out_dir
+        runs[cores] = files, capsys.readouterr().out
+    assert set(runs[2][0]) == {"folds.csv", "metrics.json", "predictions.csv",
+                               *(f"fold{f}/{n}" for f in (0, 1)
+                                 for n in ("checkpoint.json", "run_log.csv", "predictions.csv"))}
+    assert runs[2] == runs[1]
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (NumericsError("non-finite loss at fold 1 epoch 0 step 3"), 3, "numerical error"),
+    (ConfigError("fold 1: something is off"), 2, "error"),
+], ids=["numerics", "config"])
+def test_train_error_in_a_forked_lane_keeps_its_exit_code_and_message(tmp_path, monkeypatch,
+                                                                      capsys, error, code, prefix):
+    resolved = _synth(tmp_path)
+    _cores(monkeypatch, 2)
+    train = cli.train_fold
+
+    def train_fold(records, fid, *args):
+        if fid == 1:  # the forked lane's fold
+            raise error
+        return train(records, fid, *args)
+
+    monkeypatch.setattr(cli, "train_fold", train_fold)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+    assert not (run_dir / "metrics.json").exists()
+
+
+def test_train_lost_lane_exit_4_and_eval_reads_nothing_it_left(tmp_path, monkeypatch, capsys):
+    resolved = _synth(tmp_path)
+    _cores(monkeypatch, 2)
+    replace = os.replace
+
+    def killed_mid_write(src, dst):
+        if Path(dst).parent.name == "fold1":  # only the forked lane writes fold 1
+            os.kill(os.getpid(), signal.SIGKILL)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed_mid_write)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 4
+    assert capsys.readouterr().err == (
+        "io error: the lane of folds [1] ended without a result (signal SIGKILL)\n")
+    monkeypatch.setattr(os, "replace", replace)
+    assert not (run_dir / "metrics.json").exists()
+    assert not (run_dir / "predictions.csv").exists()
+    assert not (run_dir / "fold1" / "checkpoint.json").exists()
+    assert [p.name[:17] for p in (run_dir / "fold1").iterdir()] == [".checkpoint.json."]
+    # the temp file is never read: eval finds fold 1 missing and writes nothing
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--checkpoint", str(run_dir),
+                     "--out", str(eval_dir)]) == 2
+    assert "names folds with no checkpoint: fold1" in capsys.readouterr().err
+    assert not eval_dir.exists()
+    with pytest.raises(ChildProcessError):  # no forked lane is left unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The one-node tape composites (bag encoder, routed experts, cosine, survival
 NLL, balance loss) against the fine-op composites they replaced, kept in
-`helpers`: values and gradients bitwise (cosine: gradients to 1e-12), and
-against finite differences. The fine ops those oracles are built from get
+`helpers`: values and gradients bitwise (cosine: gradients to 1e-12 against
+the composite, bitwise against its rule's own order), and against finite
+differences. The fine ops those oracles are built from get
 their own FD sweep here."""
 
 import numpy as np
@@ -187,6 +188,26 @@ def test_cosine_equals_composite(d, seed, zero):
     fd = hp.finite_diff_gradient(
         lambda v: (ad.cosine(ad.leaf(v), ad.leaf(other), eps).value * weight).item(), row, eps=1e-20)
     assert hp.max_rel_err(g_row, fd) < 1e-6
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cosine_gradient_sums_its_three_terms_in_the_rule_order(d, seed):
+    # training bits depend on this order; a float sum is commutative but not
+    # associative, so only a reorder that regroups the terms changes the bits
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(1, d)), rng.normal(size=(1, d))
+    g = rng.normal(size=(1, 1))
+    eps = losses.COSINE_NORM_EPS
+    _, (gx, gy) = _grads_of(lambda a, b: ad.cosine(a, b, eps), [x, y], g)
+    dot = x @ np.ascontiguousarray(y.T)
+    nx, ny = np.sqrt(x @ np.ascontiguousarray(x.T)), np.sqrt(y @ np.ascontiguousarray(y.T))
+    denom = nx * ny + eps
+    g_dot = g / denom
+    g_prod = -g * dot / (denom * denom)
+    g_xx, g_yy = g_prod * ny / (2.0 * nx), g_prod * nx / (2.0 * ny)
+    assert _same_bits(gx, g_dot * y + g_xx * x + x * g_xx)
+    assert _same_bits(gy, x * g_dot + g_yy * y + y * g_yy)
 
 
 def test_cosine_gradients_match_fd():

@@ -33,3 +33,13 @@ def test_step_profile_runs_on_desk_config(monkeypatch):
         assert math.isfinite(value) and value > 0
     assert 0 < nodes["ops"] <= 50 and nodes["leaves"] > 0
     assert sorted(profile.ROOT.glob("BENCH_*.json")) == benches
+
+
+def test_step_profile_times_train_end_to_end(monkeypatch):
+    profile = _load_tool("step_profile")
+    monkeypatch.setattr(profile, "TRAIN_COHORTS", ((60, 2),))
+    monkeypatch.setattr(profile, "TRAIN_CALLS", 1)
+    times, lanes = profile.profile_train()
+    assert set(times) == set(lanes) == {"60x2"}
+    assert math.isfinite(times["60x2"]) and times["60x2"] > 0
+    assert 1 <= lanes["60x2"] <= 2

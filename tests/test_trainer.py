@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -262,3 +266,98 @@ def test_desk_training_step_tape_stays_at_64_ops():
     _, total = total_loss(survival_nll(res.hazards, 2, sample.censored),
                           decouple_loss(res, "cos"), balance_loss(res.traces), 1.0, 0.01)
     assert _tape_ops(total) <= 64
+
+
+# ---------------------------------------------------------------------------
+# fold lanes
+
+
+def _cores(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(ht.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cores, forks", [(64, 1), (1, 0)])
+def test_map_folds_forks_one_lane_per_core_capped_by_the_folds(monkeypatch, cores, forks):
+    attempts = []
+
+    def fork():
+        attempts.append(1)
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr(ht.os, "fork", fork)
+    _cores(monkeypatch, cores)
+    if forks:
+        with pytest.raises(OSError, match="no fork in this test"):
+            ht.map_folds(str, [0, 1])
+    else:
+        assert ht.map_folds(str, [0, 1]) == ["0", "1"]
+    assert len(attempts) == forks
+
+
+def test_map_folds_trains_bitwise_as_the_loop(monkeypatch):
+    records = make_folds(_tiny_dataset(n=30), 3, seed=0)
+    _cores(monkeypatch, 2)  # fold 1 trains in a forked lane, folds 0 and 2 here
+
+    def fold(fid):
+        return ht.train_fold(records, fid, TINY, FAST)
+
+    lanes = ht.map_folds(fold, [0, 1, 2])
+    assert [r.fold for r in lanes] == [0, 1, 2]
+    for got, want in zip(lanes, map(fold, [0, 1, 2])):
+        assert got.loss_curve == want.loss_curve and got.log_rows == want.log_rows
+        assert got.edges == want.edges
+        for (path, a), (_, b) in zip(hm.named_params(got.params), hm.named_params(want.params)):
+            assert _bits(a) == _bits(b), path
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("error", [NumericsError("non-finite loss at fold 1"),
+                                   ConfigError("fold 1: bad"), OSError(28, "No space left")])
+def test_map_folds_raises_a_lanes_error_as_it_was(monkeypatch, error):
+    _cores(monkeypatch, 2)
+
+    def fn(fid):
+        if fid == 1:  # the forked lane
+            raise error
+        return fid
+
+    with pytest.raises(type(error)) as info:
+        ht.map_folds(fn, [0, 1])
+    assert str(info.value) == str(error)
+    assert _no_child_left()
+
+
+def test_map_folds_lane_killed_is_an_os_error_naming_its_folds(monkeypatch):
+    _cores(monkeypatch, 2)
+
+    def fn(fid):
+        if fid % 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fid
+
+    with pytest.raises(OSError, match=r"folds \[1, 3\] ended without a result \(signal SIGKILL\)"):
+        ht.map_folds(fn, [0, 1, 2, 3])
+    assert _no_child_left()
+
+
+def test_map_folds_error_in_this_process_stops_and_reaps_the_lanes(monkeypatch):
+    _cores(monkeypatch, 3)
+
+    def fn(fid):
+        if fid == 0:
+            raise ValueError("lane 0 fails")
+        time.sleep(60)  # the forked lanes would outlive the call without a stop
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="lane 0 fails"):
+        ht.map_folds(fn, [0, 1, 2])
+    assert time.monotonic() - start < 30
+    assert _no_child_left()

@@ -25,6 +25,11 @@
   both scales, through a temporary directory.
 - ``load_samples`` of a desk cohort of 60 samples (120 feature files of
   6 x 32 values), written once to a temporary directory.
+- ``hdmoe train`` end to end (``cli.main``, stdout silenced) with the desk
+  preset and one epoch, on generated cohorts of 60 samples in 2 folds (the
+  benchmark's ``train_desk`` shape) and of 200 samples in 5 folds (the
+  acceptance cohort's), with the fold lanes it ran: one per usable core, at
+  most one per fold, where the package has ``trainer.map_folds``, else 1.
 
 The package is imported from ``--src`` (default: this checkout's src) before
 numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
@@ -64,6 +69,8 @@ METRIC_REPEATS = 30
 COHORT = 8
 CHECKPOINT_CALLS = 5
 READER_CALLS = 20
+TRAIN_COHORTS = ((60, 2), (200, 5))  # (samples, folds), one epoch each
+TRAIN_CALLS = 5
 
 
 def _ms(seconds: list[float]) -> float:
@@ -205,6 +212,41 @@ def profile_reader() -> float:
         return _median_ms(lambda: hd.load_samples(manifest), READER_CALLS)
 
 
+def profile_train() -> tuple[dict, dict]:
+    """({"<samples>x<folds>": median ms of one train}, {same keys: lanes})."""
+    import contextlib
+    import io
+
+    import numpy as np
+
+    import hdmoe as hd
+    from hdmoe import cli, trainer
+
+    times, lanes = {}, {}
+    with tempfile.TemporaryDirectory(prefix="hdmoe-profile-") as tmp:
+        for cohort, folds in TRAIN_COHORTS:
+            cfg = dataclasses.replace(hd.apply_desk_preset(hd.RunConfig()), cohort=cohort,
+                                      k_folds=folds, epochs=1, redundancy=0.5, seed=7)
+            records, _ = hd.generate_synthetic(cfg.synth_config(),
+                                               np.random.default_rng([5, cohort]))
+            base = Path(tmp) / f"cohort{cohort}"
+            manifest = hd.write_dataset(base / "data", records)
+            config = base / "config.json"
+            hd.save_config(dataclasses.replace(cfg, manifest=str(manifest)), config)
+            argv = ["train", "--config", str(config), "--out", str(base / "run")]
+
+            def train():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"hdmoe {' '.join(argv)} failed")
+
+            key = f"{cohort}x{folds}"
+            times[key] = _median_ms(train, TRAIN_CALLS)
+            forks = hasattr(trainer, "map_folds")
+            lanes[key] = min(folds, len(os.sched_getaffinity(0))) if forks else 1
+    return times, lanes
+
+
 def tied_table(rng, n: int):
     """Times on a 0.1-month grid, about 40% censored, risks rounded to one
     decimal; the tables of the benchmark's stats workload."""
@@ -257,18 +299,21 @@ def main(argv: list[str] | None = None) -> int:
     step_desk, nodes_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(desk_cfg, "desk")
     step_full, nodes_full, nograd_full, rep_full, ckpt_full = profile_scale(
         hd.ModelConfig(), "full")
+    train_ms, train_lanes = profile_train()
     report = {
         "label": args.label,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "nproc": os.cpu_count(),
+            "usable_cores": len(os.sched_getaffinity(0)),
             "blas_threads": {var: os.environ.get(var) for var in BLAS_ENV},
         },
         "unit": "ms, median",
         "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
                     "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS,
-                    "checkpoint": CHECKPOINT_CALLS, "load_samples": READER_CALLS},
+                    "checkpoint": CHECKPOINT_CALLS, "load_samples": READER_CALLS,
+                    "train": TRAIN_CALLS},
         "cohort": COHORT,
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
@@ -281,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         "checkpoint_mb": {"desk": ckpt_desk["mb"], "full": ckpt_full["mb"]},
         "load_samples_ms": {"desk": profile_reader()},
         "metrics_ms": profile_metrics(),
+        "train_ms": train_ms,
+        "train_lanes": train_lanes,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
