@@ -10,7 +10,7 @@ ModelConfig's. The desk preset scales the dims down 8x for fast runs.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -78,7 +78,7 @@ class RunConfig:
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 _VALUE_CHECKS = {  # a field's derived annotation -> (check of its JSON value, what it takes)
     "int": (lambda v: type(v) is int, "an integer"),  # a bool is an int
-    "float": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "float": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
     "str": (lambda v: type(v) is str, "a string"),
     "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
     list: (lambda v: type(v) is list and all(type(x) is int for x in v), "a list of integers"),

@@ -10,6 +10,7 @@ seeded [seed, fold]; the shuffle order is reseeded per epoch from
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import pickle
@@ -224,57 +225,56 @@ def predict_fold(
 
 
 def map_folds(fn, folds: list[int]) -> list:
-    """[fn(f) for f in folds] in fold order, the folds dealt round-robin over one
-    lane per usable core: this process, then one forked child per other lane; the
-    plain loop without fork or a second core. A lane's error is raised here, after
-    every child is reaped (SIGTERM, a KeyboardInterrupt there, stops a running one)."""
+    """[fn(f) for f in folds], dealt round-robin over one lane per usable core: this process,
+    then a forked child per other lane. A lane stops at its error; the lowest fold's is raised."""
     usable = os.sched_getaffinity(0) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else {0}
-    lanes = min(len(folds), len(usable))
-    if lanes <= 1:
-        return [fn(f) for f in folds]
-    workers = []  # (lane, pid, read end of its pipe)
+    lanes, results, parent = max(1, min(len(folds), len(usable))), [None] * len(folds), os.getpid()
+
+    def run(lane):  # fills the lane's results; (fold index, error) if one stopped it
+        for i in range(lane, len(folds), lanes):
+            try:
+                results[i] = fn(folds[i])
+            except Exception as exc:
+                return i, exc
+    workers = []  # (lane, pid, read end of its pipe); each is stopped and reaped in the finally
     try:
         for lane in range(1, lanes):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:  # send (ok, results or exception), leave without exit handlers or flushes
-                try:
+            read, write = map(open, os.pipe(), ("rb", "wb"))
+            pid = os.fork()
+            if pid == 0:  # send (error, results), leave without exit handlers or flushes
+                try:  # SIGTERM, also sent on Linux when the parent dies, is a KeyboardInterrupt
                     signal.signal(signal.SIGTERM, signal.default_int_handler)
-                    try:
-                        payload = pickle.dumps((True, [fn(f) for f in folds[lane::lanes]]))
-                    except BaseException as exc:
-                        payload = pickle.dumps((False, exc))
-                    with open(write, "wb") as fh:
-                        fh.write(payload)
+                    if os.uname().sysname == "Linux":
+                        ctypes.CDLL(None).prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
+                    if os.getppid() == parent:
+                        err = run(lane)
+                        with write:
+                            write.write(pickle.dumps((err, results[lane::lanes])))
                 finally:
                     os._exit(0)
-            os.close(write)
+            write.close()
             workers.append((lane, pid, read))
-        results = [None] * len(folds)
-        results[0::lanes] = [fn(f) for f in folds[0::lanes]]
+        failed = [run(0)]
         for lane, pid, read in list(workers):
-            with open(read, "rb", closefd=False) as fh:
-                payload = fh.read()
+            if any(err and err[0] < lane for err in failed):
+                break  # a lower fold failed: the finally stops this lane and the rest
+            payload = read.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(workers.pop(0)[2])
-            if not payload:
+            workers.pop(0)[2].close()
+            if not payload:  # killed or out of memory: counted as failing at its first fold
                 how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-                raise OSError(f"the lane of folds {folds[lane::lanes]} ended without a result ({how})")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results[lane::lanes] = value
-        return results
+                lost = OSError(f"the lane of folds {folds[lane::lanes]} ended without a result ({how})")
+                payload = pickle.dumps(((lane, lost), results[lane::lanes]))
+            err, results[lane::lanes] = pickle.loads(payload)
+            failed.append(err)
     finally:
         for _, pid, read in workers:
-            os.close(read)
+            read.close()
             os.kill(pid, signal.SIGTERM)
             os.waitpid(pid, 0)
+    if any(failed):
+        raise min(filter(None, failed), key=lambda err: err[0])[1]
+    return results
 
 
 def predictions_to_csv(rows: list[PredictionRow], num_bins: int) -> str:

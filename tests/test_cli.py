@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,7 @@ def test_config_unknown_key_rejected(tmp_path):
     ("d1", "32", "an integer"),
     ("segment_values", [1, 2.0], "a list of integers"),
     ("manifest", 3, "a string or null"),
+    pytest.param("lr", 10 ** 400, "a finite number", id="lr-int-too-large-for-a-float"),
 ])
 def test_config_value_of_the_wrong_type_exit_2_before_any_output(tmp_path, capsys, key, value,
                                                                    kind):
@@ -779,6 +781,54 @@ def test_train_lost_lane_exit_4_and_eval_reads_nothing_it_left(tmp_path, monkeyp
     assert not eval_dir.exists()
     with pytest.raises(ChildProcessError):  # no forked lane is left unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def _processes_naming(marker: str) -> list[int]:
+    pids = []
+    for proc in Path("/proc").iterdir():
+        try:
+            if proc.name.isdigit() and marker.encode() in (proc / "cmdline").read_bytes():
+                pids.append(int(proc.name))
+        except OSError:  # ended meanwhile
+            pass
+    return pids
+
+
+# A signal to the hdmoe process alone: a forked lane must not train on and write
+# its fold<k>/ files into the run dir after the command has ended.
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="lists processes in /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_train_signalled_leaves_no_lane_running_or_writing(tmp_path, sig):
+    resolved = _synth(tmp_path, epochs=20000)  # minutes of training, stopped in its first epochs
+    run_dir = tmp_path / "run"
+    env = {"PATH": os.environ.get("PATH", ""), "HDMOE_LOG": "info",
+           "PYTHONPATH": str(Path(hdmoe.__file__).resolve().parents[1])}
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from hdmoe import cli; sys.exit(cli.main(sys.argv[1:]))")
+    log = tmp_path / "stderr.txt"
+    with open(log, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", code, "train", "--config", str(resolved),
+                                 "--out", str(run_dir)], env=env, stdout=subprocess.DEVNULL,
+                                stderr=err)
+    try:
+        deadline = time.monotonic() + 60
+        while "fold 1 epoch 0 " not in log.read_text():  # the forked lane trains
+            assert proc.poll() is None and time.monotonic() < deadline, log.read_text()
+            time.sleep(0.02)
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30) == -sig
+        deadline = time.monotonic() + 5
+        while _processes_naming(str(run_dir)):
+            assert time.monotonic() < deadline, "a fold lane outlived hdmoe train"
+            time.sleep(0.02)
+    finally:
+        proc.kill()
+        for pid in _processes_naming(str(run_dir)):
+            os.kill(pid, signal.SIGKILL)
+    files = _files(run_dir)
+    time.sleep(0.5)
+    assert _files(run_dir) == files
+    assert sorted(files) == ["config.json", "folds.csv"]
 
 
 # ---------------------------------------------------------------------------

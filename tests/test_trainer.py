@@ -335,6 +335,24 @@ def test_map_folds_raises_a_lanes_error_as_it_was(monkeypatch, error):
     assert _no_child_left()
 
 
+# The loop stops at fold 1; two lanes meet the fault of fold 2 in this process
+# first and must still raise fold 1's, so the exit code does not hang on the cores.
+@pytest.mark.parametrize("cores", [2, 1])
+def test_map_folds_raises_the_lowest_failing_folds_error_whatever_the_lanes(monkeypatch, cores):
+    _cores(monkeypatch, cores)
+
+    def fn(fid):
+        if fid == 1:
+            raise NumericsError("non-finite loss at fold 1")
+        if fid == 2:
+            raise OSError(28, "No space left")
+        return fid
+
+    with pytest.raises(NumericsError, match="fold 1"):
+        ht.map_folds(fn, [0, 1, 2, 3])
+    assert _no_child_left()
+
+
 def test_map_folds_lane_killed_is_an_os_error_naming_its_folds(monkeypatch):
     _cores(monkeypatch, 2)
 
