@@ -9,8 +9,10 @@ permutation each step, so a static graph would not help). ``backward`` walks
 the nodes reachable from a scalar root in reverse topological order exactly
 once.
 
-The routed experts of an MoE block and a cosine similarity are one node each
-with a closed-form rule, as are the survival and balance terms of ``losses``.
+The ops here are the model's generic ones: matmul, reshape, bias, sigmoid,
+row softmax and the fused expert feed-forward. The routed experts of an MoE
+block are one node with a closed-form rule, as are each loss term and the
+total of ``losses`` and each fusion stage of ``rfr``.
 
 All randomness in the package flows through explicitly passed
 ``numpy.random.Generator`` handles; nothing here touches global RNG state.
@@ -18,7 +20,7 @@ All randomness in the package flows through explicitly passed
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -133,31 +135,6 @@ def reshape(a: Node, shape: tuple[int, int]) -> Node:
     )
 
 
-def _require_same_shape(a: Node, b: Node, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op} shapes disagree: {a.value.shape} vs {b.value.shape}")
-
-
-def add(a: Node, b: Node) -> Node:
-    _require_same_shape(a, b, "add")
-
-    def rule(g: np.ndarray) -> None:
-        accumulate(a, g)
-        accumulate(b, g)
-
-    return Node(a.value + b.value, (a, b), rule)
-
-
-def sub(a: Node, b: Node) -> Node:
-    _require_same_shape(a, b, "sub")
-
-    def rule(g: np.ndarray) -> None:
-        accumulate(a, g)
-        accumulate(b, -g)
-
-    return Node(a.value - b.value, (a, b), rule)
-
-
 def add_bias(x: Node, b: Node) -> Node:
     """x[m,n] + row vector b[1,n], broadcast over rows."""
     if b.value.shape != (1, x.value.shape[1]):
@@ -168,21 +145,6 @@ def add_bias(x: Node, b: Node) -> Node:
         accumulate(b, g.sum(axis=0, keepdims=True))
 
     return Node(x.value + b.value, (x, b), rule)
-
-
-def mul(a: Node, b: Node) -> Node:
-    _require_same_shape(a, b, "mul")
-
-    def rule(g: np.ndarray) -> None:
-        accumulate(a, g * b.value)
-        accumulate(b, g * a.value)
-
-    return Node(a.value * b.value, (a, b), rule)
-
-
-def affine(a: Node, scale: float, shift: float) -> Node:
-    """Elementwise scale * a + shift with constant coefficients."""
-    return Node(scale * a.value + shift, (a,), lambda g: accumulate(a, scale * g))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -197,76 +159,20 @@ def sigmoid(a: Node) -> Node:
     return Node(v, (a,), lambda g: accumulate(a, g * v * (1.0 - v)))
 
 
-def log(a: Node) -> Node:
-    if (a.value <= 0).any():
-        raise NumericsError("log requires strictly positive entries")
-    return Node(np.log(a.value), (a,), lambda g: accumulate(a, g / a.value))
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax along each row (max-subtraction)."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def absolute(a: Node) -> Node:
-    return Node(np.abs(a.value), (a,), lambda g: accumulate(a, g * np.sign(a.value)))
-
-
-def clip(a: Node, lo: float, hi: float) -> Node:
-    def rule(g: np.ndarray) -> None:
-        accumulate(a, g * ((a.value > lo) & (a.value < hi)))
-
-    return Node(np.clip(a.value, lo, hi), (a,), rule)
+def softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching x from g on p = softmax(x)."""
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
 
 
 def row_softmax(a: Node) -> Node:
-    """Stable softmax along each row (max-subtraction)."""
-    x = a.value
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g: np.ndarray) -> None:
-        inner = (g * p).sum(axis=1, keepdims=True)
-        accumulate(a, p * (g - inner))
-
-    return Node(p, (a,), rule)
-
-
-def permute_entries(a: Node, perm: Sequence[Sequence[int]]) -> Node:
-    """Reorder the entries of each row by its own index row:
-    out[b, i] = a[b, perm[b, i]]. A 1-D perm serves a 1xn row."""
-    idx = np.atleast_2d(np.asarray(perm, dtype=np.intp))
-    n = a.value.shape[1]
-    if idx.shape != a.value.shape or not (np.sort(idx, axis=1) == np.arange(n)).all():
-        raise ValueError(f"perm is not a bijection on 0..{n - 1} in every row")
-    rows = np.arange(idx.shape[0])[:, None]
-
-    def rule(g: np.ndarray) -> None:
-        full = np.empty_like(g)
-        full[rows, idx] = g
-        accumulate(a, full)
-
-    return Node(a.value[rows, idx], (a,), rule)
-
-
-def concat_cols(parts: Iterable[Node]) -> Node:
-    """Join matrices with equal row counts side by side."""
-    nodes = tuple(parts)
-    if not nodes:
-        raise ShapeError("concat_cols needs at least one input")
-    if any(p.value.shape[0] != nodes[0].value.shape[0] for p in nodes):
-        raise ShapeError("concat_cols expects inputs with equal row counts")
-
-    def rule(g: np.ndarray) -> None:
-        offsets = np.cumsum([0] + [p.value.shape[1] for p in nodes])
-        for p, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            accumulate(p, g[:, lo:hi])
-
-    return Node(np.concatenate([p.value for p in nodes], axis=1), nodes, rule)
-
-
-def sum_all(a: Node) -> Node:
-    return Node(
-        np.array([[a.value.sum()]]),
-        (a,),
-        lambda g: accumulate(a, np.full_like(a.value, g[0, 0])),
-    )
+    p = softmax(a.value)
+    return Node(p, (a,), lambda g: accumulate(a, softmax_vjp(p, g)))
 
 
 def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
@@ -327,23 +233,3 @@ def routed_experts(tokens: Node, probs: Node, selected: np.ndarray, experts) -> 
 
     return Node(out, (tokens, probs, *(n for params, *_ in runs for n in params)), rule)
 
-
-def cosine(x: Node, y: Node, eps: float) -> Node:
-    """Cosine similarity x.y / (|x| |y| + eps) of two 1xd rows, as one node."""
-    if x.value.shape != y.value.shape or x.value.shape[0] != 1:
-        raise ShapeError(f"cosine needs matching 1xd rows, got {x.value.shape} vs {y.value.shape}")
-    xt, yt = np.ascontiguousarray(x.value.T), np.ascontiguousarray(y.value.T)
-    dot = x.value @ yt
-    nx, ny = np.sqrt(x.value @ xt), np.sqrt(y.value @ yt)
-    denom = nx * ny + eps
-
-    def rule(g: np.ndarray) -> None:
-        g_dot = g / denom
-        g_prod = -g * dot / (denom * denom)
-        # through |x| = sqrt(x.x); x/|x| is taken as 0 at x = 0, where the dot term vanishes
-        g_xx = g_prod * ny / (2.0 * nx) if nx.item() else np.zeros_like(g_prod)
-        g_yy = g_prod * nx / (2.0 * ny) if ny.item() else np.zeros_like(g_prod)
-        accumulate(x, g_dot * y.value + g_xx * x.value + x.value * g_xx)
-        accumulate(y, x.value * g_dot + g_yy * y.value + y.value * g_yy)
-
-    return Node(dot / denom, (x, y), rule)

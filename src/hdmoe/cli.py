@@ -8,7 +8,6 @@ or a lost fold lane. HDMOE_LOG controls log verbosity (debug/info/warning)."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_desk_preset, load_config, save_config
-from .data import (csv_text, generate_synthetic, load_samples, make_folds, matrix_text,
+from .data import (csv_rows, csv_text, generate_synthetic, load_samples, make_folds, matrix_text,
                    write_dataset, write_text)
 from .errors import ConfigError, DataError, MetricError, NumericsError
 from .evaluation import (
@@ -179,17 +178,12 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
 def _read_folds(folds_file: Path) -> dict[str, int]:
     """sample_id -> fold, as a training run's folds.csv assigns them."""
     by_id = {}
-    with open(folds_file, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows, None)
-        for row in rows:
-            try:
-                sample_id, fold = row
-                by_id[sample_id] = int(fold)
-            except ValueError:
-                raise ConfigError(
-                    f"{folds_file}:{rows.line_num}: expected 'sample_id,fold', got {row}"
-                ) from None
+    for line, row in csv_rows(folds_file, ConfigError)[1:]:
+        try:
+            sample_id, fold = row
+            by_id[sample_id] = int(fold)
+        except ValueError:
+            raise ConfigError(f"{folds_file}:{line}: expected 'sample_id,fold', got {row}") from None
     return by_id
 
 

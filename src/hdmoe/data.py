@@ -79,51 +79,48 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
     path = Path(path)
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = csv_rows(path, DataError)
+    if not rows:
+        raise DataError(f"{path}: empty manifest (no header)")
+    header = [h.strip() for h in rows[0][1]]
+    missing = [c for c in MANIFEST_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"{path}: manifest missing columns {missing}")
+    col = {name: header.index(name) for name in header}
+    has_fold = "fold" in col
+    for lineno, row in rows[1:]:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty manifest (no header)") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}: manifest missing columns {missing}")
-        col = {name: header.index(name) for name in header}
-        has_fold = "fold" in col
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                sample_id = row[col["sample_id"]].strip()
-                time_months = float(row[col["time_months"]])
-                censored = int(row[col["censored"]])
-                fold = int(row[col["fold"]]) if has_fold else -1
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not sample_id:
-                raise DataError(f"{path}:{lineno}: empty sample_id")
-            if sample_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
-            if censored not in (0, 1):
-                raise DataError(f"{path}:{lineno}: censored must be 0 or 1, got {censored}")
-            if not math.isfinite(time_months):
-                raise DataError(f"{path}:{lineno}: non-finite time_months {time_months}")
-            if time_months < 0:
-                raise DataError(f"{path}:{lineno}: negative time_months")
-            seen.add(sample_id)
-            entries.append(
-                ManifestEntry(
-                    sample_id=sample_id,
-                    time_months=time_months,
-                    censored=censored,
-                    modality_a_file=row[col["modality_a_file"]].strip(),
-                    modality_b_file=row[col["modality_b_file"]].strip(),
-                    fold=fold,
-                )
+            sample_id = row[col["sample_id"]].strip()
+            time_months = float(row[col["time_months"]])
+            censored = int(row[col["censored"]])
+            fold = int(row[col["fold"]]) if has_fold else -1
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not sample_id:
+            raise DataError(f"{path}:{lineno}: empty sample_id")
+        if sample_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
+        if censored not in (0, 1):
+            raise DataError(f"{path}:{lineno}: censored must be 0 or 1, got {censored}")
+        if not math.isfinite(time_months):
+            raise DataError(f"{path}:{lineno}: non-finite time_months {time_months}")
+        if time_months < 0:
+            raise DataError(f"{path}:{lineno}: negative time_months")
+        seen.add(sample_id)
+        entries.append(
+            ManifestEntry(
+                sample_id=sample_id,
+                time_months=time_months,
+                censored=censored,
+                modality_a_file=row[col["modality_a_file"]].strip(),
+                modality_b_file=row[col["modality_b_file"]].strip(),
+                fold=fold,
             )
+        )
     return entries
 
 
@@ -180,6 +177,21 @@ def write_text(path: str | os.PathLike, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def csv_rows(path: str | os.PathLike, error: type[Exception]) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each row of a UTF-8 CSV file. A byte that is
+    not UTF-8, or a field over csv's size limit, raises `error` naming the
+    file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        return [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise error(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def csv_text(rows, lineterminator: str = "\r\n") -> str:

@@ -11,6 +11,7 @@ an expert level apart (DM') and corresponding features across levels close
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import ConfigError, ShapeError
 HAZARD_EPS = 1e-7
 DISTANCE_METRICS = ("cos", "l1", "kl", "mse")
 COSINE_NORM_EPS = 1e-12
+KL_FLOOR = 1e-9  # the kl metric clips each softmax from below here
 
 
 @dataclass
@@ -66,36 +68,81 @@ def survival_nll(hazards: ad.Node, bin_label: int, censored: int) -> ad.Node:
     return ad.Node(loss, (hazards,), rule)
 
 
-def distance(kind: str, x: ad.Node, y: ad.Node) -> tuple[ad.Node, ad.Node]:
-    """Return (DM, DM') for the chosen metric; both are 1x1 nodes.
+def cosine(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """cos(x, y) = x.y / (|x| |y| + COSINE_NORM_EPS) of two 1xd rows: the 1x1
+    value and the rule mapping its gradient to (g_x, g_y)."""
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    dot = x @ yt
+    nx, ny = np.sqrt(x @ xt), np.sqrt(y @ yt)
+    denom = nx * ny + COSINE_NORM_EPS
 
-    cos: DM = 1 - cos(x, y), DM' = cos(x, y). l1/mse: mean abs/squared
-    difference, DM' = -DM. kl: symmetric KL of softmax-normalized inputs,
-    DM' = -DM.
-    """
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g_dot = g / denom
+        g_prod = -g * dot / (denom * denom)
+        # through |x| = sqrt(x.x); x/|x| is taken as 0 at x = 0, where the dot term vanishes
+        g_xx = g_prod * ny / (2.0 * nx) if nx.item() else np.zeros_like(g_prod)
+        g_yy = g_prod * nx / (2.0 * ny) if ny.item() else np.zeros_like(g_prod)
+        return g_dot * y + g_xx * x + x * g_xx, x * g_dot + g_yy * y + y * g_yy
+
+    return dot / denom, vjp
+
+
+def _mean_over(values: np.ndarray, chain) -> tuple[np.ndarray, Callable]:
+    """The mean of values, an elementwise function of diff = x - y, where
+    chain maps a gradient on values to one on diff."""
+    scale = 1.0 / values.shape[1]
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g_diff = chain(np.full_like(values, (scale * g)[0, 0]))
+        return g_diff, -g_diff
+
+    return scale * np.array([[values.sum()]]) + 0.0, vjp
+
+
+def _mean_abs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+    diff = x - y
+    return _mean_over(np.abs(diff), lambda g: g * np.sign(diff))
+
+
+def _mean_square(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+    diff = x - y
+    return _mean_over(diff * diff, lambda g: g * diff + g * diff)  # each factor in turn
+
+
+def _symmetric_kl(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+    # clamp the normalized distributions: -KL is minimized during
+    # decoupling, and unclamped logits would be pushed to +/-inf
+    sx, sy = ad.softmax(x), ad.softmax(y)
+    p, q = np.clip(sx, KL_FLOOR, 1.0), np.clip(sy, KL_FLOOR, 1.0)
+    p_minus_q, log_ratio = p - q, np.log(p) - np.log(q)
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g_prod = np.full_like(p, g[0, 0])
+        g_diff, g_log = g_prod * log_ratio, g_prod * p_minus_q
+        g_p, g_q = g_diff + g_log / p, -g_diff - g_log / q
+        return (ad.softmax_vjp(sx, g_p * ((sx > KL_FLOOR) & (sx < 1.0))),
+                ad.softmax_vjp(sy, g_q * ((sy > KL_FLOOR) & (sy < 1.0))))
+
+    return np.array([[(p_minus_q * log_ratio).sum()]]), vjp
+
+
+# each metric's core: the cosine is DM' (DM = 1 - cos); the mean absolute and
+# squared difference and the symmetric KL of the softmaxes are DM (DM' = -DM)
+_CORES = {"cos": cosine, "l1": _mean_abs, "mse": _mean_square, "kl": _symmetric_kl}
+
+
+def distance(kind: str, x: np.ndarray, y: np.ndarray, prime: bool) -> tuple[np.ndarray, Callable]:
+    """DM(x, y), or DM'(x, y) if prime, of two 1xd rows: the 1x1 value and the
+    rule mapping its gradient to (g_x, g_y)."""
     kind = kind.lower()
     if kind not in DISTANCE_METRICS:
         raise ConfigError(f"unknown distance metric {kind!r}; pick one of {DISTANCE_METRICS}")
-    if x.value.shape != y.value.shape or x.value.shape[0] != 1:
-        raise ShapeError(f"distance needs matching 1xd rows, got {x.value.shape} vs {y.value.shape}")
-    d = x.value.shape[1]
-
-    if kind == "cos":
-        cos = ad.cosine(x, y, COSINE_NORM_EPS)
-        return ad.affine(cos, -1.0, 1.0), cos
-    if kind == "l1":
-        dm = ad.affine(ad.sum_all(ad.absolute(ad.sub(x, y))), 1.0 / d, 0.0)
-    elif kind == "mse":
-        diff = ad.sub(x, y)
-        dm = ad.affine(ad.sum_all(ad.mul(diff, diff)), 1.0 / d, 0.0)
-    else:  # kl
-        # clamp the normalized distributions: -KL is minimized during
-        # decoupling, and unclamped logits would be pushed to +/-inf
-        p = ad.clip(ad.row_softmax(x), 1e-9, 1.0)
-        q = ad.clip(ad.row_softmax(y), 1e-9, 1.0)
-        log_ratio = ad.sub(ad.log(p), ad.log(q))
-        dm = ad.sum_all(ad.mul(ad.sub(p, q), log_ratio))
-    return dm, ad.affine(dm, -1.0, 0.0)
+    if x.shape != y.shape or x.shape[0] != 1:
+        raise ShapeError(f"distance needs matching 1xd rows, got {x.shape} vs {y.shape}")
+    value, vjp = _CORES[kind](x, y)
+    if prime == (kind == "cos"):
+        return value, vjp
+    return -1.0 * value + (1.0 if kind == "cos" else 0.0), lambda g: vjp(-1.0 * g)
 
 
 def decouple_loss(res, kind: str) -> ad.Node:
@@ -104,20 +151,30 @@ def decouple_loss(res, kind: str) -> ad.Node:
     Reads a ForwardResult-like object whose moe_a, moe_b and moe_inter expose
     routed (V_intra, V_inter) and shared (V_share, V_share_3) nodes, 1 x d1 at
     level 1 and 1 x d2 at level 2, with 2*d1 == d2 so the concatenated
-    comparisons are well-formed.
+    comparisons are well-formed. One node, whose rule feeds each term's
+    gradient into its inputs term by term, in the order the terms are summed.
     """
     a, b, inter = res.moe_a, res.moe_b, res.moe_inter
     d1 = a.routed.value.shape[1]
     d2 = inter.routed.value.shape[1]
     if 2 * d1 != d2:
         raise ConfigError(f"decouple loss needs 2*d1 == d2, got d1={d1}, d2={d2}")
-    terms = [distance(kind, out.routed, out.shared)[1] for out in (a, b, inter)]
-    terms.append(distance(kind, ad.concat_cols([a.routed, b.routed]), inter.routed)[0])
-    terms.append(distance(kind, ad.concat_cols([a.shared, b.shared]), inter.shared)[0])
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+    # (x, split into its nodes; y; prime): DM' within a level, DM across levels
+    pairs = [((out.routed,), out.shared, True) for out in (a, b, inter)] + [
+        ((a.routed, b.routed), inter.routed, False), ((a.shared, b.shared), inter.shared, False)]
+    values, vjps = zip(*(
+        distance(kind, np.concatenate([n.value for n in xs], axis=1), y.value, prime)
+        for xs, y, prime in pairs))
+
+    def rule(g: np.ndarray) -> None:
+        for (xs, y, _), vjp in zip(pairs, vjps):
+            g_x, g_y = vjp(g)
+            for node, part in zip(xs, np.split(g_x, len(xs), axis=1)):
+                ad.accumulate(node, part)
+            ad.accumulate(y, g_y)
+
+    parents = (a.routed, a.shared, b.routed, b.shared, inter.routed, inter.shared)
+    return ad.Node(sum(values[1:], values[0]), parents, rule)
 
 
 def balance_loss(traces) -> ad.Node:
@@ -144,7 +201,15 @@ def balance_loss(traces) -> ad.Node:
 def total_loss(
     surv: ad.Node, dm: ad.Node, bl: ad.Node, alpha: float, beta: float
 ) -> tuple[LossBreakdown, ad.Node]:
-    total = ad.add(surv, ad.add(ad.affine(dm, alpha, 0.0), ad.affine(bl, beta, 0.0)))
+    """surv + alpha * dm + beta * bl as one node."""
+
+    def rule(g: np.ndarray) -> None:
+        ad.accumulate(surv, g)
+        ad.accumulate(dm, alpha * g)
+        ad.accumulate(bl, beta * g)
+
+    value = surv.value + ((alpha * dm.value + 0.0) + (beta * bl.value + 0.0))
+    total = ad.Node(value, (surv, dm, bl), rule)
     breakdown = LossBreakdown(
         surv=float(surv.value[0, 0]),
         dm=float(dm.value[0, 0]),

@@ -3,11 +3,11 @@ randomly drawn segment size, realized as one precomputed index permutation.
 
 Stacking the vectors, reshaping each into s segments, transposing the
 (vector, segment) axes and flattening is equivalent to a fixed permutation of
-the plain concatenation, so the whole operator is a cached index list fed to
-``permute_entries``; with s=1 it degenerates to concatenation. Over a batch,
-each sample's row has its own segment and index list. The segment size is
-drawn uniformly from the configured values that divide the vector length,
-for every sample on every forward step (evaluation included).
+the plain concatenation, so the whole operator is one tape node gathering
+through a cached index list; with s=1 it degenerates to concatenation. Over
+a batch, each sample's row has its own segment and index list. The segment
+size is drawn uniformly from the configured values that divide the vector
+length, for every sample on every forward step (evaluation included).
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ def valid_segments(segment_values: tuple[int, ...] | list[int], d: int) -> list[
     if not divisors:
         raise ConfigError(f"no segment value in {values} divides vector length {d}")
     return divisors
-
-
-def sample_segment(segment_values, d: int, rng: np.random.Generator) -> int:
-    """Uniform draw from the segment values dividing d."""
-    return draw_segments(segment_values, (d,), (None,), rng, 1)[0][0]
 
 
 def draw_segments(
@@ -79,4 +74,12 @@ def rfr_forward(vectors: list[ad.Node], segments: list[int]) -> ad.Node:
     if len(segments) != shape[0]:
         raise ShapeError(f"rfr_forward needs one segment per row: {len(segments)} for {shape[0]} rows")
     perms = np.stack([build_permutation(len(vectors), shape[1], s) for s in segments])
-    return ad.permute_entries(ad.concat_cols(vectors), perms)
+
+    def rule(g: np.ndarray) -> None:
+        full = np.empty_like(g)
+        np.put_along_axis(full, perms, g, axis=1)
+        for v, part in zip(vectors, np.split(full, len(vectors), axis=1)):
+            ad.accumulate(v, part)
+
+    joined = np.concatenate([v.value for v in vectors], axis=1)
+    return ad.Node(np.take_along_axis(joined, perms, axis=1), tuple(vectors), rule)

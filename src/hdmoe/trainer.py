@@ -56,6 +56,10 @@ class TrainConfig:
             raise ConfigError(f"unknown distance_metric {self.distance_metric!r}")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must be in [0, 1)")
+        if not (self.eps_opt > 0 and self.weight_decay >= 0):
+            raise ConfigError("eps_opt must be positive and weight_decay >= 0")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Shared test utilities: the finite-difference oracle and tape-vs-FD gradient
-checks, the fine-op composites the one-node tape ops replaced, the
+checks, the fine ops that left the tape and the composites the one-node tape
+ops replaced, the
 single-token routing oracle, the per-array optimizer oracle, the loop oracles
 of the survival metrics, the one-sample forward and its per-sample loop, and
 the full-forward oracles of the no-grad repeaters."""
@@ -14,9 +15,9 @@ from hdmoe import evaluation as ev
 from hdmoe import losses
 from hdmoe import model as hm
 from hdmoe.data import assign_bin, compute_bin_edges
-from hdmoe.errors import MetricError
+from hdmoe.errors import MetricError, NumericsError, ShapeError
 from hdmoe.moe import MoEOutput, moe_forward, select_top_k
-from hdmoe.rfr import rfr_forward, valid_segments
+from hdmoe.rfr import build_permutation, rfr_forward, valid_segments
 from hdmoe.trainer import split_fold
 
 
@@ -80,9 +81,108 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
 
 # ---------------------------------------------------------------------------
 # fine ops and the composites built from them: the tape as it was before
-# the bag encoder, routed experts, cosine, survival NLL and balance loss
-# became one node each (the encoder's composite is encode_bag_single below). Each composite
-# records many nodes and must give the one node's values.
+# the bag encoder, routed experts, cosine, survival NLL, balance loss,
+# decouple loss, total loss and each fusion stage became one node each (the
+# encoder's composite is encode_bag_single below). Each composite records
+# many nodes and must give the one node's values.
+
+
+def _require_same_shape(a, b, op):
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"{op} shapes disagree: {a.value.shape} vs {b.value.shape}")
+
+
+def add(a, b):
+    _require_same_shape(a, b, "add")
+
+    def rule(g):
+        ad.accumulate(a, g)
+        ad.accumulate(b, g)
+
+    return ad.Node(a.value + b.value, (a, b), rule)
+
+
+def sub(a, b):
+    _require_same_shape(a, b, "sub")
+
+    def rule(g):
+        ad.accumulate(a, g)
+        ad.accumulate(b, -g)
+
+    return ad.Node(a.value - b.value, (a, b), rule)
+
+
+def mul(a, b):
+    _require_same_shape(a, b, "mul")
+
+    def rule(g):
+        ad.accumulate(a, g * b.value)
+        ad.accumulate(b, g * a.value)
+
+    return ad.Node(a.value * b.value, (a, b), rule)
+
+
+def affine(a, scale, shift):
+    """Elementwise scale * a + shift with constant coefficients."""
+    return ad.Node(scale * a.value + shift, (a,), lambda g: ad.accumulate(a, scale * g))
+
+
+def log(a):
+    if (a.value <= 0).any():
+        raise NumericsError("log requires strictly positive entries")
+    return ad.Node(np.log(a.value), (a,), lambda g: ad.accumulate(a, g / a.value))
+
+
+def absolute(a):
+    return ad.Node(np.abs(a.value), (a,), lambda g: ad.accumulate(a, g * np.sign(a.value)))
+
+
+def clip(a, lo, hi):
+    def rule(g):
+        ad.accumulate(a, g * ((a.value > lo) & (a.value < hi)))
+
+    return ad.Node(np.clip(a.value, lo, hi), (a,), rule)
+
+
+def sum_all(a):
+    return ad.Node(
+        np.array([[a.value.sum()]]),
+        (a,),
+        lambda g: ad.accumulate(a, np.full_like(a.value, g[0, 0])),
+    )
+
+
+def permute_entries(a, perm):
+    """Reorder the entries of each row by its own index row:
+    out[b, i] = a[b, perm[b, i]]. A 1-D perm serves a 1xn row."""
+    idx = np.atleast_2d(np.asarray(perm, dtype=np.intp))
+    n = a.value.shape[1]
+    if idx.shape != a.value.shape or not (np.sort(idx, axis=1) == np.arange(n)).all():
+        raise ValueError(f"perm is not a bijection on 0..{n - 1} in every row")
+    rows = np.arange(idx.shape[0])[:, None]
+
+    def rule(g):
+        full = np.empty_like(g)
+        full[rows, idx] = g
+        ad.accumulate(a, full)
+
+    return ad.Node(a.value[rows, idx], (a,), rule)
+
+
+def concat_cols(parts):
+    """Join matrices with equal row counts side by side."""
+    nodes = tuple(parts)
+    if not nodes:
+        raise ShapeError("concat_cols needs at least one input")
+    if any(p.value.shape[0] != nodes[0].value.shape[0] for p in nodes):
+        raise ShapeError("concat_cols expects inputs with equal row counts")
+
+    def rule(g):
+        offsets = np.cumsum([0] + [p.value.shape[1] for p in nodes])
+        for p, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            ad.accumulate(p, g[:, lo:hi])
+
+    return ad.Node(np.concatenate([p.value for p in nodes], axis=1), nodes, rule)
 
 
 def sigmoid_masked(x):
@@ -184,23 +284,23 @@ def routed_experts_composite(tokens, probs, selected, experts):
         out = ad.expert_ffn(gather_rows(tokens, token_rows), ex.w1, ex.b1, ex.w2, ex.b2)
         scaled = scale_rows(out, gather_rows(gates, pair_idx))
         part = scatter_rows(scaled, token_rows, num_tokens)
-        routed_sum = part if routed_sum is None else ad.add(routed_sum, part)
+        routed_sum = part if routed_sum is None else add(routed_sum, part)
     return routed_sum
 
 
 def cosine_composite(x, y, eps):
     """x.y / (sqrt(x.x) * sqrt(y.y) + eps) from matmul, transpose, sqrt, div."""
     dot = lambda a, b: ad.matmul(a, transpose(b))
-    denom = ad.affine(ad.mul(sqrt(dot(x, x)), sqrt(dot(y, y))), 1.0, eps)
+    denom = affine(mul(sqrt(dot(x, x)), sqrt(dot(y, y))), 1.0, eps)
     return div(dot(x, y), denom)
 
 
 def survival_nll_composite(hazards, bin_label, censored):
     """Clip, logs and three masked matmuls of the censored discrete-time NLL."""
     num_bins = hazards.value.shape[1]
-    h = ad.clip(hazards, losses.HAZARD_EPS, 1.0 - losses.HAZARD_EPS)
-    log_h = ad.log(h)
-    log_1mh = ad.log(ad.affine(h, -1.0, 1.0))
+    h = clip(hazards, losses.HAZARD_EPS, 1.0 - losses.HAZARD_EPS)
+    log_h = log(h)
+    log_1mh = log(affine(h, -1.0, 1.0))
 
     def mask_through(col_mask, source):
         return ad.matmul(source, ad.leaf(col_mask.reshape(-1, 1)))
@@ -213,9 +313,9 @@ def survival_nll_composite(hazards, bin_label, censored):
     event_n[bin_label - 1] = 1.0
 
     c = float(censored)
-    loss = ad.affine(mask_through(surv_n, log_1mh), -c, 0.0)
-    loss = ad.add(loss, ad.affine(mask_through(event_n, log_h), -(1.0 - c), 0.0))
-    loss = ad.add(loss, ad.affine(mask_through(surv_prev, log_1mh), -(1.0 - c), 0.0))
+    loss = affine(mask_through(surv_n, log_1mh), -c, 0.0)
+    loss = add(loss, affine(mask_through(event_n, log_h), -(1.0 - c), 0.0))
+    loss = add(loss, affine(mask_through(surv_prev, log_1mh), -(1.0 - c), 0.0))
     return loss
 
 
@@ -226,8 +326,63 @@ def balance_loss_composite(traces):
         counts = trace.selection_counts()
         frac = counts / counts.sum()
         term = ad.matmul(mean_rows(trace.probs), ad.leaf(frac.reshape(-1, 1)))
-        total = term if total is None else ad.add(total, term)
+        total = term if total is None else add(total, term)
     return total
+
+
+def pair_node(fn, x, y):
+    """One node from fn(x.value, y.value) -> (value, rule giving (g_x, g_y)):
+    the way losses.cosine and losses.distance are recorded on their own."""
+    value, vjp = fn(x.value, y.value)
+
+    def rule(g):
+        g_x, g_y = vjp(g)
+        ad.accumulate(x, g_x)
+        ad.accumulate(y, g_y)
+
+    return ad.Node(value, (x, y), rule)
+
+
+def distance_composite(kind, x, y):
+    """(DM, DM') of two 1xd rows by fine ops around the one-node cosine."""
+    d = x.value.shape[1]
+    if kind == "cos":
+        cos = pair_node(losses.cosine, x, y)
+        return affine(cos, -1.0, 1.0), cos
+    if kind == "l1":
+        dm = affine(sum_all(absolute(sub(x, y))), 1.0 / d, 0.0)
+    elif kind == "mse":
+        diff = sub(x, y)
+        dm = affine(sum_all(mul(diff, diff)), 1.0 / d, 0.0)
+    else:  # kl
+        p = clip(ad.row_softmax(x), 1e-9, 1.0)
+        q = clip(ad.row_softmax(y), 1e-9, 1.0)
+        dm = sum_all(mul(sub(p, q), sub(log(p), log(q))))
+    return dm, affine(dm, -1.0, 0.0)
+
+
+def decouple_loss_composite(res, kind):
+    """Three within-level DM' terms and two cross-level DM terms over
+    concatenated level-1 outputs, summed by add in that order."""
+    a, b, inter = res.moe_a, res.moe_b, res.moe_inter
+    terms = [distance_composite(kind, out.routed, out.shared)[1] for out in (a, b, inter)]
+    terms.append(distance_composite(kind, concat_cols([a.routed, b.routed]), inter.routed)[0])
+    terms.append(distance_composite(kind, concat_cols([a.shared, b.shared]), inter.shared)[0])
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return total
+
+
+def total_loss_composite(surv, dm, bl, alpha, beta):
+    return add(surv, add(affine(dm, alpha, 0.0), affine(bl, beta, 0.0)))
+
+
+def rfr_composite(vectors, segments):
+    """concat_cols -> permute_entries, row b by its segment's index list."""
+    d = vectors[0].value.shape[1]
+    perms = np.stack([build_permutation(len(vectors), d, s) for s in segments])
+    return permute_entries(concat_cols(vectors), perms)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +581,7 @@ def encode_bag_single(bag, params):
     """One bag [n, d_in] -> its 1 x d1 class token by fine ops: projection,
     tanh/sigmoid gate, scores, reshape -> row_softmax -> matmul pooling."""
     h = ad.matmul(ad.leaf(bag, name="bag"), params.w_proj)
-    gate = ad.mul(tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
+    gate = mul(tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
     scores = ad.matmul(gate, params.w_att)
     weights = ad.row_softmax(ad.reshape(scores, (1, scores.value.shape[0])))
     return ad.matmul(weights, h)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hdmoe import autodiff as ad
 from hdmoe.errors import NumericsError, ShapeError
 
-from helpers import check_grads, finite_diff_gradient, max_rel_err, sigmoid_masked
+from helpers import (add, affine, check_grads, finite_diff_gradient, mul, permute_entries,
+                     sigmoid_masked, sum_all)
 
 
 def test_matmul_identity():
@@ -30,7 +31,7 @@ def test_matmul_gradient_vs_fd():
     rng = np.random.default_rng(11)
     a = rng.uniform(-2, 2, (3, 4))
     b = rng.uniform(-2, 2, (4, 2))
-    check_grads(lambda x, y: ad.sum_all(ad.matmul(x, y)), [a, b], rtol=1e-6)
+    check_grads(lambda x, y: sum_all(ad.matmul(x, y)), [a, b], rtol=1e-6)
 
 
 def test_row_softmax_uniform():
@@ -64,18 +65,18 @@ def test_row_softmax_sums_and_range():
 
 def test_permute_identity():
     x = ad.leaf([[1.0, 2.0, 3.0]])
-    out = ad.permute_entries(x, [0, 1, 2])
+    out = permute_entries(x, [0, 1, 2])
     assert np.array_equal(out.value, x.value)
 
 
 def test_permute_rotation():
-    out = ad.permute_entries(ad.leaf([[10.0, 11.0, 12.0, 13.0]]), [2, 3, 0, 1])
+    out = permute_entries(ad.leaf([[10.0, 11.0, 12.0, 13.0]]), [2, 3, 0, 1])
     assert np.array_equal(out.value, [[12.0, 13.0, 10.0, 11.0]])
 
 
 def test_permute_rejects_non_bijection():
     with pytest.raises(ValueError, match="bijection"):
-        ad.permute_entries(ad.leaf([[1.0, 2.0, 3.0]]), [0, 0, 2])
+        permute_entries(ad.leaf([[1.0, 2.0, 3.0]]), [0, 0, 2])
 
 
 def test_permute_gradient_is_inverse_permuted_weight():
@@ -84,12 +85,12 @@ def test_permute_gradient_is_inverse_permuted_weight():
     w = rng.uniform(-2, 2, (1, 6))
     perm = rng.permutation(6)
     leaf = ad.leaf(x, requires_grad=True)
-    out = ad.sum_all(ad.mul(ad.permute_entries(leaf, perm), ad.leaf(w)))
+    out = sum_all(mul(permute_entries(leaf, perm), ad.leaf(w)))
     ad.backward(out)
     inv = np.argsort(perm)
     assert np.array_equal(leaf.grad, w[:, inv])
     check_grads(
-        lambda xs: ad.sum_all(ad.mul(ad.permute_entries(xs, perm), ad.leaf(w))), [x]
+        lambda xs: sum_all(mul(permute_entries(xs, perm), ad.leaf(w))), [x]
     )
 
 
@@ -99,7 +100,7 @@ def test_permute_preserves_multiset_bitwise(values):
     x = np.array([values])
     rng = np.random.default_rng(len(values))
     perm = rng.permutation(len(values))
-    out = ad.permute_entries(ad.leaf(x), perm).value
+    out = permute_entries(ad.leaf(x), perm).value
     assert sorted(out[0].tolist()) == sorted(x[0].tolist())
 
 
@@ -125,8 +126,8 @@ def test_leaf_rejects_non_finite():
 
 def test_shared_subexpression_accumulates_once_per_path():
     x = ad.leaf([[1.5, -0.5]], requires_grad=True)
-    sq = ad.mul(x, x)
-    out = ad.sum_all(ad.add(sq, sq))
+    sq = mul(x, x)
+    out = sum_all(add(sq, sq))
     ad.backward(out)
     assert np.allclose(x.grad, 4.0 * x.value)
 
@@ -134,12 +135,12 @@ def test_shared_subexpression_accumulates_once_per_path():
 def test_nodes_no_gradient_reaches_keep_no_graph():
     c = ad.leaf([[1.0, 2.0]])
     x = ad.leaf([[3.0, 4.0]], requires_grad=True)
-    const = ad.mul(c, c)
+    const = mul(c, c)
     assert not const.requires_grad
     assert const.parents == () and const.backward_rule is None
-    mixed = ad.mul(c, x)  # a grad node keeps its constant input
+    mixed = mul(c, x)  # a grad node keeps its constant input
     assert mixed.requires_grad and mixed.parents == (c, x)
-    ad.backward(ad.sum_all(mixed))
+    ad.backward(sum_all(mixed))
     assert np.array_equal(x.grad, c.value) and c.grad is None
 
 
@@ -147,8 +148,8 @@ def test_leaf_shared_by_several_rule_nodes_gets_every_path():
     x = ad.leaf([[1.0, -2.0]], requires_grad=True)
     w = ad.leaf([[3.0], [0.5]])
     # d/dx of x.w + sum(x*x) + sum(x) + 4 sum(x): w^T + 2x + 1 + 4
-    total = ad.add(ad.add(ad.matmul(x, w), ad.sum_all(ad.mul(x, x))),
-                   ad.add(ad.sum_all(x), ad.affine(ad.sum_all(x), 4.0, 0.0)))
+    total = add(add(ad.matmul(x, w), sum_all(mul(x, x))),
+                add(sum_all(x), affine(sum_all(x), 4.0, 0.0)))
     ad.backward(total)
     assert np.array_equal(x.grad, [[10.0, 1.5]])
     assert w.grad is None
@@ -173,7 +174,7 @@ def test_logistic_bitwise_equal_to_masked_sigmoid(values):
 def test_backward_requires_scalar_root():
     x = ad.leaf(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        ad.backward(ad.mul(x, x))
+        ad.backward(mul(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +188,17 @@ def _op_cases(rng):
     functions of their inputs (required by the FD oracle).
     """
     u = lambda shape, lo=-2.0, hi=2.0: rng.uniform(lo, hi, shape)
-    perm = rng.permutation(6)
-    w6 = ad.leaf(u((1, 6)))
     w43 = ad.leaf(u((4, 3)))
     w26 = ad.leaf(u((2, 6)))
-    w33 = ad.leaf(u((3, 3)))
-    w25 = ad.leaf(u((2, 5)))
     w24 = ad.leaf(u((2, 4)))
     w35 = ad.leaf(u((3, 5)))
-    w17 = ad.leaf(u((1, 7)))
     cases = [
-        ("matmul", lambda a, b: ad.sum_all(ad.matmul(a, b)), [u((3, 4)), u((4, 2))]),
-        ("reshape", lambda a: ad.sum_all(ad.mul(ad.reshape(a, (2, 6)), w26)), [u((3, 4))]),
-        ("add", lambda a, b: ad.sum_all(ad.mul(ad.add(a, b), w33)), [u((3, 3)), u((3, 3))]),
-        ("sub", lambda a, b: ad.sum_all(ad.mul(ad.sub(a, b), w33)), [u((3, 3)), u((3, 3))]),
-        ("add_bias", lambda a, b: ad.sum_all(ad.mul(ad.add_bias(a, b), w43)), [u((4, 3)), u((1, 3))]),
-        ("mul", lambda a, b: ad.sum_all(ad.mul(ad.mul(a, b), w25)), [u((2, 5)), u((2, 5))]),
-        ("affine", lambda a: ad.sum_all(ad.affine(a, -1.7, 0.3)), [u((2, 4))]),
-        ("sigmoid", lambda a: ad.sum_all(ad.mul(ad.sigmoid(a), w24)), [u((2, 4))]),
-        ("log", lambda a: ad.sum_all(ad.log(a)), [u((2, 4), 0.2, 2.0)]),
-        ("absolute", lambda a: ad.sum_all(ad.absolute(a)), [np.sign(u((2, 4))) * u((2, 4), 0.1, 2.0)]),
-        ("clip", lambda a: ad.sum_all(ad.clip(a, -1.0, 1.0)), [u((2, 4), -0.9, 0.9)]),
-        ("row_softmax", lambda a: ad.sum_all(ad.mul(ad.row_softmax(a), w35)), [u((3, 5))]),
-        ("permute_entries", lambda a: ad.sum_all(ad.mul(ad.permute_entries(a, perm), w6)), [u((1, 6))]),
-        ("concat_cols", lambda a, b: ad.sum_all(ad.mul(ad.concat_cols([a, b]), w17)), [u((1, 3)), u((1, 4))]),
-        ("sum_all", lambda a: ad.sum_all(a), [u((3, 4))]),
-        ("expert_ffn", lambda x, w1, b1, w2, b2: ad.sum_all(ad.expert_ffn(x, w1, b1, w2, b2)),
+        ("matmul", lambda a, b: sum_all(ad.matmul(a, b)), [u((3, 4)), u((4, 2))]),
+        ("reshape", lambda a: sum_all(mul(ad.reshape(a, (2, 6)), w26)), [u((3, 4))]),
+        ("add_bias", lambda a, b: sum_all(mul(ad.add_bias(a, b), w43)), [u((4, 3)), u((1, 3))]),
+        ("sigmoid", lambda a: sum_all(mul(ad.sigmoid(a), w24)), [u((2, 4))]),
+        ("row_softmax", lambda a: sum_all(mul(ad.row_softmax(a), w35)), [u((3, 5))]),
+        ("expert_ffn", lambda x, w1, b1, w2, b2: sum_all(ad.expert_ffn(x, w1, b1, w2, b2)),
          [u((3, 4)), u((4, 8)), u((1, 8)), u((8, 4)), u((1, 4))]),
     ]
     return cases

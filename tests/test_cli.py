@@ -197,8 +197,14 @@ def test_train_outputs_and_metrics(tmp_path, capsys):
         dict(distance_metric="foo"),
         dict(k_folds=1),
         dict(top_k=3, num_experts=2),
+        dict(beta1=1.0),
+        dict(beta1=-3.0),
+        dict(beta2=1.0),
+        dict(eps_opt=0.0),
+        dict(weight_decay=-5.0),
     ],
-    ids=["token_len_l1", "distance_metric", "k_folds", "top_k"],
+    ids=["token_len_l1", "distance_metric", "k_folds", "top_k", "beta1_one", "beta1_negative",
+         "beta2_one", "eps_opt_zero", "weight_decay_negative"],
 )
 def test_train_invalid_config_no_partial_outputs(tmp_path, overrides):
     resolved = _synth(tmp_path)
@@ -295,6 +301,19 @@ def test_train_non_finite_time_exit_2_before_any_output(tmp_path, capsys, time):
     run_dir = tmp_path / "run"
     assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 2
     assert "non-finite time_months" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("cell", [b"synth\xff0001", b"x" * 131073], ids=["non_utf8", "oversized"])
+def test_train_unreadable_manifest_row_exit_2_naming_it(tmp_path, capsys, cell):
+    resolved = _synth(tmp_path)
+    manifest = Path(load_config(resolved).manifest)
+    lines = manifest.read_bytes().split(b"\n")
+    lines[2] = cell + lines[2][lines[2].index(b","):]
+    manifest.write_bytes(b"\n".join(lines))
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 2
+    assert f"{manifest}:3: " in capsys.readouterr().err
     assert not run_dir.exists()
 
 
@@ -527,7 +546,8 @@ def test_eval_run_missing_a_fold_checkpoint_exit_2(tmp_path, capsys):
     assert not eval_dir.exists()
 
 
-@pytest.mark.parametrize("row", ["synth0000,0,extra", "synth0000", "synth0000,one"])
+@pytest.mark.parametrize("row", ["synth0000,0,extra", "synth0000", "synth0000,one",
+                                 pytest.param("synth0000," + "0" * 131073, id="oversized_field")])
 def test_eval_malformed_folds_csv_exit_2_naming_it(tmp_path, capsys, row):
     resolved, run_dir = _trained_run(tmp_path)
     folds = run_dir / "folds.csv"

@@ -1,9 +1,9 @@
 """The one-node tape composites (bag encoder, routed experts, cosine, survival
-NLL, balance loss) against the fine-op composites they replaced, kept in
-`helpers`: values and gradients bitwise (cosine: gradients to 1e-12 against
-the composite, bitwise against its rule's own order), and against finite
-differences. The fine ops those oracles are built from get
-their own FD sweep here."""
+NLL, balance loss, decouple loss, total loss, fusion) against the fine-op
+composites they replaced, kept in `helpers`: values and gradients bitwise
+(cosine: gradients to 1e-12 against the composite, bitwise against its rule's
+own order), and against finite differences. The fine ops those oracles are
+built from get their own FD sweep here."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hdmoe import autodiff as ad
 from hdmoe import losses
 from hdmoe.encoder import EncoderParams, encode_bag
 from hdmoe.moe import ExpertParams, RouterTrace
+from hdmoe.rfr import rfr_forward, valid_segments
 from helpers import check_grads
 
 
@@ -28,7 +29,7 @@ def _grads_of(build, arrays, weight):
     sum(build(*leaves) * weight)."""
     leaves = [ad.leaf(a, requires_grad=True) for a in arrays]
     out = build(*leaves)
-    ad.backward(ad.sum_all(ad.mul(out, ad.leaf(weight))))
+    ad.backward(hp.sum_all(hp.mul(out, ad.leaf(weight))))
     return out.value, [leaf.grad for leaf in leaves]
 
 
@@ -68,15 +69,15 @@ def test_encode_bag_bitwise_equal_to_composite(sizes, seed):
 
     leaves = [ad.leaf(a, requires_grad=True) for a in arrays]
     out = encode_bag(bags, EncoderParams(*leaves))
-    ad.backward(ad.sum_all(ad.mul(out, ad.leaf(weight))))
+    ad.backward(hp.sum_all(hp.mul(out, ad.leaf(weight))))
     # the composite, one bag at a time: the summed terms reach the parameters
     # bag 0 first, the order in which the node accumulates them
     ref_leaves = [ad.leaf(a, requires_grad=True) for a in arrays]
     rows = [hp.encode_bag_single(bag, EncoderParams(*ref_leaves)) for bag in bags]
-    terms = [ad.sum_all(ad.mul(row, ad.leaf(weight[b:b + 1]))) for b, row in enumerate(rows)]
+    terms = [hp.sum_all(hp.mul(row, ad.leaf(weight[b:b + 1]))) for b, row in enumerate(rows)]
     total = terms[0]
     for term in terms[1:]:
-        total = ad.add(total, term)
+        total = hp.add(total, term)
     ad.backward(total)
 
     assert _same_bits(out.value, np.concatenate([row.value for row in rows]))
@@ -88,7 +89,7 @@ def test_encode_bag_gradients_match_fd():
     rng = np.random.default_rng(6)
     bags = [rng.uniform(-2, 2, (n, 5)) for n in (3, 1, 8, 3, 5)]
     weight = ad.leaf(rng.normal(size=(5, 6)))
-    check_grads(lambda *p: ad.sum_all(ad.mul(encode_bag(bags, EncoderParams(*p)), weight)),
+    check_grads(lambda *p: hp.sum_all(hp.mul(encode_bag(bags, EncoderParams(*p)), weight)),
                 _encoder_arrays(rng), rtol=1e-6)
 
 
@@ -138,7 +139,7 @@ def test_routed_experts_gradients_match_fd():
     arrays += _expert_arrays(rng, num_experts, token_len, hidden)
     weight = ad.leaf(rng.normal(size=(5, token_len)))
     build = _routed(ad.routed_experts, selected, num_experts)
-    check_grads(lambda *a: ad.sum_all(ad.mul(build(*a), weight)), arrays, rtol=1e-6)
+    check_grads(lambda *a: hp.sum_all(hp.mul(build(*a), weight)), arrays, rtol=1e-6)
 
 
 def test_routed_experts_calls_the_kernel_once_per_reached_expert(monkeypatch):
@@ -160,6 +161,10 @@ def test_routed_experts_calls_the_kernel_once_per_reached_expert(monkeypatch):
 # cosine
 
 
+def _cosine(x, y):
+    return hp.pair_node(losses.cosine, x, y)
+
+
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from(["none", "x", "y"]))
 @settings(max_examples=100, deadline=None)
 def test_cosine_equals_composite(d, seed, zero):
@@ -171,8 +176,10 @@ def test_cosine_equals_composite(d, seed, zero):
         y[:] = 0.0
     weight = rng.normal(size=(1, 1))
     eps = losses.COSINE_NORM_EPS
-    value, grads = _grads_of(lambda a, b: ad.cosine(a, b, eps), [x, y], weight)
-    ref_value, ref_grads = _grads_of(lambda a, b: hp.cosine_composite(a, b, eps), [x, y], weight)
+    value, grads = _grads_of(_cosine, [x, y], weight)
+    with np.errstate(invalid="ignore"):  # the composite's gradient is nan at a zero row
+        ref_value, ref_grads = _grads_of(lambda a, b: hp.cosine_composite(a, b, eps), [x, y],
+                                         weight)
     assert _same_bits(value, ref_value)
     if zero == "none":
         for g, ref in zip(grads, ref_grads):
@@ -186,7 +193,7 @@ def test_cosine_equals_composite(d, seed, zero):
     assert hp.max_rel_err(g_row, weight * other / eps) < 1e-12
     # a step far below eps / |other|, where the value is linear in the row
     fd = hp.finite_diff_gradient(
-        lambda v: (ad.cosine(ad.leaf(v), ad.leaf(other), eps).value * weight).item(), row, eps=1e-20)
+        lambda v: (losses.cosine(v, other)[0] * weight).item(), row, eps=1e-20)
     assert hp.max_rel_err(g_row, fd) < 1e-6
 
 
@@ -199,7 +206,7 @@ def test_cosine_gradient_sums_its_three_terms_in_the_rule_order(d, seed):
     x, y = rng.normal(size=(1, d)), rng.normal(size=(1, d))
     g = rng.normal(size=(1, 1))
     eps = losses.COSINE_NORM_EPS
-    _, (gx, gy) = _grads_of(lambda a, b: ad.cosine(a, b, eps), [x, y], g)
+    gx, gy = losses.cosine(x, y)[1](g)
     dot = x @ np.ascontiguousarray(y.T)
     nx, ny = np.sqrt(x @ np.ascontiguousarray(x.T)), np.sqrt(y @ np.ascontiguousarray(y.T))
     denom = nx * ny + eps
@@ -213,7 +220,7 @@ def test_cosine_gradient_sums_its_three_terms_in_the_rule_order(d, seed):
 def test_cosine_gradients_match_fd():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        check_grads(lambda a, b: ad.cosine(a, b, 1e-12),
+        check_grads(_cosine,
                     [rng.uniform(-2, 2, (1, 5)), rng.uniform(-2, 2, (1, 5))], rtol=1e-6)
 
 
@@ -292,6 +299,73 @@ def test_balance_loss_gradients_match_fd():
 
 
 # ---------------------------------------------------------------------------
+# decouple loss, total loss and the fusion stage, as in a training step:
+# the second fusion reaches V_inter and V_share_3 before the decouple loss
+
+
+def _step_loss(fns, kind, alpha, beta, segments, weight):
+    """total_loss(sum(rfr(V_inter, V_share_3) * weight), decouple_loss, bl)
+    over seven leaves: the six decoupled rows and bl, by the given
+    (rfr, decouple, total) implementations."""
+    rfr, decouple, total = fns
+
+    def build(*nodes):
+        surv = hp.sum_all(hp.mul(rfr(list(nodes[4:6]), segments), ad.leaf(weight)))
+        return total(surv, decouple(hp.decoupled_stub(*nodes[:6]), kind), nodes[6], alpha, beta)
+
+    return build
+
+
+ONE_NODE = (rfr_forward, losses.decouple_loss, lambda *a: losses.total_loss(*a)[1])
+FINE_OPS = (hp.rfr_composite, hp.decouple_loss_composite, hp.total_loss_composite)
+
+
+@given(st.sampled_from(losses.DISTANCE_METRICS), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 5), max_size=3), st.sampled_from([0.0, 0.01, 1.0, -2.5]))
+@settings(max_examples=150, deadline=None)
+def test_decouple_and_total_loss_bitwise_equal_to_composites(kind, d1, seed, zero_rows, beta):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(1, d)) for d in (d1, d1, d1, d1, 2 * d1, 2 * d1)]
+    for i in zero_rows:
+        arrays[i][:] = 0.0
+    arrays.append(rng.normal(size=(1, 1)))
+    alpha = float(rng.uniform(0.0, 2.0))
+    segments = [int(rng.choice(valid_segments((1, 2, 4, 8), 2 * d1)))]
+    weight = rng.normal(size=(1, 4 * d1))
+    leaves = [[ad.leaf(a, requires_grad=True) for a in arrays] for _ in range(2)]
+    totals = [_step_loss(fns, kind, alpha, beta, segments, weight)(*nodes)
+              for fns, nodes in zip((ONE_NODE, FINE_OPS), leaves)]
+    for root in totals:
+        ad.backward(root)
+    assert _same_bits(totals[0].value, totals[1].value)
+    for leaf, ref in zip(*leaves):
+        assert _same_bits(leaf.grad, ref.grad)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 4, 8, 12]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_rfr_forward_bitwise_equal_to_composite(num_vectors, rows, d, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(rows, d)) for _ in range(num_vectors)]
+    segments = [int(rng.choice(valid_segments((1, 2, 4, 8), d))) for _ in range(rows)]
+    weight = rng.normal(size=(rows, num_vectors * d))
+    value, grads = _grads_of(lambda *v: rfr_forward(list(v), segments), arrays, weight)
+    ref_value, ref_grads = _grads_of(lambda *v: hp.rfr_composite(list(v), segments), arrays,
+                                     weight)
+    assert _same_bits(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert _same_bits(g, ref)
+
+
+@pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
+def test_decouple_loss_gradients_match_fd(kind):
+    rng = np.random.default_rng(5)
+    arrays = [rng.uniform(-2, 2, (1, d)) for d in (3, 3, 3, 3, 6, 6)]
+    check_grads(lambda *v: losses.decouple_loss(hp.decoupled_stub(*v), kind), arrays, rtol=1e-4)
+
+
+# ---------------------------------------------------------------------------
 # the fine ops the oracles are built from: 100 random FD trials each
 
 
@@ -301,19 +375,34 @@ def _fine_op_cases(rng):
     cols = rng.integers(0, 3, size=5)
     w43a, w43b = ad.leaf(u((4, 3))), ad.leaf(u((4, 3)))
     w53, w63, w51, w14, w24 = (ad.leaf(u(s)) for s in ((5, 3), (6, 3), (5, 1), (1, 4), (2, 4)))
+    perm = rng.permutation(6)
+    w33, w25, w6, w17 = (ad.leaf(u(s)) for s in ((3, 3), (2, 5), (1, 6), (1, 7)))
     return [
-        ("tanh", lambda a: ad.sum_all(ad.mul(hp.tanh(a), w24)), [u((2, 4))]),
-        ("transpose", lambda a: ad.sum_all(ad.mul(hp.transpose(a), w43a)), [u((3, 4))]),
-        ("div", lambda a, b: ad.sum_all(hp.div(a, b)), [u((2, 4)), u((2, 4), 0.5, 2.0)]),
-        ("sqrt", lambda a: ad.sum_all(hp.sqrt(a)), [u((2, 4), 0.2, 2.0)]),
-        ("gather_rows", lambda a: ad.sum_all(ad.mul(hp.gather_rows(a, rows), w53)), [u((4, 3))]),
-        ("scatter_rows", lambda a: ad.sum_all(ad.mul(hp.scatter_rows(a, rows, 6), w63)),
+        ("add", lambda a, b: hp.sum_all(hp.mul(hp.add(a, b), w33)), [u((3, 3)), u((3, 3))]),
+        ("sub", lambda a, b: hp.sum_all(hp.mul(hp.sub(a, b), w33)), [u((3, 3)), u((3, 3))]),
+        ("mul", lambda a, b: hp.sum_all(hp.mul(hp.mul(a, b), w25)), [u((2, 5)), u((2, 5))]),
+        ("affine", lambda a: hp.sum_all(hp.affine(a, -1.7, 0.3)), [u((2, 4))]),
+        ("log", lambda a: hp.sum_all(hp.log(a)), [u((2, 4), 0.2, 2.0)]),
+        ("absolute", lambda a: hp.sum_all(hp.absolute(a)),
+         [np.sign(u((2, 4))) * u((2, 4), 0.1, 2.0)]),
+        ("clip", lambda a: hp.sum_all(hp.clip(a, -1.0, 1.0)), [u((2, 4), -0.9, 0.9)]),
+        ("permute_entries", lambda a: hp.sum_all(hp.mul(hp.permute_entries(a, perm), w6)),
+         [u((1, 6))]),
+        ("concat_cols", lambda a, b: hp.sum_all(hp.mul(hp.concat_cols([a, b]), w17)),
+         [u((1, 3)), u((1, 4))]),
+        ("sum_all", lambda a: hp.sum_all(a), [u((3, 4))]),
+        ("tanh", lambda a: hp.sum_all(hp.mul(hp.tanh(a), w24)), [u((2, 4))]),
+        ("transpose", lambda a: hp.sum_all(hp.mul(hp.transpose(a), w43a)), [u((3, 4))]),
+        ("div", lambda a, b: hp.sum_all(hp.div(a, b)), [u((2, 4)), u((2, 4), 0.5, 2.0)]),
+        ("sqrt", lambda a: hp.sum_all(hp.sqrt(a)), [u((2, 4), 0.2, 2.0)]),
+        ("gather_rows", lambda a: hp.sum_all(hp.mul(hp.gather_rows(a, rows), w53)), [u((4, 3))]),
+        ("scatter_rows", lambda a: hp.sum_all(hp.mul(hp.scatter_rows(a, rows, 6), w63)),
          [u((5, 3))]),
-        ("gather_entries", lambda a: ad.sum_all(ad.mul(hp.gather_entries(a, rows, cols), w51)),
+        ("gather_entries", lambda a: hp.sum_all(hp.mul(hp.gather_entries(a, rows, cols), w51)),
          [u((4, 3))]),
-        ("scale_rows", lambda a, s: ad.sum_all(ad.mul(hp.scale_rows(a, s), w43b)),
+        ("scale_rows", lambda a, s: hp.sum_all(hp.mul(hp.scale_rows(a, s), w43b)),
          [u((4, 3)), u((4, 1))]),
-        ("mean_rows", lambda a: ad.sum_all(ad.mul(hp.mean_rows(a), w14)), [u((3, 4))]),
+        ("mean_rows", lambda a: hp.sum_all(hp.mul(hp.mean_rows(a), w14)), [u((3, 4))]),
     ]
 
 

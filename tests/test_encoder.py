@@ -5,7 +5,7 @@ from hdmoe import autodiff as ad
 from hdmoe.encoder import EncoderParams, encode_bag, init_encoder_params
 from hdmoe.errors import DataError
 
-from helpers import check_grads
+from helpers import check_grads, mul, sum_all
 
 
 def _lifted_params(rng, d_in=5, d1=6, d_att=3, requires_grad=True):
@@ -71,7 +71,7 @@ def test_encoder_gradients_match_fd():
     def build(w_proj, v_att, u_att, w_att):
         params = EncoderParams(w_proj=w_proj, v_att=v_att, u_att=u_att, w_att=w_att)
         weight = ad.leaf(np.linspace(-1, 1, 6).reshape(1, 6))
-        return ad.sum_all(ad.mul(encode_bag([bag], params), weight))
+        return sum_all(mul(encode_bag([bag], params), weight))
 
     arrays = [
         rng.uniform(-1, 1, (5, 6)),

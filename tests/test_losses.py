@@ -6,7 +6,7 @@ from hdmoe import losses
 from hdmoe.errors import ConfigError
 from hdmoe.moe import RouterTrace
 
-from helpers import check_grads, decoupled_stub, finite_diff_gradient, max_rel_err
+from helpers import check_grads, decoupled_stub, finite_diff_gradient, max_rel_err, pair_node
 
 
 def _features(vecs):
@@ -99,54 +99,58 @@ def test_nll_tape_gradient_matches_fd_oracle():
 # distance metrics
 
 
+def _dm(kind, x, y):
+    """(DM, DM') of two rows as floats."""
+    x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    return tuple(losses.distance(kind, x, y, prime)[0].item() for prime in (False, True))
+
+
 def test_cos_identical():
-    x = ad.leaf([[1.0, 2.0, 3.0]])
-    dm, dmp = losses.distance("cos", x, ad.leaf([[2.0, 4.0, 6.0]]))
-    assert dm.value[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert dmp.value[0, 0] == pytest.approx(1.0, abs=1e-9)
+    dm, dmp = _dm("cos", [[1.0, 2.0, 3.0]], [[2.0, 4.0, 6.0]])
+    assert dm == pytest.approx(0.0, abs=1e-9)
+    assert dmp == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cos_orthogonal():
-    dm, dmp = losses.distance("cos", ad.leaf([[1.0, 0.0]]), ad.leaf([[0.0, 5.0]]))
-    assert dm.value[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert dmp.value[0, 0] == pytest.approx(0.0, abs=1e-12)
+    dm, dmp = _dm("cos", [[1.0, 0.0]], [[0.0, 5.0]])
+    assert dm == pytest.approx(1.0, abs=1e-12)
+    assert dmp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cos_zero_vector_guarded():
-    dm, dmp = losses.distance("cos", ad.leaf([[0.0, 0.0]]), ad.leaf([[1.0, 1.0]]))
-    assert np.isfinite(dm.value).all() and np.isfinite(dmp.value).all()
+    dm, dmp = _dm("cos", [[0.0, 0.0]], [[1.0, 1.0]])
+    assert np.isfinite(dm) and np.isfinite(dmp)
 
 
 def test_mse_hand_value():
-    dm, dmp = losses.distance("mse", ad.leaf([[1.0, 2.0]]), ad.leaf([[3.0, 4.0]]))
-    assert dm.value[0, 0] == pytest.approx(4.0)
-    assert dmp.value[0, 0] == pytest.approx(-4.0)
+    dm, dmp = _dm("mse", [[1.0, 2.0]], [[3.0, 4.0]])
+    assert dm == pytest.approx(4.0)
+    assert dmp == pytest.approx(-4.0)
 
 
 def test_l1_hand_value():
-    dm, dmp = losses.distance("l1", ad.leaf([[1.0, 2.0]]), ad.leaf([[4.0, -2.0]]))
-    assert dm.value[0, 0] == pytest.approx(3.5)
-    assert dmp.value[0, 0] == pytest.approx(-3.5)
+    dm, dmp = _dm("l1", [[1.0, 2.0]], [[4.0, -2.0]])
+    assert dm == pytest.approx(3.5)
+    assert dmp == pytest.approx(-3.5)
 
 
 def test_kl_identical_is_zero():
     x = [[0.3, -1.0, 2.0]]
-    dm, dmp = losses.distance("kl", ad.leaf(x), ad.leaf(x))
-    assert dm.value[0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert dmp.value[0, 0] == pytest.approx(0.0, abs=1e-14)
+    dm, dmp = _dm("kl", x, x)
+    assert dm == pytest.approx(0.0, abs=1e-14)
+    assert dmp == pytest.approx(0.0, abs=1e-14)
 
 
 def test_kl_symmetric():
-    x, y = ad.leaf([[0.5, -0.5, 1.0]]), ad.leaf([[2.0, 0.0, -1.0]])
-    ab = losses.distance("kl", x, y)[0].value[0, 0]
-    ba = losses.distance("kl", y, x)[0].value[0, 0]
+    x, y = [[0.5, -0.5, 1.0]], [[2.0, 0.0, -1.0]]
+    ab, ba = _dm("kl", x, y)[0], _dm("kl", y, x)[0]
     assert ab == pytest.approx(ba, abs=1e-14)
     assert ab > 0
 
 
 def test_unknown_metric():
     with pytest.raises(ConfigError):
-        losses.distance("cosine", ad.leaf([[1.0]]), ad.leaf([[1.0]]))
+        _dm("cosine", [[1.0]], [[1.0]])
 
 
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
@@ -154,12 +158,10 @@ def test_dm_prime_gradient_is_exact_negative(kind):
     rng = np.random.default_rng(3)
     x = rng.uniform(0.2, 2, (1, 5))
     y = rng.uniform(0.2, 2, (1, 5))
-    g = {}
-    for which in (0, 1):
-        leaf = ad.leaf(x, requires_grad=True)
-        ad.backward(losses.distance(kind, leaf, ad.leaf(y))[which])
-        g[which] = leaf.grad.copy()
-    assert np.allclose(g[0], -g[1], atol=1e-15)
+    g = np.ones((1, 1))
+    (gx, gy), (gx_prime, gy_prime) = (losses.distance(kind, x, y, prime)[1](g)
+                                      for prime in (False, True))
+    assert np.array_equal(gx, -gx_prime) and np.array_equal(gy, -gy_prime)
 
 
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
@@ -167,7 +169,9 @@ def test_distance_gradients_match_fd(kind):
     rng = np.random.default_rng(4)
     x = rng.uniform(0.2, 2, (1, 5))
     y = rng.uniform(0.2, 2, (1, 5))
-    check_grads(lambda a, b: losses.distance(kind, a, b)[0], [x, y], rtol=1e-4)
+    for prime in (False, True):
+        check_grads(lambda a, b: pair_node(lambda u, v: losses.distance(kind, u, v, prime), a, b),
+                    [x, y], rtol=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hdmoe import autodiff as ad
 from hdmoe import moe
 from hdmoe.errors import ConfigError
 
-from helpers import check_grads, route
+from helpers import add, check_grads, route, sum_all
 
 
 def _lift_moe(params: moe.MoEParams, requires_grad=True) -> moe.MoEParams:
@@ -192,7 +192,7 @@ def test_unselected_expert_gradients_are_exactly_zero():
     lifted = _lift_moe(params)
     v = ad.leaf(rng.normal(size=(1, 8)), requires_grad=True)
     out = moe.moe_forward(v, cfg, lifted)
-    ad.backward(ad.sum_all(ad.add(out.routed, out.shared)))
+    ad.backward(sum_all(add(out.routed, out.shared)))
     used = set(out.trace.selected.ravel().tolist())
     for j, e in enumerate(lifted.experts):
         grads = [e.w1.grad, e.b1.grad, e.w2.grad, e.b2.grad]
@@ -218,7 +218,7 @@ def test_moe_forward_gradients_match_fd():
             shared=moe.ExpertParams(w1s, b1s, w2s, b2s),
         )
         out = moe.moe_forward(ad.leaf(v), cfg, params)
-        return ad.sum_all(ad.add(out.routed, out.shared))
+        return sum_all(add(out.routed, out.shared))
 
     arrays = [rng.uniform(-1, 1, (3, 2))]
     for _ in range(3):

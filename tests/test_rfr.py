@@ -7,36 +7,41 @@ from hdmoe import autodiff as ad
 from hdmoe import rfr
 from hdmoe.errors import ConfigError, ShapeError
 
-from helpers import check_grads, draw_segments_loop
+from helpers import check_grads, draw_segments_loop, mul, sum_all
 
 FULL_SET = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
+def _draw(segment_values, d, rng):
+    """One segment for one vector of length d."""
+    return rfr.draw_segments(segment_values, (d,), (None,), rng, 1)[0][0]
+
+
 def test_sample_segment_all_divide():
     rng = np.random.default_rng(0)
-    seen = {rfr.sample_segment(FULL_SET, 256, rng) for _ in range(400)}
+    seen = {_draw(FULL_SET, 256, rng) for _ in range(400)}
     assert seen == set(FULL_SET)
 
 
 def test_sample_segment_filters_divisors():
     rng = np.random.default_rng(1)
-    seen = {rfr.sample_segment(FULL_SET, 24, rng) for _ in range(200)}
+    seen = {_draw(FULL_SET, 24, rng) for _ in range(200)}
     assert seen == {1, 2, 4, 8}
 
 
 def test_sample_segment_no_divisor_is_config_error():
     with pytest.raises(ConfigError, match="8"):
-        rfr.sample_segment((3,), 8, np.random.default_rng(0))
+        _draw((3,), 8, np.random.default_rng(0))
 
 
 def test_sample_segment_singleton():
     rng = np.random.default_rng(2)
-    assert all(rfr.sample_segment((1,), d, rng) == 1 for d in (3, 7, 256))
+    assert all(_draw((1,), d, rng) == 1 for d in (3, 7, 256))
 
 
 def test_sample_segment_deterministic_under_fixed_state():
-    a = [rfr.sample_segment(FULL_SET, 64, np.random.default_rng(7)) for _ in range(5)]
-    b = [rfr.sample_segment(FULL_SET, 64, np.random.default_rng(7)) for _ in range(5)]
+    a = [_draw(FULL_SET, 64, np.random.default_rng(7)) for _ in range(5)]
+    b = [_draw(FULL_SET, 64, np.random.default_rng(7)) for _ in range(5)]
     assert a == b
 
 
@@ -56,7 +61,7 @@ def test_build_permutation_full_interleave():
 def test_rfr_forward_four_vectors():
     rng = np.random.default_rng(3)
     vectors = [ad.leaf(rng.normal(size=(1, 8))) for _ in range(4)]
-    segment = rfr.sample_segment(FULL_SET, 8, rng)
+    segment = _draw(FULL_SET, 8, rng)
     fused = rfr.rfr_forward(vectors, [segment])
     assert fused.value.shape == (1, 32)
     concat = np.concatenate([v.value[0] for v in vectors])
@@ -67,7 +72,7 @@ def test_rfr_forward_four_vectors():
 def test_rfr_forward_two_vectors_shape():
     rng = np.random.default_rng(4)
     vectors = [ad.leaf(rng.normal(size=(1, 16))) for _ in range(2)]
-    fused = rfr.rfr_forward(vectors, [rfr.sample_segment(FULL_SET, 16, rng)])
+    fused = rfr.rfr_forward(vectors, [_draw(FULL_SET, 16, rng)])
     assert fused.value.shape == (1, 32)
 
 
@@ -111,7 +116,7 @@ def test_draw_segments_equals_per_draw_loop(lengths, pins):
 @settings(max_examples=60, deadline=None)
 def test_permutation_soundness_properties(m, d, seed):
     rng = np.random.default_rng(seed)
-    s = rfr.sample_segment(FULL_SET, d, rng)
+    s = _draw(FULL_SET, d, rng)
     perm = rfr.build_permutation(m, d, s)
     # bijection
     assert np.array_equal(np.sort(perm), np.arange(m * d))
@@ -136,14 +141,14 @@ def test_rfr_gradient_routes_through_inverse_permutation():
 
     def build(*nodes):
         fused = rfr.rfr_forward(list(nodes), [pin])
-        return ad.sum_all(ad.mul(fused, w))
+        return sum_all(mul(fused, w))
 
     check_grads(build, vecs, rtol=1e-6)
     # direct check: gradient equals the weight row routed back through the
     # inverse permutation
     nodes = [ad.leaf(v, requires_grad=True) for v in vecs]
     fused = rfr.rfr_forward(nodes, [pin])
-    ad.backward(ad.sum_all(ad.mul(fused, w)))
+    ad.backward(sum_all(mul(fused, w)))
     inv = np.argsort(rfr.build_permutation(m, d, pin))
     routed_back = w.value[0, inv]
     for i, node in enumerate(nodes):

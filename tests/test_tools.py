@@ -5,6 +5,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from hdmoe import losses, model
 from hdmoe.config import RunConfig, apply_desk_preset
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -43,3 +47,18 @@ def test_step_profile_times_train_end_to_end(monkeypatch):
     assert set(times) == set(lanes) == {"60x2"}
     assert math.isfinite(times["60x2"]) and times["60x2"] > 0
     assert 1 <= lanes["60x2"] <= 2
+
+
+@pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
+def test_desk_step_records_33_ops_for_every_metric(kind):
+    profile = _load_tool("step_profile")
+    cfg = apply_desk_preset(RunConfig()).model_config()
+    sample = profile._records(cfg)[0]
+    lifted, _ = model.lift_params(model.init_params(cfg, np.random.default_rng(1)),
+                                  requires_grad=True)
+    res = model.forward([sample], lifted, cfg, np.random.default_rng(2))
+    _, total = losses.total_loss(
+        losses.survival_nll(res.hazards, sample.bin_label, sample.censored),
+        losses.decouple_loss(res, kind), losses.balance_loss(res.traces), 1.0, 0.01)
+    # per MoE block 7, per fusion 1, each encoder, loss term and the total 1, head 3, bridge 1
+    assert profile.tape_nodes(total)[1] == 33
