@@ -9,10 +9,10 @@ permutation each step, so a static graph would not help). ``backward`` walks
 the nodes reachable from a scalar root in reverse topological order exactly
 once.
 
-The ops here are the model's generic ones: matmul, reshape, bias, sigmoid,
-row softmax and the fused expert feed-forward. The routed experts of an MoE
-block are one node with a closed-form rule, as are each loss term and the
-total of ``losses`` and each fusion stage of ``rfr``.
+The ops here are the model's generic ones: matmul, bias and sigmoid, plus the
+array-level softmax and its gradient. Each bag encoder, MoE block, loss term,
+the total and each fusion stage is one node with a closed-form rule in its
+own module. An op's further outputs are ``side_output`` nodes.
 
 All randomness in the package flows through explicitly passed
 ``numpy.random.Generator`` handles; nothing here touches global RNG state.
@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericsError, ShapeError
 
 
@@ -73,12 +72,14 @@ def leaf(values, requires_grad: bool = False, name: str = "leaf") -> Node:
     return Node(as_matrix(values, name), requires_grad=requires_grad)
 
 
-def accumulate(node: Node, g: np.ndarray) -> None:
+def accumulate(node: Node, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to node's gradient. The first gradient is copied, since g may
+    alias a buffer shared with another parent's, unless the rule says that g
+    is fresh: an array no one else holds."""
     if not node.requires_grad:
         return
     if node.grad is None:
-        # copy: g may alias a buffer shared with another parent's gradient
-        node.grad = np.array(g, dtype=np.float64, copy=True)
+        node.grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
     else:
         node.grad += g
 
@@ -123,16 +124,10 @@ def matmul(a: Node, b: Node) -> Node:
         )
 
     def rule(g: np.ndarray) -> None:
-        accumulate(a, g @ b.value.T)
-        accumulate(b, a.value.T @ g)
+        accumulate(a, g @ b.value.T, fresh=True)
+        accumulate(b, a.value.T @ g, fresh=True)
 
     return Node(a.value @ b.value, (a, b), rule)
-
-
-def reshape(a: Node, shape: tuple[int, int]) -> Node:
-    return Node(
-        a.value.reshape(shape), (a,), lambda g: accumulate(a, g.reshape(a.value.shape))
-    )
 
 
 def add_bias(x: Node, b: Node) -> Node:
@@ -142,7 +137,7 @@ def add_bias(x: Node, b: Node) -> Node:
 
     def rule(g: np.ndarray) -> None:
         accumulate(x, g)
-        accumulate(b, g.sum(axis=0, keepdims=True))
+        accumulate(b, np.add.reduce(g, axis=0, keepdims=True), fresh=True)
 
     return Node(x.value + b.value, (x, b), rule)
 
@@ -156,80 +151,31 @@ def logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Node) -> Node:
     v = logistic(a.value)
-    return Node(v, (a,), lambda g: accumulate(a, g * v * (1.0 - v)))
+    return Node(v, (a,), lambda g: accumulate(a, g * v * (1.0 - v), fresh=True))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax along each row (max-subtraction)."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Stable softmax along each row (max-subtraction). Reductions here and in
+    the other hot paths call the ufunc's reduce, which is what the array
+    methods run after a Python-level dispatch."""
+    e = np.exp(x - np.maximum.reduce(x, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient reaching x from g on p = softmax(x)."""
-    return p * (g - (g * p).sum(axis=1, keepdims=True))
+    return p * (g - np.add.reduce(g * p, axis=1, keepdims=True))
 
 
-def row_softmax(a: Node) -> Node:
-    p = softmax(a.value)
-    return Node(p, (a,), lambda g: accumulate(a, softmax_vjp(p, g)))
-
-
-def expert_ffn(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
-    """Fused 2-layer SiLU feed-forward unit (kernels.py)."""
-    if x.value.shape[1] != w1.value.shape[0]:
-        raise ShapeError(f"expert_ffn: {x.value.shape} @ {w1.value.shape}")
-    if w1.value.shape[1] != w2.value.shape[0]:
-        raise ShapeError(f"expert_ffn: hidden {w1.value.shape} @ {w2.value.shape}")
-    v, pre, sig = kernels.ffn_forward(x.value, w1.value, b1.value, w2.value, b2.value)
+def side_output(node: Node, value: np.ndarray, grads: list, i: int) -> Node:
+    """Output i of node's op besides node: it comes before node in backward's
+    order, hands its final gradient to grads[i] for node's rule (which holds
+    grads, not this node: no reference cycle), and gives node a zero
+    gradient if none reached node, so that the rule runs."""
 
     def rule(g: np.ndarray) -> None:
-        grads = kernels.ffn_backward(g, x.value, w1.value, w2.value, pre, sig)
-        for node, grad in zip((x, w1, b1, w2, b2), grads):
-            accumulate(node, grad)
+        grads[i] = g
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
 
-    return Node(v, (x, w1, b1, w2, b2), rule)
-
-
-# ---------------------------------------------------------------------------
-# composites: one node each, with a closed-form rule
-
-
-def routed_experts(tokens: Node, probs: Node, selected: np.ndarray, experts) -> Node:
-    """Row t: the sum over e in selected[t] of probs[t, e] * ffn_e(tokens[t]).
-
-    One stable sort groups the (token, expert) pairs by expert, tokens in row
-    order within each; each expert some token reached runs the fused kernel
-    once over its contiguous run of pairs (backward: once per such expert),
-    and the rule scatters the gates' gradients into probs at (row, expert).
-    experts[e] holds Nodes w1, b1, w2, b2.
-    """
-    x, p = tokens.value, probs.value
-    order = np.argsort(selected.ravel(), kind="stable")
-    rows, cols = order // selected.shape[1], selected.ravel()[order]
-    xs, gates = x[rows], p[rows, cols][:, None]
-    edges = np.searchsorted(cols, np.arange(len(experts) + 1))
-    runs = [((ex.w1, ex.b1, ex.w2, ex.b2), lo, hi)
-            for ex, lo, hi in zip(experts, edges[:-1], edges[1:]) if lo < hi]
-    ys, saved = np.empty_like(xs), []
-    for (w1, b1, w2, b2), lo, hi in runs:
-        ys[lo:hi], *cache = kernels.ffn_forward(xs[lo:hi], w1.value, b1.value, w2.value, b2.value)
-        saved.append(cache)
-    out = np.zeros_like(x)
-    np.add.at(out, rows, ys * gates)
-
-    def rule(g: np.ndarray) -> None:
-        gs, g_tokens, g_probs = g[rows], np.zeros_like(x), np.zeros_like(p)
-        g_probs[rows, cols] = (gs * ys).sum(axis=1)
-        g_xs, g_ys = np.empty_like(xs), gs * gates
-        for (params, lo, hi), (pre, sig) in zip(runs, saved):
-            g_xs[lo:hi], *g_params = kernels.ffn_backward(
-                g_ys[lo:hi], xs[lo:hi], params[0].value, params[2].value, pre, sig)
-            for node, grad in zip(params, g_params):
-                accumulate(node, grad)
-        np.add.at(g_tokens, rows, g_xs)
-        accumulate(tokens, g_tokens)
-        accumulate(probs, g_probs)
-
-    return Node(out, (tokens, probs, *(n for params, *_ in runs for n in params)), rule)
-
+    return Node(value, (node,), rule)

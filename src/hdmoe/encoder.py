@@ -69,8 +69,8 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
         t, s = np.tanh(h @ v_att), ad.logistic(h @ u_att)
         gate = t * s
         sc = (gate @ w_att)[:, :, 0]  # [bags, n]
-        e = np.exp(sc - sc.max(axis=1, keepdims=True))
-        p = (e / e.sum(axis=1, keepdims=True))[:, None, :]  # [bags, 1, n]
+        e = np.exp(sc - np.maximum.reduce(sc, axis=1, keepdims=True))
+        p = (e / np.add.reduce(e, axis=1, keepdims=True))[:, None, :]  # [bags, 1, n]
         out[ids] = np.matmul(p, h)[:, 0]
         groups.append((ids, xb, h, t, s, gate, p))
 
@@ -79,7 +79,7 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
         for ids, xb, h, t, s, gate, p in groups:
             gb, hT = g[ids][:, None, :], h.transpose(0, 2, 1)
             g_p = np.matmul(gb, hT)
-            g_sc = (p * (g_p - (g_p * p).sum(axis=2, keepdims=True))).reshape(len(ids), -1, 1)
+            g_sc = (p * (g_p - np.add.reduce(g_p * p, axis=2, keepdims=True))).reshape(len(ids), -1, 1)
             g_gate = g_sc @ w_att.T
             g_a = g_gate * s * (1.0 - t * t)  # through tanh(h @ V_att)
             g_b = g_gate * t * s * (1.0 - s)  # through sigmoid(h @ U_att)
@@ -93,6 +93,6 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
             for ids, pairs in factors:
                 per_bag.update(zip(ids, np.matmul(*pairs[i])))
             for b in range(len(bags)):
-                ad.accumulate(node, per_bag[b])
+                ad.accumulate(node, per_bag[b], fresh=True)
 
     return ad.Node(out, nodes, rule)

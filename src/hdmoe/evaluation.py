@@ -244,10 +244,10 @@ def redundancy_score(output: MoEOutput) -> tuple[np.ndarray, np.ndarray, float]:
     batch, width = output.routed.value.shape
     if batch < 2:
         raise MetricError("redundancy_score needs at least two samples")
-    token_len = output.tokens.value.shape[1]
+    token_len = output.tokens.shape[1]
     shape = (batch, width // token_len, token_len)
-    pre = average_abs_correlation(output.tokens.value.reshape(shape))
-    post = average_abs_correlation(output.shared_tokens.value.reshape(shape))
+    pre = average_abs_correlation(output.tokens.reshape(shape))
+    post = average_abs_correlation(output.shared_tokens.reshape(shape))
     off = ~np.eye(pre.shape[0], dtype=bool)
     delta = float(pre[off].sum() - post[off].sum())
     return pre, post, delta

@@ -14,27 +14,27 @@ import numpy as np
 def ffn_forward(x, w1, b1, w2, b2):
     """Fused expert unit: out = silu(x @ w1 + b1) @ w2 + b2.
 
-    Returns (out, pre, sig) where pre is the hidden pre-activation and
-    sig its logistic factor; both are reused by the backward kernel.
+    Returns (out, pre, sig, act) where pre is the hidden pre-activation,
+    sig its logistic factor and act the hidden activation; all three are
+    reused by the backward kernel.
     """
     pre = x @ w1 + b1
     sig = 1.0 / (1.0 + np.exp(-pre))
     act = pre * sig
     out = act @ w2 + b2
-    return out, pre, sig
+    return out, pre, sig, act
 
 
-def ffn_backward(g, x, w1, w2, pre, sig):
+def ffn_backward(g, x, w1, w2, pre, sig, act):
     """Gradients of the fused expert unit w.r.t. (x, w1, b1, w2, b2)."""
-    act = pre * sig
     g_act = g @ w2.T
     # d silu / d pre = sig * (1 + pre * (1 - sig))
     g_pre = g_act * (sig * (1.0 + pre * (1.0 - sig)))
     gx = g_pre @ w1.T
     gw1 = x.T @ g_pre
-    gb1 = g_pre.sum(axis=0).reshape(1, -1)
+    gb1 = np.add.reduce(g_pre, axis=0, keepdims=True)
     gw2 = act.T @ g
-    gb2 = g.sum(axis=0).reshape(1, -1)
+    gb2 = np.add.reduce(g, axis=0, keepdims=True)
     return gx, gw1, gb1, gw2, gb2
 
 

@@ -10,7 +10,9 @@ an expert level apart (DM') and corresponding features across levels close
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -34,6 +36,16 @@ class LossBreakdown:
     beta: float
 
 
+@lru_cache(maxsize=None)
+def _bin_masks(num_bins: int, bin_label: int) -> tuple[np.ndarray, ...]:
+    """Read-only [K, 1] float columns marking bins 1..n, 1..n-1 and n."""
+    bins = np.arange(1, num_bins + 1).reshape(-1, 1)
+    masks = [m.astype(np.float64) for m in (bins <= bin_label, bins < bin_label, bins == bin_label)]
+    for m in masks:
+        m.flags.writeable = False
+    return tuple(masks)
+
+
 def survival_nll(hazards: ad.Node, bin_label: int, censored: int) -> ad.Node:
     """Negative log-likelihood of a censored discrete-time outcome.
 
@@ -49,81 +61,78 @@ def survival_nll(hazards: ad.Node, bin_label: int, censored: int) -> ad.Node:
         raise ValueError(f"censored must be 0 or 1, got {censored}")
 
     hv = hazards.value
-    h = np.clip(hv, HAZARD_EPS, 1.0 - HAZARD_EPS)
+    h = np.minimum(np.maximum(hv, HAZARD_EPS), 1.0 - HAZARD_EPS)  # np.clip's values
     one_minus_h = 1.0 - h
     log_h, log_1mh = np.log(h), np.log(one_minus_h)
-    bins = np.arange(1, num_bins + 1).reshape(-1, 1)  # masks as [K, 1] columns
-    surv_n, surv_prev, event_n = (m.astype(np.float64) for m in (
-        bins <= bin_label, bins < bin_label, bins == bin_label))
+    surv_n, surv_prev, event_n = _bin_masks(num_bins, bin_label)
 
     c = float(censored)
-    loss = (-c * (log_1mh @ surv_n) - (1.0 - c) * (log_h @ event_n)
-            - (1.0 - c) * (log_1mh @ surv_prev))
+    loss = (-c * (log_1mh @ surv_n).item() - (1.0 - c) * (log_h @ event_n).item()
+            - (1.0 - c) * (log_1mh @ surv_prev).item())
 
     def rule(g: np.ndarray) -> None:
+        g = g.item()
         g_c, g_u = -c * g, -(1.0 - c) * g
         g_h = g_u * event_n.T / h - (g_c * surv_n.T + g_u * surv_prev.T) / one_minus_h
-        ad.accumulate(hazards, g_h * ((hv > HAZARD_EPS) & (hv < 1.0 - HAZARD_EPS)))
+        ad.accumulate(hazards, g_h * ((hv > HAZARD_EPS) & (hv < 1.0 - HAZARD_EPS)), fresh=True)
 
-    return ad.Node(loss, (hazards,), rule)
+    return ad.Node(np.array([[loss]]), (hazards,), rule)
 
 
-def cosine(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
-    """cos(x, y) = x.y / (|x| |y| + COSINE_NORM_EPS) of two 1xd rows: the 1x1
+def cosine(x: np.ndarray, y: np.ndarray) -> tuple[float, Callable]:
+    """cos(x, y) = x.y / (|x| |y| + COSINE_NORM_EPS) of two 1xd rows: the
     value and the rule mapping its gradient to (g_x, g_y)."""
-    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
-    dot = x @ yt
-    nx, ny = np.sqrt(x @ xt), np.sqrt(y @ yt)
+    dot = (x @ y.T).item()
+    nx, ny = math.sqrt((x @ x.T).item()), math.sqrt((y @ y.T).item())
     denom = nx * ny + COSINE_NORM_EPS
 
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def vjp(g: float) -> tuple[np.ndarray, np.ndarray]:
         g_dot = g / denom
         g_prod = -g * dot / (denom * denom)
         # through |x| = sqrt(x.x); x/|x| is taken as 0 at x = 0, where the dot term vanishes
-        g_xx = g_prod * ny / (2.0 * nx) if nx.item() else np.zeros_like(g_prod)
-        g_yy = g_prod * nx / (2.0 * ny) if ny.item() else np.zeros_like(g_prod)
+        g_xx = g_prod * ny / (2.0 * nx) if nx else 0.0
+        g_yy = g_prod * nx / (2.0 * ny) if ny else 0.0
         return g_dot * y + g_xx * x + x * g_xx, x * g_dot + g_yy * y + y * g_yy
 
     return dot / denom, vjp
 
 
-def _mean_over(values: np.ndarray, chain) -> tuple[np.ndarray, Callable]:
+def _mean_over(values: np.ndarray, chain) -> tuple[float, Callable]:
     """The mean of values, an elementwise function of diff = x - y, where
-    chain maps a gradient on values to one on diff."""
+    chain maps the gradient on each entry of values to one on diff."""
     scale = 1.0 / values.shape[1]
 
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g_diff = chain(np.full_like(values, (scale * g)[0, 0]))
+    def vjp(g: float) -> tuple[np.ndarray, np.ndarray]:
+        g_diff = chain(scale * g)
         return g_diff, -g_diff
 
-    return scale * np.array([[values.sum()]]) + 0.0, vjp
+    return scale * np.add.reduce(values, axis=None).item() + 0.0, vjp
 
 
-def _mean_abs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+def _mean_abs(x: np.ndarray, y: np.ndarray) -> tuple[float, Callable]:
     diff = x - y
     return _mean_over(np.abs(diff), lambda g: g * np.sign(diff))
 
 
-def _mean_square(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+def _mean_square(x: np.ndarray, y: np.ndarray) -> tuple[float, Callable]:
     diff = x - y
     return _mean_over(diff * diff, lambda g: g * diff + g * diff)  # each factor in turn
 
 
-def _symmetric_kl(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+def _symmetric_kl(x: np.ndarray, y: np.ndarray) -> tuple[float, Callable]:
     # clamp the normalized distributions: -KL is minimized during
     # decoupling, and unclamped logits would be pushed to +/-inf
     sx, sy = ad.softmax(x), ad.softmax(y)
     p, q = np.clip(sx, KL_FLOOR, 1.0), np.clip(sy, KL_FLOOR, 1.0)
     p_minus_q, log_ratio = p - q, np.log(p) - np.log(q)
 
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g_prod = np.full_like(p, g[0, 0])
-        g_diff, g_log = g_prod * log_ratio, g_prod * p_minus_q
+    def vjp(g: float) -> tuple[np.ndarray, np.ndarray]:
+        g_diff, g_log = g * log_ratio, g * p_minus_q
         g_p, g_q = g_diff + g_log / p, -g_diff - g_log / q
         return (ad.softmax_vjp(sx, g_p * ((sx > KL_FLOOR) & (sx < 1.0))),
                 ad.softmax_vjp(sy, g_q * ((sy > KL_FLOOR) & (sy < 1.0))))
 
-    return np.array([[(p_minus_q * log_ratio).sum()]]), vjp
+    return np.add.reduce(p_minus_q * log_ratio, axis=None).item(), vjp
 
 
 # each metric's core: the cosine is DM' (DM = 1 - cos); the mean absolute and
@@ -131,9 +140,9 @@ def _symmetric_kl(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
 _CORES = {"cos": cosine, "l1": _mean_abs, "mse": _mean_square, "kl": _symmetric_kl}
 
 
-def distance(kind: str, x: np.ndarray, y: np.ndarray, prime: bool) -> tuple[np.ndarray, Callable]:
-    """DM(x, y), or DM'(x, y) if prime, of two 1xd rows: the 1x1 value and the
-    rule mapping its gradient to (g_x, g_y)."""
+def distance(kind: str, x: np.ndarray, y: np.ndarray, prime: bool) -> tuple[float, Callable]:
+    """DM(x, y), or DM'(x, y) if prime, of two 1xd rows: the value and the
+    rule mapping its gradient, a float, to (g_x, g_y)."""
     kind = kind.lower()
     if kind not in DISTANCE_METRICS:
         raise ConfigError(f"unknown distance metric {kind!r}; pick one of {DISTANCE_METRICS}")
@@ -155,8 +164,7 @@ def decouple_loss(res, kind: str) -> ad.Node:
     gradient into its inputs term by term, in the order the terms are summed.
     """
     a, b, inter = res.moe_a, res.moe_b, res.moe_inter
-    d1 = a.routed.value.shape[1]
-    d2 = inter.routed.value.shape[1]
+    d1, d2 = a.routed.value.shape[1], inter.routed.value.shape[1]
     if 2 * d1 != d2:
         raise ConfigError(f"decouple loss needs 2*d1 == d2, got d1={d1}, d2={d2}")
     # (x, split into its nodes; y; prime): DM' within a level, DM across levels
@@ -167,14 +175,16 @@ def decouple_loss(res, kind: str) -> ad.Node:
         for xs, y, prime in pairs))
 
     def rule(g: np.ndarray) -> None:
+        g = g.item()
         for (xs, y, _), vjp in zip(pairs, vjps):
             g_x, g_y = vjp(g)
-            for node, part in zip(xs, np.split(g_x, len(xs), axis=1)):
-                ad.accumulate(node, part)
-            ad.accumulate(y, g_y)
+            w = g_x.shape[1] // len(xs)
+            for i, node in enumerate(xs):
+                ad.accumulate(node, g_x[:, i * w:(i + 1) * w], fresh=True)
+            ad.accumulate(y, g_y, fresh=True)
 
     parents = (a.routed, a.shared, b.routed, b.shared, inter.routed, inter.shared)
-    return ad.Node(sum(values[1:], values[0]), parents, rule)
+    return ad.Node(np.array([[sum(values[1:], values[0])]]), parents, rule)
 
 
 def balance_loss(traces) -> ad.Node:
@@ -188,14 +198,17 @@ def balance_loss(traces) -> ad.Node:
     if not traces or min(t.num_tokens for t in traces) == 0:
         raise ValueError("balance loss needs at least one trace, each with tokens")
     fracs = [(t.selection_counts() / t.selected.size).reshape(-1, 1) for t in traces]
-    terms = [t.probs.value.mean(axis=0, keepdims=True) @ f for t, f in zip(traces, fracs)]
+    # each router's mean probabilities, as ndarray.mean computes them
+    means = [np.add.reduce(t.probs.value, axis=0, keepdims=True) / t.num_tokens for t in traces]
+    terms = [(mean @ f).item() for mean, f in zip(means, fracs)]
 
     def rule(g: np.ndarray) -> None:
-        for t, frac in zip(traces, fracs):
+        g = g.item()
+        for t, frac in zip(traces, fracs):  # g @ frac.T: each product summed from +0.0 (-0.0 to +0.0)
             m = t.num_tokens
-            ad.accumulate(t.probs, np.repeat((g @ frac.T) / m, m, axis=0))
+            ad.accumulate(t.probs, ((g * frac.T + 0.0) / m).repeat(m, axis=0), fresh=True)
 
-    return ad.Node(sum(terms[1:], terms[0]), tuple(t.probs for t in traces), rule)
+    return ad.Node(np.array([[sum(terms[1:], terms[0])]]), tuple(t.probs for t in traces), rule)
 
 
 def total_loss(
@@ -204,18 +217,10 @@ def total_loss(
     """surv + alpha * dm + beta * bl as one node."""
 
     def rule(g: np.ndarray) -> None:
-        ad.accumulate(surv, g)
-        ad.accumulate(dm, alpha * g)
-        ad.accumulate(bl, beta * g)
+        for node, weight in ((surv, 1.0), (dm, alpha), (bl, beta)):  # 1.0 * g is g
+            ad.accumulate(node, np.array([[weight * g.item()]]), fresh=True)
 
-    value = surv.value + ((alpha * dm.value + 0.0) + (beta * bl.value + 0.0))
-    total = ad.Node(value, (surv, dm, bl), rule)
-    breakdown = LossBreakdown(
-        surv=float(surv.value[0, 0]),
-        dm=float(dm.value[0, 0]),
-        bl=float(bl.value[0, 0]),
-        total=float(total.value[0, 0]),
-        alpha=alpha,
-        beta=beta,
-    )
-    return breakdown, total
+    s, d, b = surv.value.item(), dm.value.item(), bl.value.item()
+    value = s + ((alpha * d + 0.0) + (beta * b + 0.0))
+    breakdown = LossBreakdown(surv=s, dm=d, bl=b, total=value, alpha=alpha, beta=beta)
+    return breakdown, ad.Node(np.array([[value]]), (surv, dm, bl), rule)

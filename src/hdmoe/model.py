@@ -252,7 +252,7 @@ def fuse(
     )
     v_f1_proj = ad.matmul(v_f1, lifted.bridge)
 
-    out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe)
+    out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe, router_last=True)
 
     v_f2 = rfr_forward([out_inter.routed, out_inter.shared], [s for _, s in segments])
 
@@ -319,7 +319,8 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
     for p, entry in stored.items():
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise ConfigError(f"{path}: {p} needs a 'shape' and a 'data' entry")
-        if not isinstance(entry["shape"], list) or tuple(entry["shape"]) != expected[p]:
+        shape = entry["shape"]  # exact types: a bool or a float compares equal to an int
+        if not isinstance(shape, list) or not set(map(type, shape)) <= {int} or tuple(shape) != expected[p]:
             raise ConfigError(f"{path}: {p} has shape {entry['shape']!r}, config expects "
                               f"{list(expected[p])}")
         data = entry["data"]

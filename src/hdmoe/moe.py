@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .encoder import uniform_init
 from .errors import ConfigError
 
@@ -72,8 +73,8 @@ class MoEOutput:
     routed: ad.Node  # [B, d]
     shared: ad.Node  # [B, d]
     trace: RouterTrace
-    tokens: ad.Node  # [B*T, l] inputs to the experts, row b's at b*T .. b*T+T-1
-    shared_tokens: ad.Node  # [B*T, l] shared-expert outputs per token
+    tokens: np.ndarray  # [B*T, l] inputs to the experts, row b's at b*T .. b*T+T-1
+    shared_tokens: np.ndarray  # [B*T, l] shared-expert outputs per token
 
 
 def init_expert_params(token_len: int, expansion: int, rng: np.random.Generator) -> ExpertParams:
@@ -97,41 +98,75 @@ def init_moe_params(cfg: MoEConfig, rng: np.random.Generator) -> MoEParams:
     )
 
 
-def tokenize(v: ad.Node, token_len: int) -> ad.Node:
-    """Reshape B x d into B*T x token_len: row b's tokens are rows b*T .. b*T+T-1."""
-    rows, d = v.value.shape
-    if d % token_len != 0:
-        raise ConfigError(f"token_len {token_len} does not divide feature dim {d}")
-    return ad.reshape(v, (rows * d // token_len, token_len))
-
-
 def select_top_k(probs: np.ndarray, top_k: int) -> np.ndarray:
     """Indices of the top_k largest probs per row; ties go to the lower index."""
-    order = np.argsort(-probs, axis=1, kind="stable")
-    return order[:, :top_k]
+    return (-probs).argsort(axis=1, kind="stable")[:, :top_k]
 
 
-def moe_forward(v: ad.Node, cfg: MoEConfig, params) -> MoEOutput:
-    """Run the expert block over all tokens of v (B x d).
+def moe_forward(v: ad.Node, cfg: MoEConfig, params, router_last: bool = False) -> MoEOutput:
+    """Run the expert block over all tokens of v (B x d) as one tape node.
 
-    `params` holds Nodes (lifted MoEParams). The routed experts are one tape
-    node, which batches the tokens selecting an expert through one fused
-    feed-forward call.
-    """
-    tokens = tokenize(v, cfg.token_len)
+    `params` holds Nodes (lifted MoEParams). Row b of v is cut into tokens
+    b*T .. b*T+T-1. One stable sort groups the (token, expert) pairs by
+    expert, so each reached expert runs the fused kernel once over its run
+    of pairs. The node is the routed output; the shared output and the
+    router softmax are its side outputs. The tokens' gradient adds the
+    routed experts' term, then the router's and the shared expert's, or with
+    router_last the shared expert's and the router's: the orders of the
+    level-1 and level-2 blocks when each was seven tape ops."""
+    if v.value.shape[1] % cfg.token_len != 0:
+        raise ConfigError(f"token_len {cfg.token_len} does not divide feature dim {v.value.shape[1]}")
+    x = v.value.reshape(-1, cfg.token_len)
+    router, experts, sh = params.router, params.experts, params.shared
+    p = ad.softmax(x @ router.value)
+    selected = select_top_k(p, cfg.top_k)
+    order = selected.ravel().argsort(kind="stable")
+    rows, cols = order // cfg.top_k, selected.ravel()[order]
+    xs, gates = x[rows], p[rows, cols, None]
+    edges = cols.searchsorted(np.arange(len(experts) + 1)).tolist()
+    runs = [(ex, lo, hi) for ex, lo, hi in zip(experts, edges[:-1], edges[1:]) if lo < hi]
+    ys, saved = np.empty_like(xs), []
+    for ex, lo, hi in runs:
+        ys[lo:hi], *cache = kernels.ffn_forward(xs[lo:hi], ex.w1.value, ex.b1.value, ex.w2.value,
+                                                ex.b2.value)
+        saved.append(cache)
+    routed_tokens = np.zeros(x.shape)
+    np.add.at(routed_tokens, rows, ys * gates)
+    shared_tokens, *shared_cache = kernels.ffn_forward(x, sh.w1.value, sh.b1.value, sh.w2.value, sh.b2.value)
 
-    logits = ad.matmul(tokens, params.router)  # [T, N]
-    probs = ad.row_softmax(logits)
-    selected = select_top_k(probs.value, cfg.top_k)  # [T, k]
-    routed_tokens = ad.routed_experts(tokens, probs, selected, params.experts)
+    side_grads = [None, None]  # of the shared output and the router softmax
 
-    sh = params.shared
-    shared_tokens = ad.expert_ffn(tokens, sh.w1, sh.b1, sh.w2, sh.b2)
+    def rule(g: np.ndarray) -> None:
+        g_shared, g_probs = side_grads
+        gs = g.reshape(x.shape)[rows]
+        g_p = np.zeros(p.shape)
+        g_p[rows, cols] = np.add.reduce(gs * ys, axis=1)
+        if g_probs is not None:
+            g_p += g_probs
+        g_xs, g_ys = np.empty_like(xs), gs * gates
+        for (ex, lo, hi), cache in zip(runs, saved):
+            g_xs[lo:hi], *g_params = kernels.ffn_backward(
+                g_ys[lo:hi], xs[lo:hi], ex.w1.value, ex.w2.value, *cache)
+            for node, grad in zip((ex.w1, ex.b1, ex.w2, ex.b2), g_params):
+                ad.accumulate(node, grad, fresh=True)
+        g_x = np.zeros(x.shape)
+        np.add.at(g_x, rows, g_xs)
+        g_logits = ad.softmax_vjp(p, g_p)
+        ad.accumulate(router, x.T @ g_logits, fresh=True)
+        terms = [g_logits @ router.value.T]
+        if g_shared is not None:
+            g_sx, *g_params = kernels.ffn_backward(
+                g_shared.reshape(x.shape), x, sh.w1.value, sh.w2.value, *shared_cache)
+            for node, grad in zip((sh.w1, sh.b1, sh.w2, sh.b2), g_params):
+                ad.accumulate(node, grad, fresh=True)
+            terms.insert(0 if router_last else 1, g_sx)
+        for term in terms:
+            g_x += term
+        ad.accumulate(v, g_x.reshape(v.value.shape), fresh=True)
 
-    return MoEOutput(
-        routed=ad.reshape(routed_tokens, v.value.shape),
-        shared=ad.reshape(shared_tokens, v.value.shape),
-        trace=RouterTrace(probs, selected),
-        tokens=tokens,
-        shared_tokens=shared_tokens,
-    )
+    parents = (v, router, *(n for ex, *_ in runs for n in (ex.w1, ex.b1, ex.w2, ex.b2)),
+               sh.w1, sh.b1, sh.w2, sh.b2)
+    routed = ad.Node(routed_tokens.reshape(v.value.shape), parents, rule)
+    shared = ad.side_output(routed, shared_tokens.reshape(v.value.shape), side_grads, 0)
+    probs = ad.side_output(routed, p, side_grads, 1)
+    return MoEOutput(routed, shared, RouterTrace(probs, selected), x, shared_tokens)

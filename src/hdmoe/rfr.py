@@ -41,11 +41,15 @@ def draw_segments(
     by sample: sample i's draw for every length in turn, then sample i+1's.
     One integers call makes every draw, in that order. A length with one
     choice draws nothing, a pinned one (checked to divide it) included."""
-    choices = [valid_segments(segment_values if pin is None else [pin], d)
-               for d, pin in zip(lengths, pins)]
+    choices = [_choices(tuple(segment_values), d, pin) for d, pin in zip(lengths, pins)]
     picks = rng.integers(0, [len(c) for c in choices], size=(count, len(choices)))
     columns = [[c[k] for k in col] for c, col in zip(choices, picks.T.tolist())]
     return list(zip(*columns))
+
+
+@lru_cache(maxsize=None)
+def _choices(segment_values: tuple[int, ...], d: int, pin: int | None) -> tuple[int, ...]:
+    return tuple(valid_segments(segment_values if pin is None else [pin], d))
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +77,14 @@ def rfr_forward(vectors: list[ad.Node], segments: list[int]) -> ad.Node:
             raise ShapeError(f"rfr_forward inputs must all be {shape[0]}x{shape[1]}, got {v.value.shape}")
     if len(segments) != shape[0]:
         raise ShapeError(f"rfr_forward needs one segment per row: {len(segments)} for {shape[0]} rows")
-    perms = np.stack([build_permutation(len(vectors), shape[1], s) for s in segments])
+    rows = np.arange(shape[0])[:, None]
+    perms = np.array([build_permutation(len(vectors), shape[1], s) for s in segments])
 
     def rule(g: np.ndarray) -> None:
         full = np.empty_like(g)
-        np.put_along_axis(full, perms, g, axis=1)
-        for v, part in zip(vectors, np.split(full, len(vectors), axis=1)):
-            ad.accumulate(v, part)
+        full[rows, perms] = g
+        for i, v in enumerate(vectors):
+            ad.accumulate(v, full[:, i * shape[1]:(i + 1) * shape[1]], fresh=True)
 
     joined = np.concatenate([v.value for v in vectors], axis=1)
-    return ad.Node(np.take_along_axis(joined, perms, axis=1), tuple(vectors), rule)
+    return ad.Node(joined[rows, perms], tuple(vectors), rule)

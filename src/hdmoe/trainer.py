@@ -15,6 +15,7 @@ import logging
 import os
 import pickle
 import signal
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .model import HDMoEParams, ModelConfig, forward, lift_params, named_params
 
 log = logging.getLogger("hdmoe.trainer")
 _BLOCK = 1 << 15  # elements per update pass: six such float64 blocks (1.5 MB) stay in L2 cache
+REAP_GRACE_S = 2.0  # a stopped fold lane that has not ended by then is killed
 
 
 @dataclass(frozen=True)
@@ -271,11 +273,16 @@ def map_folds(fn, folds: list[int]) -> list:
                 payload = pickle.dumps(((lane, lost), results[lane::lanes]))
             err, results[lane::lanes] = pickle.loads(payload)
             failed.append(err)
-    finally:
+    finally:  # SIGTERM, then SIGKILL to a lane not gone within the grace period
         for _, pid, read in workers:
             read.close()
             os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
+        deadline = time.monotonic() + REAP_GRACE_S
+        for _, pid, _ in workers:
+            while not os.waitpid(pid, os.WNOHANG)[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                time.sleep(0.005)
     if any(failed):
         raise min(filter(None, failed), key=lambda err: err[0])[1]
     return results

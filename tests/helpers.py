@@ -12,11 +12,12 @@ import numpy as np
 
 from hdmoe import autodiff as ad
 from hdmoe import evaluation as ev
+from hdmoe import kernels
 from hdmoe import losses
 from hdmoe import model as hm
 from hdmoe.data import assign_bin, compute_bin_edges
-from hdmoe.errors import MetricError, NumericsError, ShapeError
-from hdmoe.moe import MoEOutput, moe_forward, select_top_k
+from hdmoe.errors import ConfigError, MetricError, NumericsError, ShapeError
+from hdmoe.moe import MoEOutput, RouterTrace, moe_forward, select_top_k
 from hdmoe.rfr import build_permutation, rfr_forward, valid_segments
 from hdmoe.trainer import split_fold
 
@@ -81,10 +82,10 @@ def check_grads(f_tape, arrays, rtol=1e-4, eps=1e-5):
 
 # ---------------------------------------------------------------------------
 # fine ops and the composites built from them: the tape as it was before
-# the bag encoder, routed experts, cosine, survival NLL, balance loss,
-# decouple loss, total loss and each fusion stage became one node each (the
-# encoder's composite is encode_bag_single below). Each composite records
-# many nodes and must give the one node's values.
+# the bag encoder, routed experts, MoE block, cosine, survival NLL, balance
+# loss, decouple loss, total loss and each fusion stage became one node each
+# (the encoder's composite is encode_bag_single below). Each composite
+# records many nodes and must give the one node's values.
 
 
 def _require_same_shape(a, b, op):
@@ -270,6 +271,96 @@ def mean_rows(a):
     )
 
 
+def reshape(a, shape):
+    return ad.Node(
+        a.value.reshape(shape), (a,), lambda g: ad.accumulate(a, g.reshape(a.value.shape))
+    )
+
+
+def row_softmax(a):
+    p = ad.softmax(a.value)
+    return ad.Node(p, (a,), lambda g: ad.accumulate(a, ad.softmax_vjp(p, g)))
+
+
+def expert_ffn(x, w1, b1, w2, b2):
+    """Fused 2-layer SiLU feed-forward unit (kernels.py)."""
+    if x.value.shape[1] != w1.value.shape[0]:
+        raise ShapeError(f"expert_ffn: {x.value.shape} @ {w1.value.shape}")
+    if w1.value.shape[1] != w2.value.shape[0]:
+        raise ShapeError(f"expert_ffn: hidden {w1.value.shape} @ {w2.value.shape}")
+    v, *cache = kernels.ffn_forward(x.value, w1.value, b1.value, w2.value, b2.value)
+
+    def rule(g):
+        grads = kernels.ffn_backward(g, x.value, w1.value, w2.value, *cache)
+        for node, grad in zip((x, w1, b1, w2, b2), grads):
+            ad.accumulate(node, grad)
+
+    return ad.Node(v, (x, w1, b1, w2, b2), rule)
+
+
+def routed_experts(tokens, probs, selected, experts):
+    """Row t: the sum over e in selected[t] of probs[t, e] * ffn_e(tokens[t]),
+    as one node: one stable sort groups the (token, expert) pairs by expert,
+    each reached expert runs the fused kernel once over its run of pairs, and
+    the rule scatters the gates' gradients into probs at (row, expert)."""
+    x, p = tokens.value, probs.value
+    order = np.argsort(selected.ravel(), kind="stable")
+    rows, cols = order // selected.shape[1], selected.ravel()[order]
+    xs, gates = x[rows], p[rows, cols][:, None]
+    edges = np.searchsorted(cols, np.arange(len(experts) + 1))
+    runs = [((ex.w1, ex.b1, ex.w2, ex.b2), lo, hi)
+            for ex, lo, hi in zip(experts, edges[:-1], edges[1:]) if lo < hi]
+    ys, saved = np.empty_like(xs), []
+    for (w1, b1, w2, b2), lo, hi in runs:
+        ys[lo:hi], *cache = kernels.ffn_forward(xs[lo:hi], w1.value, b1.value, w2.value, b2.value)
+        saved.append(cache)
+    out = np.zeros_like(x)
+    np.add.at(out, rows, ys * gates)
+
+    def rule(g):
+        gs, g_tokens, g_probs = g[rows], np.zeros_like(x), np.zeros_like(p)
+        g_probs[rows, cols] = (gs * ys).sum(axis=1)
+        g_xs, g_ys = np.empty_like(xs), gs * gates
+        for (params, lo, hi), cache in zip(runs, saved):
+            g_xs[lo:hi], *g_params = kernels.ffn_backward(
+                g_ys[lo:hi], xs[lo:hi], params[0].value, params[2].value, *cache)
+            for node, grad in zip(params, g_params):
+                ad.accumulate(node, grad)
+        np.add.at(g_tokens, rows, g_xs)
+        ad.accumulate(tokens, g_tokens)
+        ad.accumulate(probs, g_probs)
+
+    return ad.Node(out, (tokens, probs, *(n for params, *_ in runs for n in params)), rule)
+
+
+def tokenize(v, token_len):
+    """Reshape B x d into B*T x token_len: row b's tokens are rows b*T .. b*T+T-1."""
+    rows, d = v.value.shape
+    if d % token_len != 0:
+        raise ConfigError(f"token_len {token_len} does not divide feature dim {d}")
+    return reshape(v, (rows * d // token_len, token_len))
+
+
+def moe_forward_composite(v, cfg, params):
+    """The MoE block as seven nodes: tokenize, router matmul, row softmax,
+    routed experts, shared expert and the two reshapes back to B x d. Its
+    tokens' gradient sums the three terms in whatever order backward reaches
+    the routed experts, the router and the shared expert."""
+    tokens = tokenize(v, cfg.token_len)
+    probs = row_softmax(ad.matmul(tokens, params.router))
+    selected = select_top_k(probs.value, cfg.top_k)
+    routed_tokens = routed_experts(tokens, probs, selected, params.experts)
+    sh = params.shared
+    shared_tokens = expert_ffn(tokens, sh.w1, sh.b1, sh.w2, sh.b2)
+    return MoEOutput(
+        routed=reshape(routed_tokens, v.value.shape),
+        shared=reshape(shared_tokens, v.value.shape),
+        trace=RouterTrace(probs, selected),
+        tokens=tokens.value,
+        shared_tokens=shared_tokens.value,
+    )
+
+
 def routed_experts_composite(tokens, probs, selected, experts):
     """gather -> expert_ffn -> scale by gate -> scatter -> add, per expert."""
     num_tokens = tokens.value.shape[0]
@@ -281,7 +372,7 @@ def routed_experts_composite(tokens, probs, selected, experts):
         pair_idx = np.flatnonzero(flat_cols == expert_idx)
         token_rows = flat_rows[pair_idx]
         ex = experts[expert_idx]
-        out = ad.expert_ffn(gather_rows(tokens, token_rows), ex.w1, ex.b1, ex.w2, ex.b2)
+        out = expert_ffn(gather_rows(tokens, token_rows), ex.w1, ex.b1, ex.w2, ex.b2)
         scaled = scale_rows(out, gather_rows(gates, pair_idx))
         part = scatter_rows(scaled, token_rows, num_tokens)
         routed_sum = part if routed_sum is None else add(routed_sum, part)
@@ -330,24 +421,44 @@ def balance_loss_composite(traces):
     return total
 
 
+def cosine_1x1(x, y):
+    """losses.cosine with its scalars held as 1x1 arrays, as it was before
+    they became floats: the 1x1 value and the rule, which takes a float."""
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    dot = x @ yt
+    nx, ny = np.sqrt(x @ xt), np.sqrt(y @ yt)
+    denom = nx * ny + losses.COSINE_NORM_EPS
+
+    def vjp(g):
+        g_dot = g / denom
+        g_prod = -g * dot / (denom * denom)
+        g_xx = g_prod * ny / (2.0 * nx) if nx.item() else np.zeros_like(g_prod)
+        g_yy = g_prod * nx / (2.0 * ny) if ny.item() else np.zeros_like(g_prod)
+        return g_dot * y + g_xx * x + x * g_xx, x * g_dot + g_yy * y + y * g_yy
+
+    return dot / denom, vjp
+
+
 def pair_node(fn, x, y):
-    """One node from fn(x.value, y.value) -> (value, rule giving (g_x, g_y)):
-    the way losses.cosine and losses.distance are recorded on their own."""
+    """One node from fn(x.value, y.value) -> (value, rule mapping a float
+    gradient to (g_x, g_y)): the way losses.cosine and losses.distance are
+    recorded on their own."""
     value, vjp = fn(x.value, y.value)
 
     def rule(g):
-        g_x, g_y = vjp(g)
+        g_x, g_y = vjp(g.item())
         ad.accumulate(x, g_x)
         ad.accumulate(y, g_y)
 
-    return ad.Node(value, (x, y), rule)
+    return ad.Node(np.reshape(value, (1, 1)), (x, y), rule)
 
 
 def distance_composite(kind, x, y):
-    """(DM, DM') of two 1xd rows by fine ops around the one-node cosine."""
+    """(DM, DM') of two 1xd rows by fine ops around the one-node cosine of
+    1x1 arrays."""
     d = x.value.shape[1]
     if kind == "cos":
-        cos = pair_node(losses.cosine, x, y)
+        cos = pair_node(cosine_1x1, x, y)
         return affine(cos, -1.0, 1.0), cos
     if kind == "l1":
         dm = affine(sum_all(absolute(sub(x, y))), 1.0 / d, 0.0)
@@ -355,8 +466,8 @@ def distance_composite(kind, x, y):
         diff = sub(x, y)
         dm = affine(sum_all(mul(diff, diff)), 1.0 / d, 0.0)
     else:  # kl
-        p = clip(ad.row_softmax(x), 1e-9, 1.0)
-        q = clip(ad.row_softmax(y), 1e-9, 1.0)
+        p = clip(row_softmax(x), 1e-9, 1.0)
+        q = clip(row_softmax(y), 1e-9, 1.0)
         dm = sum_all(mul(sub(p, q), sub(log(p), log(q))))
     return dm, affine(dm, -1.0, 0.0)
 
@@ -583,7 +694,7 @@ def encode_bag_single(bag, params):
     h = ad.matmul(ad.leaf(bag, name="bag"), params.w_proj)
     gate = mul(tanh(ad.matmul(h, params.v_att)), ad.sigmoid(ad.matmul(h, params.u_att)))
     scores = ad.matmul(gate, params.w_att)
-    weights = ad.row_softmax(ad.reshape(scores, (1, scores.value.shape[0])))
+    weights = row_softmax(reshape(scores, (1, scores.value.shape[0])))
     return ad.matmul(weights, h)
 
 
@@ -601,7 +712,7 @@ def forward_single(sample, lifted, cfg, rng, pin_segments=(None, None)):
     s1 = segment(cfg.d1, pin_segments[0])
     v_f1 = rfr_forward([out_a.routed, out_a.shared, out_b.routed, out_b.shared], [s1])
     v_f1_proj = ad.matmul(v_f1, lifted.bridge)
-    out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe)
+    out_inter = moe_forward(v_f1_proj, cfg.level2_moe, lifted.level2_moe, router_last=True)
     s2 = segment(cfg.d2, pin_segments[1])
     v_f2 = rfr_forward([out_inter.routed, out_inter.shared], [s2])
     hazards = ad.sigmoid(ad.add_bias(ad.matmul(v_f2, lifted.head_w), lifted.head_b))
@@ -623,8 +734,10 @@ def result_arrays(res):
     out = {}
     for name, value in vars(res).items():
         if isinstance(value, MoEOutput):
-            for part in ("routed", "shared", "tokens", "shared_tokens"):
+            for part in ("routed", "shared"):
                 out[f"{name}.{part}"] = getattr(value, part).value
+            out[f"{name}.tokens"] = value.tokens
+            out[f"{name}.shared_tokens"] = value.shared_tokens
             out[f"{name}.probs"] = value.trace.probs.value
             out[f"{name}.selected"] = value.trace.selected
         elif isinstance(value, ad.Node):
@@ -677,7 +790,7 @@ def redundancy_score_loop(params, model_cfg, records, level, modality, rng):
     lifted, _ = hm.lift_params(params, requires_grad=False)
     outs = forward_loop(records, lifted, model_cfg, rng)[3]
     side = "moe_inter" if level == 2 else f"moe_{modality}"
-    pre = average_abs_correlation_loop([getattr(o, side).tokens.value for o in outs])
-    post = average_abs_correlation_loop([getattr(o, side).shared_tokens.value for o in outs])
+    pre = average_abs_correlation_loop([getattr(o, side).tokens for o in outs])
+    post = average_abs_correlation_loop([getattr(o, side).shared_tokens for o in outs])
     off = ~np.eye(pre.shape[0], dtype=bool)
     return pre, post, float(pre[off].sum() - post[off].sum())

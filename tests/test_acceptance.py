@@ -21,7 +21,7 @@ from hdmoe import model as hm
 from hdmoe import moe
 from hdmoe import trainer as ht
 
-from helpers import decoupled_stub, finite_diff_gradient, max_rel_err, oracle_cindex
+from helpers import decoupled_stub, finite_diff_gradient, max_rel_err, oracle_cindex, row_softmax
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -160,7 +160,7 @@ def test_criterion_1_gradient_suite():
         selected = moe.select_top_k(probs, 1)
 
         def build(w):
-            p = ad.row_softmax(ad.matmul(ad.leaf(tokens), w))
+            p = row_softmax(ad.matmul(ad.leaf(tokens), w))
             return losses.balance_loss([moe.RouterTrace(probs=p, selected=selected)])
 
         err = _fd_check(build, [router], rtol=1e-4)

@@ -1,9 +1,10 @@
-"""The one-node tape composites (bag encoder, routed experts, cosine, survival
-NLL, balance loss, decouple loss, total loss, fusion) against the fine-op
-composites they replaced, kept in `helpers`: values and gradients bitwise
-(cosine: gradients to 1e-12 against the composite, bitwise against its rule's
-own order), and against finite differences. The fine ops those oracles are
-built from get their own FD sweep here."""
+"""The one-node tape composites (bag encoder, routed experts, MoE block,
+cosine, survival NLL, balance loss, decouple loss, total loss, fusion) against
+the fine-op composites they replaced, kept in `helpers`: values and gradients
+bitwise (cosine: gradients to 1e-12 against the composite, bitwise against its
+rule's own order and against its 1x1-array form), and against finite
+differences. The fine ops those oracles are built from get their own FD sweep
+here."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import helpers as hp
 from hdmoe import autodiff as ad
 from hdmoe import losses
 from hdmoe.encoder import EncoderParams, encode_bag
+from hdmoe import moe
 from hdmoe.moe import ExpertParams, RouterTrace
 from hdmoe.rfr import rfr_forward, valid_segments
 from helpers import check_grads
@@ -119,7 +121,7 @@ def test_routed_experts_bitwise_equal_to_composite(routing, token_len, expansion
     arrays += _expert_arrays(rng, num_experts, token_len, expansion * token_len)
     weight = rng.normal(size=(num_tokens, token_len))
 
-    value, grads = _grads_of(_routed(ad.routed_experts, selected, num_experts), arrays, weight)
+    value, grads = _grads_of(_routed(hp.routed_experts, selected, num_experts), arrays, weight)
     ref_value, ref_grads = _grads_of(
         _routed(hp.routed_experts_composite, selected, num_experts), arrays, weight)
     assert _same_bits(value, ref_value)
@@ -138,7 +140,7 @@ def test_routed_experts_gradients_match_fd():
     arrays = [rng.uniform(-1, 1, (5, token_len)), rng.uniform(0.05, 1, (5, num_experts))]
     arrays += _expert_arrays(rng, num_experts, token_len, hidden)
     weight = ad.leaf(rng.normal(size=(5, token_len)))
-    build = _routed(ad.routed_experts, selected, num_experts)
+    build = _routed(hp.routed_experts, selected, num_experts)
     check_grads(lambda *a: hp.sum_all(hp.mul(build(*a), weight)), arrays, rtol=1e-6)
 
 
@@ -148,13 +150,96 @@ def test_routed_experts_calls_the_kernel_once_per_reached_expert(monkeypatch):
     calls = []
     forward = kernels.ffn_forward
     monkeypatch.setattr(kernels, "ffn_forward", lambda x, *w: calls.append(x.shape[0]) or forward(x, *w))
+    monkeypatch.setattr(moe, "select_top_k", lambda probs, top_k: np.array([[3], [0], [3], [3]]))
     rng = np.random.default_rng(1)
-    selected = np.array([[3], [0], [3], [3]], dtype=np.intp)
     experts = [ExpertParams(*(ad.leaf(a) for a in _expert_arrays(rng, 1, 2, 4)))
-               for _ in range(5)]
-    ad.routed_experts(ad.leaf(rng.normal(size=(4, 2))), ad.leaf(np.full((4, 5), 0.2)),
-                      selected, experts)
-    assert calls == [1, 3]  # experts 0 and 3, each over the tokens that chose it
+               for _ in range(6)]
+    params = moe.MoEParams(ad.leaf(rng.normal(size=(2, 5))), experts[:5], experts[5])
+    moe.moe_forward(ad.leaf(rng.normal(size=(1, 8))), moe.MoEConfig(5, 1, 2, 2), params)
+    assert calls == [1, 3, 4]  # experts 0 and 3 over the tokens that chose each, then the shared
+
+
+# ---------------------------------------------------------------------------
+# MoE block
+
+
+def _weighted(nodes, weights):
+    """The sum of each node's entries times its weights, as one node whose
+    parents are the nodes in the order given."""
+    value = sum(float((n.value * w).sum()) for n, w in zip(nodes, weights))
+
+    def rule(g):
+        for n, w in zip(nodes, weights):
+            ad.accumulate(n, g.item() * w)
+
+    return ad.Node(np.array([[value]]), tuple(nodes), rule)
+
+
+def _moe_block(forward, cfg, arrays, weights, order):
+    """One MoE block over leaves of arrays (v, router, each expert's four,
+    the shared expert's four) under a loss reading the outputs named in
+    order; returns the block's output and every leaf's gradient."""
+    leaves = [ad.leaf(a, requires_grad=True) for a in arrays]
+    experts = [ExpertParams(*leaves[2 + 4 * e:6 + 4 * e]) for e in range(cfg.num_experts + 1)]
+    out = forward(leaves[0], cfg, moe.MoEParams(leaves[1], experts[:-1], experts[-1]))
+    outputs = {"routed": out.routed, "shared": out.shared, "probs": out.trace.probs}
+    ad.backward(_weighted([outputs[k] for k in order], [weights[k] for k in order]))
+    return out, [leaf.grad for leaf in leaves]
+
+
+def _moe_arrays(rng, cfg, rows):
+    """v (positive), a router that never picks its last expert, and the
+    experts' weights."""
+    router = rng.normal(size=(cfg.token_len, cfg.num_experts))
+    router[:, -1] = -50.0
+    return [rng.uniform(0.1, 2.0, (rows, 4 * cfg.token_len)), router,
+            *_expert_arrays(rng, cfg.num_experts + 1, cfg.token_len, cfg.expansion * cfg.token_len)]
+
+
+# The seven-op block summed the tokens' gradient in backward's order: the
+# routed experts', the router's, the shared expert's when the shared output
+# was reached first (level 1 in a step), else the shared expert's before the
+# router's (level 2). Each loss order below gives one of them.
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("top_k", [1, 2])
+@pytest.mark.parametrize("router_last, order", [(False, ("probs", "routed", "shared")),
+                                                (True, ("routed", "shared", "probs"))])
+@pytest.mark.parametrize("seed", range(3))
+def test_moe_block_bitwise_equal_to_its_seven_op_composition(rows, top_k, router_last, order, seed):
+    rng = np.random.default_rng([rows, top_k, seed])
+    cfg = moe.MoEConfig(num_experts=4, top_k=top_k, token_len=3, expansion=2)
+    arrays = _moe_arrays(rng, cfg, rows)
+    weights = {"routed": rng.normal(size=(rows, 12)), "shared": rng.normal(size=(rows, 12)),
+               "probs": rng.normal(size=(4 * rows, 4))}
+    out, grads = _moe_block(lambda v, c, p: moe.moe_forward(v, c, p, router_last), cfg, arrays,
+                            weights, order)
+    ref, ref_grads = _moe_block(hp.moe_forward_composite, cfg, arrays, weights, order)
+    for got, want in [(out.routed.value, ref.routed.value), (out.shared.value, ref.shared.value),
+                      (out.trace.probs.value, ref.trace.probs.value),
+                      (out.trace.selected, ref.trace.selected), (out.tokens, ref.tokens),
+                      (out.shared_tokens, ref.shared_tokens)]:
+        assert _same_bits(got, want)
+    reached = set(out.trace.selected.ravel().tolist())
+    assert 3 not in reached
+    for i, (g, want) in enumerate(zip(grads, ref_grads)):
+        expert = (i - 2) // 4  # 4 is the shared expert
+        assert (g is None) == (want is None) == (expert in range(4) and expert not in reached), i
+        assert g is None or _same_bits(g, want), i
+
+
+@pytest.mark.parametrize("used", ["routed", "shared", "probs"])
+def test_moe_block_gradient_through_one_output_alone(used):
+    # the other outputs get no gradient: the node's rule reads theirs as zero,
+    # where the seven ops leave the unreached ones' inputs without a gradient
+    rng = np.random.default_rng(8)
+    cfg = moe.MoEConfig(num_experts=4, top_k=2, token_len=3, expansion=2)
+    arrays = _moe_arrays(rng, cfg, 3)
+    weights = {used: rng.normal(size=(12, 4) if used == "probs" else (3, 12))}
+    _, grads = _moe_block(moe.moe_forward, cfg, arrays, weights, (used,))
+    _, ref_grads = _moe_block(hp.moe_forward_composite, cfg, arrays, weights, (used,))
+    for i, (g, want) in enumerate(zip(grads, ref_grads)):
+        assert np.array_equal(g, want) if want is not None else g is None or not g.any(), i
+    assert grads[0] is not None and grads[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +291,7 @@ def test_cosine_gradient_sums_its_three_terms_in_the_rule_order(d, seed):
     x, y = rng.normal(size=(1, d)), rng.normal(size=(1, d))
     g = rng.normal(size=(1, 1))
     eps = losses.COSINE_NORM_EPS
-    gx, gy = losses.cosine(x, y)[1](g)
+    gx, gy = losses.cosine(x, y)[1](g.item())
     dot = x @ np.ascontiguousarray(y.T)
     nx, ny = np.sqrt(x @ np.ascontiguousarray(x.T)), np.sqrt(y @ np.ascontiguousarray(y.T))
     denom = nx * ny + eps
@@ -358,6 +443,39 @@ def test_rfr_forward_bitwise_equal_to_composite(num_vectors, rows, d, seed):
         assert _same_bits(g, ref)
 
 
+def test_rfr_forward_bitwise_equal_to_composite_over_mixed_segments():
+    # three rows, each its own segment, and one input given twice
+    rng = np.random.default_rng(9)
+    arrays = [rng.normal(size=(3, 8)) for _ in range(3)]
+    segments = [4, 1, 8]
+    weight = rng.normal(size=(3, 32))
+    build = lambda fn: lambda a, b, c: fn([a, b, c, a], segments)
+    value, grads = _grads_of(build(rfr_forward), arrays, weight)
+    ref_value, ref_grads = _grads_of(build(hp.rfr_composite), arrays, weight)
+    assert _same_bits(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert _same_bits(g, ref)
+
+
+@pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
+@pytest.mark.parametrize("zero", ["x", "y"])
+def test_distance_at_a_zero_row_bitwise_equal_to_composite(kind, zero):
+    # for cos, against its 1x1-array form, whose rule takes the same limit at a zero row
+    rng = np.random.default_rng(10)
+    x, y = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+    (x if zero == "x" else y)[:] = 0.0
+    weight = rng.normal(size=(1, 1))
+    for prime in (False, True):
+        value, grads = _grads_of(
+            lambda a, b: hp.pair_node(lambda u, v: losses.distance(kind, u, v, prime), a, b),
+            [x, y], weight)
+        ref_value, ref_grads = _grads_of(lambda a, b: hp.distance_composite(kind, a, b)[prime],
+                                         [x, y], weight)
+        assert _same_bits(value, ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert np.isfinite(g).all() and _same_bits(g, ref)
+
+
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
 def test_decouple_loss_gradients_match_fd(kind):
     rng = np.random.default_rng(5)
@@ -377,6 +495,7 @@ def _fine_op_cases(rng):
     w53, w63, w51, w14, w24 = (ad.leaf(u(s)) for s in ((5, 3), (6, 3), (5, 1), (1, 4), (2, 4)))
     perm = rng.permutation(6)
     w33, w25, w6, w17 = (ad.leaf(u(s)) for s in ((3, 3), (2, 5), (1, 6), (1, 7)))
+    w26, w35 = ad.leaf(u((2, 6))), ad.leaf(u((3, 5)))
     return [
         ("add", lambda a, b: hp.sum_all(hp.mul(hp.add(a, b), w33)), [u((3, 3)), u((3, 3))]),
         ("sub", lambda a, b: hp.sum_all(hp.mul(hp.sub(a, b), w33)), [u((3, 3)), u((3, 3))]),
@@ -403,6 +522,10 @@ def _fine_op_cases(rng):
         ("scale_rows", lambda a, s: hp.sum_all(hp.mul(hp.scale_rows(a, s), w43b)),
          [u((4, 3)), u((4, 1))]),
         ("mean_rows", lambda a: hp.sum_all(hp.mul(hp.mean_rows(a), w14)), [u((3, 4))]),
+        ("reshape", lambda a: hp.sum_all(hp.mul(hp.reshape(a, (2, 6)), w26)), [u((3, 4))]),
+        ("row_softmax", lambda a: hp.sum_all(hp.mul(hp.row_softmax(a), w35)), [u((3, 5))]),
+        ("expert_ffn", lambda x, w1, b1, w2, b2: hp.sum_all(hp.expert_ffn(x, w1, b1, w2, b2)),
+         [u((3, 4)), u((4, 8)), u((1, 8)), u((8, 4)), u((1, 4))]),
     ]
 
 

@@ -84,6 +84,21 @@ def test_load_checkpoint_with_one_fuzzed_entry(tmp_path, checkpoint_text, entry,
     _returns_or_rejects(lambda: load_checkpoint(path, TINY))
 
 
+@given(st.sampled_from([name for name, _ in named_params(TINY_PARAMS)]), st.data())
+@FUZZ
+def test_load_checkpoint_rejects_a_shape_entry_equal_to_its_int_but_not_one(
+        tmp_path, checkpoint_text, name, data):
+    blob = json.loads(checkpoint_text)
+    shape = blob["params"][name]["shape"]
+    i = data.draw(st.integers(0, len(shape) - 1))
+    n = shape[i]
+    shape[i] = data.draw(st.sampled_from([float(n), *([bool(n)] if n in (0, 1) else [])]))
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ConfigError, match=f"{name} has shape"):
+        load_checkpoint(path, TINY)
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     """A manifest's lines and the feature files it names, three samples."""

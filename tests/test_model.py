@@ -98,8 +98,8 @@ def test_default_scale_shapes():
     assert res.hazards.value.shape == (1, 4)
     assert res.risk.shape == (1,)
     # level-1/2 token counts at the published defaults
-    assert res.moe_a.tokens.value.shape == (4, 64)
-    assert res.moe_inter.tokens.value.shape == (16, 32)
+    assert res.moe_a.tokens.shape == (4, 64)
+    assert res.moe_inter.tokens.shape == (16, 32)
 
 
 def _reachable(roots):
@@ -384,6 +384,13 @@ def _nan_data(blob):
     return json.dumps(blob)  # Python's json writes and reads NaN
 
 
+def _head_b_shape(first):
+    def edit(blob):
+        blob["params"]["head.b"]["shape"][0] = first  # the expected shape is [1, K]
+        return json.dumps(blob)
+    return edit
+
+
 def _list_meta(blob):
     blob["meta"] = [blob["meta"]]
     return json.dumps(blob)
@@ -409,11 +416,13 @@ def _list_meta(blob):
         _set_entry("data", lambda e: [True, *e["data"][1:]]),
         _set_entry("data", lambda e: [*e["data"][:-1], [0.5]]),
         _set_entry("data", lambda e: [*e["data"][:-1], 10**400]),
+        _head_b_shape(True),
+        _head_b_shape(1.0),
     ],
     ids=["truncated", "not_an_object", "no_params", "no_shape", "no_data", "short_data",
          "int_shape", "null_shape", "bool_in_shape", "nested_data", "string_data",
          "object_data", "nan_data", "list_meta", "bool_in_data", "one_nested_entry",
-         "int_too_large"],
+         "int_too_large", "bool_equal_to_its_int_in_shape", "float_equal_to_its_int_in_shape"],
 )
 def test_damaged_checkpoint_is_config_error_naming_the_file(tmp_path, edit):
     path = tmp_path / "ckpt.json"

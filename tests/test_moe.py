@@ -5,7 +5,7 @@ from hdmoe import autodiff as ad
 from hdmoe import moe
 from hdmoe.errors import ConfigError
 
-from helpers import add, check_grads, route, sum_all
+from helpers import add, check_grads, route, sum_all, tokenize
 
 
 def _lift_moe(params: moe.MoEParams, requires_grad=True) -> moe.MoEParams:
@@ -29,26 +29,30 @@ def _zero_expert(l, e):
 
 def test_tokenize_whole_vector_is_one_token():
     v = ad.leaf(np.arange(8.0).reshape(1, 8))
-    t = moe.tokenize(v, 8)
+    t = tokenize(v, 8)
     assert t.value.shape == (1, 8)
     assert np.array_equal(t.value[0], np.arange(8.0))
 
 
 def test_tokenize_pairs():
     v = ad.leaf(np.arange(8.0).reshape(1, 8))
-    t = moe.tokenize(v, 2)
+    t = tokenize(v, 2)
     assert t.value.shape == (4, 2)
     assert np.array_equal(t.value, [[0, 1], [2, 3], [4, 5], [6, 7]])
 
 
 def test_tokenize_default_dims_give_four_tokens():
     v = ad.leaf(np.zeros((1, 256)))
-    assert moe.tokenize(v, 64).value.shape == (4, 64)
+    assert tokenize(v, 64).value.shape == (4, 64)
 
 
 def test_tokenize_non_divisor_rejected():
     with pytest.raises(ConfigError):
-        moe.tokenize(ad.leaf(np.zeros((1, 8))), 3)
+        tokenize(ad.leaf(np.zeros((1, 8))), 3)
+    cfg = moe.MoEConfig(num_experts=2, top_k=1, token_len=3)
+    lifted = _lift_moe(moe.init_moe_params(cfg, np.random.default_rng(0)))
+    with pytest.raises(ConfigError, match="does not divide"):
+        moe.moe_forward(ad.leaf(np.zeros((1, 8))), cfg, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,25 @@ def test_unselected_expert_gradients_are_exactly_zero():
             assert any(g is not None and np.abs(g).max() > 0 for g in grads)
         else:
             assert all(g is None for g in grads)
+
+
+def test_moe_block_leaves_no_reference_cycle():
+    # a cycle through the side outputs would keep each step's graph alive
+    # until the cyclic collector runs
+    import gc
+
+    rng = np.random.default_rng(8)
+    cfg = moe.MoEConfig(num_experts=3, top_k=2, token_len=2, expansion=2)
+    lifted = _lift_moe(moe.init_moe_params(cfg, rng))
+    gc.collect()
+    gc.disable()
+    try:
+        out = moe.moe_forward(ad.leaf(rng.normal(size=(2, 6)), requires_grad=True), cfg, lifted)
+        ad.backward(add(sum_all(add(out.routed, out.shared)), sum_all(out.trace.probs)))
+        del out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_moe_forward_gradients_match_fd():

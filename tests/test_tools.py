@@ -28,14 +28,20 @@ def test_step_profile_runs_on_desk_config(monkeypatch):
     monkeypatch.setattr(profile, "CHECKPOINT_CALLS", 1)
     benches = sorted(profile.ROOT.glob("BENCH_*.json"))
     cfg = apply_desk_preset(RunConfig()).model_config()
-    steps, nodes, nograd, repeaters, checkpoint = profile.profile_scale(cfg, "desk")
+    steps, nodes, rules, nograd, repeaters, checkpoint = profile.profile_scale(cfg, "desk")
     assert set(steps) == {*profile.STAGES, "step"}
     assert set(nograd) == {"1", str(profile.FORWARDS)}
     assert set(repeaters) == {"stability", "redundancy"}
     assert set(checkpoint) == {"save", "load", "mb"}
     for value in (*steps.values(), *nograd.values(), *repeaters.values(), *checkpoint.values()):
         assert math.isfinite(value) and value > 0
-    assert 0 < nodes["ops"] <= 50 and nodes["leaves"] > 0
+    assert 0 < nodes["ops"] <= 22 and nodes["leaves"] > 0
+    # each kind of rule a desk step runs, by the function that defines it
+    assert set(rules) == {"encoder.encode_bag", "moe.moe_forward", "autodiff.side_output",
+                          "rfr.rfr_forward", "autodiff.matmul", "autodiff.add_bias",
+                          "autodiff.sigmoid", "losses.survival_nll", "losses.decouple_loss",
+                          "losses.balance_loss", "losses.total_loss"}
+    assert all(math.isfinite(ms) and ms > 0 for ms in rules.values())
     assert sorted(profile.ROOT.glob("BENCH_*.json")) == benches
 
 
@@ -50,7 +56,7 @@ def test_step_profile_times_train_end_to_end(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
-def test_desk_step_records_33_ops_for_every_metric(kind):
+def test_desk_step_records_at_most_22_ops_for_every_metric(kind):
     profile = _load_tool("step_profile")
     cfg = apply_desk_preset(RunConfig()).model_config()
     sample = profile._records(cfg)[0]
@@ -60,5 +66,6 @@ def test_desk_step_records_33_ops_for_every_metric(kind):
     _, total = losses.total_loss(
         losses.survival_nll(res.hazards, sample.bin_label, sample.censored),
         losses.decouple_loss(res, kind), losses.balance_loss(res.traces), 1.0, 0.01)
-    # per MoE block 7, per fusion 1, each encoder, loss term and the total 1, head 3, bridge 1
-    assert profile.tape_nodes(total)[1] == 33
+    # per MoE block 3 (the block and its shared and router-softmax outputs), per fusion 1,
+    # each encoder, loss term and the total 1, head 3, bridge 1
+    assert profile.tape_nodes(total)[1] == 21 <= 22

@@ -379,3 +379,29 @@ def test_map_folds_error_in_this_process_stops_and_reaps_the_lanes(monkeypatch):
         ht.map_folds(fn, [0, 1, 2])
     assert time.monotonic() - start < 30
     assert _no_child_left()
+
+
+def test_map_folds_kills_a_stopped_lane_that_ignores_sigterm(monkeypatch, tmp_path):
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(ht, "REAP_GRACE_S", 0.3)
+    ready, raised = tmp_path / "lane1.pid", []
+
+    def fn(fid):
+        if fid == 1:  # the forked lane: deaf to SIGTERM, then says so with its pid
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            (tmp_path / "pid.tmp").rename(ready)
+            time.sleep(60)
+        for _ in range(2000):  # this process fails once the lane ignores SIGTERM
+            if ready.exists():
+                raised.append(time.monotonic())
+                raise ValueError("lane 0 fails")
+            time.sleep(0.005)
+        raise AssertionError("the forked lane never started")
+
+    with pytest.raises(ValueError, match="lane 0 fails"):
+        ht.map_folds(fn, [0, 1])
+    assert time.monotonic() - raised[0] < ht.REAP_GRACE_S + 5
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(ready.read_text()), 0)
+    assert _no_child_left()

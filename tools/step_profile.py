@@ -6,6 +6,9 @@
   head); the survival, decouple and balance loss terms and the total that
   sums them; backward and optimizer; and the tape nodes a step records (the leaves and ops that
   ``backward`` walks from the total loss), medians over the timed steps.
+  A second run of as many steps times each backward rule and reports the
+  median time per step of each rule kind, keyed by the function that
+  defines the rule (``moe.moe_forward``, ``autodiff.matmul``, ...).
   As in ``train_fold``, the parameters are one flat vector lifted once
   before the steps, so the "lift" stage of a step is zeroing the flat
   gradient plus the finiteness check of the flat parameters (BENCH_0 to
@@ -113,7 +116,38 @@ def tape_nodes(root) -> tuple[int, int]:
     return leaves, len(seen) - leaves
 
 
-def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]:
+def rule_kind(rule) -> str:
+    """The function a backward rule is defined in, as module.function."""
+    return f"{rule.__module__.rpartition('.')[2]}.{rule.__qualname__.split('.<locals>')[0]}"
+
+
+def timed_backward(root) -> dict[str, float]:
+    """backward(root), and the seconds it spent in each kind of rule."""
+    from hdmoe import autodiff as ad
+
+    spent: dict[str, float] = {}
+
+    def timed(rule, kind):
+        def run(g):
+            t0 = time.perf_counter()
+            rule(g)
+            spent[kind] = spent.get(kind, 0.0) + time.perf_counter() - t0
+        return run
+
+    seen, stack = {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        if node.backward_rule is not None:
+            node.backward_rule = timed(node.backward_rule, rule_kind(node.backward_rule))
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    ad.backward(root)
+    return spent
+
+
+def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, dict, dict, dict, dict]:
     import numpy as np
 
     from hdmoe import autodiff as ad
@@ -134,7 +168,8 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
     warm, timed = STEPS[scale]
     times = {stage: [] for stage in (*STAGES, "step")}
     nodes_per_step = {"leaves": [], "ops": []}
-    for i in range(warm + timed):
+    rules = []  # per step of the second run: seconds per rule kind
+    for i in range(warm + 2 * timed):
         sample = records[i % len(records)]
         t = [time.perf_counter()]
         state.grad.fill(0.0)
@@ -151,14 +186,17 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
         t.append(time.perf_counter())
         _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
         t.append(time.perf_counter())
-        ad.backward(total)
+        if i < warm + timed:
+            ad.backward(total)
+        else:
+            rules.append(timed_backward(total))
         t.append(time.perf_counter())
         trainer.optimizer_step(flat, grads, state, train_cfg)
         t.append(time.perf_counter())
         if not np.isfinite(flat).all():
             raise NumericsError(f"non-finite parameters after step {i}")
         t.append(time.perf_counter())
-        if i >= warm:
+        if warm <= i < warm + timed:
             spans = [b - a for a, b in zip(t[:-1], t[1:])]
             spans[0] += spans.pop()  # the lift: zero the gradient, check finiteness
             for stage, dt in zip(STAGES, spans):
@@ -196,7 +234,10 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, float, dict, dict]
             "mb": round(path.stat().st_size / 1e6, 3),
         }
     nodes = {kind: statistics.median(v) for kind, v in nodes_per_step.items()}
-    return ({stage: _ms(v) for stage, v in times.items()}, nodes, nograd, repeaters, checkpoint)
+    kinds = sorted({kind for step in rules for kind in step})
+    rule_ms = {kind: _ms([step.get(kind, 0.0) for step in rules]) for kind in kinds}
+    return ({stage: _ms(v) for stage, v in times.items()}, nodes, rule_ms, nograd, repeaters,
+            checkpoint)
 
 
 def profile_reader() -> float:
@@ -296,8 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     desk_cfg = hd.apply_desk_preset(hd.RunConfig()).model_config()
-    step_desk, nodes_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(desk_cfg, "desk")
-    step_full, nodes_full, nograd_full, rep_full, ckpt_full = profile_scale(
+    step_desk, nodes_desk, rules_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(
+        desk_cfg, "desk")
+    step_full, nodes_full, rules_full, nograd_full, rep_full, ckpt_full = profile_scale(
         hd.ModelConfig(), "full")
     train_ms, train_lanes = profile_train()
     report = {
@@ -318,6 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
         "tape_nodes_per_step": {"desk": nodes_desk, "full": nodes_full},
+        "backward_rule_ms_per_step": {"desk": rules_desk, "full": rules_full},
         "nograd_forward_ms_per_sample": {"desk": nograd_desk, "full": nograd_full},
         "stability_ms": {"desk": rep_desk["stability"], "full": rep_full["stability"]},
         "redundancy_ms": {"desk": rep_desk["redundancy"], "full": rep_full["redundancy"]},
