@@ -228,10 +228,9 @@ def cmd_eval(
     records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
     paths = _checkpoint_paths(checkpoint)
-    per_fold = {}
-    stability = {}
-    pooled_risks, pooled_times, pooled_events = [], [], []
-    for path in paths:
+
+    def score(i: int) -> tuple:  # one checkpoint, in a lane of its own or shared
+        path = paths[i]
         params, meta = load_checkpoint(path, model_cfg)
         lifted, _ = lift_params(params, requires_grad=False)
         fold = meta.get("fold", 0)
@@ -241,23 +240,21 @@ def cmd_eval(
         subset = _records_for_checkpoint(records, meta, folds_file)
         rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
         res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
-        risks = res.risk
         times = np.array([r.time_months for r in subset])
         events = np.array([1 - r.censored for r in subset])
-        table = RiskTable(risks=risks, times=times, events=events)
-        per_fold[str(fold)] = _fold_metrics(table)
-        pooled_risks.append(risks)
-        pooled_times.append(times)
-        pooled_events.append(events)
+        metrics = _fold_metrics(RiskTable(risks=res.risk, times=times, events=events))
+        stability = None
         if repeats:
             srng = np.random.default_rng([cfg.seed, fold, 0x57AB])
             scores, mean, std = stability_report(
                 (res.moe_a, res.moe_b), lifted, model_cfg, subset, repeats, srng)
-            stability[str(fold)] = {"scores": scores, "mean": mean, "std": std}
+            stability = {"scores": scores, "mean": mean, "std": std}
+        return fold, metrics, stability, res.risk, times, events
 
-    risks = np.concatenate(pooled_risks)
-    times = np.concatenate(pooled_times)
-    events = np.concatenate(pooled_events)
+    scored = map_folds(score, list(range(len(paths))))  # in path order, whatever the lanes
+    per_fold = {str(fold): metrics for fold, metrics, *_ in scored}
+    stability = {str(fold): stab for fold, _, stab, *_ in scored if stab is not None}
+    risks, times, events = (np.concatenate(column) for column in list(zip(*scored))[3:])
     table = RiskTable(risks=risks, times=times, events=events)
     high, low = _median_split(table)
     groups = {
@@ -278,10 +275,11 @@ def cmd_eval(
 
 
 def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None) -> int:
-    records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
-    path = _checkpoint_paths(checkpoint)[0]
-    params, _ = load_checkpoint(path, model_cfg)
+    # the cohort in this process, the checkpoint beside it: the cohort's error comes first
+    reads = (lambda: _load_dataset(cfg),
+             lambda: load_checkpoint(_checkpoint_paths(checkpoint)[0], model_cfg)[0])
+    records, params = map_folds(lambda i: reads[i](), [0, 1])
     lifted, _ = lift_params(params, requires_grad=False)
     out_dir = Path(cfg.out_dir)
     save_config(cfg, out_dir / "config.json")

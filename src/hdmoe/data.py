@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import os
+import signal
 import uuid
 import warnings
 from dataclasses import dataclass, replace
@@ -164,11 +165,14 @@ def write_text(path: str | os.PathLike, text: str) -> None:
     """The package's one way to write a file: `text` (UTF-8, line ends as
     given) goes to a temp file beside `path`, which then replaces `path`, so a
     crash or kill mid-write leaves the old file or none, never a truncated
-    one. Creates missing parent directories. Not fsynced: no guard against
-    power loss."""
+    one. A SIGINT or SIGTERM that arrives meanwhile is held (POSIX) until the
+    temp file is renamed or removed. Creates missing parent directories. Not
+    fsynced: no guard against power loss."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    hold = hasattr(signal, "pthread_sigmask")
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM}) if hold else None
     try:
         # mode "x" applies the umask as "w" does; mkstemp would give 0o600
         with open(tmp, "x", newline="", encoding="utf-8") as fh:
@@ -177,6 +181,9 @@ def write_text(path: str | os.PathLike, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    finally:  # a held signal is delivered here, after the clean-up
+        if hold:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def csv_rows(path: str | os.PathLike, error: type[Exception]) -> list[tuple[int, list[str]]]:

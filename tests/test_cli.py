@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -5,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -585,6 +587,7 @@ def _count_encodes(monkeypatch, argv) -> list[int]:
 
 def test_eval_and_analyze_encode_each_sample_once(tmp_path, monkeypatch):
     resolved, run_dir = _trained_run(tmp_path)
+    _cores(monkeypatch, 1)  # the count is in-process; a forked lane's encodes are not seen
     n = len(load_samples(load_config(resolved).manifest))  # each is held out once
     # eval: one batch per checkpoint and modality; analyze: one per modality
     calls = _count_encodes(monkeypatch, [
@@ -721,6 +724,52 @@ def test_failed_predictions_write_leaves_old_file_or_none(tmp_path, monkeypatch,
     _assert_old_or_none(tmp_path, target, old)
 
 
+@pytest.mark.parametrize("fault", [None, "write", "replace"])
+def test_sigterm_at_any_point_of_a_write_leaves_no_temp_file(tmp_path, monkeypatch, fault):
+    # SIGTERM, a KeyboardInterrupt here as in a fold lane, is sent at each
+    # bytecode instruction of write_text in turn, the clean-up after a failed
+    # write or os.replace included: one that arrives there waits for the unlink.
+    # It is sent to this thread: a signal sent to the process could be taken by
+    # a BLAS thread of the test process, and the handler would then run whatever
+    # this thread's mask.
+    target = tmp_path / "out.txt"
+    _inject(monkeypatch, fault, target.name)
+    seen = [0]
+
+    def trace(frame, event, arg):
+        if event == "call":
+            frame.f_trace_opcodes = frame.f_code is data.write_text.__code__
+            return trace if frame.f_trace_opcodes else None
+        if event == "opcode":
+            seen[0] += 1
+            if seen[0] == send_at:
+                signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+        return trace
+
+    def write():
+        seen[0] = 0
+        target.unlink(missing_ok=True)
+        sys.settrace(trace)
+        try:
+            data.write_text(target, "text")
+        finally:
+            sys.settrace(None)
+
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        send_at = 0
+        with pytest.raises(OSError) if fault else contextlib.nullcontext():
+            write()
+        opcodes = seen[0]
+        assert opcodes > 10
+        for send_at in range(1, opcodes + 1):
+            with pytest.raises(KeyboardInterrupt):
+                write()
+            assert [p.name for p in tmp_path.iterdir()] in ([], [target.name]), send_at
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 # ---------------------------------------------------------------------------
 # fold lanes: train's folds run in forked processes, one per usable core
 
@@ -800,6 +849,74 @@ def test_train_lost_lane_exit_4_and_eval_reads_nothing_it_left(tmp_path, monkeyp
     assert "names folds with no checkpoint: fold1" in capsys.readouterr().err
     assert not eval_dir.exists()
     with pytest.raises(ChildProcessError):  # no forked lane is left unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _eval_and_analyze(resolved, run_dir, out: Path) -> tuple[int, int]:
+    """Exit codes of eval (--repeats 3) over run_dir and analyze of its fold 1."""
+    return (cli.main(["eval", "--config", str(resolved), "--out", str(out / "eval"),
+                      "--checkpoint", str(run_dir), "--repeats", "3"]),
+            cli.main(["analyze", "--config", str(resolved), "--out", str(out / "analyze"),
+                      "--checkpoint", str(run_dir / "fold1" / "checkpoint.json")]))
+
+
+def test_eval_and_analyze_two_lanes_write_the_bytes_of_one(tmp_path, monkeypatch, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    runs = {}
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        out = tmp_path / f"out{cores}"
+        assert _eval_and_analyze(resolved, run_dir, out) == (0, 0)
+        files = _files(out)
+        del files["eval/config.json"], files["analyze/config.json"]  # name out_dir
+        runs[cores] = files, capsys.readouterr().out.replace(str(out), "<out>")
+    assert {"eval/metrics.json", "eval/km_curves.csv",
+            "analyze/redundancy_summary.csv"} <= set(runs[2][0])
+    assert runs[2] == runs[1]
+    with pytest.raises(ChildProcessError):  # no forked lane is left unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_eval_and_analyze_error_in_a_forked_lane_keeps_its_exit_code_and_message(
+        tmp_path, monkeypatch, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    ckpt = run_dir / "fold1" / "checkpoint.json"  # read by the forked lane alone
+    ckpt.write_bytes(ckpt.read_bytes()[:500])
+    errors = {}
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (2, 2)
+        assert not (tmp_path / "out").exists()
+        errors[cores] = capsys.readouterr().err
+    assert errors[2] == errors[1]  # eval's one line, then analyze's
+    assert errors[1].count(f"error: {ckpt}: invalid JSON") == errors[1].count("\n") == 2
+    # the cohort, read in this process, fails first: its error is the one raised
+    manifest = Path(load_config(resolved).manifest)
+    manifest.write_text(manifest.read_text() + "broken\n")
+    assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (2, 2)
+    assert capsys.readouterr().err.count(f"error: {manifest}:") == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_eval_and_analyze_lost_lane_exit_4_writing_nothing(tmp_path, monkeypatch, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    _cores(monkeypatch, 2)
+    load = cli.load_checkpoint
+
+    def killed_reading(path, *args):
+        if path.parent.name == "fold1":  # only the forked lane reads fold 1
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load(path, *args)
+
+    monkeypatch.setattr(cli, "load_checkpoint", killed_reading)
+    assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (4, 4)
+    assert capsys.readouterr().err == 2 * (
+        "io error: the lane of folds [1] ended without a result (signal SIGKILL)\n")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 

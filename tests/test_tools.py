@@ -3,6 +3,7 @@ user would and would otherwise break silently when its API changes."""
 
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,15 @@ def test_step_profile_times_train_end_to_end(monkeypatch):
     profile = _load_tool("step_profile")
     monkeypatch.setattr(profile, "TRAIN_COHORTS", ((60, 2),))
     monkeypatch.setattr(profile, "TRAIN_CALLS", 1)
-    times, lanes = profile.profile_train()
-    assert set(times) == set(lanes) == {"60x2"}
-    assert math.isfinite(times["60x2"]) and times["60x2"] > 0
+    monkeypatch.setattr(profile, "EVAL_CALLS", 1)
+    times, lanes, eval_times, eval_lanes = profile.profile_train()
+    assert set(times) == set(lanes) == set(eval_times) == set(eval_lanes) == {"60x2"}
+    for ms in (times["60x2"], eval_times["60x2"]):
+        assert math.isfinite(ms) and ms > 0
     assert 1 <= lanes["60x2"] <= 2
+    # eval: one lane per checkpoint; analyze: the checkpoint read beside the cohort
+    usable = len(os.sched_getaffinity(0))
+    assert eval_lanes["60x2"] == {"eval": min(2, usable), "analyze": min(2, usable)}
 
 
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)

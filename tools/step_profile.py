@@ -33,6 +33,9 @@
   benchmark's ``train_desk`` shape) and of 200 samples in 5 folds (the
   acceptance cohort's), with the fold lanes it ran: one per usable core, at
   most one per fold, where the package has ``trainer.map_folds``, else 1.
+- ``hdmoe eval --repeats 5`` plus ``hdmoe analyze`` end to end on the
+  checkpoints of the 60-sample train (the benchmark's ``eval_desk`` pair),
+  with the lanes each command ran, counted as 1 + the processes it forked.
 
 The package is imported from ``--src`` (default: this checkout's src) before
 numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
@@ -74,6 +77,8 @@ CHECKPOINT_CALLS = 5
 READER_CALLS = 20
 TRAIN_COHORTS = ((60, 2), (200, 5))  # (samples, folds), one epoch each
 TRAIN_CALLS = 5
+EVAL_COHORT = (60, 2)  # the train cohort whose checkpoints eval and analyze read
+EVAL_CALLS = 20
 
 
 def _ms(seconds: list[float]) -> float:
@@ -253,8 +258,20 @@ def profile_reader() -> float:
         return _median_ms(lambda: hd.load_samples(manifest), READER_CALLS)
 
 
-def profile_train() -> tuple[dict, dict]:
-    """({"<samples>x<folds>": median ms of one train}, {same keys: lanes})."""
+def _lanes(call) -> int:
+    """1 + the processes that call() forks."""
+    forks, fork = [], os.fork
+    os.fork = lambda: forks.append(1) or fork()
+    try:
+        call()
+    finally:
+        os.fork = fork
+    return 1 + len(forks)
+
+
+def profile_train() -> tuple[dict, dict, dict, dict]:
+    """({"<samples>x<folds>": median ms of one train}, {same keys: lanes}, and for
+    EVAL_COHORT {key: median ms of eval plus analyze}, {key: {command: lanes}})."""
     import contextlib
     import io
 
@@ -263,7 +280,7 @@ def profile_train() -> tuple[dict, dict]:
     import hdmoe as hd
     from hdmoe import cli, trainer
 
-    times, lanes = {}, {}
+    times, lanes, eval_times, eval_lanes = {}, {}, {}, {}
     with tempfile.TemporaryDirectory(prefix="hdmoe-profile-") as tmp:
         for cohort, folds in TRAIN_COHORTS:
             cfg = dataclasses.replace(hd.apply_desk_preset(hd.RunConfig()), cohort=cohort,
@@ -274,18 +291,29 @@ def profile_train() -> tuple[dict, dict]:
             manifest = hd.write_dataset(base / "data", records)
             config = base / "config.json"
             hd.save_config(dataclasses.replace(cfg, manifest=str(manifest)), config)
-            argv = ["train", "--config", str(config), "--out", str(base / "run")]
+            run = str(base / "run")
 
-            def train():
+            def hdmoe(*argv):
                 with contextlib.redirect_stdout(io.StringIO()):
-                    if cli.main(argv) != 0:
+                    if cli.main(list(argv)) != 0:
                         raise RuntimeError(f"hdmoe {' '.join(argv)} failed")
 
             key = f"{cohort}x{folds}"
-            times[key] = _median_ms(train, TRAIN_CALLS)
+            times[key] = _median_ms(lambda: hdmoe("train", "--config", str(config), "--out", run),
+                                    TRAIN_CALLS)
             forks = hasattr(trainer, "map_folds")
             lanes[key] = min(folds, len(os.sched_getaffinity(0))) if forks else 1
-    return times, lanes
+            if (cohort, folds) != EVAL_COHORT:
+                continue
+            commands = {
+                "eval": lambda: hdmoe("eval", "--config", str(config), "--checkpoint", run,
+                                      "--out", str(base / "eval"), "--repeats", str(REPEATS)),
+                "analyze": lambda: hdmoe("analyze", "--config", str(config), "--checkpoint", run,
+                                         "--out", str(base / "analyze")),
+            }
+            eval_times[key] = _median_ms(lambda: [c() for c in commands.values()], EVAL_CALLS)
+            eval_lanes[key] = {name: _lanes(c) for name, c in commands.items()}
+    return times, lanes, eval_times, eval_lanes
 
 
 def tied_table(rng, n: int):
@@ -341,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         desk_cfg, "desk")
     step_full, nodes_full, rules_full, nograd_full, rep_full, ckpt_full = profile_scale(
         hd.ModelConfig(), "full")
-    train_ms, train_lanes = profile_train()
+    train_ms, train_lanes, eval_ms, eval_lanes = profile_train()
     report = {
         "label": args.label,
         "environment": {
@@ -355,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
                     "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS,
                     "checkpoint": CHECKPOINT_CALLS, "load_samples": READER_CALLS,
-                    "train": TRAIN_CALLS},
+                    "train": TRAIN_CALLS, "eval": EVAL_CALLS},
         "cohort": COHORT,
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
@@ -371,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         "metrics_ms": profile_metrics(),
         "train_ms": train_ms,
         "train_lanes": train_lanes,
+        "eval_ms": eval_ms,
+        "eval_lanes": eval_lanes,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
