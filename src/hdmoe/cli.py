@@ -251,7 +251,8 @@ def cmd_eval(
             stability = {"scores": scores, "mean": mean, "std": std}
         return fold, metrics, stability, res.risk, times, events
 
-    scored = map_folds(score, list(range(len(paths))))  # in path order, whatever the lanes
+    scored = map_folds(score, list(range(len(paths))),  # in path order, whatever the lanes
+                       describe=lambda ids: "checkpoint " + ", ".join(str(paths[i]) for i in ids))
     per_fold = {str(fold): metrics for fold, metrics, *_ in scored}
     stability = {str(fold): stab for fold, _, stab, *_ in scored if stab is not None}
     risks, times, events = (np.concatenate(column) for column in list(zip(*scored))[3:])
@@ -279,7 +280,7 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
     # the cohort in this process, the checkpoint beside it: the cohort's error comes first
     reads = (lambda: _load_dataset(cfg),
              lambda: load_checkpoint(_checkpoint_paths(checkpoint)[0], model_cfg)[0])
-    records, params = map_folds(lambda i: reads[i](), [0, 1])
+    records, params = map_folds(lambda i: reads[i](), [0, 1], describe=lambda _: f"checkpoint {checkpoint}")
     lifted, _ = lift_params(params, requires_grad=False)
     out_dir = Path(cfg.out_dir)
     save_config(cfg, out_dir / "config.json")

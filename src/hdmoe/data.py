@@ -14,6 +14,7 @@ import io
 import math
 import os
 import signal
+import threading
 import uuid
 import warnings
 from dataclasses import dataclass, replace
@@ -165,15 +166,18 @@ def write_text(path: str | os.PathLike, text: str) -> None:
     """The package's one way to write a file: `text` (UTF-8, line ends as
     given) goes to a temp file beside `path`, which then replaces `path`, so a
     crash or kill mid-write leaves the old file or none, never a truncated
-    one. A SIGINT or SIGTERM that arrives meanwhile is held (POSIX) until the
-    temp file is renamed or removed. Creates missing parent directories. Not
-    fsynced: no guard against power loss."""
+    one. In the main thread, a SIGINT or SIGTERM that arrives meanwhile is recorded,
+    whichever thread takes it, and raised again once the temp file is renamed or
+    removed. Creates missing parent directories. Not fsynced: no power-loss guard."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    hold = hasattr(signal, "pthread_sigmask")
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM}) if hold else None
+    held, swapped = [], {}
     try:
+        if threading.current_thread() is threading.main_thread():  # handlers run there only
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                if signal.getsignal(sig) not in (signal.SIG_IGN, None):
+                    swapped[sig] = signal.signal(sig, lambda taken, _: held.append(taken))
         # mode "x" applies the umask as "w" does; mkstemp would give 0o600
         with open(tmp, "x", newline="", encoding="utf-8") as fh:
             fh.write(text)
@@ -181,9 +185,11 @@ def write_text(path: str | os.PathLike, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    finally:  # a held signal is delivered here, after the clean-up
-        if hold:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+    finally:  # the old handlers back, then each recorded signal again, after the clean-up
+        for sig, handler in swapped.items():
+            signal.signal(sig, handler)
+        for sig in held:
+            signal.raise_signal(sig)
 
 
 def csv_rows(path: str | os.PathLike, error: type[Exception]) -> list[tuple[int, list[str]]]:

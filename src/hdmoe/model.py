@@ -19,8 +19,10 @@ fixed samples can encode them once and replay only `fuse`.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,7 +42,9 @@ from .moe import (
 )
 from .rfr import draw_segments, rfr_forward, valid_segments
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# what a parameter's `data` holds in each readable format version; v2 is written
+_DATA = {1: "a flat list of finite numbers", 2: "base64 of finite little-endian float64 bytes"}
 
 
 @dataclass(frozen=True)
@@ -281,11 +285,13 @@ def forward(
 
 
 def save_checkpoint(path: str | Path, params: HDMoEParams, meta: dict) -> None:
+    # v2: each `data` is base64 of the array's little-endian float64 bytes in C order
     blob = {
         "format_version": CHECKPOINT_VERSION,
         "meta": meta,
         "params": {
-            p: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            p: {"shape": list(arr.shape),
+                "data": base64.b64encode(np.asarray(arr, "<f8").tobytes()).decode("ascii")}
             for p, arr in named_params(params)
         },
     }
@@ -304,7 +310,7 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     version = blob.get("format_version") if isinstance(blob, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version not in _DATA:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     stored = blob.get("params")
     if not isinstance(stored, dict):
@@ -325,11 +331,17 @@ def load_checkpoint(path: str | Path, cfg: ModelConfig) -> tuple[HDMoEParams, di
                               f"{list(expected[p])}")
         data = entry["data"]
         try:  # exact types: np.array would coerce a bool (an int), a string or a nested list
-            if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
-                raise ValueError("data must be a flat list of finite numbers")
-            data = np.fromiter(data, dtype=np.float64, count=len(data))
+            if version == 1 and isinstance(data, list) and set(map(type, data)) <= {int, float}:
+                data = np.fromiter(data, dtype=np.float64, count=len(data))
+            elif version == 2 and isinstance(data, str):
+                raw, need = base64.b64decode(data, validate=True), 8 * math.prod(expected[p])
+                if len(raw) != need:
+                    raise ValueError(f"data holds {len(raw)} bytes, shape needs {need}")
+                data = np.frombuffer(raw, "<f8").astype(np.float64)
+            else:
+                raise ValueError(f"data must be {_DATA[version]}")
             if not np.isfinite(data).all():
-                raise ValueError("data must be a flat list of finite numbers")
+                raise ValueError(f"data must be {_DATA[version]}")
             arrays[p] = data.reshape(expected[p])
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"{path}: {p}: {exc}") from None

@@ -230,9 +230,10 @@ def predict_fold(
     ]
 
 
-def map_folds(fn, folds: list[int]) -> list:
+def map_folds(fn, folds: list[int], describe=lambda folds: f"folds {folds}") -> list:
     """[fn(f) for f in folds], dealt round-robin over one lane per usable core: this process,
-    then a forked child per other lane. A lane stops at its error; the lowest fold's is raised."""
+    then a forked child per other lane. A lane stops at its error; the lowest fold's is raised.
+    A lane lost without a result is an OSError naming describe(its folds)."""
     usable = os.sched_getaffinity(0) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else {0}
     lanes, results, parent = max(1, min(len(folds), len(usable))), [None] * len(folds), os.getpid()
 
@@ -269,7 +270,7 @@ def map_folds(fn, folds: list[int]) -> list:
             workers.pop(0)[2].close()
             if not payload:  # killed or out of memory: counted as failing at its first fold
                 how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-                lost = OSError(f"the lane of folds {folds[lane::lanes]} ended without a result ({how})")
+                lost = OSError(f"the lane of {describe(folds[lane::lanes])} ended without a result ({how})")
                 payload = pickle.dumps(((lane, lost), results[lane::lanes]))
             err, results[lane::lanes] = pickle.loads(payload)
             failed.append(err)

@@ -3,8 +3,10 @@ checks, the fine ops that left the tape and the composites the one-node tape
 ops replaced, the
 single-token routing oracle, the per-array optimizer oracle, the loop oracles
 of the survival metrics, the one-sample forward and its per-sample loop, and
-the full-forward oracles of the no-grad repeaters."""
+the full-forward oracles of the no-grad repeaters, and the format-v1
+checkpoint writer."""
 
+import base64
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -794,3 +796,17 @@ def redundancy_score_loop(params, model_cfg, records, level, modality, rng):
     post = average_abs_correlation_loop([getattr(o, side).shared_tokens for o in outs])
     off = ~np.eye(pre.shape[0], dtype=bool)
     return pre, post, float(pre[off].sum() - post[off].sum())
+
+
+# ---------------------------------------------------------------------------
+# checkpoint format v1: each parameter's values as a JSON list of numbers, the
+# repr of each float64. save_checkpoint wrote it before format v2, and
+# load_checkpoint still reads it.
+
+
+def checkpoint_as_v1(blob: dict) -> dict:
+    """A parsed format-v2 checkpoint as the v1 writer gave it for the same
+    parameters and meta: same key order, each `data` the list of its values."""
+    params = {p: {"shape": e["shape"], "data": np.frombuffer(
+        base64.b64decode(e["data"]), "<f8").tolist()} for p, e in blob["params"].items()}
+    return {**blob, "format_version": 1, "params": params}

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from hdmoe.data import SynthConfig, load_samples, write_dataset
 from hdmoe.errors import ConfigError, NumericsError
 from hdmoe.model import ModelConfig, init_params, save_checkpoint
 from hdmoe.trainer import TrainConfig
+
+from helpers import checkpoint_as_v1
 
 TINY_KW = dict(
     d_in=4, d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=2,
@@ -511,9 +514,10 @@ def _edit_bridge(blob, key, value):
     lambda blob: _edit_bridge(blob, "data", [False, *blob["params"]["bridge"]["data"][1:]]),
 ], ids=["int_shape", "nested_data", "nan_data", "list_meta", "bool_in_data"])
 def test_eval_malformed_checkpoint_entry_exit_2_naming_it(tmp_path, capsys, edit):
+    # each edit of the format-v1 checkpoint of the same parameters
     resolved, run_dir = _trained_run(tmp_path)
     ckpt = run_dir / "fold1" / "checkpoint.json"
-    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    ckpt.write_text(json.dumps(edit(checkpoint_as_v1(json.loads(ckpt.read_text())))))
     eval_dir = tmp_path / "eval"
     assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
                      "--checkpoint", str(run_dir)]) == 2
@@ -724,14 +728,11 @@ def test_failed_predictions_write_leaves_old_file_or_none(tmp_path, monkeypatch,
     _assert_old_or_none(tmp_path, target, old)
 
 
-@pytest.mark.parametrize("fault", [None, "write", "replace"])
-def test_sigterm_at_any_point_of_a_write_leaves_no_temp_file(tmp_path, monkeypatch, fault):
-    # SIGTERM, a KeyboardInterrupt here as in a fold lane, is sent at each
-    # bytecode instruction of write_text in turn, the clean-up after a failed
-    # write or os.replace included: one that arrives there waits for the unlink.
-    # It is sent to this thread: a signal sent to the process could be taken by
-    # a BLAS thread of the test process, and the handler would then run whatever
-    # this thread's mask.
+def _sigterm_at_each_instruction(tmp_path, monkeypatch, fault, send):
+    # SIGTERM, a KeyboardInterrupt here as in a fold lane, is sent by send() at
+    # each bytecode instruction of write_text in turn, the clean-up after a failed
+    # write or os.replace included: one that arrives there waits for the unlink,
+    # and write_text itself raises it.
     target = tmp_path / "out.txt"
     _inject(monkeypatch, fault, target.name)
     seen = [0]
@@ -743,7 +744,7 @@ def test_sigterm_at_any_point_of_a_write_leaves_no_temp_file(tmp_path, monkeypat
         if event == "opcode":
             seen[0] += 1
             if seen[0] == send_at:
-                signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+                send()
         return trace
 
     def write():
@@ -763,11 +764,36 @@ def test_sigterm_at_any_point_of_a_write_leaves_no_temp_file(tmp_path, monkeypat
         opcodes = seen[0]
         assert opcodes > 10
         for send_at in range(1, opcodes + 1):
-            with pytest.raises(KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt) as raised:
                 write()
+                time.sleep(0.01)  # a signal still pending surfaces here, not from write_text
+            frames = {frame.f_code for frame, _ in traceback.walk_tb(raised.tb)}
+            assert data.write_text.__code__ in frames, send_at
             assert [p.name for p in tmp_path.iterdir()] in ([], [target.name]), send_at
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.parametrize("fault", [None, "write", "replace"])
+def test_sigterm_at_any_point_of_a_write_leaves_no_temp_file(tmp_path, monkeypatch, fault):
+    _sigterm_at_each_instruction(tmp_path, monkeypatch, fault,
+                                 lambda: signal.pthread_kill(threading.get_ident(), signal.SIGTERM))
+
+
+@pytest.mark.parametrize("fault", [None, "write", "replace"])
+def test_sigterm_to_the_process_with_a_second_thread_leaves_no_temp_file(
+        tmp_path, monkeypatch, fault):
+    # Sent to the process, the signal may be taken by the other thread, and CPython
+    # then runs the handler in this thread at its next check, whatever its mask.
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        _sigterm_at_each_instruction(tmp_path, monkeypatch, fault,
+                                     lambda: os.kill(os.getpid(), signal.SIGTERM))
+    finally:
+        stop.set()
+        other.join()
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +939,10 @@ def test_eval_and_analyze_lost_lane_exit_4_writing_nothing(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "load_checkpoint", killed_reading)
     assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (4, 4)
+    # both name the checkpoint the lost lane read: eval's path of it, analyze's argument
     assert capsys.readouterr().err == 2 * (
-        "io error: the lane of folds [1] ended without a result (signal SIGKILL)\n")
+        f"io error: the lane of checkpoint {run_dir / 'fold1' / 'checkpoint.json'} "
+        "ended without a result (signal SIGKILL)\n")
     assert not (tmp_path / "out").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

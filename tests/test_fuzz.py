@@ -4,6 +4,7 @@ or raise ConfigError/DataError (exit 2); an OSError is allowed only where the
 value names a feature file that cannot be opened (exit 4). Only loaders run
 here: nothing trains, and nothing is allocated by a fuzzed size."""
 
+import copy
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -18,6 +19,8 @@ from hdmoe.config import RunConfig, apply_desk_preset, load_config
 from hdmoe.data import SampleRecord, load_samples, write_dataset
 from hdmoe.errors import ConfigError, DataError
 from hdmoe.model import ModelConfig, init_params, load_checkpoint, named_params, save_checkpoint
+
+from helpers import checkpoint_as_v1
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
@@ -64,16 +67,19 @@ def test_load_config_with_one_fuzzed_key(tmp_path, key, value):
 
 
 @pytest.fixture(scope="module")
-def checkpoint_text(tmp_path_factory):
+def checkpoint_blobs(tmp_path_factory):
+    """The parsed checkpoint of TINY_PARAMS by format version: v2 as written
+    today, v1 as earlier runs left it."""
     path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
     save_checkpoint(path, TINY_PARAMS, {"fold": 0})
-    return path.read_text()
+    v2 = json.loads(path.read_text())
+    return {1: checkpoint_as_v1(v2), 2: v2}
 
 
-@given(st.sampled_from(CHECKPOINT_ENTRIES), JSON_VALUES)
+@given(st.sampled_from([1, 2]), st.sampled_from(CHECKPOINT_ENTRIES), JSON_VALUES)
 @FUZZ
-def test_load_checkpoint_with_one_fuzzed_entry(tmp_path, checkpoint_text, entry, value):
-    blob = json.loads(checkpoint_text)
+def test_load_checkpoint_with_one_fuzzed_entry(tmp_path, checkpoint_blobs, version, entry, value):
+    blob = copy.deepcopy(checkpoint_blobs[version])
     *parents, last = entry
     node = blob
     for key in parents:
@@ -84,11 +90,12 @@ def test_load_checkpoint_with_one_fuzzed_entry(tmp_path, checkpoint_text, entry,
     _returns_or_rejects(lambda: load_checkpoint(path, TINY))
 
 
-@given(st.sampled_from([name for name, _ in named_params(TINY_PARAMS)]), st.data())
+@given(st.sampled_from([1, 2]), st.sampled_from([name for name, _ in named_params(TINY_PARAMS)]),
+       st.data())
 @FUZZ
 def test_load_checkpoint_rejects_a_shape_entry_equal_to_its_int_but_not_one(
-        tmp_path, checkpoint_text, name, data):
-    blob = json.loads(checkpoint_text)
+        tmp_path, checkpoint_blobs, version, name, data):
+    blob = copy.deepcopy(checkpoint_blobs[version])
     shape = blob["params"][name]["shape"]
     i = data.draw(st.integers(0, len(shape) - 1))
     n = shape[i]

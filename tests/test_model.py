@@ -1,9 +1,13 @@
+import base64
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdmoe import autodiff as ad
 from hdmoe import model as hm
@@ -11,7 +15,7 @@ from hdmoe.data import SampleRecord
 from hdmoe.errors import ConfigError
 from hdmoe.losses import balance_loss, decouple_loss, survival_nll, total_loss
 
-from helpers import max_rel_err, result_arrays
+from helpers import checkpoint_as_v1, max_rel_err, result_arrays
 
 TINY = hm.ModelConfig(
     d_in=5, d1=8, d2=16, token_len_l1=4, token_len_l2=4, num_experts=2, top_k=1,
@@ -308,27 +312,63 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a1, a2)
 
 
-# Checkpoint of init_params(GOLDEN, default_rng(0)) written by an earlier
-# release: pins format v1's key names, key order and number formatting.
+# Checkpoints of init_params(GOLDEN, default_rng(0)): format v1, written by an
+# earlier release, pins v1's key names, key order and number formatting, and
+# format v2 pins the bytes that save_checkpoint writes today.
 GOLDEN = hm.ModelConfig(
     d_in=2, d1=2, d2=4, token_len_l1=2, token_len_l2=2, num_experts=2, top_k=1,
     expansion=1, num_bins=2, segment_values=(1, 2),
 )
 GOLDEN_PATH = Path(__file__).parent / "data" / "checkpoint_v1.json"
+GOLDEN_V2_PATH = Path(__file__).parent / "data" / "checkpoint_v2.json"
 
 
-def test_golden_v1_checkpoint_loads_and_resaves_byte_identical(tmp_path):
-    loaded, meta = hm.load_checkpoint(GOLDEN_PATH, GOLDEN)
+def _loads_golden_params(path):
+    loaded, meta = hm.load_checkpoint(path, GOLDEN)
     assert meta == {"fold": 0, "num_bins": 2}
     fresh = hm.init_params(GOLDEN, np.random.default_rng(0))
     pairs = list(zip(hm.named_params(fresh), hm.named_params(loaded)))
-    assert len(pairs) == len(json.loads(GOLDEN_PATH.read_text())["params"])
+    assert len(pairs) == len(json.loads(path.read_text())["params"])
     for (p1, a1), (p2, a2) in pairs:
         assert p1 == p2
-        assert np.array_equal(a1, a2), p1
+        assert a1.tobytes() == a2.tobytes() and a2.flags.writeable, p1
+    return loaded, meta
+
+
+def test_golden_v1_checkpoint_loads_bitwise():
+    _loads_golden_params(GOLDEN_PATH)
+    # the v1 writer of tests/helpers gives the v1 file from the v2 one
+    v1 = checkpoint_as_v1(json.loads(GOLDEN_V2_PATH.read_text()))
+    assert json.dumps(v1).encode() == GOLDEN_PATH.read_bytes()
+
+
+def test_golden_v2_checkpoint_loads_and_resaves_byte_identical(tmp_path):
+    loaded, meta = _loads_golden_params(GOLDEN_V2_PATH)
     out = tmp_path / "ckpt.json"
     hm.save_checkpoint(out, loaded, meta)
-    assert out.read_bytes() == GOLDEN_PATH.read_bytes()
+    assert out.read_bytes() == GOLDEN_V2_PATH.read_bytes()
+
+
+# finite float64 values the decimal text of v1 needed care for: signed zeros,
+# subnormals, the smallest normal and the largest magnitudes
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example(EDGE_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_round_trip_is_bitwise_for_any_finite_values(values):
+    params = hm.init_params(GOLDEN, np.random.default_rng(0))
+    flat, views = hm.flatten_params(params)
+    flat[:] = np.resize(np.array(values, dtype=np.float64), flat.size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        hm.save_checkpoint(path, views, {"fold": 0})
+        loaded, _ = hm.load_checkpoint(path, GOLDEN)
+    for (p1, a1), (p2, a2) in zip(hm.named_params(views), hm.named_params(loaded)):
+        assert p1 == p2 and a1.tobytes() == a2.tobytes()
+        assert a2.dtype == np.float64 and a2.dtype.isnative and a2.flags.writeable
 
 
 def test_load_checkpoint_touches_no_generator(tmp_path, monkeypatch):
@@ -418,17 +458,73 @@ def _list_meta(blob):
         _set_entry("data", lambda e: [*e["data"][:-1], 10**400]),
         _head_b_shape(True),
         _head_b_shape(1.0),
+        _set_entry("data", lambda e: base64.b64encode(np.array(e["data"]).tobytes()).decode()),
     ],
     ids=["truncated", "not_an_object", "no_params", "no_shape", "no_data", "short_data",
          "int_shape", "null_shape", "bool_in_shape", "nested_data", "string_data",
          "object_data", "nan_data", "list_meta", "bool_in_data", "one_nested_entry",
-         "int_too_large", "bool_equal_to_its_int_in_shape", "float_equal_to_its_int_in_shape"],
+         "int_too_large", "bool_equal_to_its_int_in_shape", "float_equal_to_its_int_in_shape",
+         "base64_data"],
 )
 def test_damaged_checkpoint_is_config_error_naming_the_file(tmp_path, edit):
+    # each edit of a format-v1 checkpoint, which earlier runs left behind
     path = tmp_path / "ckpt.json"
     hm.save_checkpoint(path, hm.init_params(TINY, np.random.default_rng(0)), {"fold": 0})
-    path.write_text(edit(json.loads(path.read_text())))
+    path.write_text(edit(checkpoint_as_v1(json.loads(path.read_text()))))
     with pytest.raises(ConfigError, match=re.escape(str(path))):
+        hm.load_checkpoint(path, TINY)
+
+
+def _bridge_bytes(edit):
+    """Set bridge's v2 data to the base64 of edit(its float64 bytes)."""
+    def edit_blob(blob):
+        raw = base64.b64decode(blob["params"]["bridge"]["data"])
+        blob["params"]["bridge"]["data"] = base64.b64encode(edit(raw)).decode("ascii")
+        return blob
+    return edit_blob
+
+
+def _bridge_text(edit):
+    def edit_blob(blob):
+        blob["params"]["bridge"]["data"] = edit(blob["params"]["bridge"]["data"])
+        return blob
+    return edit_blob
+
+
+def _bridge_value(value):
+    return _bridge_bytes(lambda raw: raw[:24] + np.float64(value).tobytes() + raw[32:])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _bridge_text(lambda text: 12345),
+        _bridge_text(lambda text: None),
+        _bridge_text(lambda text: text[:8] + "-" + text[9:]),
+        _bridge_text(lambda text: text[:8] + "\n" + text[8:]),
+        _bridge_text(lambda text: text.rstrip("=")),
+        _bridge_text(lambda text: text + "="),
+        _bridge_bytes(lambda raw: raw[:-8]),
+        _bridge_bytes(lambda raw: raw + raw[:8]),
+        _bridge_bytes(lambda raw: raw[:-1]),
+        _bridge_value(np.nan),
+        _bridge_value(np.inf),
+        _bridge_value(-np.inf),
+        _bridge_text(lambda text: np.frombuffer(base64.b64decode(text), "<f8").tolist()),
+        lambda blob: blob | {"format_version": True},
+        lambda blob: blob | {"format_version": 3},
+    ],
+    ids=["number_data", "null_data", "non_alphabet_char", "newline_in_data", "no_padding",
+         "extra_padding", "one_value_short", "one_value_long", "one_byte_short", "nan_bytes",
+         "inf_bytes", "minus_inf_bytes", "v1_list_under_v2", "bool_version", "version_3"],
+)
+def test_damaged_v2_checkpoint_is_config_error_naming_the_file_and_entry(tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    hm.save_checkpoint(path, hm.init_params(TINY, np.random.default_rng(0)), {"fold": 0})
+    blob = edit(json.loads(path.read_text()))
+    path.write_text(json.dumps(blob))
+    entry = "bridge" if blob["format_version"] == 2 else "version"
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + f".*{entry}"):
         hm.load_checkpoint(path, TINY)
 
 
@@ -437,6 +533,8 @@ def test_checkpoint_is_valid_json_with_paths(tmp_path):
     path = tmp_path / "ckpt.json"
     hm.save_checkpoint(path, params, {"fold": 0})
     blob = json.loads(path.read_text())
-    assert blob["format_version"] == 1
+    assert blob["format_version"] == 2
     assert "level1_moe_a.expert1.W1" in blob["params"]
     assert blob["params"]["bridge"]["shape"] == [32, 16]
+    raw = base64.b64decode(blob["params"]["bridge"]["data"], validate=True)
+    assert raw == params.bridge.astype("<f8").tobytes()

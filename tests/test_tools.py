@@ -2,6 +2,7 @@
 user would and would otherwise break silently when its API changes."""
 
 import importlib.util
+import json
 import math
 import os
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 from hdmoe import losses, model
 from hdmoe.config import RunConfig, apply_desk_preset
+
+from helpers import checkpoint_as_v1
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -75,3 +78,22 @@ def test_desk_step_records_at_most_22_ops_for_every_metric(kind):
     # per MoE block 3 (the block and its shared and router-softmax outputs), per fusion 1,
     # each encoder, loss term and the total 1, head 3, bridge 1
     assert profile.tape_nodes(total)[1] == 21 <= 22
+
+
+def test_desk_digest_params_line_is_the_same_for_v1_and_v2(tmp_path):
+    desk_digest = _load_tool("desk_digest")
+    params = model.init_params(apply_desk_preset(RunConfig()).model_config(),
+                               np.random.default_rng(0))
+    runs = {version: tmp_path / f"v{version}" for version in (1, 2)}
+    for run in runs.values():
+        model.save_checkpoint(run / "fold0" / "checkpoint.json", params, {"fold": 0, "seed": 3})
+    v1 = runs[1] / "fold0" / "checkpoint.json"
+    v1.write_text(json.dumps(checkpoint_as_v1(json.loads(v1.read_text()))))
+    (file_1, params_1), (file_2, params_2) = (desk_digest.digest(run) for run in runs.values())
+    assert params_1.endswith("  fold0/checkpoint.json#params") and params_1 == params_2
+    assert file_1.endswith("  fold0/checkpoint.json") and file_1 != file_2
+    # a one-bit change of one value moves the line
+    blob = json.loads(v1.read_text())
+    blob["params"]["bridge"]["data"][0] = np.nextafter(blob["params"]["bridge"]["data"][0], 2.0)
+    v1.write_text(json.dumps(blob))
+    assert desk_digest.digest(runs[1])[1] != params_2

@@ -6,6 +6,12 @@ PYTHONPATH set to the given source directory, and prints one line
 ``sha256  relative/path`` per file written, sorted by path. All paths inside
 the run are relative, so the digest depends only on the code under test.
 
+Each ``checkpoint.json`` gets one more line, ``sha256  relative/path#params``:
+the digest of what it holds, decoded by this script whatever its format
+version (v1 decimal lists or v2 base64), so a change of encoding alone leaves
+that line as it was. It hashes each parameter's name, shape and little-endian
+float64 bytes in file order, then the canonical JSON of ``meta``.
+
 To check that a change leaves every artifact byte-identical, run it on the
 parent commit's source and on the change's, and diff the two outputs:
 
@@ -18,9 +24,11 @@ parent commit's source and on the change's, and diff the two outputs:
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -58,12 +66,27 @@ def run_pipeline(src: Path, work: Path) -> None:
             raise SystemExit(f"hdmoe {args[0]} exited {proc.returncode}")
 
 
+def params_digest(path: Path) -> str:
+    """sha256 of a checkpoint's decoded parameters and meta (see above)."""
+    blob = json.loads(path.read_text(encoding="utf-8"))
+    h = hashlib.sha256()
+    for name, entry in blob["params"].items():
+        data = entry["data"]
+        raw = (base64.b64decode(data, validate=True) if isinstance(data, str)
+               else struct.pack(f"<{len(data)}d", *data))
+        h.update(json.dumps([name, entry["shape"]]).encode() + raw)
+    h.update(json.dumps(blob["meta"], sort_keys=True, separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
 def digest(work: Path) -> list[str]:
-    files = sorted(p for p in work.rglob("*") if p.is_file())
-    return [
-        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work).as_posix()}"
-        for p in files
-    ]
+    lines = []
+    for p in sorted(p for p in work.rglob("*") if p.is_file()):
+        rel = p.relative_to(work).as_posix()
+        lines.append(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}")
+        if p.name == "checkpoint.json":
+            lines.append(f"{params_digest(p)}  {rel}#params")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
