@@ -40,11 +40,13 @@ log = logging.getLogger("hdmoe.cli")
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("HDMOE_LOG", "warning").strip().lower()
+    raw = os.environ.get("HDMOE_LOG", "warning")
     level = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}.get(
-        level_name, logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
+        raw.strip().lower())
+    if level is None:
+        print(f"hdmoe: unknown HDMOE_LOG value {raw!r} (expected debug, info, warning); "
+              "logging at warning", file=sys.stderr)
+    logging.basicConfig(level=level or logging.WARNING, format="%(name)s %(levelname)s %(message)s")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -162,22 +162,46 @@ def load_samples(manifest_path: str | os.PathLike) -> list[SampleRecord]:
     return records
 
 
+class _SignalHold:
+    """SIGINT and SIGTERM recorded, not handled, from start() to release(), which
+    restores the handlers and raises each one again. Main thread only: handlers run there."""
+
+    def __init__(self):
+        self.held, self.swapped = [], {}
+
+    def start(self) -> None:
+        if self.held:  # recorded between two writes of a cohort: raised before the next
+            self.release()
+        if not self.swapped and threading.current_thread() is threading.main_thread():
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                if signal.getsignal(sig) not in (signal.SIG_IGN, None):
+                    self.swapped[sig] = signal.signal(sig, lambda taken, _: self.held.append(taken))
+
+    def release(self) -> None:
+        while self.swapped:
+            signal.signal(*self.swapped.popitem())
+        while self.held:
+            signal.raise_signal(self.held.pop(0))
+
+
+_cohort = threading.local()  # .hold: the hold write_dataset keeps over all of a cohort's files
+
+
 def write_text(path: str | os.PathLike, text: str) -> None:
     """The package's one way to write a file: `text` (UTF-8, line ends as
     given) goes to a temp file beside `path`, which then replaces `path`, so a
     crash or kill mid-write leaves the old file or none, never a truncated
     one. In the main thread, a SIGINT or SIGTERM that arrives meanwhile is recorded,
     whichever thread takes it, and raised again once the temp file is renamed or
-    removed. Creates missing parent directories. Not fsynced: no power-loss guard."""
+    removed; inside write_dataset, one recorded between two files is raised before
+    the next. Creates missing parent directories. Not fsynced: no power-loss guard."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    held, swapped = [], {}
+    cohort = getattr(_cohort, "hold", None)
+    hold = cohort or _SignalHold()
     try:
-        if threading.current_thread() is threading.main_thread():  # handlers run there only
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                if signal.getsignal(sig) not in (signal.SIG_IGN, None):
-                    swapped[sig] = signal.signal(sig, lambda taken, _: held.append(taken))
+        hold.start()
         # mode "x" applies the umask as "w" does; mkstemp would give 0o600
         with open(tmp, "x", newline="", encoding="utf-8") as fh:
             fh.write(text)
@@ -186,10 +210,8 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         tmp.unlink(missing_ok=True)
         raise
     finally:  # the old handlers back, then each recorded signal again, after the clean-up
-        for sig, handler in swapped.items():
-            signal.signal(sig, handler)
-        for sig in held:
-            signal.raise_signal(sig)
+        if hold is not cohort or hold.held:
+            hold.release()
 
 
 def csv_rows(path: str | os.PathLike, error: type[Exception]) -> list[tuple[int, list[str]]]:
@@ -410,17 +432,23 @@ def write_dataset(
     out_dir = Path(out_dir)
     with_folds = any(r.fold >= 0 for r in records)
     rows = [MANIFEST_COLUMNS + ["fold"] * with_folds]
-    for r in records:
-        fa = f"features/{r.sample_id}_a.csv"
-        fb = f"features/{r.sample_id}_b.csv"
-        write_text(out_dir / fa, matrix_text(r.features_a))
-        write_text(out_dir / fb, matrix_text(r.features_b))
-        row = [r.sample_id, repr(float(r.time_months)), str(r.censored), fa, fb]
-        rows.append(row + [str(r.fold)] * with_folds)
-    if truths is not None:
-        write_text(out_dir / "ground_truth.csv", _truth_csv(truths))
-    manifest = out_dir / "manifest.csv"
-    write_text(manifest, csv_text(rows))
+    _cohort.hold = hold = _SignalHold()  # one handler swap for all files, not one per file
+    try:
+        hold.start()
+        for r in records:
+            fa = f"features/{r.sample_id}_a.csv"
+            fb = f"features/{r.sample_id}_b.csv"
+            write_text(out_dir / fa, matrix_text(r.features_a))
+            write_text(out_dir / fb, matrix_text(r.features_b))
+            row = [r.sample_id, repr(float(r.time_months)), str(r.censored), fa, fb]
+            rows.append(row + [str(r.fold)] * with_folds)
+        if truths is not None:
+            write_text(out_dir / "ground_truth.csv", _truth_csv(truths))
+        manifest = out_dir / "manifest.csv"
+        write_text(manifest, csv_text(rows))
+    finally:
+        del _cohort.hold
+        hold.release()
     return manifest
 
 

@@ -143,13 +143,14 @@ class KmCurve:
     events: np.ndarray
 
 
-def _risk_sets(times, events, event_times) -> tuple[np.ndarray, np.ndarray]:
-    """At-risk and death counts at each of event_times (every event's time)."""
-    if not np.isfinite(times).all():
+def _risk_sets(died, *groups) -> tuple[np.ndarray, ...]:
+    """The distinct times among the sorted event times died, the deaths at
+    each (its run's length) and, per group of times, the number at risk at each."""
+    if not all(np.isfinite(times).all() for times in groups):
         raise MetricError("survival times must be finite")
-    at_risk = times.size - np.searchsorted(np.sort(times), event_times)
-    died = np.searchsorted(event_times, times[events == 1])
-    return at_risk, np.bincount(died, minlength=event_times.size)
+    last = np.flatnonzero(np.concatenate((died[1:] != died[:-1], [True])))[: died.size]
+    at_risk = (times.size - np.searchsorted(np.sort(times), died[last]) for times in groups)
+    return died[last], last - np.concatenate(([-1], last[:-1])), *at_risk
 
 
 def km_estimate(times, events) -> KmCurve:
@@ -158,8 +159,7 @@ def km_estimate(times, events) -> KmCurve:
     events = np.asarray(events, dtype=np.int64)
     if times.size == 0:
         raise MetricError("km_estimate needs at least one sample")
-    event_times = np.unique(times[events == 1])
-    at_risk, deaths = _risk_sets(times, events, event_times)
+    event_times, deaths, at_risk = _risk_sets(np.sort(times[events == 1]), times)
     return KmCurve(event_times, np.cumprod(1.0 - deaths / at_risk), at_risk, deaths)
 
 
@@ -171,12 +171,12 @@ def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     eb = np.asarray(events_b, dtype=np.int64)
     if ta.size == 0 or tb.size == 0:
         raise MetricError("log-rank needs two non-empty groups")
-    event_times = np.unique(np.concatenate([ta[ea == 1], tb[eb == 1]]))
-    if event_times.size == 0:
+    died_a = ta[ea == 1]
+    died = np.sort(np.concatenate([died_a, tb[eb == 1]]))
+    if died.size == 0:
         raise MetricError("log-rank needs at least one event")
-    n1, d1 = _risk_sets(ta, ea, event_times)
-    n2, d2 = _risk_sets(tb, eb, event_times)
-    n, d = n1 + n2, d1 + d2
+    _, d, n1, n2 = _risk_sets(died, ta, tb)
+    n = n1 + n2
     # cumsum adds in order (np.sum is pairwise), as a running sum would
     expected_a = float(np.cumsum(d * n1 / n)[-1])
     # with one group left at risk, n1 or n2 is 0 and so is the stratum's
@@ -184,7 +184,7 @@ def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     variance = float(np.cumsum(d * (n1 / n) * (n2 / n) * (n - d) / np.maximum(n - 1, 1))[-1])
     if variance <= 0.0:
         raise MetricError("log-rank degenerate: zero variance")
-    chi2 = (float(d1.sum()) - expected_a) ** 2 / variance
+    chi2 = (float(died_a.size) - expected_a) ** 2 / variance  # observed: group a's deaths
     return float(chi2), float(chi2_sf(chi2))
 
 

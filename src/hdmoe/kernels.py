@@ -43,25 +43,33 @@ def concordance_counts(times, events, risks):
 
     A pair is comparable iff the earlier sample had an observed event;
     risk ties count 0.5. Returns (concordant_weight, comparable_count).
-    Sorted latest first, the s_i samples later than event i are a prefix: the
-    power-of-two blocks named by the set bits of s_i, each counted by binary
-    search in its sorted risk ranks. O(n log^2 n); the counts are exact.
+    Sorted latest first, the s_i samples later than event i are a prefix.
+    Risk ties are counted once for the table, by one search per event in the
+    sorted (rank, position) keys. Of the prefix, the last s_i mod 8 samples
+    are compared directly, as a [7, events] table (the window); the rest is
+    the 2^k blocks named by the bits k >= 3 of s_i (the levels), each counted
+    by binary search in its sorted ranks, after the (blocks << k) keys of the
+    full blocks before it. The counts are exact; the time is O(n log^2 n) at
+    worst and the memory O(n).
     """
-    order = np.argsort(-times, kind="stable")
+    order = np.argsort(-times)  # the order inside a time tie changes no count
     _, rank = np.unique(risks[order], return_inverse=True)
     ev = np.flatnonzero(events[order] == 1)
     s = np.searchsorted(-times[order], -times[order[ev]])
-    pos, width = np.arange(times.size), times.size + 1
-    twice = 0  # twice the weight: later risks below r_i plus those at or below
-    for k in range(times.size.bit_length()):
-        q = np.flatnonzero((s >> k) & 1)
+    r, pos, width = rank[ev], np.arange(times.size), times.size + 1
+    tied, counts = np.sort(rank * width + pos), np.bincount(rank)
+    # twice the weight: the later risks equal to r_i, plus twice those below it
+    twice = int(np.searchsorted(tied, np.sort(r * width + s)).sum())
+    twice -= int((np.cumsum(counts) - counts)[r].sum())
+    back = np.arange(1, 8)[:, None]
+    near = rank.take(s - back, mode="clip")  # row j - 1: the rank at s_i - j
+    twice += 2 * np.count_nonzero((back <= (s & 7)) & (near < r))
+    for k in range(3, times.size.bit_length()):
+        q = np.flatnonzero(s & (1 << k))
         keys = np.sort((pos >> k) * width + rank)
-        base = ((s[q] >> k) - 1) * width
-        below = np.sort(base + rank[ev[q]])  # only sums are kept; sorted needles search faster
-        lo = np.searchsorted(keys, base)
-        mid = np.searchsorted(keys, below)
-        hi = np.searchsorted(keys, below, side="right")
-        twice += int((mid + hi - 2 * lo).sum())
+        blocks = (s[q] >> k) - 1
+        below = np.sort(blocks * width + r[q])  # sorted needles search faster
+        twice += 2 * (int(np.searchsorted(keys, below).sum()) - (int(blocks.sum()) << k))
     return 0.5 * float(twice), int(s.sum())
 
 

@@ -167,6 +167,23 @@ def test_synth_empty_cohort(tmp_path):
     assert manifest_lines == ["sample_id,time_months,censored,modality_a_file,modality_b_file"]
 
 
+@pytest.mark.parametrize("value", ["verbose", "", "warn"])
+def test_unknown_hdmoe_log_value_is_named_on_stderr(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HDMOE_LOG", value)
+    _synth(tmp_path, cohort=2)
+    err = capsys.readouterr().err
+    assert err == (f"hdmoe: unknown HDMOE_LOG value {value!r} (expected debug, info, warning); "
+                   "logging at warning\n")
+
+
+def test_known_hdmoe_log_values_print_nothing(tmp_path, monkeypatch, capsys):
+    for i, value in enumerate(["debug", " INFO ", "Warning"]):
+        monkeypatch.setenv("HDMOE_LOG", value)
+        cfg_path = _tiny_config(tmp_path, cohort=2)
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / str(i))]) == 0
+        assert "HDMOE_LOG" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -794,6 +811,77 @@ def test_sigterm_to_the_process_with_a_second_thread_leaves_no_temp_file(
     finally:
         stop.set()
         other.join()
+
+
+def test_cohort_write_swaps_the_signal_handlers_once(tmp_path, monkeypatch):
+    records, truths = data.generate_synthetic(SynthConfig(cohort=3, d_in=2),
+                                              np.random.default_rng(0))
+    swaps = []
+    real = signal.signal
+    monkeypatch.setattr(signal, "signal", lambda sig, handler: swaps.append(sig) or real(sig, handler))
+    write_dataset(tmp_path / "ds", records, truths)
+    assert sorted(swaps) == sorted([signal.SIGINT, signal.SIGTERM] * 2)  # 8 files, one swap
+
+
+def test_sigterm_to_the_process_during_a_cohort_write_leaves_no_temp_file_or_manifest(tmp_path):
+    # SIGTERM (a KeyboardInterrupt here) goes to the process at each bytecode
+    # instruction of write_dataset and of every write_text it calls, in turn, while
+    # a second thread may take it. The files present must be the first ones of the
+    # write order, the manifest last: every file begun before the signal, or all
+    # but the one begun last. No temp file is left, and no manifest unless its own
+    # write had begun.
+    records, _ = data.generate_synthetic(SynthConfig(cohort=2, d_in=2), np.random.default_rng(0))
+    traced = {data.write_dataset.__code__, data.write_text.__code__}
+    seen, begun = [0], [0]
+
+    def trace(frame, event, arg):
+        if event == "call":
+            frame.f_trace_opcodes = frame.f_code in traced
+            if frame.f_code is data.write_text.__code__ and seen[0] < send_at:
+                begun[0] += 1
+            return trace if frame.f_trace_opcodes else None
+        if event == "opcode":
+            seen[0] += 1
+            if seen[0] == send_at:
+                os.kill(os.getpid(), signal.SIGTERM)
+        return trace
+
+    def write(out):
+        seen[0] = begun[0] = 0
+        sys.settrace(trace)
+        try:
+            write_dataset(out, records)
+        finally:
+            sys.settrace(None)
+
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    sigint = signal.getsignal(signal.SIGINT)
+    try:
+        send_at = float("inf")
+        write(tmp_path / "whole")
+        order = [f"features/{r.sample_id}_{m}.csv" for r in records for m in "ab"]
+        order.append("manifest.csv")
+        assert seen[0] > 100 and begun[0] == len(order)
+        for send_at in range(1, seen[0] + 1):
+            out = tmp_path / str(send_at)
+            with pytest.raises(KeyboardInterrupt) as raised:
+                write(out)
+                time.sleep(0.01)  # a signal still pending surfaces here, not from write_dataset
+            frames = {frame.f_code for frame, _ in traceback.walk_tb(raised.tb)}
+            assert data.write_dataset.__code__ in frames, send_at
+            files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+            assert files == sorted(order[:len(files)]), send_at
+            assert len(files) in (begun[0], begun[0] - 1), send_at
+            assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+            assert signal.getsignal(signal.SIGINT) is sigint
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,15 @@ def tied_tables(draw, min_n=1, max_n=300):
     return _table(risks, times, rng.integers(0, 2, n))
 
 
+@st.composite
+def untied_tables(draw, min_n=1, max_n=600):
+    """Continuous times and risks, all distinct, so the ranks reach every
+    level of the concordance count's blocks."""
+    n = draw(st.integers(min_n, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _table(rng.normal(size=n), rng.exponential(10.0, n), rng.integers(0, 2, n))
+
+
 def _bits(x):
     return float(x).hex()
 
@@ -239,9 +248,7 @@ def _c_index_or_none(table):
         return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(tied_tables())
-def test_cindex_equals_scan_and_pairwise_oracle(table):
+def _check_cindex(table):
     counts = kernels.concordance_counts(table.times, table.events, table.risks)
     assert counts == scan_concordance_counts(table.times, table.events, table.risks)
     assert (type(counts[0]), type(counts[1])) == (float, int)
@@ -251,8 +258,33 @@ def test_cindex_equals_scan_and_pairwise_oracle(table):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tied_tables(), st.randoms(use_true_random=False))
-def test_km_and_log_rank_equal_loops_bitwise(table, rnd):
+@given(tied_tables())
+def test_cindex_equals_scan_and_pairwise_oracle(table):
+    _check_cindex(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(untied_tables())
+def test_cindex_on_untied_tables_equals_scan_and_pairwise_oracle(table):
+    _check_cindex(table)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 63, 64, 65, 127, 128, 129, 255, 256, 257])
+def test_cindex_counts_across_window_and_level_boundaries(n):
+    # the last s mod 8 later samples are compared directly, the rest by blocks
+    # of 2^k for k >= 3: sizes around each power of two, tied and untied
+    rng = np.random.default_rng(n)
+    for decimals in (1, 3, None):  # heavy ties, a few, none
+        for _ in range(4):
+            risks, times = rng.normal(size=n), rng.exponential(5.0, n)
+            if decimals is not None:
+                risks, times = np.round(risks, decimals), np.round(times, decimals)
+            events = rng.integers(0, 2, n)
+            assert kernels.concordance_counts(times, events, risks) == scan_concordance_counts(
+                times, events, risks), (n, decimals)
+
+
+def _check_km_and_log_rank(table, rnd):
     t, e = table.times, table.events
     assert _km_bits(ev.km_estimate(t, e)) == _km_bits(km_loop(t, e))
     in_a = np.array([rnd.random() < 0.5 for _ in range(t.size)], dtype=bool)
@@ -261,6 +293,18 @@ def test_km_and_log_rank_equal_loops_bitwise(table, rnd):
     groups = (t[in_a], e[in_a], t[~in_a], e[~in_a])
     ref = log_rank_loop(*groups)
     assert _log_rank_bits(*groups) == (None if ref is None else tuple(map(_bits, ref)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables(), st.randoms(use_true_random=False))
+def test_km_and_log_rank_equal_loops_bitwise(table, rnd):
+    _check_km_and_log_rank(table, rnd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(untied_tables(), st.randoms(use_true_random=False))
+def test_km_and_log_rank_on_untied_tables_equal_loops_bitwise(table, rnd):
+    _check_km_and_log_rank(table, rnd)
 
 
 @settings(max_examples=60, deadline=None)

@@ -64,6 +64,18 @@ def test_step_profile_times_train_end_to_end(monkeypatch):
     assert eval_lanes["60x2"] == {"eval": min(2, usable), "analyze": min(2, usable)}
 
 
+def test_step_profile_times_each_metric_and_the_whole_pass(monkeypatch):
+    profile = _load_tool("step_profile")
+    monkeypatch.setattr(profile, "METRIC_SIZES", (30, 200))
+    monkeypatch.setattr(profile, "METRIC_REPEATS", 1)
+    metrics = profile.profile_metrics()
+    assert set(metrics) == {"c_index", "km_estimate", "log_rank_p", "welch_t_test",
+                            "metric_pass"}
+    for times in metrics.values():
+        assert set(times) == {"30", "200"}
+        assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+
+
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
 def test_desk_step_records_at_most_22_ops_for_every_metric(kind):
     profile = _load_tool("step_profile")

@@ -22,8 +22,11 @@
   figures compare with BENCH_2 to BENCH_5); and level-1
   ``redundancy_score`` (modality a) over that cohort's encoded outputs,
   which is the correlation pass alone.
-- The survival metrics ``c_index``, ``km_estimate`` and ``log_rank_p`` on
-  risk tables of n = 30, 200 and 2000 samples with heavy ties.
+- The survival metrics ``c_index``, ``km_estimate``, ``log_rank_p`` and
+  ``welch_t_test`` on risk tables of n = 30, 200 and 2000 samples with heavy
+  ties, and the whole metric pass over each table (``metric_pass``): c-index,
+  median split, log-rank and Welch t as ``cli._fold_metrics`` runs them, then
+  a KM curve per half as ``cmd_eval`` does.
 - ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
   both scales, through a temporary directory.
 - ``load_samples`` of a desk cohort of 60 samples (120 feature files of
@@ -330,12 +333,26 @@ def tied_table(rng, n: int):
     return risks, times, events
 
 
+def metric_pass(table) -> None:
+    """The survival statistics of one risk table as ``cli._fold_metrics`` (c-index,
+    median split, log-rank, Welch t) and then ``cmd_eval`` (a KM curve per half)
+    compute them."""
+    from hdmoe import cli
+    from hdmoe import evaluation as ev
+
+    cli._fold_metrics(table)
+    high, low = cli._median_split(table)
+    ev.km_estimate(table.times[high], table.events[high])
+    ev.km_estimate(table.times[low], table.events[low])
+
+
 def profile_metrics() -> dict:
     import numpy as np
 
     from hdmoe import evaluation as ev
 
-    out = {"c_index": {}, "km_estimate": {}, "log_rank_p": {}}
+    out = {"c_index": {}, "km_estimate": {}, "log_rank_p": {}, "welch_t_test": {},
+           "metric_pass": {}}
     rng = np.random.default_rng(3)
     for n in METRIC_SIZES:
         risks, times, events = tied_table(rng, n)
@@ -346,6 +363,8 @@ def profile_metrics() -> dict:
             "km_estimate": lambda: ev.km_estimate(times, events),
             "log_rank_p": lambda: ev.log_rank_p(
                 times[high], events[high], times[~high], events[~high]),
+            "welch_t_test": lambda: ev.welch_t_test(risks[high], risks[~high]),
+            "metric_pass": lambda: metric_pass(table),
         }
         for name, call in calls.items():
             out[name][str(n)] = _median_ms(call, METRIC_REPEATS)
