@@ -112,18 +112,13 @@ def _fold_metrics(table: RiskTable) -> dict:
     return out
 
 
-def _write_metrics(path: Path, per_fold: dict, extra: dict | None = None) -> None:
+def _write_metrics(path: Path, per_fold: dict, extra: dict | None = None) -> dict:
+    """Writes metrics.json; returns its "overall" block, the mean and std of the fold c-indexes."""
     cindexes = [m["cindex"] for m in per_fold.values()]
-    report = {
-        "folds": per_fold,
-        "overall": {
-            "mean": float(np.mean(cindexes)),
-            "std": float(np.std(cindexes)),
-        },
-    }
-    if extra:
-        report.update(extra)
+    overall = {"mean": float(np.mean(cindexes)), "std": float(np.std(cindexes))}
+    report = {"folds": per_fold, "overall": overall, **(extra or {})}
     write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return overall
 
 
 def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
@@ -171,9 +166,8 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
         print(f"fold {fid}: c-index {per_fold[str(fid)]['cindex']:.4f}")
 
     write_text(out_dir / "predictions.csv", predictions_to_csv(all_rows, model_cfg.num_bins))
-    _write_metrics(out_dir / "metrics.json", per_fold)
-    cindexes = [m["cindex"] for m in per_fold.values()]
-    print(f"overall c-index {np.mean(cindexes):.4f} +/- {np.std(cindexes):.4f}")
+    overall = _write_metrics(out_dir / "metrics.json", per_fold)
+    print(f"overall c-index {overall['mean']:.4f} +/- {overall['std']:.4f}")
     return 0
 
 
@@ -231,8 +225,7 @@ def cmd_eval(
     model_cfg = cfg.model_config()
     paths = _checkpoint_paths(checkpoint)
 
-    def score(i: int) -> tuple:  # one checkpoint, in a lane of its own or shared
-        path = paths[i]
+    def score(path: Path) -> tuple:  # one checkpoint, in a lane of its own or shared
         params, meta = load_checkpoint(path, model_cfg)
         lifted, _ = lift_params(params, requires_grad=False)
         fold = meta.get("fold", 0)
@@ -253,8 +246,12 @@ def cmd_eval(
             stability = {"scores": scores, "mean": mean, "std": std}
         return fold, metrics, stability, res.risk, times, events
 
-    scored = map_folds(score, list(range(len(paths))),  # in path order, whatever the lanes
-                       describe=lambda ids: "checkpoint " + ", ".join(str(paths[i]) for i in ids))
+    scored = map_folds(score, paths,  # in path order, whatever the lanes
+                       describe=lambda held: "checkpoint " + ", ".join(map(str, held)))
+    first = {}  # fold -> its checkpoint: per_fold and stability are keyed by fold
+    for path, (fold, *_) in zip(paths, scored):
+        if first.setdefault(fold, path) != path:
+            raise ConfigError(f"checkpoints {first[fold]} and {path} both hold fold {fold}")
     per_fold = {str(fold): metrics for fold, metrics, *_ in scored}
     stability = {str(fold): stab for fold, _, stab, *_ in scored if stab is not None}
     risks, times, events = (np.concatenate(column) for column in list(zip(*scored))[3:])
@@ -268,21 +265,17 @@ def cmd_eval(
     save_config(cfg, out_dir / "config.json")
     write_text(out_dir / "km_curves.csv", km_curves_csv(groups))
     extra = {"stability": stability} if stability else None
-    _write_metrics(out_dir / "metrics.json", per_fold, extra)
-    overall = [m["cindex"] for m in per_fold.values()]
-    print(f"eval c-index {np.mean(overall):.4f} +/- {np.std(overall):.4f}")
-    if stability:
-        for fold, s in stability.items():
-            print(f"fold {fold} stability: mean {s['mean']:.4f} std {s['std']:.5f}")
+    overall = _write_metrics(out_dir / "metrics.json", per_fold, extra)
+    print(f"eval c-index {overall['mean']:.4f} +/- {overall['std']:.4f}")
+    for fold, s in stability.items():
+        print(f"fold {fold} stability: mean {s['mean']:.4f} std {s['std']:.5f}")
     return 0
 
 
 def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None) -> int:
+    records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
-    # the cohort in this process, the checkpoint beside it: the cohort's error comes first
-    reads = (lambda: _load_dataset(cfg),
-             lambda: load_checkpoint(_checkpoint_paths(checkpoint)[0], model_cfg)[0])
-    records, params = map_folds(lambda i: reads[i](), [0, 1], describe=lambda _: f"checkpoint {checkpoint}")
+    params, _ = load_checkpoint(_checkpoint_paths(checkpoint)[0], model_cfg)
     lifted, _ = lift_params(params, requires_grad=False)
     out_dir = Path(cfg.out_dir)
     save_config(cfg, out_dir / "config.json")

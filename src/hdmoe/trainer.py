@@ -230,7 +230,7 @@ def predict_fold(
     ]
 
 
-def map_folds(fn, folds: list[int], describe=lambda folds: f"folds {folds}") -> list:
+def map_folds(fn, folds: list, describe=lambda folds: f"folds {folds}") -> list:
     """[fn(f) for f in folds], dealt round-robin over one lane per usable core: this process,
     then a forked child per other lane. A lane stops at its error; the lowest fold's is raised.
     A lane lost without a result is an OSError naming describe(its folds)."""

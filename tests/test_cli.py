@@ -583,6 +583,24 @@ def test_eval_malformed_folds_csv_exit_2_naming_it(tmp_path, capsys, row):
         assert not eval_dir.exists()
 
 
+@pytest.mark.parametrize("edit", ["copied", "no_fold"])
+def test_eval_two_checkpoints_of_one_fold_exit_2_naming_both(tmp_path, capsys, edit):
+    resolved, run_dir = _trained_run(tmp_path)
+    first, second = (run_dir / f"fold{f}" / "checkpoint.json" for f in (0, 1))
+    if edit == "copied":  # fold 0's checkpoint in fold1/
+        second.write_bytes(first.read_bytes())
+    else:  # neither names its fold: both read as fold 0
+        for ckpt in (first, second):
+            blob = json.loads(ckpt.read_text())
+            del blob["meta"]["fold"]
+            ckpt.write_text(json.dumps(blob))
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"error: checkpoints {first} and {second} both hold fold 0\n"
+    assert not eval_dir.exists()
+
+
 def test_eval_folds_csv_without_the_fold_exit_2(tmp_path, capsys):
     resolved, run_dir = _trained_run(tmp_path)
     folds = run_dir / "folds.csv"
@@ -1015,7 +1033,7 @@ def test_eval_and_analyze_error_in_a_forked_lane_keeps_its_exit_code_and_message
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_eval_and_analyze_lost_lane_exit_4_writing_nothing(tmp_path, monkeypatch, capsys):
+def test_eval_lost_lane_exit_4_writing_nothing(tmp_path, monkeypatch, capsys):
     resolved, run_dir = _trained_run(tmp_path)
     _cores(monkeypatch, 2)
     load = cli.load_checkpoint
@@ -1026,14 +1044,32 @@ def test_eval_and_analyze_lost_lane_exit_4_writing_nothing(tmp_path, monkeypatch
         return load(path, *args)
 
     monkeypatch.setattr(cli, "load_checkpoint", killed_reading)
-    assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (4, 4)
-    # both name the checkpoint the lost lane read: eval's path of it, analyze's argument
-    assert capsys.readouterr().err == 2 * (
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir), "--repeats", "3"]) == 4
+    assert capsys.readouterr().err == (
         f"io error: the lane of checkpoint {run_dir / 'fold1' / 'checkpoint.json'} "
         "ended without a result (signal SIGKILL)\n")
-    assert not (tmp_path / "out").exists()
+    assert not eval_dir.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_analyze_forks_nothing_and_writes_the_bytes_of_one_core(tmp_path, monkeypatch, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("analyze forked"))
+    runs = {}
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        out = tmp_path / f"analyze{cores}"
+        assert cli.main(["analyze", "--config", str(resolved), "--out", str(out),
+                         "--checkpoint", str(run_dir)]) == 0
+        files = _files(out)
+        del files["config.json"]  # names out_dir
+        runs[cores] = files, capsys.readouterr().out.replace(str(out), "<out>")
+    assert "redundancy_summary.csv" in runs[2][0]
+    assert runs[2] == runs[1]
 
 
 def _processes_naming(marker: str) -> list[int]:

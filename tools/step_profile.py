@@ -38,7 +38,10 @@
   most one per fold, where the package has ``trainer.map_folds``, else 1.
 - ``hdmoe eval --repeats 5`` plus ``hdmoe analyze`` end to end on the
   checkpoints of the 60-sample train (the benchmark's ``eval_desk`` pair),
-  with the lanes each command ran, counted as 1 + the processes it forked.
+  with the lanes each command ran, counted as 1 + the processes it forked:
+  ``eval`` one per checkpoint and usable core; ``analyze`` reads the first
+  checkpoint (``fold0``) in-process, 1 lane (BENCH_19 to BENCH_21 count 2,
+  from when it read that checkpoint in a forked lane beside the cohort).
 
 The package is imported from ``--src`` (default: this checkout's src) before
 numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
@@ -80,7 +83,7 @@ CHECKPOINT_CALLS = 5
 READER_CALLS = 20
 TRAIN_COHORTS = ((60, 2), (200, 5))  # (samples, folds), one epoch each
 TRAIN_CALLS = 5
-EVAL_COHORT = (60, 2)  # the train cohort whose checkpoints eval and analyze read
+EVAL_COHORT = (60, 2)  # the train cohort whose checkpoints eval reads (analyze: fold0's)
 EVAL_CALLS = 20
 
 
