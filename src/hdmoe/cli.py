@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_desk_preset, load_config, save_config
-from .data import (csv_rows, csv_text, generate_synthetic, load_samples, make_folds, matrix_text,
-                   write_dataset, write_text)
+from .data import (ManifestEntry, csv_rows, csv_text, generate_synthetic, load_manifest,
+                   load_samples, make_folds, matrix_text, write_dataset, write_text)
 from .errors import ConfigError, DataError, MetricError, NumericsError
 from .evaluation import (
     RiskTable,
@@ -66,10 +66,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_dataset(cfg: RunConfig):
+def _manifest(cfg: RunConfig) -> str:
     if not cfg.manifest:
         raise ConfigError("config.manifest is required for this command")
-    records = load_samples(cfg.manifest)
+    return cfg.manifest
+
+
+def _load_dataset(cfg: RunConfig, entries: list[ManifestEntry] | None = None):
+    """The records of `entries` (default: the whole manifest), each checked against d_in."""
+    records = load_samples(_manifest(cfg), entries)
     for r in records:  # a record's two bags already agree in width
         if r.features_a.shape[1] != cfg.d_in:
             raise ConfigError(
@@ -200,16 +205,21 @@ def _checkpoint_paths(checkpoint: str) -> list[Path]:
     return [path]
 
 
-def _records_for_checkpoint(records, meta, folds_file: Path | None):
-    """Held-out split when fold assignments are recoverable (never empty), else all samples."""
+def _records_for_checkpoint(entries: list[ManifestEntry], meta, path: Path,
+                            folds_file: Path | None) -> list[ManifestEntry]:
+    """The held-out split of the checkpoint at `path` when fold assignments are recoverable
+    (never empty), else all entries."""
     fold = meta.get("fold")
     if fold is not None and folds_file is not None and folds_file.exists():
         by_id = _read_folds(folds_file)
-        held_out, source = [r for r in records if by_id.get(r.sample_id) == fold], folds_file
-    elif fold is not None and any(r.fold >= 0 for r in records):
-        held_out, source = split_fold(records, fold)[1], "the manifest"
+        if fold not in by_id.values():
+            raise ConfigError(f"{path}: {folds_file} has no fold {fold}, "
+                              "so the checkpoint is not from this run")
+        held_out, source = [e for e in entries if by_id.get(e.sample_id) == fold], folds_file
+    elif fold is not None and any(e.fold >= 0 for e in entries):
+        held_out, source = split_fold(entries, fold)[1], "the manifest"
     else:
-        return records
+        return entries
     if not held_out:
         raise ConfigError(f"fold {fold}: {source} assigns no sample of the dataset to it")
     return held_out
@@ -221,18 +231,18 @@ def cmd_eval(
     repeats: int | None = None,
     pin_segment: int | None = None,
 ) -> int:
-    records = _load_dataset(cfg)
+    entries = load_manifest(_manifest(cfg))
     model_cfg = cfg.model_config()
     paths = _checkpoint_paths(checkpoint)
 
-    def score(path: Path) -> tuple:  # one checkpoint, in a lane of its own or shared
+    def score(path: Path) -> tuple:  # one checkpoint and the samples it scores, in a lane
         params, meta = load_checkpoint(path, model_cfg)
         lifted, _ = lift_params(params, requires_grad=False)
         fold = meta.get("fold", 0)
         if type(fold) is not int or fold < 0:  # a bool is an int; JSON has no other int type
             raise ConfigError(f"{path}: meta.fold must be a non-negative integer, got {fold!r}")
         folds_file = path.parent.parent / "folds.csv" if path.parent.name.startswith("fold") else None
-        subset = _records_for_checkpoint(records, meta, folds_file)
+        subset = _load_dataset(cfg, _records_for_checkpoint(entries, meta, path, folds_file))
         rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
         res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
         times = np.array([r.time_months for r in subset])

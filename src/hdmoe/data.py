@@ -143,23 +143,48 @@ def _load_feature_file(path: Path, sample_id: str) -> np.ndarray:
     return arr
 
 
-def load_samples(manifest_path: str | os.PathLike) -> list[SampleRecord]:
-    """Load the manifest and all referenced feature files."""
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    records = []
-    for entry in load_manifest(manifest_path):
-        records.append(
-            SampleRecord(
-                sample_id=entry.sample_id,
-                features_a=_load_feature_file(base / entry.modality_a_file, entry.sample_id),
-                features_b=_load_feature_file(base / entry.modality_b_file, entry.sample_id),
-                time_months=entry.time_months,
-                censored=entry.censored,
-                fold=entry.fold,
-            )
+def _read_bags(paths: list[Path]) -> list[np.ndarray] | None:
+    """Each file's matrix as a read-only row view of one array, from one np.loadtxt over
+    the data lines of all files; None on any failure, which _load_feature_file then names.
+    A line is data unless it is empty or starts with '#': the lines np.loadtxt skips."""
+    try:
+        kept, ends = [], []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:  # universal newlines, as loadtxt reads
+                lines = [line for line in fh.read().split("\n") if line[:1] not in ("", "#")]
+            if not lines:
+                return None
+            kept += lines
+            ends.append(len(kept))
+        arr = np.loadtxt(kept, delimiter=",", ndmin=2, dtype=np.float64)
+    except (OSError, ValueError):  # a UnicodeDecodeError too
+        return None
+    # a kept line that loadtxt skipped would shift every later bag
+    if arr.shape[0] != len(kept) or not np.isfinite(arr).all():
+        return None
+    arr.flags.writeable = False
+    return np.split(arr, ends[:-1])
+
+
+def load_samples(manifest_path: str | os.PathLike,
+                 entries: list[ManifestEntry] | None = None) -> list[SampleRecord]:
+    """Load the feature files of `entries` (default: every manifest entry) as records, in
+    their order. Errors are those of reading file by file, in manifest order."""
+    base = Path(manifest_path).parent
+    if entries is None:
+        entries = load_manifest(manifest_path)
+    paths = [base / name for e in entries for name in (e.modality_a_file, e.modality_b_file)]
+    bags = _read_bags(paths) if paths else []
+    if bags is None:  # again file by file, each record after its two files: first error raises
+        bags = (_load_feature_file(path, entries[i // 2].sample_id) for i, path in enumerate(paths))
+    bags = iter(bags)
+    return [
+        SampleRecord(
+            sample_id=e.sample_id, features_a=next(bags), features_b=next(bags),
+            time_months=e.time_months, censored=e.censored, fold=e.fold,
         )
-    return records
+        for e in entries
+    ]
 
 
 class _SignalHold:
@@ -178,10 +203,21 @@ class _SignalHold:
                     self.swapped[sig] = signal.signal(sig, lambda taken, _: self.held.append(taken))
 
     def release(self) -> None:
-        while self.swapped:
-            signal.signal(*self.swapped.popitem())
+        self._restore()
         while self.held:
             signal.raise_signal(self.held.pop(0))
+
+    def _restore(self) -> None:
+        """Each swapped handler back, SIGTERM's first. A restored handler that raises, run by
+        a signal between two restorations, leaves the rest to the finally."""
+        try:
+            while self.swapped:
+                sig = next(reversed(self.swapped))
+                signal.signal(sig, self.swapped[sig])
+                del self.swapped[sig]  # only once its handler is back
+        finally:
+            if self.swapped:
+                self._restore()
 
 
 _cohort = threading.local()  # .hold: the hold write_dataset keeps over all of a cohort's files

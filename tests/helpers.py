@@ -3,10 +3,11 @@ checks, the fine ops that left the tape and the composites the one-node tape
 ops replaced, the
 single-token routing oracle, the per-array optimizer oracle, the loop oracles
 of the survival metrics, the one-sample forward and its per-sample loop, and
-the full-forward oracles of the no-grad repeaters, and the format-v1
-checkpoint writer."""
+the full-forward oracles of the no-grad repeaters, the format-v1
+checkpoint writer and the file-by-file cohort reader."""
 
 import base64
+import warnings
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -17,8 +18,8 @@ from hdmoe import evaluation as ev
 from hdmoe import kernels
 from hdmoe import losses
 from hdmoe import model as hm
-from hdmoe.data import assign_bin, compute_bin_edges
-from hdmoe.errors import ConfigError, MetricError, NumericsError, ShapeError
+from hdmoe.data import SampleRecord, assign_bin, compute_bin_edges, load_manifest
+from hdmoe.errors import ConfigError, DataError, MetricError, NumericsError, ShapeError
 from hdmoe.moe import MoEOutput, RouterTrace, moe_forward, select_top_k
 from hdmoe.rfr import build_permutation, rfr_forward, valid_segments
 from hdmoe.trainer import split_fold
@@ -810,3 +811,32 @@ def checkpoint_as_v1(blob: dict) -> dict:
     params = {p: {"shape": e["shape"], "data": np.frombuffer(
         base64.b64decode(e["data"]), "<f8").tolist()} for p, e in blob["params"].items()}
     return {**blob, "format_version": 1, "params": params}
+
+
+# ---------------------------------------------------------------------------
+# the cohort read file by file: one np.loadtxt per feature file, each checked
+# as it is read, and each record once its two files are read
+
+
+def feature_file_per_file(path, sample_id: str) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        raise DataError(f"{path}: bad feature file for {sample_id}: {exc}") from None
+    if arr.size == 0:
+        raise DataError(f"{path}: empty feature file for {sample_id}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: non-finite features for {sample_id}")
+    return arr
+
+
+def load_samples_per_file(manifest_path) -> list[SampleRecord]:
+    base = manifest_path.parent
+    return [
+        SampleRecord(e.sample_id, feature_file_per_file(base / e.modality_a_file, e.sample_id),
+                     feature_file_per_file(base / e.modality_b_file, e.sample_id),
+                     e.time_months, e.censored, fold=e.fold)
+        for e in load_manifest(manifest_path)
+    ]

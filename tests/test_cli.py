@@ -614,6 +614,45 @@ def test_eval_folds_csv_without_the_fold_exit_2(tmp_path, capsys):
         assert not eval_dir.exists()
 
 
+def test_eval_stale_fold_checkpoint_exit_2_naming_it(tmp_path, capsys):
+    # a 2-fold train into the directory of a 3-fold run leaves fold2/ behind
+    resolved = _synth(tmp_path, k_folds=3)
+    two_folds = tmp_path / "two_folds.json"
+    save_config(dataclasses.replace(load_config(resolved), k_folds=2), two_folds)
+    run_dir = tmp_path / "run"
+    for config in (resolved, two_folds):
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+    stale = run_dir / "fold2" / "checkpoint.json"
+    assert stale.exists()
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    for checkpoint in (run_dir, stale):
+        assert cli.main(["eval", "--config", str(two_folds), "--out", str(eval_dir),
+                         "--checkpoint", str(checkpoint)]) == 2
+        assert capsys.readouterr().err == (f"error: {stale}: {run_dir / 'folds.csv'} has no fold 2, "
+                                           "so the checkpoint is not from this run\n")
+        assert not eval_dir.exists()
+
+
+def test_eval_reads_the_feature_files_of_the_samples_it_scores_once(tmp_path, monkeypatch):
+    resolved, run_dir = _trained_run(tmp_path)
+    _cores(monkeypatch, 1)  # the count is in-process; a forked lane's reads are not seen
+    features = Path(load_config(resolved).manifest).parent / "features"
+    fold0 = [row[0] for _, row in data.csv_rows(run_dir / "folds.csv", ValueError)[1:]
+             if row[1] == "0"]
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *a, **kw: opened.append(Path(file)) or
+                        real_open(file, *a, **kw))
+    for checkpoint, scored in ((run_dir, sorted(features.iterdir())),  # each sample once
+                               (run_dir / "fold0" / "checkpoint.json",
+                                sorted(features / f"{s}_{m}.csv" for s in fold0 for m in "ab"))):
+        opened.clear()
+        assert cli.main(["eval", "--config", str(resolved), "--out", str(tmp_path / "eval"),
+                         "--checkpoint", str(checkpoint)]) == 0
+        assert sorted(p for p in opened if p.parent == features) == scored
+
+
 def _count_encodes(monkeypatch, argv) -> list[int]:
     """The number of bags of each encode_bag call."""
     calls = []
@@ -841,6 +880,44 @@ def test_cohort_write_swaps_the_signal_handlers_once(tmp_path, monkeypatch):
     assert sorted(swaps) == sorted([signal.SIGINT, signal.SIGTERM] * 2)  # 8 files, one swap
 
 
+@pytest.mark.parametrize("second_thread", [False, True])
+def test_sigterm_between_two_handler_restorations_leaves_no_recorder(monkeypatch, second_thread):
+    # SIGTERM goes to the process right after release() puts back SIGTERM's handler, a
+    # raising one as in a fold lane, and before SIGINT's: SIGINT's must come back all the same.
+    before = signal.getsignal(signal.SIGINT)
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if second_thread:  # which may take the signal; its handler still runs in this thread
+        other.start()
+    hold, real, restored = data._SignalHold(), signal.signal, []
+
+    def restore(sig, handler):
+        old = real(sig, handler)
+        if not restored:
+            restored.append(sig)
+            os.kill(os.getpid(), signal.SIGTERM)
+        return old
+
+    try:
+        hold.start()
+        monkeypatch.setattr(signal, "signal", restore)
+        with pytest.raises(KeyboardInterrupt):
+            hold.release()
+            time.sleep(0.01)  # a signal still pending surfaces here
+        monkeypatch.undo()
+        assert restored == [signal.SIGTERM]
+        assert signal.getsignal(signal.SIGINT) is before
+        assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+    finally:
+        monkeypatch.undo()
+        signal.signal(signal.SIGINT, before)
+        signal.signal(signal.SIGTERM, previous)
+        stop.set()
+        if second_thread:
+            other.join()
+
+
 def test_sigterm_to_the_process_during_a_cohort_write_leaves_no_temp_file_or_manifest(tmp_path):
     # SIGTERM (a KeyboardInterrupt here) goes to the process at each bytecode
     # instruction of write_dataset and of every write_text it calls, in turn, while
@@ -1010,21 +1087,37 @@ def test_eval_and_analyze_two_lanes_write_the_bytes_of_one(tmp_path, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_eval_and_analyze_error_in_a_forked_lane_keeps_its_exit_code_and_message(
-        tmp_path, monkeypatch, capsys):
-    resolved, run_dir = _trained_run(tmp_path)
-    ckpt = run_dir / "fold1" / "checkpoint.json"  # read by the forked lane alone
-    ckpt.write_bytes(ckpt.read_bytes()[:500])
+def _lane_errors(monkeypatch, capsys, resolved, run_dir, out: Path) -> str:
+    """stderr of eval and analyze, each failing with exit 2 and writing nothing, the same
+    with one usable core and with two."""
     errors = {}
     for cores in (1, 2):
         _cores(monkeypatch, cores)
         capsys.readouterr()
-        assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (2, 2)
-        assert not (tmp_path / "out").exists()
+        assert _eval_and_analyze(resolved, run_dir, out) == (2, 2)
+        assert not out.exists()
         errors[cores] = capsys.readouterr().err
     assert errors[2] == errors[1]  # eval's one line, then analyze's
-    assert errors[1].count(f"error: {ckpt}: invalid JSON") == errors[1].count("\n") == 2
-    # the cohort, read in this process, fails first: its error is the one raised
+    return errors[1]
+
+
+def test_eval_and_analyze_error_in_a_forked_lane_keeps_its_exit_code_and_message(
+        tmp_path, monkeypatch, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    # a feature file of a fold-1 sample: eval reads it in the forked lane alone
+    sample = next(row[0] for _, row in data.csv_rows(run_dir / "folds.csv", ValueError)[1:]
+                  if row[1] == "1")
+    bad = _feature_file(resolved, f"{sample}_b.csv")
+    good = bad.read_bytes()
+    bad.write_text("0.1,abc,0.3,0.4\n")
+    err = _lane_errors(monkeypatch, capsys, resolved, run_dir, tmp_path / "out")
+    assert err.count(f"error: {bad}: bad feature file for {sample}:") == err.count("\n") == 2
+    bad.write_bytes(good)
+    ckpt = run_dir / "fold1" / "checkpoint.json"  # read by the forked lane alone
+    ckpt.write_bytes(ckpt.read_bytes()[:500])
+    err = _lane_errors(monkeypatch, capsys, resolved, run_dir, tmp_path / "out")
+    assert err.count(f"error: {ckpt}: invalid JSON") == err.count("\n") == 2
+    # the manifest, read in this process, fails first: its error is the one raised
     manifest = Path(load_config(resolved).manifest)
     manifest.write_text(manifest.read_text() + "broken\n")
     assert _eval_and_analyze(resolved, run_dir, tmp_path / "out") == (2, 2)

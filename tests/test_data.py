@@ -1,6 +1,9 @@
 import io
 import os
 import stat
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from hdmoe import data as hd
 from hdmoe.errors import ConfigError, DataError
+
+from helpers import load_samples_per_file
 
 
 def _write_dataset(tmp_path, rows, header="sample_id,time_months,censored,modality_a_file,modality_b_file"):
@@ -326,3 +331,108 @@ def test_write_text_failure_removes_temp_and_keeps_old_bytes(tmp_path):
         hd.write_text(path, "new\n" * 1000 + "\ud800")
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the cohort read: one parse against the file-by-file oracle
+
+VALUES = ("0", "1.5", "-2.25e-3", "7", "0.1")
+LINE_KINDS = {  # a line of a feature file of width w, by kind; the first four are well formed
+    "row": lambda w, i: ",".join(VALUES[(i + j) % 5] for j in range(w)),
+    "noted_row": lambda w, i: ",".join(VALUES[(i + j) % 5] for j in range(w)) + " # note",
+    "blank": lambda w, i: "",
+    "comment": lambda w, i: "# comment",
+    "indented_comment": lambda w, i: "  # comment",
+    "spaces": lambda w, i: "   ",
+    "form_feed": lambda w, i: "\x0c",  # a line end to str.splitlines, not to loadtxt
+    "ragged": lambda w, i: ",".join(VALUES[:w + 1]),
+    "abc": lambda w, i: ",".join(["abc", *VALUES[1:w]]),
+    "nan": lambda w, i: ",".join(["nan", *VALUES[1:w]]),
+    "inf": lambda w, i: ",".join([*VALUES[1:w], "inf"]),
+}
+WELL_FORMED = list(LINE_KINDS)[:4]
+
+
+@st.composite
+def feature_file(draw, width):
+    """The bytes of one feature file: mostly well formed, sometimes one flaw."""
+    kinds = draw(st.lists(st.sampled_from(WELL_FORMED), min_size=1, max_size=5))
+    flaw = draw(st.sampled_from([*LINE_KINDS][4:] + ["empty", "non_utf8"])) if draw(
+        st.integers(0, 15)) == 0 else None
+    if flaw == "empty":
+        return b""
+    if flaw in LINE_KINDS:
+        kinds.insert(draw(st.integers(0, len(kinds))), flaw)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(
+        LINE_KINDS[kind](width, i) for i, kind in enumerate(kinds))
+    raw = (text + draw(st.sampled_from(["", "\n"]))).encode()
+    return raw.replace(b"1.5", b"1.\xff5") if flaw == "non_utf8" else raw
+
+
+@st.composite
+def cohorts(draw):
+    """Each sample's two feature files; a file's width sometimes differs from the rest."""
+    width = draw(st.integers(1, 3))
+    widths = [width if draw(st.integers(0, 7)) else draw(st.integers(1, 3))
+              for _ in range(2 * draw(st.integers(1, 4)))]
+    files = [draw(feature_file(w)) for w in widths]
+    return list(zip(files[0::2], files[1::2]))
+
+
+def _outcome(load, manifest):
+    try:
+        return [(r.sample_id, r.features_a, r.features_b, r.fold) for r in load(manifest)]
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@given(cohorts())
+@settings(max_examples=300, deadline=None)
+def test_load_samples_matches_the_file_by_file_oracle(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rows = []
+        for i, (bytes_a, bytes_b) in enumerate(files):
+            (tmp / f"a{i}.csv").write_bytes(bytes_a)
+            (tmp / f"b{i}.csv").write_bytes(bytes_b)
+            rows.append(f"p{i},{i + 1}.0,{i % 2},a{i}.csv,b{i}.csv,{i % 2}")
+        manifest = tmp / "manifest.csv"
+        manifest.write_text("sample_id,time_months,censored,modality_a_file,modality_b_file,fold\n"
+                            + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither reader lets a numpy warning through
+            got, want = _outcome(hd.load_samples, manifest), _outcome(load_samples_per_file, manifest)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert [(sid, fold) for sid, *_, fold in got] == [(sid, fold) for sid, *_, fold in want]
+    for (_, *bags, _), (_, *oracle, _) in zip(got, want):
+        for bag, expected in zip(bags, oracle):
+            assert bag.dtype == np.float64 and bag.shape == expected.shape
+            assert bag.tobytes() == expected.tobytes()
+            assert bag.flags.c_contiguous and not bag.flags.writeable
+
+
+def test_load_samples_reads_a_cohort_with_one_parse(tmp_path, monkeypatch):
+    manifest = _write_dataset(tmp_path, ["p1,5.0,0,a1.csv,b1.csv", "p2,3.0,1,a2.csv,b2.csv"])
+    (tmp_path / "b2.csv").write_text("# notes\n5.0,6.0 # one row\n\n")
+    parses = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parses.append(1) or loadtxt(*a, **kw))
+    records = hd.load_samples(manifest)
+    assert len(parses) == 1
+    assert [r.features_b.tolist() for r in records] == [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]]
+
+
+def test_load_samples_of_the_chosen_entries_only(tmp_path):
+    manifest = _write_dataset(tmp_path, ["p1,5.0,0,a1.csv,b1.csv", "p2,3.0,1,a2.csv,b2.csv"])
+    (tmp_path / "a1.csv").write_text("not a number\n")  # p1 is not read
+    entries = hd.load_manifest(manifest)
+    assert [r.sample_id for r in hd.load_samples(manifest, entries[1:])] == ["p2"]
+    with pytest.raises(DataError, match="a1.csv: bad feature file for p1"):
+        hd.load_samples(manifest)
+
+
+@pytest.mark.filterwarnings("error")  # no "input contained no data" warning either
+def test_load_samples_header_only_manifest_is_empty(tmp_path):
+    assert hd.load_samples(_write_dataset(tmp_path, [])) == []

@@ -55,8 +55,9 @@ def test_step_profile_times_train_end_to_end(monkeypatch):
     monkeypatch.setattr(profile, "TRAIN_CALLS", 1)
     monkeypatch.setattr(profile, "EVAL_CALLS", 1)
     times, lanes, eval_times, eval_lanes = profile.profile_train()
-    assert set(times) == set(lanes) == set(eval_times) == set(eval_lanes) == {"60x2"}
-    for ms in (times["60x2"], eval_times["60x2"]):
+    assert set(times) == set(lanes) == set(eval_lanes) == {"60x2"}
+    assert set(eval_times) == {"60x2", "60x2/eval", "60x2/analyze"}  # the sum, and each command
+    for ms in (times["60x2"], *eval_times.values()):
         assert math.isfinite(ms) and ms > 0
     assert 1 <= lanes["60x2"] <= 2
     # eval: one lane per checkpoint; analyze reads in this process

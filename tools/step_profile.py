@@ -38,7 +38,9 @@
   most one per fold, where the package has ``trainer.map_folds``, else 1.
 - ``hdmoe eval --repeats 5`` plus ``hdmoe analyze`` end to end on the
   checkpoints of the 60-sample train (the benchmark's ``eval_desk`` pair),
-  with the lanes each command ran, counted as 1 + the processes it forked:
+  the median of their sum and of each command alone (``eval_ms`` keys
+  ``60x2``, ``60x2/eval`` and ``60x2/analyze``; BENCH_22 and earlier hold the
+  sum alone), with the lanes each command ran, counted as 1 + the processes it forked:
   ``eval`` one per checkpoint and usable core; ``analyze`` reads the first
   checkpoint (``fold0``) in-process, 1 lane (BENCH_19 to BENCH_21 count 2,
   from when it read that checkpoint in a forked lane beside the cohort).
@@ -277,7 +279,8 @@ def _lanes(call) -> int:
 
 def profile_train() -> tuple[dict, dict, dict, dict]:
     """({"<samples>x<folds>": median ms of one train}, {same keys: lanes}, and for
-    EVAL_COHORT {key: median ms of eval plus analyze}, {key: {command: lanes}})."""
+    EVAL_COHORT {key: median ms of eval plus analyze, "<key>/eval" and "<key>/analyze":
+    median ms of each}, {key: {command: lanes}})."""
     import contextlib
     import io
 
@@ -317,7 +320,15 @@ def profile_train() -> tuple[dict, dict, dict, dict]:
                 "analyze": lambda: hdmoe("analyze", "--config", str(config), "--checkpoint", run,
                                          "--out", str(base / "analyze")),
             }
-            eval_times[key] = _median_ms(lambda: [c() for c in commands.values()], EVAL_CALLS)
+            walls = {name: [] for name in commands}
+            for _ in range(EVAL_CALLS + 1):
+                for name, command in commands.items():
+                    t0 = time.perf_counter()
+                    command()
+                    walls[name].append(time.perf_counter() - t0)
+            walls = {name: w[1:] for name, w in walls.items()}  # each one's first is a warm-up
+            eval_times[key] = _ms([sum(pair) for pair in zip(*walls.values())])
+            eval_times.update({f"{key}/{name}": _ms(w) for name, w in walls.items()})
             eval_lanes[key] = {name: _lanes(c) for name, c in commands.items()}
     return times, lanes, eval_times, eval_lanes
 
