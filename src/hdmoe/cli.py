@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -188,38 +189,42 @@ def _read_folds(folds_file: Path) -> dict[str, int]:
     return by_id
 
 
+def _is_fold_dir(path: Path) -> bool:
+    """Whether `path` is named fold<k>, k decimal digits, as train names a fold's directory."""
+    return re.fullmatch(r"fold[0-9]+", path.name) is not None
+
+
 def _checkpoint_paths(checkpoint: str) -> list[Path]:
+    """The checkpoint file, or each fold<k>/checkpoint.json of a run directory in order of k."""
     path = Path(checkpoint)
     if path.is_dir():
-        found = sorted(path.glob("fold*/checkpoint.json"))
+        found = sorted((p for p in path.glob("fold*/checkpoint.json") if _is_fold_dir(p.parent)),
+                       key=lambda p: (int(p.parent.name[4:]), p))
         if not found:
             raise FileNotFoundError(f"no fold checkpoints under {path}")
-        folds_file = path / "folds.csv"
-        named = set(_read_folds(folds_file).values()) if folds_file.exists() else set()
-        missing = sorted({f"fold{f}" for f in named} - {p.parent.name for p in found})
-        if missing:
-            raise ConfigError(f"{folds_file} names folds with no checkpoint: {', '.join(missing)}")
         return found
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     return [path]
 
 
-def _records_for_checkpoint(entries: list[ManifestEntry], meta, path: Path,
-                            folds_file: Path | None) -> list[ManifestEntry]:
-    """The held-out split of the checkpoint at `path` when fold assignments are recoverable
-    (never empty), else all entries."""
-    fold = meta.get("fold")
-    if fold is not None and folds_file is not None and folds_file.exists():
-        by_id = _read_folds(folds_file)
+def _records_for_checkpoint(entries: list[ManifestEntry], fold: int | None, path: Path,
+                            folds: tuple[Path, dict[str, int] | None]) -> list[ManifestEntry]:
+    """The held-out split of fold `fold` (None: the checkpoint at `path` names no fold) when
+    fold assignments are recoverable (never empty), else all entries. `folds`: the run's
+    folds.csv and its mapping, if read."""
+    folds_file, by_id = folds
+    if by_id is None and all(e.fold < 0 for e in entries):  # no fold assignment anywhere
+        return entries
+    if fold is None:
+        raise ConfigError(f"{path}: meta.fold is missing, so its held-out samples are unknown")
+    if by_id is not None:
         if fold not in by_id.values():
             raise ConfigError(f"{path}: {folds_file} has no fold {fold}, "
                               "so the checkpoint is not from this run")
         held_out, source = [e for e in entries if by_id.get(e.sample_id) == fold], folds_file
-    elif fold is not None and any(e.fold >= 0 for e in entries):
-        held_out, source = split_fold(entries, fold)[1], "the manifest"
     else:
-        return entries
+        held_out, source = split_fold(entries, fold)[1], "the manifest"
     if not held_out:
         raise ConfigError(f"fold {fold}: {source} assigns no sample of the dataset to it")
     return held_out
@@ -234,15 +239,22 @@ def cmd_eval(
     entries = load_manifest(_manifest(cfg))
     model_cfg = cfg.model_config()
     paths = _checkpoint_paths(checkpoint)
+    folds_file = paths[0].parent.parent / "folds.csv"  # beside a run's fold<k>/ directories
+    in_run = _is_fold_dir(paths[0].parent) and folds_file.exists()
+    folds = folds_file, (_read_folds(folds_file) if in_run else None)
+    if in_run and Path(checkpoint).is_dir():  # a checkpoint for every fold it names
+        missing = sorted({f"fold{f}" for f in folds[1].values()} - {p.parent.name for p in paths})
+        if missing:
+            raise ConfigError(f"{folds_file} names folds with no checkpoint: {', '.join(missing)}")
 
     def score(path: Path) -> tuple:  # one checkpoint and the samples it scores, in a lane
         params, meta = load_checkpoint(path, model_cfg)
         lifted, _ = lift_params(params, requires_grad=False)
-        fold = meta.get("fold", 0)
-        if type(fold) is not int or fold < 0:  # a bool is an int; JSON has no other int type
+        fold = meta.get("fold")
+        if "fold" in meta and (type(fold) is not int or fold < 0):  # a bool is an int
             raise ConfigError(f"{path}: meta.fold must be a non-negative integer, got {fold!r}")
-        folds_file = path.parent.parent / "folds.csv" if path.parent.name.startswith("fold") else None
-        subset = _load_dataset(cfg, _records_for_checkpoint(entries, meta, path, folds_file))
+        subset = _load_dataset(cfg, _records_for_checkpoint(entries, fold, path, folds))
+        fold = 0 if fold is None else fold  # keys and seeds of a cohort without folds
         rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
         res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
         times = np.array([r.time_months for r in subset])

@@ -16,7 +16,6 @@ import os
 import signal
 import threading
 import uuid
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -126,57 +125,53 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
     return entries
 
 
-def _load_feature_file(path: Path, sample_id: str) -> np.ndarray:
-    try:  # from a handle: given a path, loadtxt resolves it as a possible URL on every call
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            # a file with no data is reported below, as the DataError alone
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+def _data_lines(path: Path) -> list[str]:
+    """The lines of a feature file that np.loadtxt parses: UTF-8 with universal newlines,
+    split on "\n", keeping each line that is not empty and does not start with '#'."""
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh.read().split("\n") if line[:1] not in ("", "#")]
+
+
+def _feature_bag(lines: list[str] | None, path: Path, sample_id: str) -> np.ndarray:
+    """One file's matrix, parsed alone from its data lines, or its error. A file whose read
+    failed (`lines` None) is read again, to raise that error."""
+    try:
+        lines = _data_lines(path) if lines is None else lines
+        arr = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64) if lines else None
     except ValueError as exc:  # a UnicodeDecodeError too
         raise DataError(f"{path}: bad feature file for {sample_id}: {exc}") from None
-    if arr.size == 0:
+    if arr is None:  # not parsed: loadtxt warns of a file with no data
         raise DataError(f"{path}: empty feature file for {sample_id}")
     if not np.isfinite(arr).all():
         raise DataError(f"{path}: non-finite features for {sample_id}")
-    arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
-
-
-def _read_bags(paths: list[Path]) -> list[np.ndarray] | None:
-    """Each file's matrix as a read-only row view of one array, from one np.loadtxt over
-    the data lines of all files; None on any failure, which _load_feature_file then names.
-    A line is data unless it is empty or starts with '#': the lines np.loadtxt skips."""
-    try:
-        kept, ends = [], []
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:  # universal newlines, as loadtxt reads
-                lines = [line for line in fh.read().split("\n") if line[:1] not in ("", "#")]
-            if not lines:
-                return None
-            kept += lines
-            ends.append(len(kept))
-        arr = np.loadtxt(kept, delimiter=",", ndmin=2, dtype=np.float64)
-    except (OSError, ValueError):  # a UnicodeDecodeError too
-        return None
-    # a kept line that loadtxt skipped would shift every later bag
-    if arr.shape[0] != len(kept) or not np.isfinite(arr).all():
-        return None
-    arr.flags.writeable = False
-    return np.split(arr, ends[:-1])
 
 
 def load_samples(manifest_path: str | os.PathLike,
                  entries: list[ManifestEntry] | None = None) -> list[SampleRecord]:
     """Load the feature files of `entries` (default: every manifest entry) as records, in
-    their order. Errors are those of reading file by file, in manifest order."""
+    their order, each read once. Errors are those of reading file by file, in manifest order."""
     base = Path(manifest_path).parent
     if entries is None:
         entries = load_manifest(manifest_path)
     paths = [base / name for e in entries for name in (e.modality_a_file, e.modality_b_file)]
-    bags = _read_bags(paths) if paths else []
-    if bags is None:  # again file by file, each record after its two files: first error raises
-        bags = (_load_feature_file(path, entries[i // 2].sample_id) for i, path in enumerate(paths))
+    files = []  # each file's data lines, up to the first whose read failed
+    try:  # one np.loadtxt over the data lines of all files; none without any (it warns)
+        for path in paths:
+            files.append(_data_lines(path))
+        kept = [line for lines in files for line in lines]
+        arr = (np.loadtxt(kept, delimiter=",", ndmin=2, dtype=np.float64)
+               if kept and all(files) else None)
+    except (OSError, ValueError):  # a UnicodeDecodeError too
+        arr = None
+    # a kept line that loadtxt skipped would shift every later bag
+    if arr is not None and arr.shape[0] == len(kept) and np.isfinite(arr).all():
+        arr.flags.writeable = False  # each bag a read-only row view of it
+        bags = np.split(arr, np.cumsum([len(lines) for lines in files[:-1]]))
+    else:  # again file by file from the same lines, each record after its two files
+        bags = (_feature_bag(files[i] if i < len(files) else None, path, entries[i // 2].sample_id)
+                for i, path in enumerate(paths))
     bags = iter(bags)
     return [
         SampleRecord(

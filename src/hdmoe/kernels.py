@@ -1,9 +1,7 @@
-"""Hot numeric kernels, in plain numpy.
-
-Two kernels dominate runtime at training/evaluation scale and are worth
-fusing: the 2-layer SiLU expert unit applied to a block of tokens (called
-for every routed/shared expert on every step), and the concordance count
-(sort + block search).
+"""The numeric kernels of the hottest paths, in plain numpy: the 2-layer SiLU
+expert unit over a block of tokens, forward and backward (run for every routed
+and shared expert on every step), and the concordance count behind the c-index
+(one sort, then block searches). `active_backend` names the one backend, numpy.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import csv
 import dataclasses
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -589,7 +591,8 @@ def test_eval_two_checkpoints_of_one_fold_exit_2_naming_both(tmp_path, capsys, e
     first, second = (run_dir / f"fold{f}" / "checkpoint.json" for f in (0, 1))
     if edit == "copied":  # fold 0's checkpoint in fold1/
         second.write_bytes(first.read_bytes())
-    else:  # neither names its fold: both read as fold 0
+    else:  # neither names its fold, in a run without fold assignments: both read as fold 0
+        (run_dir / "folds.csv").unlink()
         for ckpt in (first, second):
             blob = json.loads(ckpt.read_text())
             del blob["meta"]["fold"]
@@ -599,6 +602,73 @@ def test_eval_two_checkpoints_of_one_fold_exit_2_naming_both(tmp_path, capsys, e
                      "--checkpoint", str(run_dir)]) == 2
     assert capsys.readouterr().err == f"error: checkpoints {first} and {second} both hold fold 0\n"
     assert not eval_dir.exists()
+
+
+def _drop_meta_fold(ckpt: Path, to: Path) -> Path:
+    blob = json.loads(ckpt.read_text())
+    del blob["meta"]["fold"]
+    to.parent.mkdir(parents=True, exist_ok=True)
+    to.write_text(json.dumps(blob))
+    return to
+
+
+def _with_fold_column(manifest: Path, folds: Path) -> None:
+    """Adds the fold of each sample that `folds` assigns as the manifest's fold column."""
+    by_id = {row[0]: row[1] for _, row in data.csv_rows(folds, ValueError)[1:]}
+    header, *rows = [row for _, row in data.csv_rows(manifest, ValueError)]
+    manifest.write_text(data.csv_text([header + ["fold"], *(row + [by_id[row[0]]] for row in rows)]))
+
+
+def test_eval_checkpoint_without_meta_fold_exit_2_where_folds_are_assigned(tmp_path, capsys,
+                                                                          monkeypatch):
+    resolved, run_dir = _trained_run(tmp_path)
+    eval_dir = tmp_path / "eval"
+    ckpt = run_dir / "fold1" / "checkpoint.json"
+    lone = _drop_meta_fold(ckpt, tmp_path / "lone" / "checkpoint.json")  # outside the run
+    _drop_meta_fold(ckpt, ckpt)
+    argv = ["eval", "--config", str(resolved), "--out", str(eval_dir), "--checkpoint"]
+    # by the run's folds.csv: it held out half the samples, and trained on the rest
+    capsys.readouterr()
+    assert cli.main([*argv, str(ckpt)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: meta.fold is missing, so its held-out samples are unknown\n")
+    assert not eval_dir.exists()
+    # with no fold assignment anywhere, a checkpoint without meta.fold scores every sample
+    _cores(monkeypatch, 1)
+    n = len(load_samples(load_config(resolved).manifest))
+    assert _count_encodes(monkeypatch, [*argv, str(lone)]) == [n, n]
+    assert list(json.loads((eval_dir / "metrics.json").read_text())["folds"]) == ["0"]
+    # by the manifest's fold column
+    shutil.rmtree(eval_dir)
+    _with_fold_column(Path(load_config(resolved).manifest), run_dir / "folds.csv")
+    capsys.readouterr()
+    assert cli.main([*argv, str(lone)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {lone}: meta.fold is missing, so its held-out samples are unknown\n")
+    assert not eval_dir.exists()
+
+
+def test_eval_ignores_directories_not_named_fold_and_a_number(tmp_path, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    eval_dir = tmp_path / "eval"
+    outputs = []
+    for copied in (False, True):
+        if copied:  # a kept copy of fold 0, and one of fold 1 under another name
+            shutil.copytree(run_dir / "fold0", run_dir / "fold0_old")
+            shutil.copytree(run_dir / "fold1", run_dir / "fold_1")
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                         "--checkpoint", str(run_dir), "--repeats", "2"]) == 0
+        outputs.append((_files(eval_dir), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+def test_checkpoint_paths_of_a_run_in_fold_order(tmp_path):
+    for k in (*range(11), "0_old", "s", "x1"):
+        (tmp_path / f"fold{k}").mkdir()
+        (tmp_path / f"fold{k}" / "checkpoint.json").touch()
+    assert cli._checkpoint_paths(str(tmp_path)) == [
+        tmp_path / f"fold{k}" / "checkpoint.json" for k in range(11)]
 
 
 def test_eval_folds_csv_without_the_fold_exit_2(tmp_path, capsys):
@@ -651,6 +721,49 @@ def test_eval_reads_the_feature_files_of_the_samples_it_scores_once(tmp_path, mo
         assert cli.main(["eval", "--config", str(resolved), "--out", str(tmp_path / "eval"),
                          "--checkpoint", str(checkpoint)]) == 0
         assert sorted(p for p in opened if p.parent == features) == scored
+
+
+def _opened_inputs(monkeypatch, argv, code: int) -> collections.Counter:
+    """How many times cli.main(argv), exiting with `code`, opened each file to read it."""
+    opened = collections.Counter()
+    real_open, read_bytes, read_text = open, Path.read_bytes, Path.read_text
+
+    def counted(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wxa+"):
+            opened[Path(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", counted)  # Path.read_* do not call builtins.open
+        m.setattr(Path, "read_bytes", lambda self: opened.update([self]) or read_bytes(self))
+        m.setattr(Path, "read_text",
+                  lambda self, *a, **kw: opened.update([self]) or read_text(self, *a, **kw))
+        assert cli.main(argv) == code
+    return opened
+
+
+@pytest.mark.parametrize("cohort", ["good", "last_file_bad"])
+def test_each_command_opens_each_input_file_once(tmp_path, monkeypatch, cohort):
+    resolved, run_dir = _trained_run(tmp_path)
+    _cores(monkeypatch, 1)  # the count is in-process; a forked lane's opens are not seen
+    manifest = Path(load_config(resolved).manifest)
+    features = sorted((manifest.parent / "features").iterdir())
+    code = 0
+    if cohort == "last_file_bad":  # every file parses but the last in manifest order
+        (manifest.parent / data.load_manifest(manifest)[-1].modality_b_file).write_text(
+            "0.1,abc,0.3,0.4\n")
+        code = 2
+    for argv in (["train"], ["eval", "--checkpoint", str(run_dir), "--repeats", "2"],
+                 ["analyze", "--checkpoint", str(run_dir)]):
+        opened = _opened_inputs(monkeypatch, [*argv, "--config", str(resolved),
+                                              "--out", str(tmp_path / argv[0])], code)
+        assert max(opened.values()) == 1, (argv[0], opened.most_common(3))
+        assert {resolved, manifest} <= set(opened)
+        if argv[0] != "eval" or cohort == "good":  # eval stops at the fold that fails
+            assert set(features) <= set(opened), argv[0]
+        assert (run_dir / "folds.csv" in opened) == (argv[0] == "eval"), argv[0]
+        if code:
+            assert not (tmp_path / argv[0]).exists()
 
 
 def _count_encodes(monkeypatch, argv) -> list[int]:
@@ -1163,6 +1276,23 @@ def test_analyze_forks_nothing_and_writes_the_bytes_of_one_core(tmp_path, monkey
         runs[cores] = files, capsys.readouterr().out.replace(str(out), "<out>")
     assert "redundancy_summary.csv" in runs[2][0]
     assert runs[2] == runs[1]
+
+
+def test_analyze_reads_neither_folds_csv_nor_a_second_checkpoint(tmp_path, capsys):
+    resolved, run_dir = _trained_run(tmp_path)
+    out = tmp_path / "analysis"
+    outputs = []
+    for broken in (False, True):
+        if broken:  # a malformed folds.csv, and no fold1/
+            folds = run_dir / "folds.csv"
+            folds.write_text(folds.read_text() + "synth0000,one\n")
+            shutil.rmtree(run_dir / "fold1")
+            shutil.rmtree(out)
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", str(resolved), "--out", str(out),
+                         "--checkpoint", str(run_dir)]) == 0
+        outputs.append((_files(out), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def _processes_naming(marker: str) -> list[int]:

@@ -436,3 +436,14 @@ def test_load_samples_of_the_chosen_entries_only(tmp_path):
 @pytest.mark.filterwarnings("error")  # no "input contained no data" warning either
 def test_load_samples_header_only_manifest_is_empty(tmp_path):
     assert hd.load_samples(_write_dataset(tmp_path, [])) == []
+
+
+def test_load_samples_names_a_non_utf8_byte_by_its_position_in_the_file(tmp_path):
+    manifest = _write_dataset(tmp_path, ["p1,5.0,0,a1.csv,b1.csv"])
+    raw = bytearray(b"0.125,0.25\n" * 2000)  # 22,000 bytes, well over 16 KB
+    position = len(raw) - 5
+    raw[position] = 0xFF
+    (tmp_path / "b1.csv").write_bytes(raw)
+    with pytest.raises(DataError, match=rf"b1.csv: bad feature file for p1: 'utf-8' codec can't "
+                                        rf"decode byte 0xff in position {position}: "):
+        hd.load_samples(manifest)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,16 @@ def test_step_profile_times_each_metric_and_the_whole_pass(monkeypatch):
     for times in metrics.values():
         assert set(times) == {"30", "200"}
         assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+
+
+def test_step_profile_host_ms_is_the_median_of_perfbench_calibration_loops(monkeypatch):
+    profile = _load_tool("step_profile")
+    assert math.isfinite(profile.host_ms()) and profile.host_ms() > 0
+    hostspeed = sys.modules["hostspeed"]  # imported from perfbench/, not a copy
+    assert Path(hostspeed.__file__) == profile.ROOT / "perfbench" / "hostspeed.py"
+    loops = iter([0.004, 0.001, 0.005, 0.002, 0.003])
+    monkeypatch.setattr(hostspeed, "calibrate", lambda: next(loops))
+    assert profile.host_ms() == 3.0
 
 
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)

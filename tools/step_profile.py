@@ -45,6 +45,16 @@
   checkpoint (``fold0``) in-process, 1 lane (BENCH_19 to BENCH_21 count 2,
   from when it read that checkpoint in a forked lane beside the cohort).
 
+Right before each section it times, the profile runs ``perfbench/hostspeed.py``'s
+``calibrate()`` loop HOST_LOOPS times and records their median under ``host_ms``:
+``desk`` and ``full`` before each scale's blocks (step, tape, rules, forward,
+stability, redundancy, checkpoint), ``load_samples`` before ``load_samples_ms``,
+``metrics`` before ``metrics_ms`` and ``train`` before ``train_ms`` and ``eval_ms``.
+The loop runs none of the package's code, so it says how fast the shared host ran
+then. Compare two BENCH files by each figure divided by the ``host_ms`` of its
+section, not by the raw figures: a slow spell of the host that lands on one run
+alone slows that run's figures and its ``host_ms`` alike.
+
 The package is imported from ``--src`` (default: this checkout's src) before
 numpy, as the ``hdmoe`` command does, so the BLAS thread environment the
 package leaves is the one measured; the file records it. To compare two
@@ -87,6 +97,7 @@ TRAIN_COHORTS = ((60, 2), (200, 5))  # (samples, folds), one epoch each
 TRAIN_CALLS = 5
 EVAL_COHORT = (60, 2)  # the train cohort whose checkpoints eval reads (analyze: fold0's)
 EVAL_CALLS = 20
+HOST_LOOPS = 5  # hostspeed.calibrate() loops before each section
 
 
 def _ms(seconds: list[float]) -> float:
@@ -102,6 +113,16 @@ def _median_ms(call, repeats: int) -> float:
         call()
         samples.append(time.perf_counter() - t0)
     return _ms(samples)
+
+
+def host_ms() -> float:
+    """Median ms of HOST_LOOPS runs of perfbench's host calibration loop, imported from
+    this checkout's perfbench/ (after the package: hostspeed imports numpy)."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    from hostspeed import calibrate
+
+    return _ms([calibrate() for _ in range(HOST_LOOPS)])
 
 
 def _records(model_cfg):
@@ -398,11 +419,18 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     desk_cfg = hd.apply_desk_preset(hd.RunConfig()).model_config()
+    host = {"desk": host_ms()}
     step_desk, nodes_desk, rules_desk, nograd_desk, rep_desk, ckpt_desk = profile_scale(
         desk_cfg, "desk")
+    host["full"] = host_ms()
     step_full, nodes_full, rules_full, nograd_full, rep_full, ckpt_full = profile_scale(
         hd.ModelConfig(), "full")
+    host["train"] = host_ms()
     train_ms, train_lanes, eval_ms, eval_lanes = profile_train()
+    host["load_samples"] = host_ms()
+    reader_ms = profile_reader()
+    host["metrics"] = host_ms()
+    metrics_ms = profile_metrics()
     report = {
         "label": args.label,
         "environment": {
@@ -416,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         "samples": {"step": {k: v[1] for k, v in STEPS.items()}, "nograd_forward": FORWARDS,
                     "repeaters": REPEATER_CALLS, "metrics": METRIC_REPEATS,
                     "checkpoint": CHECKPOINT_CALLS, "load_samples": READER_CALLS,
-                    "train": TRAIN_CALLS, "eval": EVAL_CALLS},
+                    "train": TRAIN_CALLS, "eval": EVAL_CALLS, "host": HOST_LOOPS},
         "cohort": COHORT,
         "stability_repeats": REPEATS,
         "step_ms": {"desk": step_desk, "full": step_full},
@@ -428,12 +456,13 @@ def main(argv: list[str] | None = None) -> int:
         "checkpoint_ms": {"desk": {k: ckpt_desk[k] for k in ("save", "load")},
                           "full": {k: ckpt_full[k] for k in ("save", "load")}},
         "checkpoint_mb": {"desk": ckpt_desk["mb"], "full": ckpt_full["mb"]},
-        "load_samples_ms": {"desk": profile_reader()},
-        "metrics_ms": profile_metrics(),
+        "load_samples_ms": {"desk": reader_ms},
+        "metrics_ms": metrics_ms,
         "train_ms": train_ms,
         "train_lanes": train_lanes,
         "eval_ms": eval_ms,
         "eval_lanes": eval_lanes,
+        "host_ms": host,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
