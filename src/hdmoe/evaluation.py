@@ -6,7 +6,9 @@ The 1-df chi-square tail is a two-sided normal tail (``math.erfc``), and the
 Student-t tail comes from a hand-rolled regularized incomplete beta
 (continued fraction), so there is no external statistics dependency; both
 are validated against textbook values in the test suite. Event indicator
-convention: delta = 1 - censored.
+convention: delta = 1 - censored. `c_index`, `km_estimate` and `log_rank_p`
+take 1-D columns of one length (per group) with events 0 or 1, and raise a
+MetricError naming the function and the column otherwise.
 """
 
 from __future__ import annotations
@@ -117,12 +119,31 @@ class RiskTable:
         )
 
 
+def _columns(fn: str, **columns) -> list[np.ndarray]:
+    """The columns as float64 arrays, and those named events* as int64, once
+    each is 1-D, all have the first one's length and every event is 0 or 1."""
+    out = []
+    for name, column in columns.items():
+        values = np.asarray(column)
+        if values.ndim != 1:
+            raise MetricError(f"{fn}: {name} must be 1-D, got shape {values.shape}")
+        if out and values.size != out[0].size:
+            raise MetricError(f"{fn}: {name} has length {values.size}, "
+                              f"{next(iter(columns))} has length {out[0].size}")
+        if not name.startswith("events"):
+            out.append(np.asarray(values, dtype=np.float64))
+        elif np.count_nonzero(values) == np.count_nonzero(values == 1):  # each is 0 or 1
+            out.append(np.asarray(values, dtype=np.int64))
+        else:
+            raise MetricError(f"{fn}: {name} must be 1 (event) or 0 (censored)")
+    return out
+
+
 def c_index(table: RiskTable) -> float:
     """Harrell concordance: pairs with t_i < t_j are comparable iff sample i
     had an event; risk ties count 0.5."""
-    times = np.asarray(table.times, dtype=np.float64)
-    events = np.asarray(table.events, dtype=np.int64)
-    risks = np.asarray(table.risks, dtype=np.float64)
+    times, events, risks = _columns(
+        "c_index", times=table.times, events=table.events, risks=table.risks)
     if not (np.isfinite(times).all() and np.isfinite(risks).all()):
         raise MetricError("c-index needs finite times and risks")
     conc, comp = kernels.concordance_counts(times, events, risks)
@@ -155,8 +176,7 @@ def _risk_sets(died, *groups) -> tuple[np.ndarray, ...]:
 
 def km_estimate(times, events) -> KmCurve:
     """Product-limit estimator over the distinct observed event times."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
+    times, events = _columns("km_estimate", times=times, events=events)
     if times.size == 0:
         raise MetricError("km_estimate needs at least one sample")
     event_times, deaths, at_risk = _risk_sets(np.sort(times[events == 1]), times)
@@ -165,10 +185,8 @@ def km_estimate(times, events) -> KmCurve:
 
 def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     """Two-group log-rank test; returns (chi2, p) with 1 df."""
-    ta = np.asarray(times_a, dtype=np.float64)
-    ea = np.asarray(events_a, dtype=np.int64)
-    tb = np.asarray(times_b, dtype=np.float64)
-    eb = np.asarray(events_b, dtype=np.int64)
+    ta, ea = _columns("log_rank_p", times_a=times_a, events_a=events_a)
+    tb, eb = _columns("log_rank_p", times_b=times_b, events_b=events_b)
     if ta.size == 0 or tb.size == 0:
         raise MetricError("log-rank needs two non-empty groups")
     died_a = ta[ea == 1]

@@ -93,6 +93,69 @@ def test_cindex_rejects_non_finite(risks, times):
         ev.c_index(_table(risks, times, [1, 1, 0, 1]))
 
 
+# each metric with its columns as keywords, so that a case can replace one
+METRICS = {
+    "c_index": lambda times, events, risks: ev.c_index(
+        ev.RiskTable(risks=risks, times=times, events=events)),
+    "km_estimate": lambda times, events, risks: ev.km_estimate(times, events),
+    "log_rank_p": lambda times, events, risks: ev.log_rank_p(
+        [0.5, 7.0], [1, 0], times, events),
+}
+GOOD_COLUMNS = {"times": [1, 2, 3, 4], "events": [1, 1, 0, 1], "risks": [4, 3, 2, 1]}
+
+
+def _column_error(metric, **columns):
+    """The message of the MetricError that metric raises on GOOD_COLUMNS with
+    the given columns replaced; names in it are the metric's own."""
+    with pytest.raises(MetricError) as error:
+        METRICS[metric](**{**GOOD_COLUMNS, **columns})
+    return str(error.value)
+
+
+def test_cindex_rejects_a_longer_risk_column():
+    # the fifth risk has no time or event: it was dropped without a word
+    with pytest.raises(MetricError, match="^c_index: risks has length 5, times has length 4$"):
+        ev.c_index(ev.RiskTable(risks=[4, 3, 2, 1, 9], times=[1, 2, 3, 4], events=[1, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("metric", ["c_index", "km_estimate", "log_rank_p"])
+def test_metrics_reject_an_event_other_than_0_or_1(metric):
+    # a 2 read as censored: c_index gave 1.0 and km_estimate survival [0.667, 0.0]
+    events = "events_b" if metric == "log_rank_p" else "events"
+    assert _column_error(metric, events=[2, 1, 0, 1]) == (
+        f"{metric}: {events} must be 1 (event) or 0 (censored)")
+    assert _column_error(metric, events=[1.0, 0.5, 0.0, 1.0]).endswith("or 0 (censored)")
+
+
+@pytest.mark.parametrize("metric", ["c_index", "km_estimate", "log_rank_p"])
+def test_metrics_reject_survival_status_coded_1_and_2(metric):
+    # R's Surv status: 1 censored, 2 event; read as 0/1 it inverts every metric
+    assert "must be 1 (event) or 0 (censored)" in _column_error(metric, events=[2, 2, 1, 2])
+
+
+@pytest.mark.parametrize("metric, column", [
+    ("c_index", "risks"), ("c_index", "events"), ("km_estimate", "events"),
+    ("log_rank_p", "events"),
+])
+def test_metrics_reject_a_shorter_column(metric, column):
+    # an IndexError at the parent
+    name = f"{column}_b" if metric == "log_rank_p" else column
+    times = "times_b" if metric == "log_rank_p" else "times"
+    assert _column_error(metric, **{column: [1, 0, 1]}) == (
+        f"{metric}: {name} has length 3, {times} has length 4")
+
+
+@pytest.mark.parametrize("metric, column", [
+    ("c_index", "risks"), ("c_index", "times"), ("c_index", "events"),
+    ("km_estimate", "times"), ("km_estimate", "events"), ("log_rank_p", "times"),
+    ("log_rank_p", "events"),
+])
+def test_metrics_reject_a_2d_column(metric, column):
+    name = f"{column}_b" if metric == "log_rank_p" else column
+    assert _column_error(metric, **{column: [[1, 0], [1, 0]]}) == (
+        f"{metric}: {name} must be 1-D, got shape (2, 2)")
+
+
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 
@@ -248,13 +311,23 @@ def _c_index_or_none(table):
         return None
 
 
+# the count's path bounds: levels only, the default choice, and grid only
+# (above the (K + 1) * (R + 1) cells of any table with n >= 1)
+GRID_SETTINGS = (0, kernels.GRID_CELLS, 10**9)
+
+
 def _check_cindex(table):
-    counts = kernels.concordance_counts(table.times, table.events, table.risks)
-    assert counts == scan_concordance_counts(table.times, table.events, table.risks)
-    assert (type(counts[0]), type(counts[1])) == (float, int)
+    """Both count paths, and the default choice between them, against the scan
+    and the pairwise oracle."""
     conc, comp = oracle_cindex(table.times, table.events, table.risks)
-    assert counts == (conc, comp)
-    assert _c_index_or_none(table) == (_bits(conc / comp) if comp else None)
+    assert scan_concordance_counts(table.times, table.events, table.risks) == (conc, comp)
+    for grid_cells in GRID_SETTINGS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "GRID_CELLS", grid_cells)
+            counts = kernels.concordance_counts(table.times, table.events, table.risks)
+            assert counts == (conc, comp), grid_cells
+            assert (type(counts[0]), type(counts[1])) == (float, int)
+            assert _c_index_or_none(table) == (_bits(conc / comp) if comp else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,9 +352,39 @@ def test_cindex_counts_across_window_and_level_boundaries(n):
             risks, times = rng.normal(size=n), rng.exponential(5.0, n)
             if decimals is not None:
                 risks, times = np.round(risks, decimals), np.round(times, decimals)
-            events = rng.integers(0, 2, n)
-            assert kernels.concordance_counts(times, events, risks) == scan_concordance_counts(
-                times, events, risks), (n, decimals)
+            _check_cindex(_table(risks, times, rng.integers(0, 2, n)))
+
+
+def _bound_table(event_times, risks, n=64):
+    """n samples on event_times + 1 distinct times, the latest all censored,
+    and risks distinct risks: (event_times + 1) * (risks + 1) grid cells."""
+    times = np.arange(n) % (event_times + 1)
+    return _table(np.arange(n) % risks * 0.1, times, (times < event_times).astype(int))
+
+
+EDGE_TABLES = {
+    "equal_risks": _table([0.3] * 9, [5, 1, 2, 2, 8, 3, 1, 9, 4], [1, 0, 1, 1, 0, 1, 1, 0, 1]),
+    "one_event_time": _table([0.2, 0.9, 0.4, 0.4, 0.1, 0.7, 0.3],
+                             [3, 1, 3, 6, 9, 3, 2], [1, 0, 1, 0, 0, 1, 0]),
+    "no_event": _table([0.2, 0.9, 0.4, 0.1], [3, 1, 4, 2], [0, 0, 0, 0]),
+    "all_events": _table([0.2, 0.9, 0.4, 0.4, 0.1, 0.5], [3, 1, 4, 2, 4, 6], [1] * 6),
+    "empty": _table([], [], []),
+    "at_bound": _bound_table(31, 31),  # 32 * 32 = 16 * 64 cells: the grid
+    "over_bound": _bound_table(24, 40),  # 25 * 41 = 16 * 64 + 1 cells: the levels
+}
+
+
+@pytest.mark.parametrize("name", EDGE_TABLES)
+def test_cindex_counts_on_edge_tables(name):
+    table = EDGE_TABLES[name]
+    n = table.times.size
+    event_times = np.unique(table.times[table.events == 1]).size  # K: distinct s_i
+    cells = (event_times + 1) * (np.unique(table.risks).size + 1)
+    assert {"equal_risks": np.unique(table.risks).size == 1, "one_event_time": event_times == 1,
+            "no_event": event_times == 0, "all_events": table.events.all(), "empty": n == 0,
+            "at_bound": cells == kernels.GRID_CELLS * n,
+            "over_bound": cells == kernels.GRID_CELLS * n + 1}[name]
+    _check_cindex(table)
 
 
 def _check_km_and_log_rank(table, rnd):

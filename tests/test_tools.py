@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdmoe import losses, model
+from hdmoe import kernels, losses, model
 from hdmoe.config import RunConfig, apply_desk_preset
 
 from helpers import checkpoint_as_v1
@@ -70,12 +70,43 @@ def test_step_profile_times_each_metric_and_the_whole_pass(monkeypatch):
     profile = _load_tool("step_profile")
     monkeypatch.setattr(profile, "METRIC_SIZES", (30, 200))
     monkeypatch.setattr(profile, "METRIC_REPEATS", 1)
-    metrics = profile.profile_metrics()
-    assert set(metrics) == {"c_index", "km_estimate", "log_rank_p", "welch_t_test",
-                            "metric_pass"}
-    for times in metrics.values():
-        assert set(times) == {"30", "200"}
-        assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+    raw, norm = profile.profile_metrics()
+    for metrics in (raw, norm):
+        assert set(metrics) == {"c_index", "km_estimate", "log_rank_p", "welch_t_test",
+                                "metric_pass"}
+        for times in metrics.values():
+            # tied tables under the sizes alone, as before; untied ones under untied/
+            assert set(times) == {"30", "200", "untied/30", "untied/200"}
+            assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+
+
+def test_step_profile_tables_tied_as_the_stats_workload_and_untied():
+    profile = _load_tool("step_profile")
+    tied = profile.tied_table(np.random.default_rng(3), 2000)
+    again = profile.tied_table(np.random.default_rng(3), 2000, None)
+    # rounding draws nothing: the untied table is the tied one before rounding
+    assert all(np.array_equal(np.round(u, 1), t) for u, t in zip(again[:2], tied[:2]))
+    assert np.array_equal(again[2], tied[2])
+    risks, times, events = again
+    assert np.unique(risks).size == np.unique(times).size == 2000
+    # the c-index counts the tied table on its grid and the untied one by its levels
+    for (risks, times, events), grid in ((tied, True), (again, False)):
+        cells = (np.unique(times[events == 1]).size + 1) * (np.unique(risks).size + 1)
+        assert (cells <= kernels.GRID_CELLS * 2000) == grid
+
+
+def test_step_profile_normalised_ms_divides_each_call_by_the_loop_before_it(monkeypatch):
+    profile = _load_tool("step_profile")
+    hostspeed = profile._hostspeed()
+    clock = iter([0.0, 0.002, 1.0, 1.001, 2.0, 2.005])  # three calls: 2, 1 and 5 ms
+    loops = iter([0.02, 0.01, 0.05])  # each loop twice the REF_S figure it would be
+    monkeypatch.setattr(hostspeed, "REF_S", 0.005)
+    monkeypatch.setattr(hostspeed, "calibrate", lambda: next(loops))
+    monkeypatch.setattr(profile.time, "perf_counter", lambda: next(clock))
+    calls = []
+    # the warm-up call is not timed; every ratio is 0.1, so 0.1 * REF_S = 0.5 ms
+    assert profile._normalised_ms(lambda: calls.append(1), 3) == 0.5
+    assert len(calls) == 4
 
 
 def test_step_profile_host_ms_is_the_median_of_perfbench_calibration_loops(monkeypatch):

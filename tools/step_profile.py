@@ -24,9 +24,18 @@
   which is the correlation pass alone.
 - The survival metrics ``c_index``, ``km_estimate``, ``log_rank_p`` and
   ``welch_t_test`` on risk tables of n = 30, 200 and 2000 samples with heavy
-  ties, and the whole metric pass over each table (``metric_pass``): c-index,
+  ties (keys ``"30"``, ``"200"``, ``"2000"``) and on untied tables of the same
+  sizes, with continuous times and risks (keys ``"untied/30"`` ...; the
+  c-index counts the first kind on its grid and the second by its levels),
+  and the whole metric pass over each table (``metric_pass``): c-index,
   median split, log-rank and Welch t as ``cli._fold_metrics`` runs them, then
-  a KM curve per half as ``cmd_eval`` does.
+  a KM curve per half as ``cmd_eval`` does. ``metrics_ms`` holds the median
+  of back-to-back calls; ``metrics_norm_ms`` times each call again right after
+  one ``hostspeed.calibrate()`` loop and holds the median of call / loop
+  times the loop's idle-host time ``REF_S``, as ``perfbench`` normalises an
+  operation, so it follows the host call by call. Each such call starts with
+  the caches the loop left, as a ``perfbench`` operation does, so it reads
+  higher than the back-to-back median.
 - ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
   both scales, through a temporary directory.
 - ``load_samples`` of a desk cohort of 60 samples (120 feature files of
@@ -115,14 +124,34 @@ def _median_ms(call, repeats: int) -> float:
     return _ms(samples)
 
 
-def host_ms() -> float:
-    """Median ms of HOST_LOOPS runs of perfbench's host calibration loop, imported from
-    this checkout's perfbench/ (after the package: hostspeed imports numpy)."""
+def _hostspeed():
+    """perfbench's hostspeed module, imported from this checkout's perfbench/
+    (after the package: hostspeed imports numpy)."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.append(str(ROOT / "perfbench"))
-    from hostspeed import calibrate
+    import hostspeed
 
-    return _ms([calibrate() for _ in range(HOST_LOOPS)])
+    return hostspeed
+
+
+def host_ms() -> float:
+    """Median ms of HOST_LOOPS runs of perfbench's host calibration loop."""
+    return _ms([_hostspeed().calibrate() for _ in range(HOST_LOOPS)])
+
+
+def _normalised_ms(call, repeats: int) -> float:
+    """Median over repeats calls, after one warm-up call, of call()'s time divided
+    by that of the calibration loop run right before it, times the loop's idle-host
+    time: call()'s ms on an idle host."""
+    hostspeed = _hostspeed()
+    call()
+    ratios = []
+    for _ in range(repeats):
+        loop = hostspeed.calibrate()
+        t0 = time.perf_counter()
+        call()
+        ratios.append((time.perf_counter() - t0) / loop)
+    return round(statistics.median(ratios) * hostspeed.REF_S * 1e3, 4)
 
 
 def _records(model_cfg):
@@ -354,18 +383,21 @@ def profile_train() -> tuple[dict, dict, dict, dict]:
     return times, lanes, eval_times, eval_lanes
 
 
-def tied_table(rng, n: int):
+def tied_table(rng, n: int, decimals: int | None = 1):
     """Times on a 0.1-month grid, about 40% censored, risks rounded to one
-    decimal; the tables of the benchmark's stats workload."""
+    decimal; the tables of the benchmark's stats workload. With decimals None
+    nothing is rounded, so no two times or risks are equal."""
     import numpy as np
 
     z = rng.normal(size=n)
     event_time = rng.exponential(12.0 * np.exp(-0.8 * z))
     censor_time = rng.uniform(0.0, 27.0, size=n)
-    times = np.round(np.minimum(event_time, censor_time), 1)
+    times = np.minimum(event_time, censor_time)
     events = (event_time <= censor_time).astype(np.int64)
-    risks = np.round(z + rng.normal(scale=0.5, size=n), 1)
-    return risks, times, events
+    risks = z + rng.normal(scale=0.5, size=n)
+    if decimals is None:
+        return risks, times, events
+    return np.round(risks, decimals), np.round(times, decimals), events
 
 
 def metric_pass(table) -> None:
@@ -381,29 +413,33 @@ def metric_pass(table) -> None:
     ev.km_estimate(table.times[low], table.events[low])
 
 
-def profile_metrics() -> dict:
+def profile_metrics() -> tuple[dict, dict]:
+    """({metric: {table key: median ms}}, the same keys: normalised ms)."""
     import numpy as np
 
     from hdmoe import evaluation as ev
 
-    out = {"c_index": {}, "km_estimate": {}, "log_rank_p": {}, "welch_t_test": {},
-           "metric_pass": {}}
-    rng = np.random.default_rng(3)
-    for n in METRIC_SIZES:
-        risks, times, events = tied_table(rng, n)
-        table = ev.RiskTable(risks=risks, times=times, events=events)
-        high = risks > np.median(risks)
-        calls = {
-            "c_index": lambda: ev.c_index(table),
-            "km_estimate": lambda: ev.km_estimate(times, events),
-            "log_rank_p": lambda: ev.log_rank_p(
-                times[high], events[high], times[~high], events[~high]),
-            "welch_t_test": lambda: ev.welch_t_test(risks[high], risks[~high]),
-            "metric_pass": lambda: metric_pass(table),
-        }
-        for name, call in calls.items():
-            out[name][str(n)] = _median_ms(call, METRIC_REPEATS)
-    return out
+    names = ("c_index", "km_estimate", "log_rank_p", "welch_t_test", "metric_pass")
+    raw, norm = {name: {} for name in names}, {name: {} for name in names}
+    # one generator per kind, so the tied tables are those of earlier BENCH files
+    kinds = (("", np.random.default_rng(3), 1), ("untied/", np.random.default_rng(6), None))
+    for prefix, rng, decimals in kinds:
+        for n in METRIC_SIZES:
+            risks, times, events = tied_table(rng, n, decimals)
+            table = ev.RiskTable(risks=risks, times=times, events=events)
+            high = risks > np.median(risks)
+            calls = {
+                "c_index": lambda: ev.c_index(table),
+                "km_estimate": lambda: ev.km_estimate(times, events),
+                "log_rank_p": lambda: ev.log_rank_p(
+                    times[high], events[high], times[~high], events[~high]),
+                "welch_t_test": lambda: ev.welch_t_test(risks[high], risks[~high]),
+                "metric_pass": lambda: metric_pass(table),
+            }
+            for name, call in calls.items():
+                raw[name][f"{prefix}{n}"] = _median_ms(call, METRIC_REPEATS)
+                norm[name][f"{prefix}{n}"] = _normalised_ms(call, METRIC_REPEATS)
+    return raw, norm
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -430,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     host["load_samples"] = host_ms()
     reader_ms = profile_reader()
     host["metrics"] = host_ms()
-    metrics_ms = profile_metrics()
+    metrics_ms, metrics_norm_ms = profile_metrics()
     report = {
         "label": args.label,
         "environment": {
@@ -458,6 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         "checkpoint_mb": {"desk": ckpt_desk["mb"], "full": ckpt_full["mb"]},
         "load_samples_ms": {"desk": reader_ms},
         "metrics_ms": metrics_ms,
+        "metrics_norm_ms": metrics_norm_ms,
         "train_ms": train_ms,
         "train_lanes": train_lanes,
         "eval_ms": eval_ms,
