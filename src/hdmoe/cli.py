@@ -38,6 +38,7 @@ from .rfr import valid_segments
 from .trainer import fold_edges, map_folds, predict_fold, predictions_to_csv, split_fold, train_fold
 
 log = logging.getLogger("hdmoe.cli")
+_FOLD_DIR = re.compile(r"fold[0-9]+")  # as train names a fold's directory
 
 
 def _setup_logging() -> None:
@@ -177,28 +178,12 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     return 0
 
 
-def _read_folds(folds_file: Path) -> dict[str, int]:
-    """sample_id -> fold, as a training run's folds.csv assigns them."""
-    by_id = {}
-    for line, row in csv_rows(folds_file, ConfigError)[1:]:
-        try:
-            sample_id, fold = row
-            by_id[sample_id] = int(fold)
-        except ValueError:
-            raise ConfigError(f"{folds_file}:{line}: expected 'sample_id,fold', got {row}") from None
-    return by_id
-
-
-def _is_fold_dir(path: Path) -> bool:
-    """Whether `path` is named fold<k>, k decimal digits, as train names a fold's directory."""
-    return re.fullmatch(r"fold[0-9]+", path.name) is not None
-
-
 def _checkpoint_paths(checkpoint: str) -> list[Path]:
     """The checkpoint file, or each fold<k>/checkpoint.json of a run directory in order of k."""
     path = Path(checkpoint)
     if path.is_dir():
-        found = sorted((p for p in path.glob("fold*/checkpoint.json") if _is_fold_dir(p.parent)),
+        found = sorted((p for p in path.glob("fold*/checkpoint.json")
+                        if _FOLD_DIR.fullmatch(p.parent.name)),
                        key=lambda p: (int(p.parent.name[4:]), p))
         if not found:
             raise FileNotFoundError(f"no fold checkpoints under {path}")
@@ -208,26 +193,45 @@ def _checkpoint_paths(checkpoint: str) -> list[Path]:
     return [path]
 
 
-def _records_for_checkpoint(entries: list[ManifestEntry], fold: int | None, path: Path,
-                            folds: tuple[Path, dict[str, int] | None]) -> list[ManifestEntry]:
-    """The held-out split of fold `fold` (None: the checkpoint at `path` names no fold) when
-    fold assignments are recoverable (never empty), else all entries. `folds`: the run's
-    folds.csv and its mapping, if read."""
-    folds_file, by_id = folds
-    if by_id is None and all(e.fold < 0 for e in entries):  # no fold assignment anywhere
-        return entries
-    if fold is None:
-        raise ConfigError(f"{path}: meta.fold is missing, so its held-out samples are unknown")
-    if by_id is not None:
-        if fold not in by_id.values():
-            raise ConfigError(f"{path}: {folds_file} has no fold {fold}, "
-                              "so the checkpoint is not from this run")
-        held_out, source = [e for e in entries if by_id.get(e.sample_id) == fold], folds_file
-    else:
-        held_out, source = split_fold(entries, fold)[1], "the manifest"
-    if not held_out:
-        raise ConfigError(f"fold {fold}: {source} assigns no sample of the dataset to it")
-    return held_out
+def _read_run(checkpoint: str, entries: list[ManifestEntry]):
+    """The paths of `checkpoint`, and held_out(meta, path): the fold key of the checkpoint at
+    `path` and the entries it scores, by the folds.csv beside a run's fold<k>/ (read here,
+    once), else by the manifest's fold column; every entry if neither assigns a fold."""
+    paths = _checkpoint_paths(checkpoint)
+    folds_file = paths[0].parent.parent / "folds.csv"  # beside a run's fold<k>/ directories
+    by_id = None  # sample_id -> fold, as the run's folds.csv assigns them
+    if _FOLD_DIR.fullmatch(paths[0].parent.name) and folds_file.exists():
+        by_id = {}
+        for line, row in csv_rows(folds_file, ConfigError)[1:]:
+            try:
+                sample_id, fold = row
+                by_id[sample_id] = int(fold)
+            except ValueError:
+                raise ConfigError(
+                    f"{folds_file}:{line}: expected 'sample_id,fold', got {row}") from None
+        missing = sorted({f"fold{f}" for f in by_id.values()} - {p.parent.name for p in paths})
+        if missing and Path(checkpoint).is_dir():  # a checkpoint for every fold it names
+            raise ConfigError(f"{folds_file} names folds with no checkpoint: {', '.join(missing)}")
+
+    def held_out(meta: dict, path: Path) -> tuple[int, list[ManifestEntry]]:
+        fold = meta.get("fold")
+        if "fold" in meta and (type(fold) is not int or fold < 0):  # a bool is an int
+            raise ConfigError(f"{path}: meta.fold must be a non-negative integer, got {fold!r}")
+        if by_id is None and all(e.fold < 0 for e in entries):  # scored whole, as fold 0
+            return (0 if fold is None else fold), entries
+        if fold is None:
+            raise ConfigError(f"{path}: meta.fold is missing, so its held-out samples are unknown")
+        if by_id is not None:
+            if fold not in by_id.values():
+                raise ConfigError(f"{path}: {folds_file} has no fold {fold}, "
+                                  "so the checkpoint is not from this run")
+            subset, source = [e for e in entries if by_id.get(e.sample_id) == fold], folds_file
+        else:
+            subset, source = split_fold(entries, fold)[1], "the manifest"
+        if not subset:
+            raise ConfigError(f"fold {fold}: {source} assigns no sample of the dataset to it")
+        return fold, subset
+    return paths, held_out
 
 
 def cmd_eval(
@@ -236,25 +240,14 @@ def cmd_eval(
     repeats: int | None = None,
     pin_segment: int | None = None,
 ) -> int:
-    entries = load_manifest(_manifest(cfg))
     model_cfg = cfg.model_config()
-    paths = _checkpoint_paths(checkpoint)
-    folds_file = paths[0].parent.parent / "folds.csv"  # beside a run's fold<k>/ directories
-    in_run = _is_fold_dir(paths[0].parent) and folds_file.exists()
-    folds = folds_file, (_read_folds(folds_file) if in_run else None)
-    if in_run and Path(checkpoint).is_dir():  # a checkpoint for every fold it names
-        missing = sorted({f"fold{f}" for f in folds[1].values()} - {p.parent.name for p in paths})
-        if missing:
-            raise ConfigError(f"{folds_file} names folds with no checkpoint: {', '.join(missing)}")
+    paths, held_out = _read_run(checkpoint, load_manifest(_manifest(cfg)))
 
     def score(path: Path) -> tuple:  # one checkpoint and the samples it scores, in a lane
         params, meta = load_checkpoint(path, model_cfg)
         lifted, _ = lift_params(params, requires_grad=False)
-        fold = meta.get("fold")
-        if "fold" in meta and (type(fold) is not int or fold < 0):  # a bool is an int
-            raise ConfigError(f"{path}: meta.fold must be a non-negative integer, got {fold!r}")
-        subset = _load_dataset(cfg, _records_for_checkpoint(entries, fold, path, folds))
-        fold = 0 if fold is None else fold  # keys and seeds of a cohort without folds
+        fold, entries = held_out(meta, path)
+        subset = _load_dataset(cfg, entries)
         rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
         res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
         times = np.array([r.time_months for r in subset])

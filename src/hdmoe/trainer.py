@@ -52,6 +52,8 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size != 1:
             raise ConfigError("batch size is fixed at 1")
         if self.distance_metric.lower() not in DISTANCE_METRICS:

@@ -279,6 +279,21 @@ def test_config_round_trip_reproduces_run(tmp_path):
     assert (d1 / "fold0/checkpoint.json").read_bytes() == (d2 / "fold0/checkpoint.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "analyze"])
+def test_negative_seed_exit_2_before_any_output(tmp_path, capsys, command):
+    resolved, run_dir = _trained_run(tmp_path)
+    bad_config = tmp_path / "bad_seed.json"
+    bad_config.write_text(json.dumps({**json.loads(resolved.read_text()), "seed": -2}))
+    checkpoint = ["--checkpoint", str(run_dir)] if command in ("eval", "analyze") else []
+    for i, (args, seed) in enumerate(((["--config", str(resolved), "--seed", "-1"], -1),
+                                      (["--config", str(bad_config)], -2))):
+        out_dir = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert cli.main([command, *args, *checkpoint, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+        assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("pin", ["0", "-1", "3"])
 def test_train_bad_pin_segment_exit_2_before_any_output(tmp_path, pin):
     resolved = _synth(tmp_path)  # d1=8: a pin must be a positive divisor of 8
@@ -702,6 +717,99 @@ def test_eval_stale_fold_checkpoint_exit_2_naming_it(tmp_path, capsys):
         assert capsys.readouterr().err == (f"error: {stale}: {run_dir / 'folds.csv'} has no fold 2, "
                                            "so the checkpoint is not from this run\n")
         assert not eval_dir.exists()
+
+
+def _fault_fold1_checkpoint_removed_and_a_malformed_folds_row(resolved, run_dir):
+    (run_dir / "fold1" / "checkpoint.json").unlink()
+    folds = run_dir / "folds.csv"
+    folds.write_text(folds.read_text() + "synth0000,one\n")
+    return f"{folds}:14: expected 'sample_id,fold', got ['synth0000', 'one']"
+
+
+def _fault_fold1_bad_shape_and_no_meta_fold(resolved, run_dir):
+    ckpt = run_dir / "fold1" / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    del blob["meta"]["fold"]
+    shape = blob["params"]["bridge"]["shape"]
+    ckpt.write_text(json.dumps(_edit_bridge(blob, "shape", 5)))
+    return f"{ckpt}: bridge has shape 5, config expects {shape}"
+
+
+def _fold_sample(run_dir: Path, fold: str) -> str:
+    return next(row[0] for _, row in data.csv_rows(run_dir / "folds.csv", ValueError)[1:]
+                if row[1] == fold)
+
+
+def _fault_fold0_stale_and_a_bad_fold1_feature_file(resolved, run_dir):
+    ckpt = run_dir / "fold0" / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    ckpt.write_text(json.dumps({**blob, "meta": {**blob["meta"], "fold": 7}}))
+    _feature_file(resolved, f"{_fold_sample(run_dir, '1')}_a.csv").write_bytes(b"")
+    return f"{ckpt}: {run_dir / 'folds.csv'} has no fold 7, so the checkpoint is not from this run"
+
+
+def _fault_fold0_copied_and_a_bad_fold0_feature_file(resolved, run_dir):
+    (run_dir / "fold1" / "checkpoint.json").write_bytes(
+        (run_dir / "fold0" / "checkpoint.json").read_bytes())
+    sample = _fold_sample(run_dir, "0")
+    bad = _feature_file(resolved, f"{sample}_a.csv")
+    bad.write_bytes(b"")
+    return f"{bad}: empty feature file for {sample}"
+
+
+@pytest.mark.parametrize("fault", [
+    _fault_fold1_checkpoint_removed_and_a_malformed_folds_row,
+    _fault_fold1_bad_shape_and_no_meta_fold,
+    _fault_fold0_stale_and_a_bad_fold1_feature_file,
+    _fault_fold0_copied_and_a_bad_fold0_feature_file,
+], ids=["malformed_folds_row_before_missing_fold", "checkpoint_shape_before_meta_fold",
+        "lowest_checkpoint_first", "lane_error_before_duplicate_fold"])
+def test_eval_of_a_run_with_two_faults_reports_the_first_check_in_order(tmp_path, capsys,
+                                                                         fault):
+    resolved, run_dir = _trained_run(tmp_path)
+    expected = fault(resolved, run_dir)
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not eval_dir.exists()
+
+
+def _desk_cohort(tmp_path) -> Path:
+    """A 60-sample desk cohort in 2 folds, trained for 1 epoch: its resolved config."""
+    cfg_path = tmp_path / "desk.json"
+    save_config(dataclasses.replace(apply_desk_preset(RunConfig()), cohort=60, k_folds=2,
+                                    epochs=1, seed=3), cfg_path)
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "data" / "config.json"
+
+
+def test_eval_pinned_as_train_writes_trains_fold_metrics_bitwise(tmp_path):
+    resolved = _desk_cohort(tmp_path)
+    run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+    pin = ["--config", str(resolved), "--pin-segment", "2"]
+    assert cli.main(["train", *pin, "--out", str(run_dir)]) == 0
+    assert cli.main(["eval", *pin, "--out", str(eval_dir), "--checkpoint", str(run_dir)]) == 0
+    trained, scored = (json.loads((d / "metrics.json").read_text())["folds"]
+                       for d in (run_dir, eval_dir))
+    assert scored == trained and set(scored) == {"0", "1"}
+
+
+def test_eval_of_one_fold_checkpoint_writes_that_folds_entries_of_the_run_eval(tmp_path):
+    resolved = _desk_cohort(tmp_path)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 0
+    reports = {}
+    for name, checkpoint in (("run", run_dir), *((str(k), run_dir / f"fold{k}" / "checkpoint.json")
+                                                  for k in (0, 1))):
+        out = tmp_path / f"eval_{name}"
+        assert cli.main(["eval", "--config", str(resolved), "--out", str(out),
+                         "--checkpoint", str(checkpoint), "--repeats", "2"]) == 0
+        reports[name] = json.loads((out / "metrics.json").read_text())
+    for k in ("0", "1"):
+        for block in ("folds", "stability"):
+            assert reports[k][block] == {k: reports["run"][block][k]}
 
 
 def test_eval_reads_the_feature_files_of_the_samples_it_scores_once(tmp_path, monkeypatch):

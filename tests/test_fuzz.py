@@ -138,6 +138,8 @@ def test_load_samples_with_one_fuzzed_manifest_cell(dataset, row, col, value):
 @FUZZ
 def test_read_folds_with_one_fuzzed_row(tmp_path, row, value):
     lines = [b"sample_id,fold", *(f"synth{i:04d},{i % 2}".encode() for i in range(SAMPLES))]
-    path = tmp_path / "folds.csv"
-    path.write_bytes(_with_value(lines, row, None, value))
-    _returns_or_rejects(lambda: cli._read_folds(path))
+    (tmp_path / "folds.csv").write_bytes(_with_value(lines, row, None, value))
+    checkpoint = tmp_path / "fold0" / "checkpoint.json"  # read as a run's, so folds.csv is read
+    checkpoint.parent.mkdir(exist_ok=True)
+    checkpoint.touch()
+    _returns_or_rejects(lambda: cli._read_run(str(checkpoint), []))

@@ -152,3 +152,28 @@ def test_desk_digest_params_line_is_the_same_for_v1_and_v2(tmp_path):
     blob["params"]["bridge"]["data"][0] = np.nextafter(blob["params"]["bridge"]["data"][0], 2.0)
     v1.write_text(json.dumps(blob))
     assert desk_digest.digest(runs[1])[1] != params_2
+
+
+def test_desk_digest_prints_each_refusal_probe_after_the_artifacts(capsys):
+    desk_digest = _load_tool("desk_digest")
+    assert desk_digest.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    artifacts, probes = lines[:-len(desk_digest.PROBES)], lines[-len(desk_digest.PROBES):]
+    # the artifacts of the pipeline alone, hashed before any probe copied the run
+    assert {line.split("  ")[1].split("/")[0] for line in artifacts} == {
+        "base.json", "data", "train", "eval", "analysis"}
+    assert artifacts[-1].endswith("  train/predictions.csv")
+    messages = {
+        "fold1_checkpoint_removed": "{0}/folds.csv names folds with no checkpoint: fold1",
+        "fold0_copied_into_fold1":
+            "checkpoints {0}/fold0/checkpoint.json and {0}/fold1/checkpoint.json both hold fold 0",
+        "malformed_folds_row":
+            "{0}/folds.csv:62: expected 'sample_id,fold', got ['synth0000', 'one']",
+        "meta_fold_dropped":
+            "{0}/fold1/checkpoint.json: meta.fold is missing, so its held-out samples are unknown",
+        "folds_renamed_samples": "fold 0: {0}/folds.csv assigns no sample of the dataset to it",
+        "folds_without_fold1": "{0}/fold1/checkpoint.json: {0}/folds.csv has no fold 1, "
+                               "so the checkpoint is not from this run",
+    }
+    assert probes == [f"probe {name}: exit 2: error: " + message.format(f"probe-{name}")
+                      for name, message in messages.items()]
