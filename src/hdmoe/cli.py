@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -245,21 +246,21 @@ def cmd_eval(
 
     def score(path: Path) -> tuple:  # one checkpoint and the samples it scores, in a lane
         params, meta = load_checkpoint(path, model_cfg)
-        lifted, _ = lift_params(params, requires_grad=False)
+        lifted = lift_params(params, requires_grad=False)
         fold, entries = held_out(meta, path)
         subset = _load_dataset(cfg, entries)
         rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
         res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
-        times = np.array([r.time_months for r in subset])
-        events = np.array([1 - r.censored for r in subset])
-        metrics = _fold_metrics(RiskTable(risks=res.risk, times=times, events=events))
+        table = RiskTable(risks=res.risk, times=np.array([r.time_months for r in subset]),
+                          events=np.array([1 - r.censored for r in subset]))
+        metrics = _fold_metrics(table)
         stability = None
         if repeats:
             srng = np.random.default_rng([cfg.seed, fold, 0x57AB])
             scores, mean, std = stability_report(
-                (res.moe_a, res.moe_b), lifted, model_cfg, subset, repeats, srng)
+                (res.moe_a, res.moe_b), lifted, model_cfg, table, repeats, srng)
             stability = {"scores": scores, "mean": mean, "std": std}
-        return fold, metrics, stability, res.risk, times, events
+        return fold, metrics, stability, table
 
     scored = map_folds(score, paths,  # in path order, whatever the lanes
                        describe=lambda held: "checkpoint " + ", ".join(map(str, held)))
@@ -269,12 +270,12 @@ def cmd_eval(
             raise ConfigError(f"checkpoints {first[fold]} and {path} both hold fold {fold}")
     per_fold = {str(fold): metrics for fold, metrics, *_ in scored}
     stability = {str(fold): stab for fold, _, stab, *_ in scored if stab is not None}
-    risks, times, events = (np.concatenate(column) for column in list(zip(*scored))[3:])
-    table = RiskTable(risks=risks, times=times, events=events)
+    table = RiskTable(**{column: np.concatenate([getattr(t, column) for *_, t in scored])
+                         for column in ("risks", "times", "events")})
     high, low = _median_split(table)
     groups = {
-        "high_risk": km_estimate(times[high], events[high]),
-        "low_risk": km_estimate(times[low], events[low]),
+        "high_risk": km_estimate(table.times[high], table.events[high]),
+        "low_risk": km_estimate(table.times[low], table.events[low]),
     }
     out_dir = Path(cfg.out_dir)
     save_config(cfg, out_dir / "config.json")
@@ -291,7 +292,7 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
     records = _load_dataset(cfg)
     model_cfg = cfg.model_config()
     params, _ = load_checkpoint(_checkpoint_paths(checkpoint)[0], model_cfg)
-    lifted, _ = lift_params(params, requires_grad=False)
+    lifted = lift_params(params, requires_grad=False)
     out_dir = Path(cfg.out_dir)
     save_config(cfg, out_dir / "config.json")
 
@@ -314,6 +315,7 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str, pin_segment: int | None = None)
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hdmoe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

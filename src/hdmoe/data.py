@@ -33,7 +33,6 @@ class SampleRecord:
     features_b: np.ndarray  # [n_b, d_in]
     time_months: float
     censored: int  # 1 = censored
-    bin_label: int = 0  # 1..K once assigned; 0 = unassigned
     fold: int = -1
 
     def __post_init__(self):

@@ -68,22 +68,19 @@ def encode_bag(bags: list[np.ndarray], params) -> ad.Node:
         h = xb @ w_proj  # [bags, n, d1]
         t, s = np.tanh(h @ v_att), ad.logistic(h @ u_att)
         gate = t * s
-        sc = (gate @ w_att)[:, :, 0]  # [bags, n]
-        e = np.exp(sc - np.maximum.reduce(sc, axis=1, keepdims=True))
-        p = (e / np.add.reduce(e, axis=1, keepdims=True))[:, None, :]  # [bags, 1, n]
-        out[ids] = np.matmul(p, h)[:, 0]
+        p = ad.softmax((gate @ w_att)[:, :, 0])  # [bags, n]
+        out[ids] = np.matmul(p[:, None, :], h)[:, 0]
         groups.append((ids, xb, h, t, s, gate, p))
 
     def rule(g: np.ndarray) -> None:
         factors = []  # per group: its bags, and the two factors of each parameter's gradient
         for ids, xb, h, t, s, gate, p in groups:
             gb, hT = g[ids][:, None, :], h.transpose(0, 2, 1)
-            g_p = np.matmul(gb, hT)
-            g_sc = (p * (g_p - np.add.reduce(g_p * p, axis=2, keepdims=True))).reshape(len(ids), -1, 1)
+            g_sc = ad.softmax_vjp(p, np.matmul(gb, hT)[:, 0]).reshape(len(ids), -1, 1)
             g_gate = g_sc @ w_att.T
             g_a = g_gate * s * (1.0 - t * t)  # through tanh(h @ V_att)
             g_b = g_gate * t * s * (1.0 - s)  # through sigmoid(h @ U_att)
-            g_h = np.matmul(p.transpose(0, 2, 1), gb) + g_a @ v_att.T + g_b @ u_att.T
+            g_h = np.matmul(p[:, :, None], gb) + g_a @ v_att.T + g_b @ u_att.T
             factors.append((ids, ((xb.transpose(0, 2, 1), g_h), (hT, g_a), (hT, g_b),
                                   (gate.transpose(0, 2, 1), g_sc))))
         # one parameter's per-bag gradients alive at a time: a lower peak of

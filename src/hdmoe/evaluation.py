@@ -14,57 +14,44 @@ MetricError naming the function and the column otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from . import model as model_mod
-from .data import SampleRecord
 from .errors import MetricError
 from .model import HDMoEParams, ModelConfig
 from .moe import MoEOutput, RouterTrace
 
 _MAX_ITER = 400
 _FP_EPS = 3e-15
+_TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
 # special functions
 
 
+def _floored(v: float) -> float:
+    """v, or the Lentz floor 1e-300 where |v| is below it."""
+    return _TINY if abs(v) < _TINY else v
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    """The continued fraction of I_x(a, b) by modified Lentz: per m, its even
+    and then its odd coefficient, converged once an odd step changes h by
+    less than _FP_EPS."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d = 1.0, 1.0 / _floored(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d, c = 1.0 / _floored(1.0 + aa * d), _floored(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _FP_EPS:
             break
     return h
@@ -265,7 +252,7 @@ def redundancy_score(output: MoEOutput) -> tuple[np.ndarray, np.ndarray, float]:
     token_len = output.tokens.shape[1]
     shape = (batch, width // token_len, token_len)
     pre = average_abs_correlation(output.tokens.reshape(shape))
-    post = average_abs_correlation(output.shared_tokens.reshape(shape))
+    post = average_abs_correlation(output.shared.value.reshape(shape))
     off = ~np.eye(pre.shape[0], dtype=bool)
     delta = float(pre[off].sum() - post[off].sum())
     return pre, post, delta
@@ -275,24 +262,23 @@ def stability_report(
     level1: tuple[MoEOutput, MoEOutput],
     lifted: HDMoEParams,
     model_cfg: ModelConfig,
-    records: list[SampleRecord],
+    table: RiskTable,
     repeats: int,
     rng: np.random.Generator,
 ) -> tuple[list[float], float, float]:
     """Re-score a frozen model with independent fusion draws per repeat.
 
-    level1 holds the records' level-1 outputs (out_a, out_b), from `encode`
-    or a forward's (moe_a, moe_b); each repeat is one `fuse` over them, which
-    draws from rng in the order one-sample forwards would.
+    level1 holds the level-1 outputs (out_a, out_b) of table's samples, row
+    for row, from `encode` or a forward's (moe_a, moe_b); each repeat is one
+    `fuse` over them, which draws from rng in the order one-sample forwards
+    would, and scores its risks against table's times and events.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    times = np.array([r.time_months for r in records])
-    events = np.array([1 - r.censored for r in records])
     scores = []
     for _ in range(repeats):
         risks = model_mod.fuse(level1, lifted, model_cfg, rng).risk
-        scores.append(c_index(RiskTable(risks=risks, times=times, events=events)))
+        scores.append(c_index(replace(table, risks=risks)))
     # identical scores must report exactly zero spread (the mean of n copies
     # of x can differ from x by an ulp, making np.std spuriously nonzero)
     std = 0.0 if min(scores) == max(scores) else float(np.std(scores))

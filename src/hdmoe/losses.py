@@ -11,7 +11,6 @@ an expert level apart (DM') and corresponding features across levels close
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -24,16 +23,6 @@ HAZARD_EPS = 1e-7
 DISTANCE_METRICS = ("cos", "l1", "kl", "mse")
 COSINE_NORM_EPS = 1e-12
 KL_FLOOR = 1e-9  # the kl metric clips each softmax from below here
-
-
-@dataclass
-class LossBreakdown:
-    surv: float
-    dm: float
-    bl: float
-    total: float
-    alpha: float
-    beta: float
 
 
 @lru_cache(maxsize=None)
@@ -211,16 +200,12 @@ def balance_loss(traces) -> ad.Node:
     return ad.Node(np.array([[sum(terms[1:], terms[0])]]), tuple(t.probs for t in traces), rule)
 
 
-def total_loss(
-    surv: ad.Node, dm: ad.Node, bl: ad.Node, alpha: float, beta: float
-) -> tuple[LossBreakdown, ad.Node]:
+def total_loss(surv: ad.Node, dm: ad.Node, bl: ad.Node, alpha: float, beta: float) -> ad.Node:
     """surv + alpha * dm + beta * bl as one node."""
 
     def rule(g: np.ndarray) -> None:
         for node, weight in ((surv, 1.0), (dm, alpha), (bl, beta)):  # 1.0 * g is g
             ad.accumulate(node, np.array([[weight * g.item()]]), fresh=True)
 
-    s, d, b = surv.value.item(), dm.value.item(), bl.value.item()
-    value = s + ((alpha * d + 0.0) + (beta * b + 0.0))
-    breakdown = LossBreakdown(surv=s, dm=d, bl=b, total=value, alpha=alpha, beta=beta)
-    return breakdown, ad.Node(np.array([[value]]), (surv, dm, bl), rule)
+    value = surv.value.item() + ((alpha * dm.value.item() + 0.0) + (beta * bl.value.item() + 0.0))
+    return ad.Node(np.array([[value]]), (surv, dm, bl), rule)

@@ -204,19 +204,10 @@ def parameter_count(params: HDMoEParams) -> tuple[int, dict[str, int]]:
     return sum(per_module.values()), per_module
 
 
-def lift_params(
-    params: HDMoEParams, requires_grad: bool = True
-) -> tuple[HDMoEParams, dict[str, ad.Node]]:
-    """Wrap every parameter array in a tape leaf; returns the node tree and a
-    flat path->Node map for gradient readout."""
-    nodes: dict[str, ad.Node] = {}
-
-    def lift(path: str, arr: np.ndarray) -> ad.Node:
-        node = ad.leaf(arr, requires_grad=requires_grad, name=path)
-        nodes[path] = node
-        return node
-
-    return _map(lift, params), nodes
+def lift_params(params: HDMoEParams, requires_grad: bool = True) -> HDMoEParams:
+    """Every parameter array wrapped in a tape leaf named by its path; the
+    leaves of the tree, by path, are named_params of it."""
+    return _map(lambda path, arr: ad.leaf(arr, requires_grad=requires_grad, name=path), params)
 
 
 def risk_score(hazards: np.ndarray) -> np.ndarray:

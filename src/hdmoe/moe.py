@@ -74,7 +74,6 @@ class MoEOutput:
     shared: ad.Node  # [B, d]
     trace: RouterTrace
     tokens: np.ndarray  # [B*T, l] inputs to the experts, row b's at b*T .. b*T+T-1
-    shared_tokens: np.ndarray  # [B*T, l] shared-expert outputs per token
 
 
 def init_expert_params(token_len: int, expansion: int, rng: np.random.Generator) -> ExpertParams:
@@ -169,4 +168,4 @@ def moe_forward(v: ad.Node, cfg: MoEConfig, params, router_last: bool = False) -
     routed = ad.Node(routed_tokens.reshape(v.value.shape), parents, rule)
     shared = ad.side_output(routed, shared_tokens.reshape(v.value.shape), side_grads, 0)
     probs = ad.side_output(routed, p, side_grads, 1)
-    return MoEOutput(routed, shared, RouterTrace(probs, selected), x, shared_tokens)
+    return MoEOutput(routed, shared, RouterTrace(probs, selected), x)

@@ -16,7 +16,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,6 @@ def optimizer_step(
 
 @dataclass
 class FoldResult:
-    fold: int
     params: HDMoEParams
     edges: BinEdges
     loss_curve: list[float]  # per-epoch mean total loss
@@ -147,17 +146,15 @@ def train_fold(
     train_cfg: TrainConfig,
 ) -> FoldResult:
     edges = fold_edges(records, fold_id, model_cfg.num_bins)
-    train_records = [
-        replace(r, bin_label=assign_bin(r.time_months, edges))
-        for r in split_fold(records, fold_id)[0]
-    ]
+    train_records = split_fold(records, fold_id)[0]
+    labels = [assign_bin(r.time_months, edges) for r in train_records]
 
     fold_rng = np.random.default_rng([train_cfg.seed, fold_id])
     flat, params = model_mod.flatten_params(model_mod.init_params(model_cfg, fold_rng))
     state = OptimizerState(*np.zeros((3, flat.size)))
-    lifted, nodes = lift_params(params, requires_grad=True)  # leaves for the whole fold
+    lifted = lift_params(params, requires_grad=True)  # leaves for the whole fold
     grads = dict(named_params(model_mod.param_views(params, state.grad)))
-    for path, node in nodes.items():
+    for path, node in named_params(lifted):
         node.grad = grads[path]
     loss_curve: list[float] = []
     log_rows: list[str] = []
@@ -172,24 +169,22 @@ def train_fold(
             step += 1
             state.grad.fill(0.0)
             res = forward([sample], lifted, model_cfg, fold_rng)
-            surv = survival_nll(res.hazards, sample.bin_label, sample.censored)
+            surv = survival_nll(res.hazards, labels[idx], sample.censored)
             dm = decouple_loss(res, train_cfg.distance_metric)
             bl = balance_loss(res.traces)
-            breakdown, total = total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
-            if not np.isfinite(breakdown.total):
+            total = total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
+            terms = [node.value.item() for node in (surv, dm, bl, total)]
+            if not np.isfinite(terms[3]):
                 raise NumericsError(
-                    f"non-finite loss at fold {fold_id} epoch {epoch} step {step} "
-                    f"(sample {sample.sample_id}): {breakdown}"
+                    f"non-finite loss at fold {fold_id} epoch {epoch} step {step} (sample "
+                    f"{sample.sample_id}): surv={terms[0]} dm={terms[1]} bl={terms[2]} total={terms[3]}"
                 )
             ad.backward(total)
             optimizer_step(flat, grads, state, train_cfg)
             if not np.isfinite(flat).all():
                 raise NumericsError(f"non-finite parameters after fold {fold_id} epoch {epoch} step {step}")
-            epoch_losses.append(breakdown.total)
-            log_rows.append(
-                f"{step},{breakdown.surv:.10g},{breakdown.dm:.10g},"
-                f"{breakdown.bl:.10g},{breakdown.total:.10g}"
-            )
+            epoch_losses.append(terms[3])
+            log_rows.append(",".join([str(step), *(f"{t:.10g}" for t in terms)]))
             [(segment1, segment2)] = res.segments
             log_rows.append(f"rfr,1,{step},{segment1}")
             log_rows.append(f"rfr,2,{step},{segment2}")
@@ -197,9 +192,7 @@ def train_fold(
         loss_curve.append(mean_loss)
         log.info("fold %d epoch %d mean total loss %.6f", fold_id, epoch, mean_loss)
 
-    return FoldResult(
-        fold=fold_id, params=params, edges=edges, loss_curve=loss_curve, log_rows=log_rows
-    )
+    return FoldResult(params=params, edges=edges, loss_curve=loss_curve, log_rows=log_rows)
 
 
 def predict_fold(
@@ -216,7 +209,7 @@ def predict_fold(
     _, test_records = split_fold(records, fold_id)
     if not test_records:
         return []
-    lifted, _ = lift_params(params, requires_grad=False)
+    lifted = lift_params(params, requires_grad=False)
     res = forward(test_records, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
     return [
         PredictionRow(

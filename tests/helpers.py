@@ -8,7 +8,7 @@ checkpoint writer and the file-by-file cohort reader."""
 
 import base64
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -360,7 +360,6 @@ def moe_forward_composite(v, cfg, params):
         shared=reshape(shared_tokens, v.value.shape),
         trace=RouterTrace(probs, selected),
         tokens=tokens.value,
-        shared_tokens=shared_tokens.value,
     )
 
 
@@ -564,7 +563,7 @@ def train_fold_loop(records, fold_id, model_cfg, train_cfg):
     afresh per step, gradients read off the leaves and the per-array update."""
     train, _ = split_fold(records, fold_id)
     edges = compute_bin_edges(train, model_cfg.num_bins)
-    train = [replace(r, bin_label=assign_bin(r.time_months, edges)) for r in train]
+    labels = [assign_bin(r.time_months, edges) for r in train]
     fold_rng = np.random.default_rng([train_cfg.seed, fold_id])
     params = hm.init_params(model_cfg, fold_rng)
     state = LoopOptimizerState()
@@ -572,14 +571,15 @@ def train_fold_loop(records, fold_id, model_cfg, train_cfg):
         order = np.random.default_rng([train_cfg.seed, fold_id, epoch]).permutation(len(train))
         for idx in order:
             sample = train[idx]
-            lifted, nodes = hm.lift_params(params, requires_grad=True)
+            lifted = hm.lift_params(params, requires_grad=True)
             res = hm.forward([sample], lifted, model_cfg, fold_rng)
-            surv = losses.survival_nll(res.hazards, sample.bin_label, sample.censored)
+            surv = losses.survival_nll(res.hazards, labels[idx], sample.censored)
             dm = losses.decouple_loss(res, train_cfg.distance_metric)
             bl = losses.balance_loss(res.traces)
-            _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
+            total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
             ad.backward(total)
-            optimizer_step_loop(params, {p: n.grad for p, n in nodes.items()}, state, train_cfg)
+            optimizer_step_loop(params, {p: n.grad for p, n in hm.named_params(lifted)}, state,
+                                train_cfg)
     return params
 
 
@@ -740,7 +740,6 @@ def result_arrays(res):
             for part in ("routed", "shared"):
                 out[f"{name}.{part}"] = getattr(value, part).value
             out[f"{name}.tokens"] = value.tokens
-            out[f"{name}.shared_tokens"] = value.shared_tokens
             out[f"{name}.probs"] = value.trace.probs.value
             out[f"{name}.selected"] = value.trace.selected
         elif isinstance(value, ad.Node):
@@ -764,11 +763,20 @@ def forward_loop(records, lifted, cfg, rng, pin_segments=(None, None)):
 # took whole batches
 
 
+def outcome_table(records, risks=None):
+    """The RiskTable of records' times and events, with zero risks unless
+    given: a stand-in for the scoring pass's table, of which stability_report
+    reads only the times and events."""
+    return ev.RiskTable(risks=np.zeros(len(records)) if risks is None else risks,
+                        times=np.array([r.time_months for r in records]),
+                        events=np.array([1 - r.censored for r in records]))
+
+
 def stability_report_loop(params, model_cfg, records, repeats, rng):
     """(scores, mean, std) with every repeat a one-sample forward of every record."""
     times = np.array([r.time_months for r in records])
     events = np.array([1 - r.censored for r in records])
-    lifted, _ = hm.lift_params(params, requires_grad=False)
+    lifted = hm.lift_params(params, requires_grad=False)
     scores = []
     for _ in range(repeats):
         risks = forward_loop(records, lifted, model_cfg, rng)[1]
@@ -790,11 +798,11 @@ def average_abs_correlation_loop(token_mats):
 
 def redundancy_score_loop(params, model_cfg, records, level, modality, rng):
     """(pre, post, delta) read off a one-sample forward of every record."""
-    lifted, _ = hm.lift_params(params, requires_grad=False)
-    outs = forward_loop(records, lifted, model_cfg, rng)[3]
-    side = "moe_inter" if level == 2 else f"moe_{modality}"
-    pre = average_abs_correlation_loop([getattr(o, side).tokens for o in outs])
-    post = average_abs_correlation_loop([getattr(o, side).shared_tokens for o in outs])
+    lifted = hm.lift_params(params, requires_grad=False)
+    outs = [getattr(o, "moe_inter" if level == 2 else f"moe_{modality}")
+            for o in forward_loop(records, lifted, model_cfg, rng)[3]]
+    pre = average_abs_correlation_loop([o.tokens for o in outs])
+    post = average_abs_correlation_loop([o.shared.value.reshape(o.tokens.shape) for o in outs])
     off = ~np.eye(pre.shape[0], dtype=bool)
     return pre, post, float(pre[off].sum() - post[off].sum())
 

@@ -21,7 +21,8 @@ from hdmoe import model as hm
 from hdmoe import moe
 from hdmoe import trainer as ht
 
-from helpers import decoupled_stub, finite_diff_gradient, max_rel_err, oracle_cindex, row_softmax
+from helpers import (decoupled_stub, finite_diff_gradient, max_rel_err, oracle_cindex,
+                     outcome_table, row_softmax)
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -186,19 +187,20 @@ def test_criterion_1_gradient_suite():
         c = int(rng.integers(0, 2))
 
         def loss_of(p):
-            lifted = hm.lift_params(p, requires_grad=False)[0]
+            lifted = hm.lift_params(p, requires_grad=False)
             res = hm.forward([sample], lifted, cfg, np.random.default_rng(0), pin_segments=pins)
             surv = losses.survival_nll(res.hazards, n_bin, c)
             dm = losses.decouple_loss(res, "cos")
             bl = losses.balance_loss(res.traces)
             return losses.total_loss(surv, dm, bl, 1.0, 0.01)
 
-        lifted, nodes = hm.lift_params(params, requires_grad=True)
+        lifted = hm.lift_params(params, requires_grad=True)
+        nodes = dict(hm.named_params(lifted))
         res = hm.forward([sample], lifted, cfg, np.random.default_rng(0), pin_segments=pins)
         if min(_routing_margin(t.probs.value, 1) for t in res.traces) < 1e-3:
             continue
         surv = losses.survival_nll(res.hazards, n_bin, c)
-        _, total = losses.total_loss(
+        total = losses.total_loss(
             surv, losses.decouple_loss(res, "cos"),
             losses.balance_loss(res.traces), 1.0, 0.01,
         )
@@ -211,9 +213,9 @@ def test_criterion_1_gradient_suite():
             for idx in coord_rng.choice(flat.size, size=min(2, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + 1e-5
-                hi = loss_of(params)[0].total
+                hi = loss_of(params).value.item()
                 flat[idx] = orig - 1e-5
-                lo = loss_of(params)[0].total
+                lo = loss_of(params).value.item()
                 flat[idx] = orig
                 fd = (hi - lo) / 2e-5
                 g = float(grad.reshape(-1)[idx])
@@ -396,10 +398,10 @@ def test_criterion_5_end_to_end_learning(desk_run):
 
 def test_criterion_6_rfr_stability(desk_run):
     result, _ = desk_run["main_folds"][0]
-    lifted, _ = hm.lift_params(result.params, requires_grad=False)
+    lifted = hm.lift_params(result.params, requires_grad=False)
     level1 = hm.encode(desk_run["records"], lifted, DESK_MODEL)
     scores, mean, std = ev.stability_report(
-        level1, lifted, DESK_MODEL, desk_run["records"], 5,
+        level1, lifted, DESK_MODEL, outcome_table(desk_run["records"]), 5,
         np.random.default_rng([7, 0, 0x57AB]),
     )
     ok = std < 0.01
@@ -411,7 +413,7 @@ def test_criterion_6_rfr_stability(desk_run):
 
 def test_criterion_7_deredundancy_direction(desk_run):
     result, _ = desk_run["main_folds"][0]
-    lifted, _ = hm.lift_params(result.params, requires_grad=False)
+    lifted = hm.lift_params(result.params, requires_grad=False)
     level1 = hm.encode(desk_run["records"], lifted, DESK_MODEL)
     deltas = {}
     for side, modality in enumerate(("a", "b")):

@@ -51,7 +51,7 @@ def test_batched_forward_matches_per_sample_loop(cfg, sizes, pins, seed):
     rng = np.random.default_rng(seed)
     params = hm.init_params(cfg, rng)
     records = _records(rng, cfg, *zip(*sizes))
-    lifted = hm.lift_params(params, requires_grad=False)[0]
+    lifted = hm.lift_params(params, requires_grad=False)
     rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
     res = hm.forward(records, lifted, cfg, rng_batch, pin_segments=pins)
     hazards, risks, segments, _ = forward_loop(records, lifted, cfg, rng_loop, pins)
@@ -78,7 +78,7 @@ def test_fold_scored_whole_agrees_with_chunks(cfg, cuts, seed):
     records = _records(rng, cfg, rng.integers(1, 8, 96), rng.integers(1, 8, 96))
     bounds = np.cumsum([0, *cuts])
     records = records[:bounds[-1]]
-    lifted = hm.lift_params(params, requires_grad=False)[0]
+    lifted = hm.lift_params(params, requires_grad=False)
     whole = hm.forward(records, lifted, cfg, np.random.default_rng(seed))
     rng_chunks = np.random.default_rng(seed)
     parts = [hm.forward(records[lo:hi], lifted, cfg, rng_chunks)
@@ -92,7 +92,7 @@ def test_fold_scored_whole_agrees_with_chunks(cfg, cuts, seed):
 
 def _total(res):
     return total_loss(survival_nll(res.hazards, 2, 0), decouple_loss(res, "cos"),
-                      balance_loss(res.traces), 1.0, 0.01)[1]
+                      balance_loss(res.traces), 1.0, 0.01)
 
 
 @pytest.mark.parametrize("cfg", [SMALL, WIDE, DESK], ids=["small", "wide", "desk"])
@@ -102,8 +102,9 @@ def test_one_sample_batch_equals_one_sample_forward_bitwise(cfg, pins):
         rng = np.random.default_rng(seed)
         params = hm.init_params(cfg, rng)
         (sample,) = _records(rng, cfg, [int(rng.integers(1, 8))], [int(rng.integers(1, 8))])
-        lifted, nodes = hm.lift_params(params, requires_grad=True)
-        o_lifted, o_nodes = hm.lift_params(params, requires_grad=True)
+        lifted = hm.lift_params(params, requires_grad=True)
+        o_lifted = hm.lift_params(params, requires_grad=True)
+        nodes, o_nodes = dict(hm.named_params(lifted)), dict(hm.named_params(o_lifted))
         rng_batch, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
         res = hm.forward([sample], lifted, cfg, rng_batch, pin_segments=pins)
         oracle = forward_single(sample, o_lifted, cfg, rng_single, pins)

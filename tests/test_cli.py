@@ -311,6 +311,23 @@ def test_synth_rejects_pin_segment(tmp_path):
     assert exc.value.code == 2
 
 
+def test_one_parser_per_process_unchanged_by_the_commands_it_rejects(tmp_path, capsys):
+    cfg_path = _tiny_config(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["synth", "--no-such-flag"], ["train", "--config", str(cfg_path), "--repeats", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --no-such-flag" in err
+    assert "unrecognized arguments: --repeats 1" in err
+    argv = ["eval", "--config", str(cfg_path), "--checkpoint", "run", "--repeats", "3", "--desk"]
+    assert cli.build_parser().parse_args(argv) == cli.build_parser.__wrapped__().parse_args(argv)
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert load_config(out / "config.json").manifest == str(out / "manifest.csv")
+
+
 def test_sample_id_with_comma_round_trips(tmp_path):
     resolved = _synth(tmp_path)
     manifest = load_config(resolved).manifest

@@ -216,8 +216,7 @@ def test_moe_block_bitwise_equal_to_its_seven_op_composition(rows, top_k, router
     ref, ref_grads = _moe_block(hp.moe_forward_composite, cfg, arrays, weights, order)
     for got, want in [(out.routed.value, ref.routed.value), (out.shared.value, ref.shared.value),
                       (out.trace.probs.value, ref.trace.probs.value),
-                      (out.trace.selected, ref.trace.selected), (out.tokens, ref.tokens),
-                      (out.shared_tokens, ref.shared_tokens)]:
+                      (out.trace.selected, ref.trace.selected), (out.tokens, ref.tokens)]:
         assert _same_bits(got, want)
     reached = set(out.trace.selected.ravel().tolist())
     assert 3 not in reached
@@ -401,7 +400,7 @@ def _step_loss(fns, kind, alpha, beta, segments, weight):
     return build
 
 
-ONE_NODE = (rfr_forward, losses.decouple_loss, lambda *a: losses.total_loss(*a)[1])
+ONE_NODE = (rfr_forward, losses.decouple_loss, losses.total_loss)
 FINE_OPS = (hp.rfr_composite, hp.decouple_loss_composite, hp.total_loss_composite)
 
 

@@ -17,6 +17,7 @@ from helpers import (
     log_rank_loop,
     max_rel_err,
     oracle_cindex,
+    outcome_table,
     redundancy_score_loop,
     route,
     scan_concordance_counts,
@@ -494,6 +495,30 @@ def test_incomplete_beta_boundaries():
     assert ev.reg_incomplete_beta(1.0, 1.0, 0.37) == pytest.approx(0.37, abs=1e-12)
 
 
+# exact values of the continued fraction, on both of its branches; each p is
+# within 5e-13 of the Student-t tail
+PINNED_T_P = [((2.0, 10.0), 0.07338803477074045), ((0.5, 3.7), 0.6453356333199318),
+              ((-3.2, 25.5), 0.0036580194155119285), ((10.0, 1.0), 0.0634510348611071),
+              ((1e-3, 200.0), 0.9992031123015681)]
+PINNED_I = [((0.5, 0.5, 0.3), 0.36901011956554497), ((2.0, 3.0, 0.4), 0.5247999999999998),
+            ((50.0, 1.5, 0.97), 0.38230812964061767), ((7.5, 120.0, 0.05), 0.3699530353598164),
+            ((0.1, 8.0, 0.3), 0.9977179285099109), ((3.0, 0.5, 0.9999), 0.981251249962501)]
+
+
+def test_student_t_p_and_incomplete_beta_pinned_bits():
+    for (t, df), p in PINNED_T_P:
+        assert ev.student_t_two_sided_p(t, df) == p, (t, df)
+    for (a, b, x), value in PINNED_I:
+        assert ev.reg_incomplete_beta(a, b, x) == value, (a, b, x)
+
+
+@given(a=st.floats(0.05, 100.0), b=st.floats(0.05, 100.0), k=st.integers(0, 2**20))
+@settings(max_examples=300, deadline=None)
+def test_incomplete_beta_reflection(a, b, k):
+    x = k / 2**20  # so that 1 - x is exact
+    assert abs(ev.reg_incomplete_beta(a, b, x) + ev.reg_incomplete_beta(b, a, 1.0 - x) - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # expert histogram
 
@@ -569,7 +594,7 @@ def test_redundancy_score_shapes_and_finite_delta():
         SampleRecord(f"r{i}", rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), 5.0, 0)
         for i in range(4)
     ]
-    lifted, _ = hm.lift_params(params, requires_grad=False)
+    lifted = hm.lift_params(params, requires_grad=False)
     res = hm.forward(records, lifted, cfg, np.random.default_rng(0))
     for output in (res.moe_a, res.moe_b):
         pre, post, delta = ev.redundancy_score(output)
@@ -608,7 +633,7 @@ def _assert_heatmaps_close(got, want):
 def test_level1_redundancy_equals_full_forward_oracle_and_draws_nothing(modality):
     cfg, params, records = _redundancy_setup()
     expected = redundancy_score_loop(params, cfg, records, 1, modality, np.random.default_rng(0))
-    lifted, _ = hm.lift_params(params, requires_grad=False)
+    lifted = hm.lift_params(params, requires_grad=False)
     side = "ab".index(modality)
     scored = [ev.redundancy_score(hm.encode(records, lifted, cfg)[side])]
     # the level-1 outputs of forwards with any draws score the same bits
@@ -622,7 +647,7 @@ def test_level1_redundancy_equals_full_forward_oracle_and_draws_nothing(modality
 
 def test_level2_redundancy_equals_full_forward_oracle():
     cfg, params, records = _redundancy_setup()
-    lifted, _ = hm.lift_params(params, requires_grad=False)
+    lifted = hm.lift_params(params, requires_grad=False)
     got = ev.redundancy_score(hm.forward(records, lifted, cfg, np.random.default_rng(7)).moe_inter)
     expected = redundancy_score_loop(params, cfg, records, 2, None, np.random.default_rng(7))
     _assert_heatmaps_close(got, expected)
@@ -654,7 +679,7 @@ def _tiny_setup(segment_values=(1, 2, 4, 8)):
                      float(i + 1), int(i % 3 == 0))
         for i in range(10)
     ]
-    lifted, _ = hm.lift_params(params, requires_grad=False)
+    lifted = hm.lift_params(params, requires_grad=False)
     level1 = hm.encode(records, lifted, cfg)
     return cfg, params, records, lifted, level1
 
@@ -662,7 +687,7 @@ def _tiny_setup(segment_values=(1, 2, 4, 8)):
 def test_stability_degenerate_segment_set_is_exactly_zero_std():
     cfg, _, records, lifted, level1 = _tiny_setup(segment_values=(1,))
     scores, mean, std = ev.stability_report(
-        level1, lifted, cfg, records, 5, np.random.default_rng(0)
+        level1, lifted, cfg, outcome_table(records), 5, np.random.default_rng(0)
     )
     assert std == 0.0
     assert len(set(scores)) == 1
@@ -671,7 +696,7 @@ def test_stability_degenerate_segment_set_is_exactly_zero_std():
 def test_stability_single_repeat_zero_std():
     cfg, _, records, lifted, level1 = _tiny_setup()
     scores, mean, std = ev.stability_report(
-        level1, lifted, cfg, records, 1, np.random.default_rng(0)
+        level1, lifted, cfg, outcome_table(records), 1, np.random.default_rng(0)
     )
     assert std == 0.0 and len(scores) == 1
 
@@ -681,11 +706,13 @@ def test_stability_report_equals_full_forward_oracle(segment_values, repeats):
     cfg, params, records, lifted, level1 = _tiny_setup(segment_values)
     oracle_rng = np.random.default_rng(41)
     o_scores, o_mean, o_std = stability_report_loop(params, cfg, records, repeats, oracle_rng)
-    # replayed over `encode` outputs and over the level-1 outputs of forwards
+    # replayed over `encode` outputs and over the level-1 outputs of forwards,
+    # with the forward's own table: its risks are not read
     res = hm.forward(records, lifted, cfg, np.random.default_rng(3))
-    for pairs in (level1, (res.moe_a, res.moe_b)):
+    for pairs, table in ((level1, outcome_table(records)),
+                         ((res.moe_a, res.moe_b), outcome_table(records, res.risk))):
         rng = np.random.default_rng(41)
-        scores, mean, std = ev.stability_report(pairs, lifted, cfg, records, repeats, rng)
+        scores, mean, std = ev.stability_report(pairs, lifted, cfg, table, repeats, rng)
         assert scores == o_scores
         assert (mean, std) == (o_mean, o_std)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state

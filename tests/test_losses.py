@@ -316,15 +316,15 @@ def test_balance_empty_trace_rejected():
 
 def test_total_zero_weights_is_surv():
     surv, dm, bl = ad.leaf([[1.7]]), ad.leaf([[2.0]]), ad.leaf([[3.0]])
-    breakdown, total = losses.total_loss(surv, dm, bl, alpha=0.0, beta=0.0)
-    assert total.value[0, 0] == 1.7
-    assert breakdown.total == 1.7
+    total = losses.total_loss(surv, dm, bl, alpha=0.0, beta=0.0)
+    assert total.value.shape == (1, 1)
+    assert total.value.item() == 1.7
 
 
 def test_total_hand_value():
     surv, dm, bl = ad.leaf([[1.0]]), ad.leaf([[2.0]]), ad.leaf([[3.0]])
-    breakdown, total = losses.total_loss(surv, dm, bl, alpha=1.0, beta=0.01)
-    assert breakdown.total == pytest.approx(3.03, abs=1e-12)
+    total = losses.total_loss(surv, dm, bl, alpha=1.0, beta=0.01)
+    assert total.value.item() == pytest.approx(3.03, abs=1e-12)
 
 
 def test_total_breakdown_identity():
@@ -332,7 +332,5 @@ def test_total_breakdown_identity():
     for _ in range(50):
         s, d, b = rng.uniform(0, 3, 3)
         alpha, beta = rng.uniform(0, 2, 2)
-        breakdown, _ = losses.total_loss(
-            ad.leaf([[s]]), ad.leaf([[d]]), ad.leaf([[b]]), alpha, beta
-        )
-        assert abs(breakdown.total - (breakdown.surv + alpha * breakdown.dm + beta * breakdown.bl)) < 1e-12
+        total = losses.total_loss(ad.leaf([[s]]), ad.leaf([[d]]), ad.leaf([[b]]), alpha, beta)
+        assert abs(total.value.item() - (s + alpha * d + beta * b)) < 1e-12

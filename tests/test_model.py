@@ -35,7 +35,7 @@ def _sample(rng, cfg=TINY, bag=3):
 
 def _lift(params):
     """The no-grad node tree of params."""
-    return hm.lift_params(params, requires_grad=False)[0]
+    return hm.lift_params(params, requires_grad=False)
 
 
 def _zeroed(params):
@@ -121,7 +121,7 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
     sample = _sample(np.random.default_rng(12))
     passes = {
         grad: hm.forward(
-            [sample], hm.lift_params(params, requires_grad=grad)[0], TINY,
+            [sample], hm.lift_params(params, requires_grad=grad), TINY,
             np.random.default_rng(13),
         )
         for grad in (True, False)
@@ -140,10 +140,10 @@ def test_no_grad_pass_equals_grad_pass_and_keeps_no_graph():
 
 def _ops_per_step(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    lifted = hm.lift_params(hm.init_params(cfg, rng), requires_grad=True)[0]
+    lifted = hm.lift_params(hm.init_params(cfg, rng), requires_grad=True)
     res = hm.forward([_sample(rng, cfg)], lifted, cfg, rng)
-    _, total = total_loss(survival_nll(res.hazards, 2, 0), decouple_loss(res, "cos"),
-                          balance_loss(res.traces), 1.0, 0.01)
+    total = total_loss(survival_nll(res.hazards, 2, 0), decouple_loss(res, "cos"),
+                       balance_loss(res.traces), 1.0, 0.01)
     return sum(1 for node in _reachable([total]) if node.parents)
 
 
@@ -165,7 +165,7 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("grad", [False, True])
 def test_fuse_of_encode_equals_forward_bitwise(grad):
     params = hm.init_params(TINY, np.random.default_rng(21))
-    lifted = hm.lift_params(params, requires_grad=grad)[0]
+    lifted = hm.lift_params(params, requires_grad=grad)
     for seed in range(4):
         sample = _sample(np.random.default_rng(100 + seed))
         rng_full, rng_split = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -272,11 +272,12 @@ def test_end_to_end_gradients_match_fd_tiny_config():
         bl = balance_loss(res.traces)
         return total_loss(surv, dm, bl, 1.0, 0.01)
 
-    lifted, nodes = hm.lift_params(params, requires_grad=True)
+    lifted = hm.lift_params(params, requires_grad=True)
+    nodes = dict(hm.named_params(lifted))
     res = hm.forward([sample], lifted, TINY, np.random.default_rng(0), pin_segments=pins)
     surv = survival_nll(res.hazards, 2, 0)
-    _, total = total_loss(surv, decouple_loss(res, "cos"),
-                          balance_loss(res.traces), 1.0, 0.01)
+    total = total_loss(surv, decouple_loss(res, "cos"),
+                       balance_loss(res.traces), 1.0, 0.01)
     ad.backward(total)
 
     # spot-check a handful of coordinates in every parameter group
@@ -289,9 +290,9 @@ def test_end_to_end_gradients_match_fd_tiny_config():
         for idx in check_rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + 1e-5
-            hi = loss_value(params)[0].total
+            hi = loss_value(params).value.item()
             flat[idx] = orig - 1e-5
-            lo = loss_value(params)[0].total
+            lo = loss_value(params).value.item()
             flat[idx] = orig
             fd = (hi - lo) / 2e-5
             g = grad.reshape(-1)[idx]

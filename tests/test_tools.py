@@ -123,12 +123,12 @@ def test_step_profile_host_ms_is_the_median_of_perfbench_calibration_loops(monke
 def test_desk_step_records_at_most_22_ops_for_every_metric(kind):
     profile = _load_tool("step_profile")
     cfg = apply_desk_preset(RunConfig()).model_config()
-    sample = profile._records(cfg)[0]
-    lifted, _ = model.lift_params(model.init_params(cfg, np.random.default_rng(1)),
-                                  requires_grad=True)
+    records, labels = profile._records(cfg)
+    sample = records[0]
+    lifted = model.lift_params(model.init_params(cfg, np.random.default_rng(1)), requires_grad=True)
     res = model.forward([sample], lifted, cfg, np.random.default_rng(2))
-    _, total = losses.total_loss(
-        losses.survival_nll(res.hazards, sample.bin_label, sample.censored),
+    total = losses.total_loss(
+        losses.survival_nll(res.hazards, labels[0], sample.censored),
         losses.decouple_loss(res, kind), losses.balance_loss(res.traces), 1.0, 0.01)
     # per MoE block 3 (the block and its shared and router-softmax outputs), per fusion 1,
     # each encoder, loss term and the total 1, head 3, bridge 1

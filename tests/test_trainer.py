@@ -164,6 +164,34 @@ def test_nan_parameter_mid_fold_raises_before_the_next_step(monkeypatch):
     assert len(forwards) == 3
 
 
+def test_nan_loss_names_fold_epoch_step_sample_and_the_four_terms(monkeypatch):
+    records = _tiny_dataset()
+    train = ht.split_fold(records, 0)[0]
+    bad_step = len(train) + 2  # the second step of epoch 1
+    terms, dm_calls = {}, []
+
+    def recorded(name, fn):  # keeps each term's latest node; dm reads nan at bad_step
+        def run(*args):
+            node = terms[name] = fn(*args)
+            if name == "dm":
+                dm_calls.append(1)
+                if len(dm_calls) == bad_step:
+                    node.value = np.array([[np.nan]])
+            return node
+        return run
+
+    for name, fn in (("surv", survival_nll), ("dm", decouple_loss), ("bl", balance_loss)):
+        monkeypatch.setattr(ht, fn.__name__, recorded(name, fn))
+    with pytest.raises(NumericsError) as exc:
+        ht.train_fold(records, 0, TINY, FAST)
+    sample = train[np.random.default_rng([FAST.seed, 0, 1]).permutation(len(train))[1]]
+    surv, bl = terms["surv"].value.item(), terms["bl"].value.item()
+    assert np.isfinite(surv) and np.isfinite(bl)
+    assert str(exc.value) == (
+        f"non-finite loss at fold 0 epoch 1 step {bad_step} (sample {sample.sample_id}): "
+        f"surv={surv} dm=nan bl={bl} total=nan")
+
+
 def test_epochs_zero_returns_init_and_empty_curve():
     records = _tiny_dataset()
     cfg = ht.TrainConfig(epochs=0, seed=5)
@@ -178,6 +206,22 @@ def test_training_reduces_loss_on_tiny_cohort():
     records = _tiny_dataset()
     result = ht.train_fold(records, 0, TINY, FAST)
     assert result.loss_curve[-1] < result.loss_curve[0]
+
+
+def test_run_log_terms_sum_to_the_total_and_each_epoch_mean_is_the_curve():
+    records = _tiny_dataset()
+    result = ht.train_fold(records, 0, TINY, FAST)
+    rows = [list(map(float, r.split(","))) for r in result.log_rows if not r.startswith("rfr,")]
+    steps = len(ht.split_fold(records, 0)[0])
+    assert [r[0] for r in rows] == list(range(1, FAST.epochs * steps + 1))
+    for _, surv, dm, bl, total in rows:  # each term printed to 10 significant digits
+        assert dm != 0.0
+        assert total == pytest.approx(surv + FAST.alpha * dm + FAST.beta * bl,
+                                      abs=1e-9 * (abs(surv) + abs(dm) + abs(bl) + abs(total)))
+    for epoch, mean in enumerate(result.loss_curve):
+        totals = [r[4] for r in rows[epoch * steps:(epoch + 1) * steps]]
+        assert mean == pytest.approx(np.mean(totals), rel=1e-9)
+    assert len(result.loss_curve) == FAST.epochs
 
 
 def test_training_deterministic():
@@ -261,10 +305,10 @@ def test_desk_training_step_tape_stays_at_64_ops():
     run = apply_desk_preset(RunConfig())
     cfg = run.model_config()
     sample = generate_synthetic(run.synth_config(), np.random.default_rng(0))[0][0]
-    lifted, _ = hm.lift_params(hm.init_params(cfg, np.random.default_rng(1)), requires_grad=True)
+    lifted = hm.lift_params(hm.init_params(cfg, np.random.default_rng(1)), requires_grad=True)
     res = ht.forward([sample], lifted, cfg, np.random.default_rng(2))
-    _, total = total_loss(survival_nll(res.hazards, 2, sample.censored),
-                          decouple_loss(res, "cos"), balance_loss(res.traces), 1.0, 0.01)
+    total = total_loss(survival_nll(res.hazards, 2, sample.censored),
+                       decouple_loss(res, "cos"), balance_loss(res.traces), 1.0, 0.01)
     assert _tape_ops(total) <= 64
 
 
@@ -310,7 +354,7 @@ def test_map_folds_trains_bitwise_as_the_loop(monkeypatch):
         return ht.train_fold(records, fid, TINY, FAST)
 
     lanes = ht.map_folds(fold, [0, 1, 2])
-    assert [r.fold for r in lanes] == [0, 1, 2]
+    assert len(lanes) == 3  # in fold order: each equals its own fold's run below
     for got, want in zip(lanes, map(fold, [0, 1, 2])):
         assert got.loss_curve == want.loss_curve and got.log_rows == want.log_rows
         assert got.edges == want.edges

@@ -163,7 +163,7 @@ def _records(model_cfg):
     synth = dataclasses.replace(hd.SynthConfig(), cohort=COHORT, d_in=model_cfg.d_in)
     records, _ = hd.generate_synthetic(synth, rng)
     edges = hd.compute_bin_edges(records, model_cfg.num_bins)
-    return [dataclasses.replace(r, bin_label=hd.assign_bin(r.time_months, edges)) for r in records]
+    return records, [hd.assign_bin(r.time_months, edges) for r in records]
 
 
 def tape_nodes(root) -> tuple[int, int]:
@@ -217,15 +217,15 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, dict, dict, dict, 
     from hdmoe import evaluation, losses, model, trainer
     from hdmoe.errors import NumericsError
 
-    records = _records(model_cfg)
+    records, labels = _records(model_cfg)
     train_cfg = trainer.TrainConfig()
     # as train_fold does: one lift per fold, leaves viewing the flat parameter
     # vector and accumulating into views of the flat gradient
     flat, params = model.flatten_params(model.init_params(model_cfg, np.random.default_rng(1)))
     state = trainer.OptimizerState(*np.zeros((3, flat.size)))
-    lifted, nodes = model.lift_params(params, requires_grad=True)
+    lifted = model.lift_params(params, requires_grad=True)
     grads = dict(model.named_params(model.param_views(params, state.grad)))
-    for path, node in nodes.items():
+    for path, node in model.named_params(lifted):
         node.grad = grads[path]
     rng = np.random.default_rng(2)
     warm, timed = STEPS[scale]
@@ -233,7 +233,7 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, dict, dict, dict, 
     nodes_per_step = {"leaves": [], "ops": []}
     rules = []  # per step of the second run: seconds per rule kind
     for i in range(warm + 2 * timed):
-        sample = records[i % len(records)]
+        sample, label = records[i % len(records)], labels[i % len(records)]
         t = [time.perf_counter()]
         state.grad.fill(0.0)
         t.append(time.perf_counter())
@@ -241,13 +241,13 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, dict, dict, dict, 
         t.append(time.perf_counter())
         res = model.fuse(level1, lifted, model_cfg, rng)
         t.append(time.perf_counter())
-        surv = losses.survival_nll(res.hazards, sample.bin_label, sample.censored)
+        surv = losses.survival_nll(res.hazards, label, sample.censored)
         t.append(time.perf_counter())
         dm = losses.decouple_loss(res, train_cfg.distance_metric)
         t.append(time.perf_counter())
         bl = losses.balance_loss(res.traces)
         t.append(time.perf_counter())
-        _, total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
+        total = losses.total_loss(surv, dm, bl, train_cfg.alpha, train_cfg.beta)
         t.append(time.perf_counter())
         if i < warm + timed:
             ad.backward(total)
@@ -268,7 +268,7 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, dict, dict, dict, 
             for kind, count in zip(("leaves", "ops"), tape_nodes(total)):
                 nodes_per_step[kind].append(count)
 
-    lifted, _ = model.lift_params(params, requires_grad=False)
+    lifted = model.lift_params(params, requires_grad=False)
     batch = [records[i % len(records)] for i in range(FORWARDS)]
     single = []
     for sample in batch:
@@ -278,10 +278,14 @@ def profile_scale(model_cfg, scale: str) -> tuple[dict, dict, dict, dict, dict, 
     batched = _median_ms(lambda: model.forward(batch, lifted, model_cfg, rng), REPEATER_CALLS)
     nograd = {"1": _ms(single), str(FORWARDS): round(batched / FORWARDS, 4)}
 
+    table = evaluation.RiskTable(  # as eval's scoring pass gives it; stability reads no risk
+        risks=np.zeros(len(records)), times=np.array([r.time_months for r in records]),
+        events=np.array([1 - r.censored for r in records]))
+
     def stability():
-        lifted, _ = model.lift_params(params, requires_grad=False)
+        lifted = model.lift_params(params, requires_grad=False)
         level1 = model.encode(records, lifted, model_cfg)
-        evaluation.stability_report(level1, lifted, model_cfg, records, REPEATS, rng)
+        evaluation.stability_report(level1, lifted, model_cfg, table, REPEATS, rng)
 
     outputs_a = model.encode(records, lifted, model_cfg)[0]
     repeaters = {
