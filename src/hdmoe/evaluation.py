@@ -6,9 +6,9 @@ The 1-df chi-square tail is a two-sided normal tail (``math.erfc``), and the
 Student-t tail comes from a hand-rolled regularized incomplete beta
 (continued fraction), so there is no external statistics dependency; both
 are validated against textbook values in the test suite. Event indicator
-convention: delta = 1 - censored. `c_index`, `km_estimate` and `log_rank_p`
-take 1-D columns of one length (per group) with events 0 or 1, and raise a
-MetricError naming the function and the column otherwise.
+convention: delta = 1 - censored. `c_index`, `km_estimate`, `log_rank_p` and
+`welch_t_test` take 1-D columns of one length (per group), events 0 or 1 and
+finite risks, and raise a MetricError naming the function and the column otherwise.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def c_index(table: RiskTable) -> float:
     had an event; risk ties count 0.5."""
     times, events, risks = _columns(
         "c_index", times=table.times, events=table.events, risks=table.risks)
-    if not (np.isfinite(times).all() and np.isfinite(risks).all()):
+    if not (np.logical_and.reduce(np.isfinite(times)) and np.logical_and.reduce(np.isfinite(risks))):
         raise MetricError("c-index needs finite times and risks")
     conc, comp = kernels.concordance_counts(times, events, risks)
     if comp == 0:
@@ -152,13 +152,17 @@ class KmCurve:
 
 
 def _risk_sets(died, *groups) -> tuple[np.ndarray, ...]:
-    """The distinct times among the sorted event times died, the deaths at
-    each (its run's length) and, per group of times, the number at risk at each."""
-    if not all(np.isfinite(times).all() for times in groups):
+    """The distinct times among the event times died (sorted here, in place), the
+    deaths at each (its run's length) and, per group of times, the number at risk at each."""
+    if not all(np.logical_and.reduce(np.isfinite(times)) for times in groups):
         raise MetricError("survival times must be finite")
-    last = np.flatnonzero(np.concatenate((died[1:] != died[:-1], [True])))[: died.size]
-    at_risk = (times.size - np.searchsorted(np.sort(times), died[last]) for times in groups)
-    return died[last], last - np.concatenate(([-1], last[:-1])), *at_risk
+    died.sort()
+    last = np.concatenate((died[1:] != died[:-1], [True])).nonzero()[0][: died.size]
+    ordered = [times.copy() for times in groups]
+    for times in ordered:
+        times.sort()
+    return died[last], last - np.concatenate(([-1], last[:-1])), *(
+        times.size - times.searchsorted(died[last]) for times in ordered)
 
 
 def km_estimate(times, events) -> KmCurve:
@@ -166,8 +170,8 @@ def km_estimate(times, events) -> KmCurve:
     times, events = _columns("km_estimate", times=times, events=events)
     if times.size == 0:
         raise MetricError("km_estimate needs at least one sample")
-    event_times, deaths, at_risk = _risk_sets(np.sort(times[events == 1]), times)
-    return KmCurve(event_times, np.cumprod(1.0 - deaths / at_risk), at_risk, deaths)
+    event_times, deaths, at_risk = _risk_sets(times[events == 1], times)
+    return KmCurve(event_times, (1.0 - deaths / at_risk).cumprod(), at_risk, deaths)
 
 
 def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
@@ -177,16 +181,16 @@ def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     if ta.size == 0 or tb.size == 0:
         raise MetricError("log-rank needs two non-empty groups")
     died_a = ta[ea == 1]
-    died = np.sort(np.concatenate([died_a, tb[eb == 1]]))
+    died = np.concatenate([died_a, tb[eb == 1]])
     if died.size == 0:
         raise MetricError("log-rank needs at least one event")
     _, d, n1, n2 = _risk_sets(died, ta, tb)
     n = n1 + n2
     # cumsum adds in order (np.sum is pairwise), as a running sum would
-    expected_a = float(np.cumsum(d * n1 / n)[-1])
+    expected_a = float((d * n1 / n).cumsum()[-1])
     # with one group left at risk, n1 or n2 is 0 and so is the stratum's
     # variance term; the floor on n - 1 keeps n == 1 from giving 0/0
-    variance = float(np.cumsum(d * (n1 / n) * (n2 / n) * (n - d) / np.maximum(n - 1, 1))[-1])
+    variance = float((d * (n1 / n) * (n2 / n) * (n - d) / np.maximum(n - 1, 1)).cumsum()[-1])
     if variance <= 0.0:
         raise MetricError("log-rank degenerate: zero variance")
     chi2 = (float(died_a.size) - expected_a) ** 2 / variance  # observed: group a's deaths
@@ -195,19 +199,22 @@ def log_rank_p(times_a, events_a, times_b, events_b) -> tuple[float, float]:
 
 def welch_t_test(risks_a, risks_b) -> tuple[float, float]:
     """Welch t statistic with Satterthwaite df; two-sided p."""
-    a = np.asarray(risks_a, dtype=np.float64)
-    b = np.asarray(risks_b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise MetricError("welch t-test needs at least two samples per group")
-    va = float(np.var(a, ddof=1))
-    vb = float(np.var(b, ddof=1))
-    se2 = va / a.size + vb / b.size
+    groups = []  # per group: size, and the mean and ddof-1 variance as np.var takes them
+    for name, risks in (("risks_a", risks_a), ("risks_b", risks_b)):
+        (x,) = _columns("welch_t_test", **{name: risks})
+        if not np.logical_and.reduce(np.isfinite(x)):
+            raise MetricError(f"welch_t_test: {name} must be finite")
+        if x.size < 2:
+            raise MetricError("welch t-test needs at least two samples per group")
+        mean = np.add.reduce(x) / x.size
+        dev = x - mean
+        groups.append((x.size, float(mean), float(np.add.reduce(np.square(dev, out=dev)) / (x.size - 1))))
+    (na, mean_a, va), (nb, mean_b, vb) = groups
+    se2 = va / na + vb / nb
     if se2 <= 0.0:
         raise MetricError("welch t-test degenerate: zero variance in both groups")
-    t = (float(a.mean()) - float(b.mean())) / math.sqrt(se2)
-    df = se2**2 / (
-        (va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1)
-    )
+    t = (mean_a - mean_b) / math.sqrt(se2)
+    df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return float(t), float(student_t_two_sided_p(t, df))
 
 

@@ -68,37 +68,50 @@ def concordance_counts(times, events, risks):
     (blocks << k) keys of the full blocks before it. The time is O(n log^2 n)
     at worst.
     """
-    order = np.argsort(-times)  # the order inside a time tie changes no count
-    values, rank = np.unique(risks[order], return_inverse=True)
-    ev = np.flatnonzero(events[order] == 1)
-    s = np.searchsorted(-times[order], -times[order[ev]])
+    order = (-times).argsort()  # the order inside a time tie changes no count
+    ranked = risks[order]
+    by_risk = ranked.argsort()
+    ranked = ranked[by_risk]
+    new = np.ones(times.size, dtype=bool)  # the first sample of each distinct risk
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    rank = np.empty(times.size, dtype=np.intp)
+    rank[by_risk] = new.cumsum() - 1  # dense ranks, as np.unique's inverse gives them
+    values = int(np.count_nonzero(new))  # R, the distinct risks
+    later = -times[order]
+    ev = (events[order] == 1).nonzero()[0]
+    s = later.searchsorted(later[ev])
     r, pos, width = rank[ev], np.arange(times.size), times.size + 1
-    cuts = int(np.count_nonzero(s[1:] != s[:-1])) + min(s.size, 1)  # s is non-decreasing
-    if (cuts + 1) * (values.size + 1) <= GRID_CELLS * times.size:
-        first = np.diff(s, prepend=-1) > 0  # the first event of each cut
-        row = np.cumsum(first) - 1  # each event's cut
-        segment = np.searchsorted(s[first], pos, side="right")  # the cuts at or before j
+    first = np.ones(s.size, dtype=bool)  # the first event of each cut (s is non-decreasing)
+    np.greater(s[1:], s[:-1], out=first[1:])
+    cuts = int(np.count_nonzero(first))
+    if (cuts + 1) * (values + 1) <= GRID_CELLS * times.size:
+        row = first.cumsum() - 1  # each event's cut
+        segment = s[first].searchsorted(pos, side="right")  # the cuts at or before j
         # column 0 stays empty, so the cumulative sums count the ranks below q
-        below = np.bincount(segment * (values.size + 1) + rank + 1,
-                            minlength=(cuts + 1) * (values.size + 1)).reshape(cuts + 1, -1)
-        np.cumsum(below, axis=0, out=below)
-        np.cumsum(below, axis=1, out=below)
-        twice = int(below[row, r].sum()) + int(below[row, r + 1].sum())
-        return 0.5 * float(twice), int(s.sum())
-    tied, counts = np.sort(rank * width + pos), np.bincount(rank)
+        below = np.bincount(segment * (values + 1) + rank + 1,
+                            minlength=(cuts + 1) * (values + 1)).reshape(cuts + 1, -1)
+        below.cumsum(axis=0, out=below)
+        below.cumsum(axis=1, out=below)
+        twice = int(np.add.reduce(below[row, r])) + int(np.add.reduce(below[row, r + 1]))
+        return 0.5 * float(twice), int(np.add.reduce(s))
+    tied, counts, needles = rank * width + pos, np.bincount(rank), r * width + s
+    tied.sort()
+    needles.sort()  # sorted needles search faster
     # twice the weight: the later risks equal to r_i, plus twice those below it
-    twice = int(np.searchsorted(tied, np.sort(r * width + s)).sum())
-    twice -= int((np.cumsum(counts) - counts)[r].sum())
+    twice = int(np.add.reduce(tied.searchsorted(needles)))
+    twice -= int(np.add.reduce((counts.cumsum() - counts)[r]))
     back = np.arange(1, 8)[:, None]
     near = rank.take(s - back, mode="clip")  # row j - 1: the rank at s_i - j
     twice += 2 * np.count_nonzero((back <= (s & 7)) & (near < r))
     for k in range(3, times.size.bit_length()):
-        q = np.flatnonzero(s & (1 << k))
-        keys = np.sort((pos >> k) * width + rank)
+        q = (s & (1 << k)).nonzero()[0]
+        keys = (pos >> k) * width + rank
+        keys.sort()
         blocks = (s[q] >> k) - 1
-        below = np.sort(blocks * width + r[q])  # sorted needles search faster
-        twice += 2 * (int(np.searchsorted(keys, below).sum()) - (int(blocks.sum()) << k))
-    return 0.5 * float(twice), int(s.sum())
+        below = blocks * width + r[q]
+        below.sort()  # sorted needles search faster
+        twice += 2 * (int(np.add.reduce(keys.searchsorted(below))) - (int(np.add.reduce(blocks)) << k))
+    return 0.5 * float(twice), int(np.add.reduce(s))
 
 
 def active_backend() -> str:

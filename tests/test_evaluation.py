@@ -1,3 +1,7 @@
+import hashlib
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +105,7 @@ METRICS = {
     "km_estimate": lambda times, events, risks: ev.km_estimate(times, events),
     "log_rank_p": lambda times, events, risks: ev.log_rank_p(
         [0.5, 7.0], [1, 0], times, events),
+    "welch_t_test": lambda times, events, risks: ev.welch_t_test([0.5, 7.0], risks),
 }
 GOOD_COLUMNS = {"times": [1, 2, 3, 4], "events": [1, 1, 0, 1], "risks": [4, 3, 2, 1]}
 
@@ -149,10 +154,11 @@ def test_metrics_reject_a_shorter_column(metric, column):
 @pytest.mark.parametrize("metric, column", [
     ("c_index", "risks"), ("c_index", "times"), ("c_index", "events"),
     ("km_estimate", "times"), ("km_estimate", "events"), ("log_rank_p", "times"),
-    ("log_rank_p", "events"),
+    ("log_rank_p", "events"), ("welch_t_test", "risks"),
 ])
 def test_metrics_reject_a_2d_column(metric, column):
-    name = f"{column}_b" if metric == "log_rank_p" else column
+    # welch_t_test flattened it: a t-test of [1, 0, 1, 0] at the parent
+    name = f"{column}_b" if metric in ("log_rank_p", "welch_t_test") else column
     assert _column_error(metric, **{column: [[1, 0], [1, 0]]}) == (
         f"{metric}: {name} must be 1-D, got shape (2, 2)")
 
@@ -450,6 +456,97 @@ def test_metric_pass_edge_cases():
     assert _km_bits(curve) == _km_bits(km_loop([2.0], [1]))
 
 
+def _survival_table(n, tied):
+    """n samples, about 40% censored, risks rising as time falls; tied, times
+    on a 0.1-month grid and risks rounded to one decimal, as the benchmark's
+    risk tables, else continuous."""
+    rng = np.random.default_rng([n, tied])
+    z = rng.normal(size=n)
+    event_time = rng.exponential(12.0 * np.exp(-0.8 * z))
+    censor_time = rng.uniform(0.0, 27.0, size=n)
+    times, risks = np.minimum(event_time, censor_time), z + rng.normal(scale=0.5, size=n)
+    if tied:
+        risks, times = np.round(risks, 1), np.round(times, 1)
+    return _table(risks, times, (event_time <= censor_time).astype(np.int64))
+
+
+def _metric_pass(table, high):
+    """The fold metrics and eval's KM curves: the c-index, then, on the split
+    into high and the rest, log-rank, Welch t and a KM curve per half."""
+    halves = [(table.times[g], table.events[g]) for g in (high, ~high)]
+    return (ev.c_index(table), ev.log_rank_p(*halves[0], *halves[1]),
+            ev.welch_t_test(table.risks[high], table.risks[~high]),
+            *(ev.km_estimate(*half) for half in halves))
+
+
+def _km_digest(curve):
+    return hashlib.sha256(b"".join(a.tobytes() for a in (
+        curve.times, curve.survival, curve.at_risk, curve.events))).hexdigest()[:16]
+
+
+# per (n, tied): c-index, log-rank chi2 and p, Welch t and p, and the digests
+# of both KM curves (high risk, then low), as the code before the metric pass
+# moved onto numpy's C entry points gave them
+PINNED_PASS = {
+    (30, True): ("0x1.439b0ad120736p-1", "0x1.061e608050a0bp-1", "0x1.e5adc6815218ap-2",
+                 "0x1.0936fd27cd563p+3", "0x1.40c218f5399bcp-27",
+                 "288db21d2fc0cb4b", "d3e89ec17a2b9826"),
+    (30, False): ("0x1.3e6c02ce33e6cp-1", "0x1.9b7a37ae0b182p+0", "0x1.a39151580844ap-3",
+                  "0x1.c5827fadf66d9p+2", "0x1.1fbb7a768edf4p-22",
+                  "11667c36beff21b4", "4a5638b8dfb65b4b"),
+    (200, True): ("0x1.5779c7a784d20p-1", "0x1.332504a51d908p+4", "0x1.8bb2992e52a37p-17",
+                  "0x1.26a4872dc3386p+4", "0x1.177070e5f37f6p-145",
+                  "3509dd82d60f9479", "f25b13099ecc7fb0"),
+    (200, False): ("0x1.54ba4c7ecc5a7p-1", "0x1.48373b5f191bbp+4", "0x1.8d5e8ac3c7dc4p-18",
+                   "0x1.33d11a654869fp+4", "0x1.94c96f7aace40p-155",
+                   "937e5c5cee0cdea8", "2fb1a8f27abeb530"),
+    (2000, True): ("0x1.59fa87813f631p-1", "0x1.496cc1ad777b7p+8", "0x1.d01383f918dcbp-243",
+                   "0x1.d2ca49018b5e4p+5", "0x0.0p+0",
+                   "bf5eb4815d75d94a", "885c0211e3fc7c09"),
+    (2000, False): ("0x1.61662a3502556p-1", "0x1.55b617f89519bp+8", "0x1.f52a411c9cf73p-252",
+                    "0x1.df766262a470bp+5", "0x0.0p+0",
+                    "084c0cf85e3ab7ab", "56bf8575100c2f8e"),
+}
+
+
+@pytest.mark.parametrize("n, tied", PINNED_PASS)
+def test_metric_pass_pinned_bits(n, tied):
+    table = _survival_table(n, tied)
+    cidx, log_rank, welch, km_high, km_low = _metric_pass(table, table.risks > np.median(table.risks))
+    assert (_bits(cidx), *map(_bits, log_rank), *map(_bits, welch),
+            _km_digest(km_high), _km_digest(km_low)) == PINNED_PASS[n, tied]
+
+
+# numpy's Python-level wrappers (np.sort, np.var, np.unique, np.diff, ndarray.sum
+# and their kin), by the file that defines them in numpy 1.24+ and 2.x
+NUMPY_WRAPPER_FILES = {"fromnumeric.py", "_methods.py", "function_base.py",
+                       "_function_base_impl.py", "arraysetops.py", "_arraysetops_impl.py"}
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_metric_pass_enters_no_numpy_wrapper(tied):
+    # the tied table is counted on the grid, the untied one by the levels
+    table = _survival_table(2000, tied)
+    cells = (np.unique(table.times[table.events == 1]).size + 1) * (np.unique(table.risks).size + 1)
+    assert (cells <= kernels.GRID_CELLS * 2000) == tied
+    high = table.risks > np.median(table.risks)
+    numpy_dir = os.path.dirname(np.__file__)
+    entered = set()
+
+    def profile(frame, event, _arg):
+        path = frame.f_code.co_filename
+        if event == "call" and path.startswith(numpy_dir) and os.path.basename(path) in NUMPY_WRAPPER_FILES:
+            entered.add(f"{os.path.relpath(path, numpy_dir)}:{frame.f_code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _metric_pass(table, high)
+    finally:
+        sys.setprofile(previous)
+    assert not entered, sorted(entered)
+
+
 # ---------------------------------------------------------------------------
 # Welch t
 
@@ -486,6 +583,58 @@ def test_welch_sign_flip_under_swap():
 def test_welch_degenerate_variance():
     with pytest.raises(MetricError):
         ev.welch_t_test([1.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("group", ["risks_a", "risks_b"])
+def test_welch_rejects_a_non_finite_risk(group, bad):
+    # a ValueError from reg_incomplete_beta at the parent, which the fold
+    # metrics do not catch
+    groups = {"risks_a": [0.1, 0.4, 0.3], "risks_b": [0.2, 0.9, 0.5, 0.6]}
+    groups[group][1] = bad
+    with pytest.raises(MetricError, match=f"^welch_t_test: {group} must be finite$"):
+        ev.welch_t_test(**groups)
+
+
+def test_welch_rejects_a_2d_first_group():
+    # flattened at the parent: (0.7348..., 0.5045...)
+    with pytest.raises(MetricError, match=r"^welch_t_test: risks_a must be 1-D, got shape \(2, 2\)$"):
+        ev.welch_t_test([[1, 2], [3, 5]], [0, 1, 4])
+
+
+def _welch_reference(a, b):
+    """Welch's t and p with the moments of ndarray.mean and np.var."""
+    va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
+    se2 = va / a.size + vb / b.size
+    if se2 <= 0.0:
+        return None
+    t = (float(a.mean()) - float(b.mean())) / np.sqrt(se2)
+    df = se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
+    return _bits(t), _bits(ev.student_t_two_sided_p(float(t), df))
+
+
+@st.composite
+def welch_groups(draw):
+    """Two groups of 2-500 risks, rounded to one decimal, continuous, or
+    continuous and offset by 1e6, where a naive variance loses digits."""
+    kind = draw(st.sampled_from(["rounded", "continuous", "offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = []
+    for _ in range(2):
+        x = rng.normal(size=draw(st.integers(2, 500)))
+        groups.append({"rounded": np.round(x, 1), "continuous": x, "offset": x + 1e6}[kind])
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(welch_groups())
+def test_welch_moments_are_mean_and_var_bitwise(groups):
+    a, b = groups
+    try:
+        got = tuple(map(_bits, ev.welch_t_test(a, b)))
+    except MetricError:
+        got = None
+    assert got == _welch_reference(a, b)
 
 
 def test_incomplete_beta_boundaries():
@@ -618,7 +767,7 @@ def _redundancy_setup():
     return cfg, params, records
 
 
-def _bits(*arrays):
+def _array_bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
@@ -641,7 +790,7 @@ def test_level1_redundancy_equals_full_forward_oracle_and_draws_nothing(modality
         res = hm.forward(records, lifted, cfg, np.random.default_rng(seed))
         scored.append(ev.redundancy_score(getattr(res, f"moe_{modality}")))
     for pre, post, delta in scored:
-        assert _bits(pre, post, delta) == _bits(*scored[0])
+        assert _array_bits(pre, post, delta) == _array_bits(*scored[0])
         _assert_heatmaps_close((pre, post, delta), expected)
 
 

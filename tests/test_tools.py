@@ -70,8 +70,8 @@ def test_step_profile_times_each_metric_and_the_whole_pass(monkeypatch):
     profile = _load_tool("step_profile")
     monkeypatch.setattr(profile, "METRIC_SIZES", (30, 200))
     monkeypatch.setattr(profile, "METRIC_REPEATS", 1)
-    raw, norm = profile.profile_metrics()
-    for metrics in (raw, norm):
+    raw, norm, warm = profile.profile_metrics()
+    for metrics in (raw, norm, warm):
         assert set(metrics) == {"c_index", "km_estimate", "log_rank_p", "welch_t_test",
                                 "metric_pass"}
         for times in metrics.values():
@@ -107,6 +107,21 @@ def test_step_profile_normalised_ms_divides_each_call_by_the_loop_before_it(monk
     # the warm-up call is not timed; every ratio is 0.1, so 0.1 * REF_S = 0.5 ms
     assert profile._normalised_ms(lambda: calls.append(1), 3) == 0.5
     assert len(calls) == 4
+
+
+def test_step_profile_warm_normalised_ms_times_the_call_after_an_untimed_one(monkeypatch):
+    profile = _load_tool("step_profile")
+    hostspeed = profile._hostspeed()
+    events = []
+    clock = iter([0.0, 0.002, 1.0, 1.001, 2.0, 2.005])  # the timed calls: 2, 1 and 5 ms
+    loops = iter([0.02, 0.01, 0.05])
+    monkeypatch.setattr(hostspeed, "REF_S", 0.005)
+    monkeypatch.setattr(hostspeed, "calibrate", lambda: events.append("loop") or next(loops))
+    monkeypatch.setattr(profile.time, "perf_counter", lambda: events.append("t") or next(clock))
+    # the same ratios as unwarmed: 0.1 * REF_S = 0.5 ms
+    assert profile._normalised_ms(lambda: events.append("call"), 3, warm=True) == 0.5
+    # one warm-up call, then per repeat: loop, untimed call, timed call
+    assert events == ["call"] + ["loop", "call", "t", "call", "t"] * 3
 
 
 def test_step_profile_host_ms_is_the_median_of_perfbench_calibration_loops(monkeypatch):

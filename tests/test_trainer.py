@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from hdmoe import autodiff as ad
 from hdmoe import model as hm
 from hdmoe import trainer as ht
 from hdmoe.config import RunConfig, apply_desk_preset
@@ -449,3 +450,53 @@ def test_map_folds_kills_a_stopped_lane_that_ignores_sigterm(monkeypatch, tmp_pa
     with pytest.raises(ProcessLookupError):
         os.kill(int(ready.read_text()), 0)
     assert _no_child_left()
+
+
+def test_full_scale_gradient_matches_central_differences_per_module():
+    # one sample at the published scale (1.36M parameters), its loss and gradient
+    # built as train_fold builds them: leaves viewing one flat parameter vector
+    # and accumulating into views of one flat gradient
+    cfg, train_cfg = hm.ModelConfig(), ht.TrainConfig()
+    rng = np.random.default_rng(17)
+    sample = SampleRecord("full", rng.normal(size=(6, cfg.d_in)), rng.normal(size=(5, cfg.d_in)),
+                          12.0, 0)
+    flat, params = hm.flatten_params(hm.init_params(cfg, np.random.default_rng(1)))
+    grad = np.zeros_like(flat)
+    lifted = hm.lift_params(params, requires_grad=True)
+    grads = dict(hm.named_params(hm.param_views(params, grad)))
+    for path, node in hm.named_params(lifted):
+        node.grad = grads[path]
+
+    def loss():
+        """The total loss and every router's selections, with the same fusion draws."""
+        res = hm.forward([sample], lifted, cfg, np.random.default_rng(2))
+        total = total_loss(survival_nll(res.hazards, 2, sample.censored),
+                           decouple_loss(res, train_cfg.distance_metric),
+                           balance_loss(res.traces), train_cfg.alpha, train_cfg.beta)
+        return total, [trace.selected.copy() for trace in res.traces]
+
+    ad.backward(loss()[0])
+    # one seeded unit direction over each top-level module's slice, and one over all
+    slices, offset = {}, 0
+    for path, arr in hm.named_params(params):
+        top = path.split(".")[0]
+        begin = slices[top].start if top in slices else offset
+        slices[top] = slice(begin, offset + arr.size)
+        offset += arr.size
+    assert len(slices) == 7 and offset == flat.size
+    slices["all"] = slice(0, flat.size)
+    base, eps = flat.copy(), 1e-5
+    for k, (module, part) in enumerate(slices.items()):
+        direction = np.zeros_like(flat)
+        direction[part] = np.random.default_rng([3, k]).normal(size=part.stop - part.start)
+        direction /= np.linalg.norm(direction)
+        taken = []
+        for sign in (1.0, -1.0):
+            flat[:] = base + sign * eps * direction
+            total, selected = loss()
+            taken.append((total.value.item(), selected))
+        flat[:] = base
+        (up, up_selected), (down, down_selected) = taken
+        assert all(np.array_equal(u, d) for u, d in zip(up_selected, down_selected)), module
+        numeric, tape = (up - down) / (2 * eps), float(grad @ direction)
+        assert abs(numeric - tape) <= 1e-6 * max(abs(numeric), abs(tape)), (module, numeric, tape)

@@ -35,7 +35,10 @@
   times the loop's idle-host time ``REF_S``, as ``perfbench`` normalises an
   operation, so it follows the host call by call. Each such call starts with
   the caches the loop left, as a ``perfbench`` operation does, so it reads
-  higher than the back-to-back median.
+  higher than the back-to-back median; at n <= 200 that cache refill can be
+  most of the figure. ``metrics_warm_norm_ms`` is the same ratio with one
+  untimed call between the loop and the timed call, so it holds the call's
+  own cost at the host's speed.
 - ``save_checkpoint`` and ``load_checkpoint`` of the trained parameters at
   both scales, through a temporary directory.
 - ``load_samples`` of a desk cohort of 60 samples (120 feature files of
@@ -139,15 +142,18 @@ def host_ms() -> float:
     return _ms([_hostspeed().calibrate() for _ in range(HOST_LOOPS)])
 
 
-def _normalised_ms(call, repeats: int) -> float:
+def _normalised_ms(call, repeats: int, warm: bool = False) -> float:
     """Median over repeats calls, after one warm-up call, of call()'s time divided
     by that of the calibration loop run right before it, times the loop's idle-host
-    time: call()'s ms on an idle host."""
+    time: call()'s ms on an idle host. With warm, an untimed call runs between
+    each loop and the timed call, which then finds warm caches."""
     hostspeed = _hostspeed()
     call()
     ratios = []
     for _ in range(repeats):
         loop = hostspeed.calibrate()
+        if warm:
+            call()
         t0 = time.perf_counter()
         call()
         ratios.append((time.perf_counter() - t0) / loop)
@@ -417,14 +423,15 @@ def metric_pass(table) -> None:
     ev.km_estimate(table.times[low], table.events[low])
 
 
-def profile_metrics() -> tuple[dict, dict]:
-    """({metric: {table key: median ms}}, the same keys: normalised ms)."""
+def profile_metrics() -> tuple[dict, dict, dict]:
+    """({metric: {table key: median ms}}, the same keys: normalised ms, and
+    normalised ms with a warm-up call after each loop)."""
     import numpy as np
 
     from hdmoe import evaluation as ev
 
     names = ("c_index", "km_estimate", "log_rank_p", "welch_t_test", "metric_pass")
-    raw, norm = {name: {} for name in names}, {name: {} for name in names}
+    raw, norm, warm = ({name: {} for name in names} for _ in range(3))
     # one generator per kind, so the tied tables are those of earlier BENCH files
     kinds = (("", np.random.default_rng(3), 1), ("untied/", np.random.default_rng(6), None))
     for prefix, rng, decimals in kinds:
@@ -443,7 +450,8 @@ def profile_metrics() -> tuple[dict, dict]:
             for name, call in calls.items():
                 raw[name][f"{prefix}{n}"] = _median_ms(call, METRIC_REPEATS)
                 norm[name][f"{prefix}{n}"] = _normalised_ms(call, METRIC_REPEATS)
-    return raw, norm
+                warm[name][f"{prefix}{n}"] = _normalised_ms(call, METRIC_REPEATS, warm=True)
+    return raw, norm, warm
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -470,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     host["load_samples"] = host_ms()
     reader_ms = profile_reader()
     host["metrics"] = host_ms()
-    metrics_ms, metrics_norm_ms = profile_metrics()
+    metrics_ms, metrics_norm_ms, metrics_warm_norm_ms = profile_metrics()
     report = {
         "label": args.label,
         "environment": {
@@ -499,6 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         "load_samples_ms": {"desk": reader_ms},
         "metrics_ms": metrics_ms,
         "metrics_norm_ms": metrics_norm_ms,
+        "metrics_warm_norm_ms": metrics_warm_norm_ms,
         "train_ms": train_ms,
         "train_lanes": train_lanes,
         "eval_ms": eval_ms,
