@@ -1,7 +1,10 @@
 """Smoke tests of the scripts under tools/, which import the package as a
 user would and would otherwise break silently when its API changes."""
 
+import ast
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -17,6 +20,7 @@ from hdmoe.config import RunConfig, apply_desk_preset
 from helpers import checkpoint_as_v1
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+GOLDEN_DIGEST = Path(__file__).resolve().parent / "data" / "desk_digest.txt"
 
 
 def _load_tool(name: str):
@@ -169,10 +173,19 @@ def test_desk_digest_params_line_is_the_same_for_v1_and_v2(tmp_path):
     assert desk_digest.digest(runs[1])[1] != params_2
 
 
-def test_desk_digest_prints_each_refusal_probe_after_the_artifacts(capsys):
+@pytest.fixture(scope="module")
+def digest_lines():
+    """The output of one run of tools/desk_digest.py on this checkout's src."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load_tool("desk_digest").main([]) == 0
+    return out.getvalue().splitlines()
+
+
+def test_desk_digest_prints_each_refusal_probe_after_the_artifacts(digest_lines):
     desk_digest = _load_tool("desk_digest")
-    assert desk_digest.main([]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    header, *lines = digest_lines
+    assert header == desk_digest.environment()
     artifacts, probes = lines[:-len(desk_digest.PROBES)], lines[-len(desk_digest.PROBES):]
     # the artifacts of the pipeline alone, hashed before any probe copied the run
     assert {line.split("  ")[1].split("/")[0] for line in artifacts} == {
@@ -192,3 +205,40 @@ def test_desk_digest_prints_each_refusal_probe_after_the_artifacts(capsys):
     }
     assert probes == [f"probe {name}: exit 2: error: " + message.format(f"probe-{name}")
                       for name, message in messages.items()]
+
+
+def _digest_entries(lines: list[str]) -> dict[str, str]:
+    """An artifact's path -> its sha256, and "probe <name>" -> its outcome, below the header."""
+    entries = {}
+    for line in lines[1:]:
+        key, value = line.partition(": ")[::2] if line.startswith("probe ") else line.split("  ")[::-1]
+        entries[key] = value
+    return entries
+
+
+def test_desk_digest_matches_the_golden_file(digest_lines):
+    # every artifact and refusal of the desk pipeline keeps its bytes; a change that moves
+    # them on purpose rewrites tests/data/desk_digest.txt and names each moved line
+    golden = GOLDEN_DIGEST.read_text().splitlines()
+    problems = []
+    if digest_lines[0] != golden[0]:  # another numpy or BLAS may round otherwise
+        problems.append(f"environment: the golden file was made under {golden[0][2:]!r}, "
+                        f"this run under {digest_lines[0][2:]!r}")
+    want, got = _digest_entries(golden), _digest_entries(digest_lines)
+    problems += [f"{key}: golden {want.get(key, '(absent)')}, now {got.get(key, '(absent)')}"
+                 for key in sorted(want.keys() | got.keys()) if want.get(key) != got.get(key)]
+    assert not problems, "\n".join(problems)
+    assert digest_lines == golden  # and in the same order
+
+
+def test_no_package_module_imports_hdmoe_by_absolute_name():
+    # a copy of the package under another name (a parent tree beside this one) imports itself
+    package = Path(__file__).resolve().parent.parent / "src" / "hdmoe"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name == "hdmoe" or name.startswith("hdmoe.")]
+    assert not found, found

@@ -17,9 +17,15 @@ After the artifact lines come the refusal probes: each copies ``train/`` to
 prints one line ``probe <name>: exit <code>: <stderr>``. A probe writes no
 artifact, and its paths are relative, so its line depends only on the code.
 
-To check that a change leaves every artifact and every refusal byte-identical,
-run it on the parent commit's source and on the change's, and diff the two
-outputs:
+The first line, ``# numpy <version>, BLAS <library> <version>``, names the
+numpy and BLAS of this interpreter, which also runs the pipeline: another
+numpy or BLAS may round the same code's values differently.
+
+``tests/data/desk_digest.txt`` holds this output for the committed tree, and
+``tests/test_tools.py`` compares the checkout's output with it line by line. A
+change that moves bits on purpose rewrites that file in the same commit
+(``python tools/desk_digest.py > tests/data/desk_digest.txt``). To compare two
+trees directly, run it on each tree's source and diff the two outputs:
 
     git archive <parent> | tar -x -C /tmp/parent
     python tools/desk_digest.py --src /tmp/parent/src > parent.txt
@@ -40,6 +46,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 BASE_CONFIG = {"cohort": 60, "redundancy": 0.5, "k_folds": 2, "epochs": 2}
@@ -139,6 +147,12 @@ def digest(work: Path) -> list[str]:
     return lines
 
 
+def environment() -> str:
+    """The header line: this interpreter's numpy version and the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
@@ -149,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(tmp)
         run_pipeline(src, work)
         lines = digest(work)  # before the probes add their copies of the run
-        print("\n".join(lines + run_probes(src, work)))
+        print("\n".join([environment(), *lines, *run_probes(src, work)]))
     return 0
 
 
