@@ -144,13 +144,12 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
     folds = [("sample_id", "fold"), *((r.sample_id, r.fold) for r in records)]
     write_text(out_dir / "folds.csv", csv_text(folds, lineterminator="\n"))
 
-    def run_fold(fid: int) -> list:
+    def run_fold(fid: int) -> tuple[str, RiskTable]:  # the fold's predictions.csv text and table
         result = train_fold(records, fid, model_cfg, train_cfg)
-        pred_rng = np.random.default_rng([cfg.seed, fid, 0x9E4])
-        rows = predict_fold(
-            records, fid, result.params, result.edges, model_cfg, pred_rng,
-            pin_segment=pin_segment,
-        )
+        held_out = split_fold(records, fid)[1]
+        res, table = predict_fold(held_out, lift_params(result.params, requires_grad=False),
+                                  model_cfg, np.random.default_rng([cfg.seed, fid, 0x9E4]),
+                                  pin_segment)
         fold_dir = out_dir / f"fold{fid}"
         save_checkpoint(
             fold_dir / "checkpoint.json",
@@ -163,17 +162,18 @@ def cmd_train(cfg: RunConfig, pin_segment: int | None = None) -> int:
             },
         )
         write_text(fold_dir / "run_log.csv", "".join(line + "\n" for line in result.log_rows))
-        write_text(fold_dir / "predictions.csv", predictions_to_csv(rows, model_cfg.num_bins))
-        return rows
+        text = predictions_to_csv(held_out, fid, res.hazards.value, table.risks, result.edges)
+        write_text(fold_dir / "predictions.csv", text)
+        return text, table
 
     per_fold = {}
-    all_rows = []
-    for fid, rows in zip(fold_ids, map_folds(run_fold, fold_ids)):
-        all_rows.extend(rows)
-        per_fold[str(fid)] = _fold_metrics(RiskTable.from_predictions(rows))
+    texts = []  # the pooled predictions.csv: the folds' tables under one header
+    for fid, (text, table) in zip(fold_ids, map_folds(run_fold, fold_ids)):
+        texts.append(text.partition("\n")[2] if texts else text)
+        per_fold[str(fid)] = _fold_metrics(table)
         print(f"fold {fid}: c-index {per_fold[str(fid)]['cindex']:.4f}")
 
-    write_text(out_dir / "predictions.csv", predictions_to_csv(all_rows, model_cfg.num_bins))
+    write_text(out_dir / "predictions.csv", "".join(texts))
     overall = _write_metrics(out_dir / "metrics.json", per_fold)
     print(f"overall c-index {overall['mean']:.4f} +/- {overall['std']:.4f}")
     return 0
@@ -248,11 +248,8 @@ def cmd_eval(
         params, meta = load_checkpoint(path, model_cfg)
         lifted = lift_params(params, requires_grad=False)
         fold, entries = held_out(meta, path)
-        subset = _load_dataset(cfg, entries)
-        rng = np.random.default_rng([cfg.seed, fold, 0xE7A1])
-        res = forward(subset, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
-        table = RiskTable(risks=res.risk, times=np.array([r.time_months for r in subset]),
-                          events=np.array([1 - r.censored for r in subset]))
+        res, table = predict_fold(_load_dataset(cfg, entries), lifted, model_cfg,
+                                  np.random.default_rng([cfg.seed, fold, 0xE7A1]), pin_segment)
         metrics = _fold_metrics(table)
         stability = None
         if repeats:

@@ -97,14 +97,6 @@ class RiskTable:
     times: np.ndarray
     events: np.ndarray
 
-    @classmethod
-    def from_predictions(cls, rows) -> "RiskTable":
-        return cls(
-            risks=np.array([r.risk for r in rows], dtype=np.float64),
-            times=np.array([r.time_months for r in rows], dtype=np.float64),
-            events=np.array([1 - r.censored for r in rows], dtype=np.int64),
-        )
-
 
 def _columns(fn: str, **columns) -> list[np.ndarray]:
     """The columns as float64 arrays, and those named events* as int64, once
@@ -286,10 +278,11 @@ def stability_report(
     for _ in range(repeats):
         risks = model_mod.fuse(level1, lifted, model_cfg, rng).risk
         scores.append(c_index(replace(table, risks=risks)))
-    # identical scores must report exactly zero spread (the mean of n copies
-    # of x can differ from x by an ulp, making np.std spuriously nonzero)
-    std = 0.0 if min(scores) == max(scores) else float(np.std(scores))
-    return scores, float(np.mean(scores)), std
+    # n copies of x report mean x and zero spread exactly: their np.mean can be
+    # an ulp off x, which would also make np.std spuriously nonzero
+    if min(scores) == max(scores):
+        return scores, scores[0], 0.0
+    return scores, float(np.mean(scores)), float(np.std(scores))
 
 
 def km_curves_csv(groups: dict[str, KmCurve]) -> str:

@@ -24,8 +24,9 @@ from . import autodiff as ad
 from . import model as model_mod
 from .data import BinEdges, SampleRecord, assign_bin, compute_bin_edges, csv_text
 from .errors import ConfigError, NumericsError
+from .evaluation import RiskTable
 from .losses import DISTANCE_METRICS, balance_loss, decouple_loss, survival_nll, total_loss
-from .model import HDMoEParams, ModelConfig, forward, lift_params, named_params
+from .model import ForwardResult, HDMoEParams, ModelConfig, forward, lift_params, named_params
 
 log = logging.getLogger("hdmoe.trainer")
 _BLOCK = 1 << 15  # elements per update pass: six such float64 blocks (1.5 MB) stay in L2 cache
@@ -111,17 +112,6 @@ class FoldResult:
     log_rows: list[str]  # run-log lines: loss CSV + rfr draw lines
 
 
-@dataclass
-class PredictionRow:
-    sample_id: str
-    fold: int
-    hazards: np.ndarray
-    risk: float
-    bin_label: int
-    censored: int
-    time_months: float
-
-
 def split_fold(records: list[SampleRecord], fold_id: int) -> tuple[list[SampleRecord], list[SampleRecord]]:
     train = [r for r in records if r.fold != fold_id]
     test = [r for r in records if r.fold == fold_id]
@@ -196,33 +186,17 @@ def train_fold(
 
 
 def predict_fold(
-    records: list[SampleRecord],
-    fold_id: int,
-    params: HDMoEParams,
-    edges: BinEdges,
+    samples: list[SampleRecord],
+    lifted: HDMoEParams,
     model_cfg: ModelConfig,
     rng: np.random.Generator,
     pin_segment: int | None = None,
-) -> list[PredictionRow]:
-    """Held-out predictions from one forward over the fold; fusion draws are
-    random unless pinned."""
-    _, test_records = split_fold(records, fold_id)
-    if not test_records:
-        return []
-    lifted = lift_params(params, requires_grad=False)
-    res = forward(test_records, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
-    return [
-        PredictionRow(
-            sample_id=sample.sample_id,
-            fold=fold_id,
-            hazards=hazards,
-            risk=float(risk),
-            bin_label=assign_bin(sample.time_months, edges),
-            censored=sample.censored,
-            time_months=sample.time_months,
-        )
-        for sample, hazards, risk in zip(test_records, res.hazards.value, res.risk)
-    ]
+) -> tuple[ForwardResult, RiskTable]:
+    """One no-grad forward over held-out samples, and the RiskTable of their
+    risks, times and events; fusion draws are random unless pinned."""
+    res = forward(samples, lifted, model_cfg, rng, pin_segments=(pin_segment, pin_segment))
+    return res, RiskTable(risks=res.risk, times=np.array([r.time_months for r in samples]),
+                          events=np.array([1 - r.censored for r in samples]))
 
 
 def map_folds(fn, folds: list, describe=lambda folds: f"folds {folds}") -> list:
@@ -284,12 +258,20 @@ def map_folds(fn, folds: list, describe=lambda folds: f"folds {folds}") -> list:
     return results
 
 
-def predictions_to_csv(rows: list[PredictionRow], num_bins: int) -> str:
-    header = ["sample_id", "fold", *(f"h{j}" for j in range(1, num_bins + 1)),
+def predictions_to_csv(
+    samples: list[SampleRecord],
+    fold: int,
+    hazards: np.ndarray,
+    risks: np.ndarray,
+    edges: BinEdges,
+) -> str:
+    """The prediction table of one fold's held-out samples, a row each: its hazards
+    and risk, row for row, and its bin against the fold's edges."""
+    header = ["sample_id", "fold", *(f"h{j}" for j in range(1, edges.num_bins + 1)),
               "risk", "bin", "censored", "time_months"]
     body = (
-        [r.sample_id, r.fold, *(repr(float(h)) for h in r.hazards),
-         repr(float(r.risk)), r.bin_label, r.censored, repr(float(r.time_months))]
-        for r in rows
+        [r.sample_id, fold, *(repr(float(h)) for h in row), repr(float(risk)),
+         assign_bin(r.time_months, edges), r.censored, repr(float(r.time_months))]
+        for r, row, risk in zip(samples, hazards, risks)
     )
     return csv_text([header, *body], lineterminator="\n")

@@ -781,8 +781,9 @@ def stability_report_loop(params, model_cfg, records, repeats, rng):
     for _ in range(repeats):
         risks = forward_loop(records, lifted, model_cfg, rng)[1]
         scores.append(ev.c_index(ev.RiskTable(risks=risks, times=times, events=events)))
-    std = 0.0 if min(scores) == max(scores) else float(np.std(scores))
-    return scores, float(np.mean(scores)), std
+    if min(scores) == max(scores):  # n copies of x: mean x, spread 0
+        return scores, scores[0], 0.0
+    return scores, float(np.mean(scores)), float(np.std(scores))
 
 
 def average_abs_correlation_loop(token_mats):

@@ -52,27 +52,30 @@ def desk_run():
     def run(recs):
         def fold_run(fold):
             result = ht.train_fold(recs, fold, DESK_MODEL, DESK_TRAIN)
-            return result, ht.predict_fold(
-                recs, fold, result.params, result.edges, DESK_MODEL,
-                np.random.default_rng([7, fold, 0x9E4]),
+            _, table = ht.predict_fold(
+                ht.split_fold(recs, fold)[1], hm.lift_params(result.params, requires_grad=False),
+                DESK_MODEL, np.random.default_rng([7, fold, 0x9E4]),
             )
+            return result, table
 
-        fold_results, rows = {}, []
+        fold_results, tables = {}, []
         # one lane per usable core, as `hdmoe train` runs its folds; a fold's
         # FoldResult comes back from a forked lane bitwise
-        for fold, (result, preds) in enumerate(ht.map_folds(fold_run, list(range(5)))):
-            rows.extend(preds)
-            fold_results[fold] = (result, ev.c_index(ev.RiskTable.from_predictions(preds)))
-        return fold_results, rows
+        for fold, (result, table) in enumerate(ht.map_folds(fold_run, list(range(5)))):
+            tables.append(table)
+            fold_results[fold] = (result, ev.c_index(table))
+        pooled = ev.RiskTable(**{column: np.concatenate([getattr(t, column) for t in tables])
+                                 for column in ("risks", "times", "events")})
+        return fold_results, pooled
 
     start = time.monotonic()
-    main_folds, main_rows = run(records)
+    main_folds, main_table = run(records)
     ablation_folds, _ = run(ablated)
     elapsed = time.monotonic() - start
     return {
         "records": records,
         "main_folds": main_folds,
-        "main_rows": main_rows,
+        "main_table": main_table,
         "ablation_folds": ablation_folds,
         "elapsed": elapsed,
     }
@@ -434,10 +437,8 @@ def test_criterion_7_deredundancy_direction(desk_run):
 
 
 def test_criterion_8_statistical_separation(desk_run):
-    rows = desk_run["main_rows"]
-    risks = np.array([r.risk for r in rows])
-    times = np.array([r.time_months for r in rows])
-    events = np.array([1 - r.censored for r in rows])
+    table = desk_run["main_table"]
+    risks, times, events = table.risks, table.times, table.events
     high = risks > np.median(risks)
     chi2, p = ev.log_rank_p(times[high], events[high], times[~high], events[~high])
     ok = p < 0.05

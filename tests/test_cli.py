@@ -456,9 +456,10 @@ def test_train_lifts_once_per_fold_for_training_and_once_for_prediction(tmp_path
     _cores(monkeypatch, 1)  # the count is in-process; a forked lane's lifts are not seen
     lifts = []
     lift = hdmoe.trainer.lift_params
-    monkeypatch.setattr(hdmoe.trainer, "lift_params",
-                        lambda params, requires_grad=True:
-                        lifts.append(requires_grad) or lift(params, requires_grad))
+    for module in (hdmoe.trainer, cli):  # train_fold's lift, then the one for its prediction
+        monkeypatch.setattr(module, "lift_params",
+                            lambda params, requires_grad=True:
+                            lifts.append(requires_grad) or lift(params, requires_grad))
     assert cli.main(["train", "--config", str(resolved), "--out", str(tmp_path / "run")]) == 0
     assert lifts == [True, False, True, False]  # two folds
 
@@ -793,11 +794,11 @@ def test_eval_of_a_run_with_two_faults_reports_the_first_check_in_order(tmp_path
     assert not eval_dir.exists()
 
 
-def _desk_cohort(tmp_path) -> Path:
+def _desk_cohort(tmp_path, **overrides) -> Path:
     """A 60-sample desk cohort in 2 folds, trained for 1 epoch: its resolved config."""
     cfg_path = tmp_path / "desk.json"
-    save_config(dataclasses.replace(apply_desk_preset(RunConfig()), cohort=60, k_folds=2,
-                                    epochs=1, seed=3), cfg_path)
+    save_config(dataclasses.replace(apply_desk_preset(RunConfig()), **{
+        "cohort": 60, "k_folds": 2, "epochs": 1, "seed": 3, **overrides}), cfg_path)
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
     return tmp_path / "data" / "config.json"
 
@@ -811,6 +812,21 @@ def test_eval_pinned_as_train_writes_trains_fold_metrics_bitwise(tmp_path):
     trained, scored = (json.loads((d / "metrics.json").read_text())["folds"]
                        for d in (run_dir, eval_dir))
     assert scored == trained and set(scored) == {"0", "1"}
+
+
+def test_eval_repeats_of_a_single_segment_run_each_score_the_folds_cindex(tmp_path):
+    # with one segment value no draw has a choice, so each repeat is the scoring pass; on
+    # seed 1 fold 1's three equal scores have a np.mean one ulp below them
+    resolved = _desk_cohort(tmp_path, segment_values=[2], seed=1)
+    run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+    assert cli.main(["train", "--config", str(resolved), "--out", str(run_dir)]) == 0
+    assert cli.main(["eval", "--config", str(resolved), "--out", str(eval_dir),
+                     "--checkpoint", str(run_dir), "--repeats", "3"]) == 0
+    report = json.loads((eval_dir / "metrics.json").read_text())
+    assert set(report["stability"]) == {"0", "1"}
+    for fold, stability in report["stability"].items():
+        cindex = report["folds"][fold]["cindex"]
+        assert stability == {"scores": [cindex] * 3, "mean": cindex, "std": 0.0}
 
 
 def test_eval_of_one_fold_checkpoint_writes_that_folds_entries_of_the_run_eval(tmp_path):
@@ -1030,8 +1046,11 @@ def test_failed_predictions_write_leaves_old_file_or_none(tmp_path, monkeypatch,
     _inject(monkeypatch, fault, target.name)
     if fault == "serialize":
         real = cli.predict_fold
-        monkeypatch.setattr(cli, "predict_fold", lambda *a, **k: [
-            dataclasses.replace(r, risk=object()) for r in real(*a, **k)])
+
+        def unserialisable(*args, **kwargs):  # every risk an object that is not a float
+            res, table = real(*args, **kwargs)
+            return res, dataclasses.replace(table, risks=np.full(table.risks.size, object()))
+        monkeypatch.setattr(cli, "predict_fold", unserialisable)
         with pytest.raises(TypeError):
             cli.main(argv)
     else:

@@ -547,6 +547,21 @@ def test_metric_pass_enters_no_numpy_wrapper(tied):
     assert not entered, sorted(entered)
 
 
+@pytest.mark.parametrize("name, path", [("tied_2000", "grid"), ("untied_2000", "levels"),
+                                        ("at_bound", "grid"), ("over_bound", "levels")])
+def test_cindex_count_takes_the_grid_or_the_levels_by_the_cells(monkeypatch, name, path):
+    # both paths give the same counts, so only the path taken shows a miscounted cut
+    # or bound: the grid's bincount alone passes minlength
+    table = {"tied_2000": _survival_table(2000, True), "untied_2000": _survival_table(2000, False),
+             **EDGE_TABLES}[name]
+    bincount, minlengths = np.bincount, []
+    monkeypatch.setattr(kernels.np, "bincount",
+                        lambda *args, **kwargs: minlengths.append("minlength" in kwargs)
+                        or bincount(*args, **kwargs))
+    ev.c_index(table)
+    assert minlengths == {"grid": [True], "levels": [False]}[path]
+
+
 # ---------------------------------------------------------------------------
 # Welch t
 
@@ -838,7 +853,7 @@ def test_stability_degenerate_segment_set_is_exactly_zero_std():
     scores, mean, std = ev.stability_report(
         level1, lifted, cfg, outcome_table(records), 5, np.random.default_rng(0)
     )
-    assert std == 0.0
+    assert std == 0.0 and mean == scores[0]
     assert len(set(scores)) == 1
 
 

@@ -227,7 +227,8 @@ def test_desk_digest_matches_the_golden_file(digest_lines):
     want, got = _digest_entries(golden), _digest_entries(digest_lines)
     problems += [f"{key}: golden {want.get(key, '(absent)')}, now {got.get(key, '(absent)')}"
                  for key in sorted(want.keys() | got.keys()) if want.get(key) != got.get(key)]
-    assert not problems, "\n".join(problems)
+    if problems:
+        pytest.fail("\n".join(problems))
     assert digest_lines == golden  # and in the same order
 
 

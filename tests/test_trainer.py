@@ -9,7 +9,7 @@ from hdmoe import autodiff as ad
 from hdmoe import model as hm
 from hdmoe import trainer as ht
 from hdmoe.config import RunConfig, apply_desk_preset
-from hdmoe.data import SampleRecord, compute_bin_edges, generate_synthetic, make_folds, SynthConfig
+from hdmoe.data import BinEdges, SampleRecord, compute_bin_edges, generate_synthetic, make_folds, SynthConfig
 from hdmoe.errors import ConfigError, NumericsError
 from hdmoe.losses import balance_loss, decouple_loss, survival_nll, total_loss
 
@@ -255,35 +255,33 @@ def test_bin_edges_use_training_fold_only():
 def test_predict_fold_rows_and_determinism():
     records = _tiny_dataset()
     result = ht.train_fold(records, 0, TINY, FAST)
-    rows1 = ht.predict_fold(records, 0, result.params, result.edges, TINY,
-                            np.random.default_rng(0), pin_segment=1)
-    rows2 = ht.predict_fold(records, 0, result.params, result.edges, TINY,
-                            np.random.default_rng(99), pin_segment=1)
-    assert len(rows1) == sum(1 for r in records if r.fold == 0)
-    for a, b in zip(rows1, rows2):
-        assert a.sample_id == b.sample_id
-        assert np.array_equal(a.hazards, b.hazards)  # pinned => rng-independent
-        assert a.risk == b.risk
-        assert a.bin_label >= 1
-
-
-def test_predict_fold_empty_when_fold_absent():
-    records = _tiny_dataset()
-    params = hm.init_params(TINY, np.random.default_rng(0))
-    edges = compute_bin_edges(records, TINY.num_bins)
-    rows = ht.predict_fold(records, 9, params, edges, TINY, np.random.default_rng(0))
-    assert rows == []
+    held_out = ht.split_fold(records, 0)[1]
+    lifted = hm.lift_params(result.params, requires_grad=False)
+    (res1, table1), (res2, table2) = (
+        ht.predict_fold(held_out, lifted, TINY, np.random.default_rng(seed), pin_segment=1)
+        for seed in (0, 99))
+    assert len(held_out) == table1.risks.size == sum(1 for r in records if r.fold == 0)
+    assert np.array_equal(res1.hazards.value, res2.hazards.value)  # pinned => rng-independent
+    assert np.array_equal(table1.risks, table2.risks)
+    assert np.array_equal(table1.times, [r.time_months for r in held_out])
+    assert np.array_equal(table1.events, [1 - r.censored for r in held_out])
+    rows = [ht.predictions_to_csv(held_out, 0, res.hazards.value, table.risks, result.edges)
+            .splitlines()[1:] for res, table in ((res1, table1), (res2, table2))]
+    assert rows[0] == rows[1]
+    assert [row.split(",")[0] for row in rows[0]] == [r.sample_id for r in held_out]
+    assert all(int(row.split(",")[-3]) >= 1 for row in rows[0])  # the bin
 
 
 def test_predictions_csv_format():
-    rows = [
-        ht.PredictionRow("p1", 0, np.array([0.1, 0.2]), -1.5, 1, 0, 12.0),
-        ht.PredictionRow("p2", 0, np.array([0.3, 0.4]), -0.5, 2, 1, 3.5),
-    ]
-    csv_text = ht.predictions_to_csv(rows, num_bins=2)
+    samples = [SampleRecord(sample_id, np.zeros((1, 2)), np.zeros((1, 2)), time, censored, fold=0)
+               for sample_id, time, censored in (("p1", 12.0, 0), ("p2", 3.5, 1))]
+    hazards = np.array([[0.1, 0.2], [0.3, 0.4]])
+    csv_text = ht.predictions_to_csv(samples, 0, hazards, np.array([-1.5, -0.5]),
+                                     BinEdges((10.0,), 2))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "sample_id,fold,h1,h2,risk,bin,censored,time_months"
-    assert lines[1].startswith("p1,0,0.1,0.2,-1.5,1,0,12")
+    assert lines[1].startswith("p1,0,0.1,0.2,-1.5,2,0,12")
+    assert lines[2] == "p2,0,0.3,0.4,-0.5,1,1,3.5"
     assert len(lines) == 3
 
 
