@@ -211,7 +211,8 @@ def _digest_entries(lines: list[str]) -> dict[str, str]:
     """An artifact's path -> its sha256, and "probe <name>" -> its outcome, below the header."""
     entries = {}
     for line in lines[1:]:
-        key, value = line.partition(": ")[::2] if line.startswith("probe ") else line.split("  ")[::-1]
+        probe = line.startswith("probe ")
+        key, value = line.partition(": ")[::2] if probe else line.split("  ")[::-1]
         entries[key] = value
     return entries
 

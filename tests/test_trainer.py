@@ -9,7 +9,8 @@ from hdmoe import autodiff as ad
 from hdmoe import model as hm
 from hdmoe import trainer as ht
 from hdmoe.config import RunConfig, apply_desk_preset
-from hdmoe.data import BinEdges, SampleRecord, compute_bin_edges, generate_synthetic, make_folds, SynthConfig
+from hdmoe.data import (BinEdges, SampleRecord, compute_bin_edges, generate_synthetic, make_folds,
+                        SynthConfig)
 from hdmoe.errors import ConfigError, NumericsError
 from hdmoe.losses import balance_loss, decouple_loss, survival_nll, total_loss
 
