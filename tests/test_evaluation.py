@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import sys
 
@@ -681,6 +682,15 @@ def test_student_t_p_and_incomplete_beta_pinned_bits():
 def test_incomplete_beta_reflection(a, b, k):
     x = k / 2**20  # so that 1 - x is exact
     assert abs(ev.reg_incomplete_beta(a, b, x) + ev.reg_incomplete_beta(b, a, 1.0 - x) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("a, b, x, closed", [(1.0, 3.0, 0.5, 0.875), (2.0, 2.0, 0.75, 0.84375)])
+def test_beta_cf_floors_a_zero_first_lentz_denominator(a, b, x, closed):
+    # 1 - (a + b) x / (a + 1) is exactly 0 at these inputs, so the first Lentz step
+    # divides by the 1e-300 floor; I_x(1, 3) = 1 - (1 - x)^3, I_x(2, 2) = 3x^2 - 2x^3
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(1.0 - x))
+    assert abs(front * ev._beta_cf(a, b, x) / a - closed) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdmoe
 from hdmoe import kernels, losses, model
 from hdmoe.config import RunConfig, apply_desk_preset
 
@@ -30,27 +32,40 @@ def _load_tool(name: str):
     return module
 
 
+def _figures(report: dict):
+    """(path, figure) of each timed figure of a step_profile report: the leaves of
+    its "_ms" sections, each a {"change": ms, ...} dict."""
+    def walk(path, node):
+        if "change" in node:
+            yield path, node
+        else:
+            for key, child in node.items():
+                yield from walk(f"{path}/{key}", child)
+    for key, section in report.items():
+        if "ms" in key.split("_"):
+            yield from walk(key, section)
+
+
 def test_step_profile_runs_on_desk_config(monkeypatch):
     profile = _load_tool("step_profile")
     monkeypatch.setattr(profile, "STEPS", {"desk": (1, 2)})
-    monkeypatch.setattr(profile, "REPEATER_CALLS", 1)
-    monkeypatch.setattr(profile, "CHECKPOINT_CALLS", 1)
+    for calls in ("SINGLE_CALLS", "REPEATER_CALLS", "CHECKPOINT_CALLS"):
+        monkeypatch.setattr(profile, calls, 1)
     benches = sorted(profile.ROOT.glob("BENCH_*.json"))
-    cfg = apply_desk_preset(RunConfig()).model_config()
-    steps, nodes, rules, nograd, repeaters, checkpoint = profile.profile_scale(cfg, "desk")
-    assert set(steps) == {*profile.STAGES, "step"}
-    assert set(nograd) == {"1", str(profile.FORWARDS)}
-    assert set(repeaters) == {"stability", "redundancy"}
-    assert set(checkpoint) == {"save", "load", "mb"}
-    for value in (*steps.values(), *nograd.values(), *repeaters.values(), *checkpoint.values()):
-        assert math.isfinite(value) and value > 0
+    report = profile.profile_scale({"change": hdmoe}, "desk")
+    assert set(report["step_ms"]) == {*profile.STAGES, "step"}
+    assert set(report["nograd_forward_ms_per_sample"]) == {"1", str(profile.FORWARDS)}
+    assert set(report["checkpoint_ms"]) == {"save", "load"}
+    assert all(set(figure) == {"change"} and math.isfinite(figure["change"])
+               and figure["change"] > 0 for _, figure in _figures(report))
+    nodes = report["tape_nodes_per_step"]["change"]
     assert 0 < nodes["ops"] <= 22 and nodes["leaves"] > 0
+    assert report["checkpoint_mb"]["change"] > 0
     # each kind of rule a desk step runs, by the function that defines it
-    assert set(rules) == {"encoder.encode_bag", "moe.moe_forward", "autodiff.side_output",
-                          "rfr.rfr_forward", "autodiff.matmul", "autodiff.add_bias",
-                          "autodiff.sigmoid", "losses.survival_nll", "losses.decouple_loss",
-                          "losses.balance_loss", "losses.total_loss"}
-    assert all(math.isfinite(ms) and ms > 0 for ms in rules.values())
+    assert set(report["backward_rule_ms_per_step"]) == {
+        "encoder.encode_bag", "moe.moe_forward", "autodiff.side_output", "rfr.rfr_forward",
+        "autodiff.matmul", "autodiff.add_bias", "autodiff.sigmoid", "losses.survival_nll",
+        "losses.decouple_loss", "losses.balance_loss", "losses.total_loss"}
     assert sorted(profile.ROOT.glob("BENCH_*.json")) == benches
 
 
@@ -59,29 +74,112 @@ def test_step_profile_times_train_end_to_end(monkeypatch):
     monkeypatch.setattr(profile, "TRAIN_COHORTS", ((60, 2),))
     monkeypatch.setattr(profile, "TRAIN_CALLS", 1)
     monkeypatch.setattr(profile, "EVAL_CALLS", 1)
-    times, lanes, eval_times, eval_lanes = profile.profile_train()
-    assert set(times) == set(lanes) == set(eval_lanes) == {"60x2"}
-    assert set(eval_times) == {"60x2", "60x2/eval", "60x2/analyze"}  # the sum, and each command
-    for ms in (times["60x2"], *eval_times.values()):
-        assert math.isfinite(ms) and ms > 0
-    assert 1 <= lanes["60x2"] <= 2
+    report = profile.profile_train({"change": hdmoe})
+    assert set(report["train_ms"]) == set(report["train_lanes"]) == {"60x2"}
+    assert set(report["eval_lanes"]) == {"60x2"}
+    # the sum, and each command
+    assert set(report["eval_ms"]) == {"60x2", "60x2/eval", "60x2/analyze"}
+    for _, figure in _figures(report):
+        assert math.isfinite(figure["change"]) and figure["change"] > 0
+    assert 1 <= report["train_lanes"]["60x2"]["change"] <= 2
     # eval: one lane per checkpoint; analyze reads in this process
     usable = len(os.sched_getaffinity(0))
-    assert eval_lanes["60x2"] == {"eval": min(2, usable), "analyze": 1}
+    assert report["eval_lanes"]["60x2"] == {"change": {"eval": min(2, usable), "analyze": 1}}
 
 
 def test_step_profile_times_each_metric_and_the_whole_pass(monkeypatch):
     profile = _load_tool("step_profile")
     monkeypatch.setattr(profile, "METRIC_SIZES", (30, 200))
     monkeypatch.setattr(profile, "METRIC_REPEATS", 1)
-    raw, norm, warm = profile.profile_metrics()
-    for metrics in (raw, norm, warm):
-        assert set(metrics) == {"c_index", "km_estimate", "log_rank_p", "welch_t_test",
-                                "metric_pass"}
-        for times in metrics.values():
-            # tied tables under the sizes alone, as before; untied ones under untied/
-            assert set(times) == {"30", "200", "untied/30", "untied/200"}
-            assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+    metrics = profile.profile_metrics({"change": hdmoe})
+    assert set(metrics) == {"c_index", "km_estimate", "log_rank_p", "welch_t_test", "metric_pass"}
+    for figures in metrics.values():
+        # tied tables under the sizes alone, as before; untied ones under untied/
+        assert set(figures) == {"30", "200", "untied/30", "untied/200"}
+        assert all(math.isfinite(f["change"]) and f["change"] > 0 for f in figures.values())
+
+
+def test_step_profile_against_a_tree_times_both_sides_in_one_run(monkeypatch, tmp_path):
+    profile = _load_tool("step_profile")
+    monkeypatch.setattr(profile, "STEPS", {"desk": (1, 2)})
+    for calls in ("SINGLE_CALLS", "REPEATER_CALLS", "CHECKPOINT_CALLS", "READER_CALLS",
+                  "TRAIN_CALLS", "EVAL_CALLS", "METRIC_REPEATS"):
+        monkeypatch.setattr(profile, calls, 2)
+    monkeypatch.setattr(profile, "TRAIN_COHORTS", ((60, 2),))
+    monkeypatch.setattr(profile, "METRIC_SIZES", (30,))
+    monkeypatch.setattr(profile, "ROOT", tmp_path / "checkout")  # where the report goes
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    # this checkout's package as the parent tree, with bytecode the copy must leave behind
+    tree = tmp_path / "tree"
+    shutil.copytree(Path(hdmoe.__file__).parent, tree / "hdmoe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tree / "hdmoe" / "__pycache__").mkdir()
+    (tree / "hdmoe" / "__pycache__" / "stale.pyc").write_bytes(b"")
+    before = {p: p.stat().st_mtime_ns for p in tree.rglob("*")}
+    profile.ROOT.mkdir()
+    copies, imported_copy = [], profile.imported_copy
+
+    @contextlib.contextmanager
+    def recorded(src):
+        with imported_copy(src) as parent:
+            copies.append(Path(parent.__file__).parent)
+            assert parent.__name__ == "hdmoe_parent" and copies[0].name == "hdmoe_parent"
+            assert not (copies[0] / "__pycache__").exists()
+            yield parent
+
+    monkeypatch.setattr(profile, "imported_copy", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert profile.main(["--label", "both", "--against", str(tree)]) == 0
+        assert profile.main(["--label", "one"]) == 0
+    assert len(copies) == 1 and not copies[0].parent.exists()
+    assert not any(name.startswith("hdmoe_parent") for name in sys.modules)
+    assert {p: p.stat().st_mtime_ns for p in tree.rglob("*")} == before
+    assert sorted(p.name for p in profile.ROOT.iterdir()) == ["BENCH_both.json", "BENCH_one.json"]
+    both, one = (json.loads((profile.ROOT / f"BENCH_{label}.json").read_text())
+                 for label in ("both", "one"))
+    assert both["sides"] == ["change", "parent"] and one["sides"] == ["change"]
+    figures = dict(_figures(both))
+    assert dict(_figures(one)).keys() == figures.keys()
+    assert {"step_ms/desk/step", "metrics_ms/metric_pass/30", "load_samples_ms/desk",
+            "train_ms/60x2", "eval_ms/60x2/analyze"} <= figures.keys()
+    for figure in figures.values():
+        assert set(figure) == {"change", "parent", "ratio"}
+        ratio = figure["ratio"]
+        assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    for _, figure in _figures(one):
+        assert set(figure) == {"change"} and figure["change"] > 0
+    assert both["train_lanes"]["60x2"].keys() == {"change", "parent"}
+
+
+def test_step_profile_against_refuses_a_dir_without_the_package(monkeypatch, tmp_path, capsys):
+    profile = _load_tool("step_profile")
+    monkeypatch.setattr(profile, "ROOT", tmp_path)
+    monkeypatch.setattr(profile, "profile_scale", lambda *args: pytest.fail("timed"))
+    (tmp_path / "src" / "hdmoe").mkdir(parents=True)  # a package directory with no __init__.py
+    for tree in (tmp_path / "src", tmp_path / "missing"):
+        with pytest.raises(SystemExit) as exit_:
+            profile.main(["--label", "x", "--against", str(tree)])
+        assert exit_.value.code == 2
+        assert f"--against {tree}: no hdmoe/__init__.py there" in capsys.readouterr().err
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_step_profile_removes_the_parent_copy_on_an_error(monkeypatch):
+    profile = _load_tool("step_profile")
+    copies = []
+
+    def fail(sides, scale):
+        copies.append(Path(sides["parent"].__file__).parent)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(profile, "profile_scale", fail)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    with pytest.raises(RuntimeError, match="stop"):
+        profile.main(["--label", "x", "--against", str(Path(hdmoe.__file__).parent.parent)])
+    assert len(copies) == 1 and not copies[0].parent.exists()
+    assert not any(name.startswith("hdmoe_parent") for name in sys.modules)
 
 
 def test_step_profile_tables_tied_as_the_stats_workload_and_untied():
@@ -99,50 +197,11 @@ def test_step_profile_tables_tied_as_the_stats_workload_and_untied():
         assert (cells <= kernels.GRID_CELLS * 2000) == grid
 
 
-def test_step_profile_normalised_ms_divides_each_call_by_the_loop_before_it(monkeypatch):
-    profile = _load_tool("step_profile")
-    hostspeed = profile._hostspeed()
-    clock = iter([0.0, 0.002, 1.0, 1.001, 2.0, 2.005])  # three calls: 2, 1 and 5 ms
-    loops = iter([0.02, 0.01, 0.05])  # each loop twice the REF_S figure it would be
-    monkeypatch.setattr(hostspeed, "REF_S", 0.005)
-    monkeypatch.setattr(hostspeed, "calibrate", lambda: next(loops))
-    monkeypatch.setattr(profile.time, "perf_counter", lambda: next(clock))
-    calls = []
-    # the warm-up call is not timed; every ratio is 0.1, so 0.1 * REF_S = 0.5 ms
-    assert profile._normalised_ms(lambda: calls.append(1), 3) == 0.5
-    assert len(calls) == 4
-
-
-def test_step_profile_warm_normalised_ms_times_the_call_after_an_untimed_one(monkeypatch):
-    profile = _load_tool("step_profile")
-    hostspeed = profile._hostspeed()
-    events = []
-    clock = iter([0.0, 0.002, 1.0, 1.001, 2.0, 2.005])  # the timed calls: 2, 1 and 5 ms
-    loops = iter([0.02, 0.01, 0.05])
-    monkeypatch.setattr(hostspeed, "REF_S", 0.005)
-    monkeypatch.setattr(hostspeed, "calibrate", lambda: events.append("loop") or next(loops))
-    monkeypatch.setattr(profile.time, "perf_counter", lambda: events.append("t") or next(clock))
-    # the same ratios as unwarmed: 0.1 * REF_S = 0.5 ms
-    assert profile._normalised_ms(lambda: events.append("call"), 3, warm=True) == 0.5
-    # one warm-up call, then per repeat: loop, untimed call, timed call
-    assert events == ["call"] + ["loop", "call", "t", "call", "t"] * 3
-
-
-def test_step_profile_host_ms_is_the_median_of_perfbench_calibration_loops(monkeypatch):
-    profile = _load_tool("step_profile")
-    assert math.isfinite(profile.host_ms()) and profile.host_ms() > 0
-    hostspeed = sys.modules["hostspeed"]  # imported from perfbench/, not a copy
-    assert Path(hostspeed.__file__) == profile.ROOT / "perfbench" / "hostspeed.py"
-    loops = iter([0.004, 0.001, 0.005, 0.002, 0.003])
-    monkeypatch.setattr(hostspeed, "calibrate", lambda: next(loops))
-    assert profile.host_ms() == 3.0
-
-
 @pytest.mark.parametrize("kind", losses.DISTANCE_METRICS)
 def test_desk_step_records_at_most_22_ops_for_every_metric(kind):
     profile = _load_tool("step_profile")
     cfg = apply_desk_preset(RunConfig()).model_config()
-    records, labels = profile._records(cfg)
+    records, labels = profile._records(hdmoe, cfg)
     sample = records[0]
     lifted = model.lift_params(model.init_params(cfg, np.random.default_rng(1)), requires_grad=True)
     res = model.forward([sample], lifted, cfg, np.random.default_rng(2))
