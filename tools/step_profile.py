@@ -89,10 +89,10 @@ REPEATER_CALLS = 30
 METRIC_SIZES = (30, 200, 2000)
 METRIC_REPEATS = 200
 COHORT = 8
-CHECKPOINT_CALLS = 10
+CHECKPOINT_CALLS = 30
 READER_CALLS = 40
 TRAIN_COHORTS = ((60, 2), (200, 5))  # (samples, folds), one epoch each
-TRAIN_CALLS = 10
+TRAIN_CALLS = 20
 EVAL_COHORT = (60, 2)  # the train cohort whose checkpoints eval reads (analyze: fold0's)
 EVAL_CALLS = 20
 
