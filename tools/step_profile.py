@@ -300,7 +300,7 @@ def _scale_runs(hd, scale: str, tmp: Path) -> tuple[dict, object]:
 def profile_scale(sides: dict, scale: str) -> dict:
     """{report key: this scale's entry}, for the step, rule, no-grad forward,
     stability, redundancy and checkpoint figures and the counts of each side."""
-    warm, timed = STEPS[scale]
+    warm_steps, steps = STEPS[scale]
     with tempfile.TemporaryDirectory(prefix="hdmoe-profile-") as tmp:
         built = {side: _scale_runs(hd, scale, Path(tmp)) for side, hd in sides.items()}
 
@@ -308,8 +308,8 @@ def profile_scale(sides: dict, scale: str) -> dict:
             return compare({side: runs[name] for side, (runs, _) in built.items()}, calls, warm)
 
         report = {
-            "step_ms": figures("step", timed, warm),
-            "backward_rule_ms_per_step": figures("rules", timed),
+            "step_ms": figures("step", steps, warm_steps),
+            "backward_rule_ms_per_step": figures("rules", steps),
             "nograd_forward_ms_per_sample": {**figures("1", SINGLE_CALLS),
                                              **figures(str(FORWARDS))},
             "stability_ms": figures("stability")["stability"],
